@@ -1,8 +1,11 @@
-import numpy as np
-import pytest
+import hashlib
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from thermoacoustic.acoustics import Degenerate, assemble_coefficients
+from thermoacoustic.cli import timeseries_csv
 from thermoacoustic.config import InitialData, initial_fields, make_grid
 from thermoacoustic.coupling import (
     CoupledState,
@@ -21,7 +24,13 @@ from thermoacoustic.grid import (
     laplacian_dirichlet,
 )
 from thermoacoustic.model import q_source
-from thermoacoustic.verification import canonical_config, unit_params, unit_speed_model
+from thermoacoustic.verification import (
+    canonical_config,
+    canonical_run,
+    lensing_sweep,
+    unit_params,
+    unit_speed_model,
+)
 
 
 UNIT_MODEL = unit_speed_model()
@@ -261,3 +270,24 @@ def test_report_energy_sums_are_exact():
     for report in result.reports:
         assert report.E_tau == report.E0 + report.E1 + report.E2
         assert report.acE_total == report.acE1 + report.acE2 + report.acE3
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_outputs_bitwise():
+    # Whole-run bitwise proof for refactors: digests of the canonical run,
+    # the lensing-sweep reference and the sweep errors.  They depend on the
+    # numpy build (summation order of np.dot/np.sum); regenerate them only
+    # when a change is meant to alter the numbers.
+    sweep = lensing_sweep()
+    assert _sha256(timeseries_csv(canonical_run())) == (
+        "196f28ad1dedf3b672dd6416925fb8869205a2be7cc9be6dfa92543db68bb090"
+    )
+    assert _sha256(timeseries_csv(sweep.reference)) == (
+        "d1f1d8bb61e765db5be3b1c7b8e3165ead7d571075b1b348d7363e0bd1e693e2"
+    )
+    assert _sha256(repr((sweep.e_theta, sweep.e_p, sweep.e_pt))) == (
+        "915e56307b6d676ad1407f08da09d7d2c167f602460204f01eaf8ecb8e5422b6"
+    )
