@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from thermoacoustic.acoustics import AcousticState
 from thermoacoustic.grid import (
     FaceField,
     Grid1D,
@@ -23,6 +24,22 @@ from thermoacoustic.heat import (
     telegraph_mode_oracle,
 )
 from thermoacoustic.model import PhysicalParams
+
+
+RING_CLASSES = pytest.mark.parametrize(
+    "cls", [AcousticState, ThermalState], ids=lambda cls: cls.__name__
+)
+SECOND_DIFFERENCE = {
+    AcousticState: AcousticState.second_derivative,
+    ThermalState: lambda state: reconstruct_time_derivatives(state, 2),
+}
+
+
+def zero_level(cls, grid):
+    """One zero time level of the ring's two named fields."""
+    if cls is AcousticState:
+        return grid.zero_node_field(), grid.zero_node_field()
+    return grid.zero_node_field(), grid.zero_face_field()
 
 
 def unit_params(tau):
@@ -242,14 +259,39 @@ class TestTimeDerivatives:
         with pytest.raises(ValueError):
             reconstruct_time_derivatives(state, 3)
 
-    def test_nonuniform_stamps_rejected(self):
+    @RING_CLASSES
+    def test_nonuniform_stamps_rejected(self, cls):
         grid = Grid1D(1.0, 16)
-        z = grid.zero_node_field()
-        q = grid.zero_face_field()
-        state = ThermalState.initial(z, q)
-        state = state.advanced(z, q, 0.1)
+        a, b = zero_level(cls, grid)
+        state = cls.initial(a, b)
+        state = state.advanced(a, b, 0.1)
         with pytest.raises(ValueError):
-            state.advanced(z, q, 0.3)
+            state.advanced(a, b, 0.3)
+
+    @RING_CLASSES
+    def test_depth_capped_at_three(self, cls):
+        grid = Grid1D(1.0, 16)
+        a, b = zero_level(cls, grid)
+        state = cls.initial(a, b)
+        for n in range(1, 6):
+            last = (a * float(n), b * float(n))
+            state = state.advanced(*last, 0.1 * n)
+        assert state.depth == 3
+        assert [h[0] for h in state.history] == [0.1 * n for n in (3, 4, 5)]
+        assert state.t == 0.1 * 5
+        assert state.history[-1][1] is last[0] and state.history[-1][2] is last[1]
+
+    @RING_CLASSES
+    def test_short_ring_raises_insufficient_history(self, cls):
+        grid = Grid1D(1.0, 16)
+        a, b = zero_level(cls, grid)
+        state = cls.initial(a, b)
+        with pytest.raises(InsufficientHistory):
+            state.dt
+        state = state.advanced(a, b, 0.1)
+        assert state.dt == 0.1
+        with pytest.raises(InsufficientHistory):
+            SECOND_DIFFERENCE[cls](state)
 
 
 class TestTelegraphOracle:
