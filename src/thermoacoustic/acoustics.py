@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    Grid1D,
     NodeField,
+    _face_extend,
     _thomas,
     gradient_to_faces,
     interior_gradient,
@@ -45,8 +45,8 @@ from .grid import (
     l2_norm,
     laplacian_dirichlet,
 )
-from .heat import InsufficientHistory, _check_uniform_stamps
-from .model import PhysicalParams, SpeedOfSoundModel, h_eval
+from .heat import _TimeLevels
+from .model import PhysicalParams, SpeedOfSoundModel, _k_of_h, h_eval
 
 __all__ = [
     "Degenerate",
@@ -57,9 +57,6 @@ __all__ = [
     "westervelt_linear_step",
     "acoustic_identity_residual",
 ]
-
-_HISTORY_DEPTH = 3
-
 
 class Degenerate(ArithmeticError):
     """The leading coefficient 1 - 2 k(theta) p lost its positive margin.
@@ -86,57 +83,24 @@ class Degenerate(ArithmeticError):
         return Degenerate(self.alpha_min, self.node_index, self.threshold, step, time)
 
 
-@dataclass(frozen=True)
-class AcousticState:
-    """Pressure and its velocity v = p_t, with a 3-level history ring."""
-
-    p: NodeField
-    v: NodeField
-    t: float
-    history: tuple[tuple[float, NodeField, NodeField], ...]
-
-    def __post_init__(self) -> None:
-        _check_uniform_stamps(tuple(h[0] for h in self.history))
-
-    @staticmethod
-    def initial(p: NodeField, v: NodeField, t: float = 0.0) -> "AcousticState":
-        if p.grid != v.grid:
-            raise ValueError("p and v must share the grid")
-        return AcousticState(p, v, t, ((t, p, v),))
+class AcousticState(_TimeLevels):
+    """Pressure and its velocity v = p_t, plus a 3-level history ring."""
 
     @property
-    def grid(self) -> Grid1D:
-        return self.p.grid
+    def p(self) -> NodeField:
+        return self.history[-1][1]
 
     @property
-    def depth(self) -> int:
-        return len(self.history)
-
-    @property
-    def dt(self) -> float:
-        if self.depth < 2:
-            raise InsufficientHistory("need at least 2 levels to define dt")
-        return self.history[-1][0] - self.history[-2][0]
-
-    def advanced(self, p: NodeField, v: NodeField, t: float) -> "AcousticState":
-        history = (self.history + ((t, p, v),))[-_HISTORY_DEPTH:]
-        return AcousticState(p, v, t, history)
+    def v(self) -> NodeField:
+        return self.history[-1][2]
 
     def second_derivative(self) -> NodeField:
         """p_tt by second differences over the stored levels."""
-        if self.depth < 3:
-            raise InsufficientHistory("p_tt needs 3 stored levels")
-        (_, p0, _), (_, p1, _), (_, p2, _) = self.history[-3:]
-        dt = self.dt
-        return NodeField(self.grid, (p2.values - 2.0 * p1.values + p0.values) / dt**2)
+        return NodeField(self.grid, self._difference(1, 2))
 
     def third_derivative(self) -> NodeField:
         """p_ttt as the second difference of the stored velocities."""
-        if self.depth < 3:
-            raise InsufficientHistory("p_ttt needs 3 stored levels")
-        (_, _, v0), (_, _, v1), (_, _, v2) = self.history[-3:]
-        dt = self.dt
-        return NodeField(self.grid, (v2.values - 2.0 * v1.values + v0.values) / dt**2)
+        return NodeField(self.grid, self._difference(2, 2))
 
 
 @dataclass(frozen=True)
@@ -164,7 +128,7 @@ def assemble_coefficients(
     """
     grid = theta.grid
     h_vals = h_eval(model, theta.values)
-    k_vals = params.beta_acous / (params.rho * h_vals)
+    k_vals = _k_of_h(params, h_vals)
     alpha = 1.0 - 2.0 * k_vals * p.values
     g = 2.0 * k_vals * p_t.values * p_t.values
     return FrozenCoefficients(
@@ -227,9 +191,13 @@ def westervelt_linear_step(
     )
 
 
-def _faces_average(values: np.ndarray) -> np.ndarray:
-    """Average a node field onto the N-1 interior faces."""
-    return 0.5 * (values[:-1] + values[1:])
+def _first_energy(p: NodeField, v: NodeField, coeffs: FrozenCoefficients) -> float:
+    """E1 = 1/2 (||sqrt(alpha) v||^2 + ||sqrt(r) grad p||^2) of one time level."""
+    dx = p.grid.dx
+    a_term = dx * float(np.dot(coeffs.alpha.values * v.values, v.values))
+    grad_p = gradient_to_faces(p).values
+    r_faces = _face_extend(coeffs.r.values)
+    return 0.5 * (a_term + dx * float(np.dot(r_faces * grad_p, grad_p)))
 
 
 def acoustic_identity_residual(
@@ -251,20 +219,11 @@ def acoustic_identity_residual(
     residual is the backward-Euler defect and vanishes at rate O(dt) on
     smooth runs; the spatial part cancels exactly by summation by parts.
     """
-    if state.depth < 2:
-        raise InsufficientHistory("identity residual needs 2 stored levels")
-    dt = state.dt
+    dt = state.dt  # InsufficientHistory below 2 stored levels
     (_, p0, v0), (_, p1, v1) = state.history[-2:]
-    grid = state.grid
-    dx = grid.dx
+    dx = state.grid.dx
 
-    def e1(p, v, coeffs):
-        a = l2_inner(v, NodeField(grid, coeffs.alpha.values * v.values))
-        gp = gradient_to_faces(p).values
-        r_faces = _face_extend(coeffs.r.values)
-        return 0.5 * (a + dx * float(np.dot(r_faces * gp, gp)))
-
-    lhs = (e1(p1, v1, coeffs_next) - e1(p0, v0, coeffs_prev)) / dt
+    lhs = (_first_energy(p1, v1, coeffs_next) - _first_energy(p0, v0, coeffs_prev)) / dt
     lhs += params.b * l2_norm(gradient_to_faces(v1)) ** 2
 
     alpha_t = (coeffs_next.alpha.values - coeffs_prev.alpha.values) / dt
@@ -275,13 +234,7 @@ def acoustic_identity_residual(
     # grad r lives only on interior faces (r does not vanish on the boundary);
     # v is interpolated to the same face midpoints.
     grad_r = interior_gradient(coeffs_next.r)
-    rhs -= dx * float(np.dot(grad_r * grad_p1[1:-1], _faces_average(v1.values)))
+    rhs -= dx * float(np.dot(grad_r * grad_p1[1:-1], _face_extend(v1.values)[1:-1]))
     r_t_faces = _face_extend(r_t)
     rhs += 0.5 * dx * float(np.dot(r_t_faces, grad_p1 * grad_p1))
     return abs(lhs - rhs)
-
-
-def _face_extend(node_values: np.ndarray) -> np.ndarray:
-    """Interpolate node values to all N+1 faces, one-sided at the boundary."""
-    inner = 0.5 * (node_values[:-1] + node_values[1:])
-    return np.concatenate(([node_values[0]], inner, [node_values[-1]]))

@@ -60,7 +60,6 @@ from .heat import (
 from .model import (
     PhysicalParams,
     SpeedOfSoundModel,
-    h_eval,
     q_source,
     validate_params,
 )
@@ -142,18 +141,16 @@ def compatibility_data(
     and TauZeroFluxDerivative if q1 is requested at tau = 0.
     """
     grid = p0.grid
-    h0 = h_eval(model, theta0.values)
-    k0 = params.beta_acous / (params.rho * h0)
-    denom = 1.0 - 2.0 * k0 * p0.values
-    if denom.min() <= 0.0:
-        node = int(np.argmin(denom))
-        raise Degenerate(float(denom.min()), node, 0.0)
+    coeffs = assemble_coefficients(theta0, p0, p1, model, params)
+    if coeffs.alpha_min <= 0.0:
+        node = int(np.argmin(coeffs.alpha.values))
+        raise Degenerate(coeffs.alpha_min, node, 0.0)
     numer = (
-        h0 * laplacian_dirichlet(p0).values
+        coeffs.r.values * laplacian_dirichlet(p0).values
         + params.b * laplacian_dirichlet(p1).values
-        + 2.0 * k0 * p1.values * p1.values
+        + coeffs.g.values
     )
-    p2 = NodeField(grid, numer / denom)
+    p2 = NodeField(grid, numer / coeffs.alpha.values)
     theta1 = NodeField(
         grid,
         (-np.diff(q0.values) / grid.dx - params.ell * theta0.values
@@ -173,14 +170,19 @@ def compatibility_data(
 
 @dataclass(frozen=True)
 class CoupledState:
-    """Accepted state of the coupled integration at one time level."""
+    """Accepted state of the coupled integration at one time level.
+
+    coeffs_last are the frozen coefficients assembled from this state's
+    fields (None for a state built by initial()).  coupled_step reuses them
+    as the first iterate's coefficients of the next step, so it must be
+    called with the params and speed model that produced them.
+    """
 
     acoustic: AcousticState
     thermal: ThermalState
-    t: float
     n: int
     picard_iterations_last: int = 0
-    alpha_min_last: float = 1.0
+    coeffs_last: FrozenCoefficients | None = None
     picard_distances_last: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -191,6 +193,15 @@ class CoupledState:
     def grid(self) -> Grid1D:
         return self.acoustic.grid
 
+    @property
+    def t(self) -> float:
+        return self.acoustic.t
+
+    @property
+    def alpha_min_last(self) -> float:
+        """alpha_min of coeffs_last; 1.0 before any coefficients exist."""
+        return 1.0 if self.coeffs_last is None else self.coeffs_last.alpha_min
+
     @staticmethod
     def initial(
         p0: NodeField, p1: NodeField, theta0: NodeField, q0: FaceField
@@ -198,7 +209,6 @@ class CoupledState:
         return CoupledState(
             acoustic=AcousticState.initial(p0, p1),
             thermal=ThermalState.initial(theta0, q0),
-            t=0.0,
             n=0,
         )
 
@@ -228,45 +238,43 @@ def coupled_step(
     theta_star = state.thermal.theta
 
     distances: list[float] = []
-    acoustic_new = state.acoustic
-    thermal_new = state.thermal
-    converged = False
-    for _ in range(max_iter):
-        coeffs = assemble_coefficients(theta_star, p_star, v_star, model, params)
-        try:
+    try:
+        coeffs = state.coeffs_last
+        if coeffs is None:
+            coeffs = assemble_coefficients(theta_star, p_star, v_star, model, params)
+        for _ in range(max_iter):
             check_nondegeneracy(coeffs, gamma_bar)
-        except Degenerate as exc:
-            raise exc.located(step_index, step_time) from None
-        acoustic_new = westervelt_linear_step(state.acoustic, coeffs, dt, params)
-        f_next = q_source(params, acoustic_new.v)
-        if use_fourier:
-            thermal_new = fourier_thermal_step(state.thermal, f_next, dt, params)
-        else:
-            thermal_new = cattaneo_step(state.thermal, f_next, dt, params)
+            acoustic_new = westervelt_linear_step(state.acoustic, coeffs, dt, params)
+            f_next = q_source(params, acoustic_new.v)
+            if use_fourier:
+                thermal_new = fourier_thermal_step(state.thermal, f_next, dt, params)
+            else:
+                thermal_new = cattaneo_step(state.thermal, f_next, dt, params)
 
-        d = (
-            l2_norm(acoustic_new.p - p_star)
-            + l2_norm(acoustic_new.v - v_star)
-            + l2_norm(thermal_new.theta - theta_star)
-        )
-        distances.append(d)
-        p_star, v_star = acoustic_new.p, acoustic_new.v
-        theta_star = thermal_new.theta
-        scale = l2_norm(p_star) + l2_norm(v_star) + l2_norm(theta_star)
-        if d <= picard_tol * (1.0 + scale):
-            converged = True
-            break
-    if not converged:
-        raise PicardDiverged(step_index, step_time, len(distances), distances)
+            d = (
+                l2_norm(acoustic_new.p - p_star)
+                + l2_norm(acoustic_new.v - v_star)
+                + l2_norm(thermal_new.theta - theta_star)
+            )
+            distances.append(d)
+            p_star, v_star = acoustic_new.p, acoustic_new.v
+            theta_star = thermal_new.theta
+            scale = l2_norm(p_star) + l2_norm(v_star) + l2_norm(theta_star)
+            converged = d <= picard_tol * (1.0 + scale)
+            if not converged and len(distances) == max_iter:
+                raise PicardDiverged(step_index, step_time, len(distances), distances)
+            coeffs = assemble_coefficients(theta_star, p_star, v_star, model, params)
+            if converged:
+                break
+    except Degenerate as exc:
+        raise exc.located(step_index, step_time) from None
 
-    accepted = assemble_coefficients(theta_star, p_star, v_star, model, params)
     return CoupledState(
         acoustic=acoustic_new,
         thermal=thermal_new,
-        t=step_time,
         n=step_index,
         picard_iterations_last=len(distances),
-        alpha_min_last=accepted.alpha_min,
+        coeffs_last=coeffs,
         picard_distances_last=tuple(distances),
     )
 
@@ -377,7 +385,6 @@ def simulate(config, thermal_path: str = "auto") -> SimulationResult:
 
     grid = make_grid(config)
     p0, p1, theta0, q0 = initial_fields(config, grid)
-    state = CoupledState.initial(p0, p1, theta0, q0)
     dt = config.time.dt
     n_steps = int(round(config.time.T / dt))
     stride = config.time.output_stride
@@ -385,15 +392,15 @@ def simulate(config, thermal_path: str = "auto") -> SimulationResult:
         int(round(s / dt)): s for s in config.time.snapshot_times
     }
 
-    xacc = XNormAccumulator(dt)
-    xacc.sample_output(state.acoustic, state.thermal)
-
     coeffs = assemble_coefficients(theta0, p0, p1, model, params)
     try:
         check_nondegeneracy(coeffs, config.picard.gamma_bar)
     except Degenerate as exc:
         raise exc.located(0, 0.0) from None
+    state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
 
+    xacc = XNormAccumulator(dt)
+    xacc.sample_output(state.acoustic, state.thermal)
     reports = [_make_report(state, coeffs, None, None, params, xacc)]
     output_times = [0.0]
     theta_series = [theta0.values.copy()]
@@ -418,19 +425,15 @@ def simulate(config, thermal_path: str = "auto") -> SimulationResult:
         xacc.accumulate_step(state.acoustic, state.thermal)
         if n % stride == 0 or n == n_steps:
             xacc.sample_output(state.acoustic, state.thermal)
-            coeffs_now = assemble_coefficients(
-                state.thermal.theta, state.acoustic.p, state.acoustic.v,
-                model, params,
-            )
             f_next = q_source(params, state.acoustic.v)
             reports.append(
-                _make_report(state, coeffs_now, coeffs_prev, f_next, params, xacc)
+                _make_report(state, state.coeffs_last, coeffs_prev, f_next, params, xacc)
             )
             output_times.append(state.t)
             theta_series.append(state.thermal.theta.values.copy())
             p_series.append(state.acoustic.p.values.copy())
             v_series.append(state.acoustic.v.values.copy())
-            coeffs_prev = coeffs_now
+            coeffs_prev = state.coeffs_last
         if n in snapshot_steps:
             snapshots.append(_snapshot(state, grid))
 

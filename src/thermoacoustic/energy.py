@@ -49,17 +49,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acoustics import AcousticState, FrozenCoefficients
+from .acoustics import AcousticState, FrozenCoefficients, _first_energy
 from .grid import (
     FaceField,
     NodeField,
+    _face_extend,
     gradient_to_faces,
     interior_gradient,
     l2_inner,
     l2_norm,
     laplacian_dirichlet,
 )
-from .heat import InsufficientHistory, ThermalState, reconstruct_time_derivatives
+from .heat import ThermalState, reconstruct_time_derivatives
 from .model import PhysicalParams
 
 __all__ = [
@@ -140,10 +141,8 @@ def heat_balance_residual(
     smooth runs and matches the scalar modal defect exactly on single-mode
     runs.
     """
-    if state.depth < 2:
-        raise InsufficientHistory("balance residual needs 2 stored levels")
+    dt = state.dt  # InsufficientHistory below 2 stored levels
     (_, th0, q0), (_, th1, q1) = state.history[-2:]
-    dt = state.dt
     e_old = _level_e0(th0, q0, params)
     e_new = _level_e0(th1, q1, params)
     d_new = _level_d0(th1, q1, params)
@@ -156,18 +155,9 @@ def _sqrt_weighted_sq(weight_nodes: np.ndarray, values: np.ndarray, dx: float) -
     return dx * float(np.dot(weight_nodes * values, values))
 
 
-def _face_extend(node_values: np.ndarray) -> np.ndarray:
-    inner = 0.5 * (node_values[:-1] + node_values[1:])
-    return np.concatenate(([node_values[0]], inner, [node_values[-1]]))
-
-
 def acoustic_e1(state: AcousticState, coeffs: FrozenCoefficients) -> float:
     """First acoustic energy 1/2 (||sqrt(alpha) p_t||^2 + ||sqrt(r) grad p||^2)."""
-    dx = state.grid.dx
-    a_term = _sqrt_weighted_sq(coeffs.alpha.values, state.v.values, dx)
-    grad_p = gradient_to_faces(state.p).values
-    r_faces = _face_extend(coeffs.r.values)
-    return 0.5 * (a_term + dx * float(np.dot(r_faces * grad_p, grad_p)))
+    return _first_energy(state.p, state.v, coeffs)
 
 
 def acoustic_energy(

@@ -166,10 +166,20 @@ class FaceField(_Field):
     _length_offset = 1
 
 
+def _dirichlet_gradient(values: np.ndarray, dx: float) -> np.ndarray:
+    """Face values (u_{j+1} - u_j)/dx of node values, with the zero closure."""
+    return np.diff(values, prepend=0.0, append=0.0) / dx
+
+
+def _face_extend(node_values: np.ndarray) -> np.ndarray:
+    """Interpolate node values to all N+1 faces, one-sided at the boundary."""
+    inner = 0.5 * (node_values[:-1] + node_values[1:])
+    return np.concatenate(([node_values[0]], inner, [node_values[-1]]))
+
+
 def gradient_to_faces(u: NodeField) -> FaceField:
     """Difference quotient (u_{j+1} - u_j)/dx with the zero Dirichlet closure."""
-    vals = np.diff(u.values, prepend=0.0, append=0.0) / u.grid.dx
-    return FaceField(u.grid, vals)
+    return FaceField(u.grid, _dirichlet_gradient(u.values, u.grid.dx))
 
 
 def divergence_from_faces(w: FaceField) -> NodeField:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FaceField, Grid1D, NodeField, _thomas
+from .grid import FaceField, Grid1D, NodeField, _dirichlet_gradient, _Field, _thomas
 from .model import PhysicalParams
 
 __all__ = [
@@ -63,39 +63,37 @@ class InvalidMode(ValueError):
     """The modal oracle was asked for a negative Laplacian eigenvalue."""
 
 
-def _check_uniform_stamps(stamps: tuple[float, ...]) -> None:
-    if len(stamps) < 2:
-        return
-    steps = [b - a for a, b in zip(stamps, stamps[1:])]
-    dt = steps[-1]
-    if dt <= 0.0:
-        raise ValueError("history time stamps must be strictly increasing")
-    for s in steps:
-        if abs(s - dt) > 1e-9 * abs(dt):
-            raise ValueError("history time stamps must have constant spacing")
-
-
 @dataclass(frozen=True)
-class ThermalState:
-    """Temperature at nodes, heat flux at faces, plus a 3-level history ring."""
+class _TimeLevels:
+    """History ring of the state classes: up to _HISTORY_DEPTH levels
+    (t, a, b) at uniform spacing, newest last.  The newest level is the
+    current state; subclasses name its fields a and b.
+    """
 
-    theta: NodeField
-    q: FaceField
-    t: float
-    history: tuple[tuple[float, NodeField, FaceField], ...]
+    history: tuple[tuple[float, _Field, _Field], ...]
 
     def __post_init__(self) -> None:
-        _check_uniform_stamps(tuple(h[0] for h in self.history))
+        stamps = [h[0] for h in self.history]
+        steps = [b - a for a, b in zip(stamps, stamps[1:])]
+        if steps and steps[-1] <= 0.0:
+            raise ValueError("history time stamps must be strictly increasing")
+        for s in steps:
+            if abs(s - steps[-1]) > 1e-9 * abs(steps[-1]):
+                raise ValueError("history time stamps must have constant spacing")
 
-    @staticmethod
-    def initial(theta: NodeField, q: FaceField, t: float = 0.0) -> "ThermalState":
-        if theta.grid != q.grid:
-            raise ValueError("theta and q must share the grid")
-        return ThermalState(theta, q, t, ((t, theta, q),))
+    @classmethod
+    def initial(cls, a: _Field, b: _Field, t: float = 0.0):
+        if a.grid != b.grid:
+            raise ValueError("the fields of a time level must share the grid")
+        return cls(((t, a, b),))
+
+    @property
+    def t(self) -> float:
+        return self.history[-1][0]
 
     @property
     def grid(self) -> Grid1D:
-        return self.theta.grid
+        return self.history[-1][1].grid
 
     @property
     def depth(self) -> int:
@@ -107,9 +105,32 @@ class ThermalState:
             raise InsufficientHistory("need at least 2 levels to define dt")
         return self.history[-1][0] - self.history[-2][0]
 
-    def advanced(self, theta: NodeField, q: FaceField, t: float) -> "ThermalState":
-        history = (self.history + ((t, theta, q),))[-_HISTORY_DEPTH:]
-        return ThermalState(theta, q, t, history)
+    def advanced(self, a: _Field, b: _Field, t: float):
+        return type(self)((self.history + ((t, a, b),))[-_HISTORY_DEPTH:])
+
+    def _difference(self, slot: int, k: int) -> np.ndarray:
+        """Order-k (1 or 2) backward difference of field a (slot 1) or b (slot 2)."""
+        if self.depth < k + 1:
+            raise InsufficientHistory(
+                f"time derivative of order {k} needs {k + 1} levels, have {self.depth}"
+            )
+        dt = self.dt
+        levels = [h[slot].values for h in self.history[-(k + 1):]]
+        if k == 1:
+            return (levels[1] - levels[0]) / dt
+        return (levels[2] - 2.0 * levels[1] + levels[0]) / dt**2
+
+
+class ThermalState(_TimeLevels):
+    """Temperature at nodes and heat flux at faces, plus a 3-level history ring."""
+
+    @property
+    def theta(self) -> NodeField:
+        return self.history[-1][1]
+
+    @property
+    def q(self) -> FaceField:
+        return self.history[-1][2]
 
 
 def _theta_solve(
@@ -126,10 +147,6 @@ def _theta_solve(
     n = grid.N
     x = _thomas([diag_val] * n, [off_val] * (n - 1), [off_val] * (n - 1), rhs.tolist())
     return np.asarray(x)
-
-
-def _dirichlet_gradient(values: np.ndarray, dx: float) -> np.ndarray:
-    return np.diff(values, prepend=0.0, append=0.0) / dx
 
 
 def fourier_step(
@@ -206,20 +223,10 @@ def reconstruct_time_derivatives(
     """
     if k not in (1, 2):
         raise ValueError("derivative order k must be 1 or 2")
-    if state.depth < k + 1:
-        raise InsufficientHistory(
-            f"time derivative of order {k} needs {k + 1} levels, have {state.depth}"
-        )
-    dt = state.dt
-    if k == 1:
-        (_, th0, q0), (_, th1, q1) = state.history[-2:]
-        dtheta = (th1.values - th0.values) / dt
-        dq = (q1.values - q0.values) / dt
-    else:
-        (_, th0, q0), (_, th1, q1), (_, th2, q2) = state.history[-3:]
-        dtheta = (th2.values - 2.0 * th1.values + th0.values) / dt**2
-        dq = (q2.values - 2.0 * q1.values + q0.values) / dt**2
-    return NodeField(state.grid, dtheta), FaceField(state.grid, dq)
+    return (
+        NodeField(state.grid, state._difference(1, k)),
+        FaceField(state.grid, state._difference(2, k)),
+    )
 
 
 def telegraph_mode_oracle(

@@ -152,8 +152,8 @@ class SpeedOfSoundModel:
         return errors
 
     def k1(self, params: PhysicalParams) -> float:
-        """Uniform bound k1 = beta_acous / (rho * h_floor) on k(theta)."""
-        return params.beta_acous / (params.rho * self.h_floor)
+        """Uniform bound k1 = k(h_floor) on k(theta)."""
+        return _k_of_h(params, self.h_floor)
 
 
 def _polyval(coeffs: tuple[float, ...], theta):
@@ -183,12 +183,17 @@ def h_eval(model: SpeedOfSoundModel, theta):
     return values
 
 
+def _k_of_h(params: PhysicalParams, h):
+    """k = beta_acous / (rho * h) for already evaluated values of h."""
+    return params.beta_acous / (params.rho * h)
+
+
 def k_eval(model: SpeedOfSoundModel, params: PhysicalParams, theta):
     """Nonlinearity coefficient k = beta_acous / (rho * h(theta)).
 
     Bounded by k1 = beta_acous/(rho*h_floor) wherever h_eval succeeds.
     """
-    return params.beta_acous / (params.rho * h_eval(model, theta))
+    return _k_of_h(params, h_eval(model, theta))
 
 
 def q_source(params: PhysicalParams, p_t: NodeField) -> NodeField:
