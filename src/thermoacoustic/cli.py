@@ -7,7 +7,8 @@ Subcommands:
     modes        single-mode thermal run vs the telegraph oracle -> modes.csv
 
 Exit codes: 0 success, 2 configuration error, 3 degeneracy abort,
-4 fixed-point divergence, 5 verification failure.  Floats are printed with
+4 fixed-point divergence, 5 verification failure, 6 sound-speed floor
+violated.  Floats are printed with
 17 significant digits so equal runs produce byte-identical files; negative
 zero is normalized on output.
 """
@@ -26,6 +27,7 @@ from .coupling import PicardDiverged, SimulationResult, simulate, tau_sweep
 from .energy import TIMESERIES_COLUMNS
 from .grid import FaceField, NodeField, l2_inner, l2_norm
 from .heat import ThermalState, cattaneo_step, fourier_thermal_step, telegraph_mode_oracle
+from .model import FloorViolated
 from .verification import run_all_checks
 
 __all__ = ["main"]
@@ -35,6 +37,7 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_PICARD = 4
 EXIT_VERIFY = 5
+EXIT_FLOOR = 6
 
 
 def _fmt(value) -> str:
@@ -220,6 +223,9 @@ def main(argv=None) -> int:
     except PicardDiverged as exc:
         print(f"fixed-point divergence: {exc}", file=sys.stderr)
         return EXIT_PICARD
+    except FloorViolated as exc:
+        print(f"sound-speed floor violated: {exc}", file=sys.stderr)
+        return EXIT_FLOOR
 
 
 if __name__ == "__main__":

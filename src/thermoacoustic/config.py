@@ -113,9 +113,7 @@ def _require(section: dict, path: str, key: str, kind, *, optional=False, defaul
     value = section.pop(key)
     full = f"{path}.{key}" if path else key
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(full, "must be a number")
-        return float(value)
+        return _number(value, full)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(full, "must be an integer")
@@ -135,13 +133,29 @@ def _require(section: dict, path: str, key: str, kind, *, optional=False, defaul
     raise AssertionError(kind)
 
 
+def _number(value, key: str) -> float:
+    """A finite JSON number; json.loads accepts NaN and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(key, "must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(key, "must be finite")
+    return number
+
+
 def _number_list(values, path: str) -> tuple[float, ...]:
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{path}[{i}]", "must be a number")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(values))
+
+
+def _step_count(value: float, dt: float, key: str) -> int:
+    """value / dt, which must be an integer to within 1e-9 relative."""
+    steps = value / dt
+    if not math.isfinite(steps) or abs(value - round(steps) * dt) > 1e-9 * abs(value):
+        raise ValidationError(key, "must be an integer multiple of time.dt")
+    return round(steps)
 
 
 def _reject_unknown(section: dict, path: str) -> None:
@@ -258,6 +272,11 @@ def load_config(text: str) -> SimConfig:
         raise ValidationError("time.dt", "must be positive")
     if stride < 1:
         raise ValidationError("time.output_stride", "must be at least 1")
+    n_steps = _step_count(T, dt, "time.T")
+    for i, s in enumerate(snap):
+        key = f"time.snapshot_times[{i}]"
+        if not 0 <= _step_count(s, dt, key) <= n_steps:
+            raise ValidationError(key, "must lie in [0, time.T]")
     time_cfg = TimeConfig(T=T, dt=dt, output_stride=stride, snapshot_times=snap)
 
     picard_sec = _require(doc, "", "picard", dict, optional=True, default={})

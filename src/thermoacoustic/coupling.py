@@ -58,6 +58,7 @@ from .heat import (
     fourier_thermal_step,
 )
 from .model import (
+    FloorViolated,
     PhysicalParams,
     SpeedOfSoundModel,
     q_source,
@@ -266,7 +267,7 @@ def coupled_step(
             coeffs = assemble_coefficients(theta_star, p_star, v_star, model, params)
             if converged:
                 break
-    except Degenerate as exc:
+    except (Degenerate, FloorViolated) as exc:
         raise exc.located(step_index, step_time) from None
 
     return CoupledState(
@@ -392,10 +393,10 @@ def simulate(config, thermal_path: str = "auto") -> SimulationResult:
         int(round(s / dt)): s for s in config.time.snapshot_times
     }
 
-    coeffs = assemble_coefficients(theta0, p0, p1, model, params)
     try:
+        coeffs = assemble_coefficients(theta0, p0, p1, model, params)
         check_nondegeneracy(coeffs, config.picard.gamma_bar)
-    except Degenerate as exc:
+    except (Degenerate, FloorViolated) as exc:
         raise exc.located(0, 0.0) from None
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
 

@@ -44,18 +44,26 @@ class FloorViolated(ArithmeticError):
     """The sound-speed polynomial fell below its positive floor h_floor.
 
     Signals that the run has left the validated regime of the constitutive
-    assumptions (no silent clamping).
+    assumptions (no silent clamping).  The coupled driver adds the failing
+    step and time.
     """
 
-    def __init__(self, theta, value, floor, index=None):
+    def __init__(self, theta, value, floor, index=None, step=None, time=None):
         self.theta = theta
         self.value = value
         self.floor = floor
         self.index = index
+        self.step = step
+        self.time = time
+        when = f" at step {step}, t={time:.6g}" if step is not None else ""
         where = "" if index is None else f" at node index {index}"
         super().__init__(
-            f"h(theta)={value:.6g} < h_floor={floor:.6g} for theta={theta:.6g}{where}"
+            f"h(theta)={value:.6g} < h_floor={floor:.6g}{when} "
+            f"for theta={theta:.6g}{where}"
         )
+
+    def located(self, step: int, time: float) -> "FloorViolated":
+        return FloorViolated(self.theta, self.value, self.floor, self.index, step, time)
 
 
 @dataclass(frozen=True)

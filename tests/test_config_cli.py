@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from thermoacoustic.config import (
     make_grid,
 )
 from thermoacoustic.energy import TIMESERIES_COLUMNS
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def minimal_doc(**overrides):
@@ -121,6 +124,16 @@ class TestLoadConfig:
             load_config(json.dumps(doc))
         assert "b must be strictly positive" in str(err.value)
 
+    def test_grid_aligned_times_accepted(self):
+        doc = minimal_doc()
+        doc["time"] = {
+            "T": 1.0, "dt": 1e-3, "snapshot_times": [k / 20 for k in range(21)],
+        }
+        config = load_config(json.dumps(doc))
+        assert config.time.snapshot_times[-1] == 1.0
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            load_config(path.read_text())
+
     def test_sine_preset_prepares_fourier_flux(self):
         doc = minimal_doc()
         doc["initial_data"] = {
@@ -207,6 +220,33 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "step" in err and "node" in err
+
+    def test_floor_violation_exit_code_and_location(self, tmp_path, capsys):
+        doc = sine_doc()
+        doc["speed_model"] = {"coeffs": [1.0, -1.2], "h_floor": 0.5}
+        cfg = write_config(tmp_path, doc)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "step 0" in err and "t=0" in err and "node" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("params", "tau", float("nan")),
+            ("time", "dt", float("inf")),
+            ("time", "T", 0.0105),
+            ("time", "snapshot_times", [0.5]),
+            ("grid", "L", 10**400),
+        ],
+        ids=["tau_nan", "dt_infinite", "T_off_grid", "snapshot_past_T", "L_huge_integer"],
+    )
+    def test_bad_number_exits_2(self, tmp_path, capsys, section, key, value):
+        doc = minimal_doc()
+        doc[section][key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_picard_divergence_exit_code(self, tmp_path, capsys):
         doc = sine_doc()

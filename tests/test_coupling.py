@@ -23,7 +23,7 @@ from thermoacoustic.grid import (
     gradient_to_faces,
     laplacian_dirichlet,
 )
-from thermoacoustic.model import q_source
+from thermoacoustic.model import FloorViolated, SpeedOfSoundModel, q_source
 from thermoacoustic.verification import (
     canonical_config,
     canonical_run,
@@ -120,6 +120,18 @@ class TestCoupledStep:
                          UNIT_MODEL)
         assert err.value.step == 1
         assert err.value.node_index is not None
+
+    def test_floor_violation_aborts_with_location(self):
+        grid = Grid1D(1.0, 32)
+        theta0 = NodeField(grid, 0.5 * np.sin(np.pi * grid.nodes()))
+        z = grid.zero_node_field()
+        state = CoupledState.initial(z, z, theta0, grid.zero_face_field())
+        model = SpeedOfSoundModel(coeffs=(1.0, -1.2), h_floor=0.5)
+        with pytest.raises(FloorViolated) as err:
+            coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(tau=0.05), model)
+        assert err.value.step == 1
+        assert err.value.time == pytest.approx(1e-3)
+        assert "step 1" in str(err.value)
 
     def test_exhausted_iterations_raise(self):
         config = canonical_config()
