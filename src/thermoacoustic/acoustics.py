@@ -182,9 +182,7 @@ def westervelt_linear_step(
     lap_p = laplacian_dirichlet(state.p).values
     rhs = alpha * state.v.values / dt + r * lap_p + coeffs.g.values
 
-    v_new = np.asarray(
-        _thomas(diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist())
-    )
+    v_new = _thomas(diag, lower, upper, rhs)
     p_new = state.p.values + dt * v_new
     return state.advanced(
         NodeField(grid, p_new), NodeField(grid, v_new), state.t + dt

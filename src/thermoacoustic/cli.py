@@ -8,14 +8,15 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 degeneracy abort,
 4 fixed-point divergence, 5 verification failure, 6 sound-speed floor
-violated.  Floats are printed with
-17 significant digits so equal runs produce byte-identical files; negative
-zero is normalized on output.
+violated, 7 cannot write outputs.  Floats are printed with 17 significant
+digits so equal runs produce byte-identical files; negative zero is
+normalized on output.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,7 @@ EXIT_DEGENERATE = 3
 EXIT_PICARD = 4
 EXIT_VERIFY = 5
 EXIT_FLOOR = 6
+EXIT_OUTPUT = 7
 
 
 def _fmt(value) -> str:
@@ -171,6 +173,9 @@ def _parse_tau_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty tau list")
+    bad = [v for v in values if not (math.isfinite(v) and v > 0.0)]
+    if bad:
+        raise argparse.ArgumentTypeError(f"tau values must be finite and positive, got {bad}")
     return values
 
 
@@ -207,9 +212,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             return _cmd_simulate(config, out_dir, args.quiet)
         if args.command == "limit-sweep":
@@ -226,6 +230,9 @@ def main(argv=None) -> int:
     except FloorViolated as exc:
         print(f"sound-speed floor violated: {exc}", file=sys.stderr)
         return EXIT_FLOOR
+    except OSError as exc:  # creating the output directory or writing a file
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -50,7 +50,15 @@ from .energy import (
     heat_energy,
     theta_higher_energy,
 )
-from .grid import FaceField, Grid1D, NodeField, gradient_to_faces, l2_norm, laplacian_dirichlet
+from .grid import (
+    FaceField,
+    Grid1D,
+    NodeField,
+    _difference_quotient,
+    gradient_to_faces,
+    l2_norm,
+    laplacian_dirichlet,
+)
 from .heat import (
     InsufficientHistory,
     ThermalState,
@@ -154,7 +162,7 @@ def compatibility_data(
     p2 = NodeField(grid, numer / coeffs.alpha.values)
     theta1 = NodeField(
         grid,
-        (-np.diff(q0.values) / grid.dx - params.ell * theta0.values
+        (-_difference_quotient(q0.values, grid.dx) - params.ell * theta0.values
          + q_source(params, p1).values) / params.m,
     )
     want_q1 = include_q1 if include_q1 is not None else params.tau > 0.0

@@ -53,6 +53,7 @@ from .acoustics import AcousticState, FrozenCoefficients, _first_energy
 from .grid import (
     FaceField,
     NodeField,
+    _difference_quotient,
     _face_extend,
     gradient_to_faces,
     interior_gradient,
@@ -315,7 +316,7 @@ class XNormAccumulator:
         if th.depth >= 3:
             theta_tt, _ = reconstruct_time_derivatives(th, 2)
             sup["thetatt"] = max(sup["thetatt"], l2_norm(theta_tt))
-        q_deriv = np.diff(th.q.values) / th.grid.dx
+        q_deriv = _difference_quotient(th.q.values, th.grid.dx)
         q_h1 = math.sqrt(
             l2_norm(th.q) ** 2 + th.grid.dx * float(np.dot(q_deriv, q_deriv))
         )

@@ -26,7 +26,9 @@ eigenpair u_j = sin(k*pi*x_j/L) the discrete Laplacian returns
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +170,32 @@ class FaceField(_Field):
 
 def _dirichlet_gradient(values: np.ndarray, dx: float) -> np.ndarray:
     """Face values (u_{j+1} - u_j)/dx of node values, with the zero closure."""
-    return np.diff(values, prepend=0.0, append=0.0) / dx
+    out = np.empty(values.shape[0] + 1)
+    # explicit subtractions with the boundary zero: 0.0 - (+0.0) is +0.0,
+    # where -(+0.0) would be -0.0
+    out[0] = values[0] - 0.0
+    np.subtract(values[1:], values[:-1], out=out[1:-1])
+    out[-1] = 0.0 - values[-1]
+    out /= dx
+    return out
+
+
+def _difference_quotient(values: np.ndarray, dx: float) -> np.ndarray:
+    """(values[j+1] - values[j])/dx: faces -> nodes divergence, or the
+    interior gradient of node values."""
+    out = values[1:] - values[:-1]
+    out /= dx
+    return out
 
 
 def _face_extend(node_values: np.ndarray) -> np.ndarray:
     """Interpolate node values to all N+1 faces, one-sided at the boundary."""
-    inner = 0.5 * (node_values[:-1] + node_values[1:])
-    return np.concatenate(([node_values[0]], inner, [node_values[-1]]))
+    out = np.empty(node_values.shape[0] + 1)
+    out[0] = node_values[0]
+    np.add(node_values[:-1], node_values[1:], out=out[1:-1])
+    out[1:-1] *= 0.5
+    out[-1] = node_values[-1]
+    return out
 
 
 def gradient_to_faces(u: NodeField) -> FaceField:
@@ -184,7 +205,7 @@ def gradient_to_faces(u: NodeField) -> FaceField:
 
 def divergence_from_faces(w: FaceField) -> NodeField:
     """Difference quotient (w_{j+1/2} - w_{j-1/2})/dx at the nodes."""
-    return NodeField(w.grid, np.diff(w.values) / w.grid.dx)
+    return NodeField(w.grid, _difference_quotient(w.values, w.grid.dx))
 
 
 def laplacian_dirichlet(u: NodeField) -> NodeField:
@@ -199,7 +220,7 @@ def interior_gradient(u: NodeField) -> np.ndarray:
     as the wave-speed field): the Dirichlet closure of gradient_to_faces
     would fabricate O(1/dx) boundary gradients for them.
     """
-    return np.diff(u.values) / u.grid.dx
+    return _difference_quotient(u.values, u.grid.dx)
 
 
 def _quadrature_dot(a: np.ndarray, b: np.ndarray, dx: float) -> float:
@@ -228,11 +249,12 @@ def h1_seminorm(u: NodeField) -> float:
 _PIVOT_RTOL = 1e-14
 
 
-def _thomas(diag, lower, upper, rhs):
+def _thomas_loop(diag, lower, upper, rhs):
     """Thomas elimination on Python lists; returns the solution as a list.
 
-    Raises SingularSystem when a pivot falls below _PIVOT_RTOL times the
-    max-abs row scale of the original matrix row.
+    The reference for _thomas and its fallback.  Raises SingularSystem
+    when a pivot falls below _PIVOT_RTOL times the max-abs row scale of the
+    original matrix row.
     """
     n = len(diag)
     d = [0.0] * n
@@ -258,6 +280,77 @@ def _thomas(diag, lower, upper, rhs):
     return x
 
 
+def _load_gtsv():
+    """LAPACK dgtsv from the OpenBLAS bundled with numpy's wheel, or None.
+
+    The library (numpy.libs/libscipy_openblas64_*) is already mapped into
+    every process that imports numpy, so loading it costs neither import
+    time nor memory.  It is built with 64-bit integers, and the Fortran ABI
+    passes every argument by reference.
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = min(f for f in os.listdir(libdir) if f.startswith("libscipy_openblas64_"))
+        gtsv = ctypes.CDLL(os.path.join(libdir, name)).scipy_dgtsv_64_
+    except (OSError, ValueError, AttributeError):  # no directory, library or symbol
+        return None
+    ref = ctypes.POINTER(ctypes.c_int64)
+    # N, NRHS, DL, D, DU, B, LDB, INFO
+    gtsv.argtypes = [ref, ref] + [ctypes.c_void_p] * 4 + [ref, ref]
+    gtsv.restype = None
+    return gtsv
+
+
+_GTSV = _load_gtsv()
+_ONE = ctypes.c_int64(1)  # NRHS; read, never written, by dgtsv
+
+
+def _thomas(
+    diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve the tridiagonal system (lower[i] on row i+1) into a fresh array.
+
+    Without a row interchange dgtsv performs the IEEE operations of
+    _thomas_loop, except that its back substitution also subtracts
+    0.0 * x[i+2], which can flip the sign of a zero entry or turn 0 * inf
+    into nan.  So its result is returned only when info is 0, no row was
+    interchanged, every pivot passes the loop's _PIVOT_RTOL row test and
+    every entry is finite and nonzero; it then equals the loop's bit for
+    bit.  Otherwise, and without the library, the loop runs and returns
+    its result or raises SingularSystem.
+    """
+    n = diag.shape[0]
+    if _GTSV is not None:
+        work = np.zeros((4, n))  # rows: lower, diag, upper, rhs -> solution
+        work[0, :-1] = lower
+        work[1] = diag
+        work[2, :-1] = upper
+        work[3] = rhs
+        bands = np.abs(work[:3])  # before dgtsv overwrites them
+        size = ctypes.c_int64(n)
+        info = ctypes.c_int64(0)
+        at = work.ctypes.data
+        row = 8 * n
+        _GTSV(size, _ONE, at, at + row, at + 2 * row, at + 3 * row, size, info)
+        if info.value == 0:
+            piv = np.abs(work[1])  # the diagonal of U
+            abs_lower = bands[0, :-1]
+            # the loop's row scales; addition commutes, so the order matches
+            scale = bands[1]
+            scale[1:] += abs_lower
+            scale[:-1] += bands[2, :-1]
+            scale *= _PIVOT_RTOL
+            x = work[3]
+            if (
+                np.count_nonzero(piv[:-1] > abs_lower) == n - 1  # no row interchange
+                and np.count_nonzero(piv >= scale) == n
+                and np.count_nonzero(x) == n
+                and np.count_nonzero(np.isfinite(x)) == n
+            ):
+                return x
+    return np.array(_thomas_loop(diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist()))
+
+
 def solve_tridiagonal(diag, lower, upper, rhs: NodeField) -> NodeField:
     """Solve the tridiagonal system A x = rhs for a node field.
 
@@ -272,5 +365,4 @@ def solve_tridiagonal(diag, lower, upper, rhs: NodeField) -> NodeField:
     up = np.asarray(upper, dtype=float)
     if dg.shape != (n,) or lo.shape != (n - 1,) or up.shape != (n - 1,):
         raise ValueError("tridiagonal bands have inconsistent lengths")
-    x = _thomas(dg.tolist(), lo.tolist(), up.tolist(), rhs.values.tolist())
-    return NodeField(rhs.grid, np.asarray(x))
+    return NodeField(rhs.grid, _thomas(dg, lo, up, rhs.values))

@@ -38,7 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FaceField, Grid1D, NodeField, _dirichlet_gradient, _Field, _thomas
+from .grid import (
+    FaceField,
+    Grid1D,
+    NodeField,
+    _difference_quotient,
+    _dirichlet_gradient,
+    _Field,
+    _thomas,
+)
 from .model import PhysicalParams
 
 __all__ = [
@@ -144,9 +152,8 @@ def _theta_solve(
     dx2 = grid.dx * grid.dx
     diag_val = params.m / dt + params.ell + 2.0 * eta / dx2
     off_val = -eta / dx2
-    n = grid.N
-    x = _thomas([diag_val] * n, [off_val] * (n - 1), [off_val] * (n - 1), rhs.tolist())
-    return np.asarray(x)
+    off = np.full(grid.N - 1, off_val)
+    return _thomas(np.full(grid.N, diag_val), off, off, rhs)
 
 
 def fourier_step(
@@ -199,7 +206,7 @@ def cattaneo_step(
 
     rhs = f_next.values + (params.m / dt) * state.theta.values
     if w != 0.0:
-        rhs = rhs - w * (np.diff(state.q.values) / grid.dx)
+        rhs = rhs - w * _difference_quotient(state.q.values, grid.dx)
     theta_new = _theta_solve(grid, params, dt, eta, rhs)
 
     grad = _dirichlet_gradient(theta_new, grid.dx)

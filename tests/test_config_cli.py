@@ -230,6 +230,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "step 0" in err and "t=0" in err and "node" in err
 
+    def test_unwritable_out_exit_code_and_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, minimal_doc())
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        code = main(["simulate", "--config", cfg, "--out", str(blocker)])
+        assert code == 7
+        assert str(blocker) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -274,6 +282,16 @@ class TestCli:
         assert (tmp_path / "tau_0.1" / "timeseries.csv").exists()
         assert (tmp_path / "tau_0.05" / "timeseries.csv").exists()
         assert (tmp_path / "tau_0" / "timeseries.csv").exists()  # reference run
+
+    @pytest.mark.parametrize("tau", ["0", "-0.1", "nan", "inf"])
+    def test_limit_sweep_rejects_bad_tau(self, tmp_path, capsys, tau):
+        cfg = write_config(tmp_path, sine_doc(T=0.02))
+        with pytest.raises(SystemExit) as exc:
+            main(["limit-sweep", "--config", cfg, "--out", str(tmp_path),
+                  "--tau", f"0.1,{tau}", "--quiet"])
+        assert exc.value.code == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "tau_0").exists()  # rejected before any run
 
     def test_sweep_without_taus_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, sine_doc(T=0.02))

@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from thermoacoustic import grid as grid_mod
 from thermoacoustic.grid import (
     FaceField,
     Grid1D,
     GridMismatch,
     NodeField,
     SingularSystem,
+    _dirichlet_gradient,
+    _face_extend,
+    _thomas,
+    _thomas_loop,
     divergence_from_faces,
     gradient_to_faces,
     h1_seminorm,
@@ -221,3 +229,158 @@ class TestTridiagonal:
         rhs = NodeField(grid64, np.ones(64))
         with pytest.raises(SingularSystem):
             solve_tridiagonal(diag, lower, upper, rhs)
+
+    def test_tiny_pivot_is_singular(self):
+        # no row interchange and a nonzero pivot 2**-52, below 1e-14 of its row
+        g = Grid1D(1.0, 2)
+        diag = np.array([2.0, 0.5 + 2.0**-52])
+        rhs = NodeField(g, np.ones(2))
+        with pytest.raises(SingularSystem):
+            solve_tridiagonal(diag, np.ones(1), np.ones(1), rhs)
+
+
+class TestTridiagonalLoop(TestTridiagonal):
+    """The same cases with the LAPACK path switched off: the loop alone."""
+
+    @pytest.fixture(autouse=True)
+    def _loop_only(self, monkeypatch):
+        monkeypatch.setattr(grid_mod, "_GTSV", None)
+
+
+def _dominant_system(rng, n, decades, zero_share):
+    """Bands strictly diagonally dominant by rows and by columns, and a rhs.
+
+    Entries have either sign and magnitudes spread over 10**-decades ..
+    10**decades; a zero_share of the off-diagonal entries is 0.0.  The rhs
+    has no zeros, which would give zero solution entries and thus the loop.
+    """
+
+    def mixed(size, zeros):
+        mantissa = rng.uniform(1.0, 10.0, size) * rng.choice([-1.0, 1.0], size)
+        values = mantissa * 10.0 ** rng.integers(-decades, decades + 1, size)
+        values[rng.random(size) < zeros] = 0.0
+        return values
+
+    lower, upper, rhs = mixed(n - 1, zero_share), mixed(n - 1, zero_share), mixed(n, 0.0)
+    rows = np.zeros(n)
+    rows[1:] += np.abs(lower)
+    rows[:-1] += np.abs(upper)
+    cols = np.zeros(n)
+    cols[:-1] += np.abs(lower)
+    cols[1:] += np.abs(upper)
+    floor = mixed(n, 0.0)
+    bound = rng.uniform(1.01, 4.0, n) * np.maximum(rows, cols) + np.abs(floor)
+    return np.copysign(bound, floor), lower, upper, rhs
+
+
+@st.composite
+def dominant_systems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _dominant_system(
+        rng, draw(st.integers(2, 300)), draw(st.integers(0, 100)), draw(st.floats(0.0, 0.5))
+    )
+
+
+def _loop_reference(diag, lower, upper, rhs):
+    return np.array(_thomas_loop(diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist()))
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+
+    def spy(*bands):
+        calls.append(len(bands[0]))
+        return _thomas_loop(*bands)
+
+    monkeypatch.setattr(grid_mod, "_thomas_loop", spy)
+    return calls
+
+
+needs_lapack = pytest.mark.skipif(
+    grid_mod._GTSV is None, reason="numpy ships no bundled OpenBLAS here"
+)
+
+
+class TestLapackPath:
+    @given(dominant_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_loop_on_dominant_systems(self, system):
+        assert _thomas(*system).tobytes() == _loop_reference(*system).tobytes()
+
+    @needs_lapack
+    def test_dominant_systems_take_the_fast_path(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        sizes = rng.integers(2, 301, 200)
+        systems = [_dominant_system(rng, int(n), 100, 0.0) for n in sizes]
+        expected = [_loop_reference(*sys_) for sys_ in systems]
+        calls = _count_fallbacks(monkeypatch)
+        for sys_, ref in zip(systems, expected):
+            assert _thomas(*sys_).tobytes() == ref.tobytes()
+        assert calls == []
+
+    def test_row_interchange_falls_back_to_loop(self, monkeypatch):
+        # |diag[0]| < |lower[0]|: partial pivoting swaps rows 0 and 1, so
+        # dgtsv's operations differ from the loop's.
+        diag = np.array([1.0, 4.0, 4.0, 4.0])
+        lower = np.array([3.0, 1.0, 1.0])
+        upper = np.array([1.0, 1.0, 1.0])
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        ref = _loop_reference(diag, lower, upper, rhs)
+        calls = _count_fallbacks(monkeypatch)
+        assert _thomas(diag, lower, upper, rhs).tobytes() == ref.tobytes()
+        if grid_mod._GTSV is not None:
+            assert calls == [4]
+
+    def test_negative_zero_solution_falls_back_to_loop(self, monkeypatch):
+        # dgtsv's back substitution subtracts 0.0 * x[i+2], which turns the
+        # loop's -0.0 entries into +0.0 here.
+        diag = np.full(6, 4.0)
+        off = np.full(5, -1.0)
+        rhs = np.full(6, -0.0)
+        ref = _loop_reference(diag, off, off, rhs)
+        assert np.all(np.signbit(ref))
+        calls = _count_fallbacks(monkeypatch)
+        assert _thomas(diag, off, off, rhs).tobytes() == ref.tobytes()
+        if grid_mod._GTSV is not None:
+            assert calls == [6]
+
+
+# Finite values up to 1e300 in magnitude, with signed zeros and subnormals.
+_stencil_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def grids_and_values(draw):
+    grid = Grid1D(draw(st.floats(1e-2, 10.0)), draw(st.integers(2, 40)))
+    nodes = draw(arrays(np.float64, grid.N, elements=_stencil_values))
+    faces = draw(arrays(np.float64, grid.N + 1, elements=_stencil_values))
+    return grid, nodes, faces
+
+
+class TestStencilsMatchDiffFormulas:
+    """The slicing stencils against the np.diff/np.concatenate formulas they
+    replaced, byte for byte."""
+
+    @given(grids_and_values())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_old_formulas(self, case):
+        grid, nodes, faces = case
+        dx = grid.dx
+        old_gradient = np.diff(nodes, prepend=0.0, append=0.0) / dx
+        old_extend = np.concatenate(([nodes[0]], 0.5 * (nodes[:-1] + nodes[1:]), [nodes[-1]]))
+        assert _dirichlet_gradient(nodes, dx).tobytes() == old_gradient.tobytes()
+        assert _face_extend(nodes).tobytes() == old_extend.tobytes()
+        node_field = NodeField(grid, nodes)
+        assert gradient_to_faces(node_field).values.tobytes() == old_gradient.tobytes()
+        assert interior_gradient(node_field).tobytes() == (np.diff(nodes) / dx).tobytes()
+        divergence = divergence_from_faces(FaceField(grid, faces)).values
+        assert divergence.tobytes() == (np.diff(faces) / dx).tobytes()
+
+    def test_boundary_faces_keep_signed_zeros(self):
+        g = Grid1D(1.0, 3)
+        out = _dirichlet_gradient(np.array([-0.0, 1.0, 0.0]), g.dx)
+        # -0.0 - 0.0 stays -0.0; 0.0 - (+0.0) is +0.0, not -(+0.0)
+        assert np.signbit(out[0]) and not np.signbit(out[-1])
