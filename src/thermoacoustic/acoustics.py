@@ -105,14 +105,12 @@ class AcousticState(_TimeLevels):
 
 @dataclass(frozen=True)
 class FrozenCoefficients:
-    """Per-iterate coefficient fields with cached extrema."""
+    """Per-iterate coefficient fields with the cached minimum of alpha."""
 
     alpha: NodeField
     r: NodeField
     g: NodeField
     alpha_min: float
-    alpha_max: float
-    r_min: float
 
 
 def assemble_coefficients(
@@ -136,8 +134,6 @@ def assemble_coefficients(
         r=NodeField(grid, h_vals),
         g=NodeField(grid, g),
         alpha_min=float(alpha.min()),
-        alpha_max=float(alpha.max()),
-        r_min=float(h_vals.min()),
     )
 
 

@@ -93,7 +93,7 @@ def _cmd_limit_sweep(config, out_dir: Path, quiet: bool, tau_override) -> int:
     if not taus:
         print("limit-sweep needs sweep.tau_list in the config or --tau", file=sys.stderr)
         return EXIT_CONFIG
-    sweep = tau_sweep(config, taus, keep_members=True)
+    sweep = tau_sweep(config, taus)
     rows = zip(sweep.taus, sweep.e_theta, sweep.e_p, sweep.e_pt)
     _write(out_dir / "sweep.csv", _csv_text(("tau", "e_theta", "e_p", "e_pt"), rows), quiet)
     members = dict(zip(sweep.taus, sweep.members))

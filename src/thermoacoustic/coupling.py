@@ -33,6 +33,7 @@ from .acoustics import (
     AcousticState,
     Degenerate,
     FrozenCoefficients,
+    _first_energy,
     acoustic_identity_residual,
     assemble_coefficients,
     check_nondegeneracy,
@@ -41,8 +42,6 @@ from .acoustics import (
 from .energy import (
     EnergyReport,
     XNormAccumulator,
-    acoustic_dissipation,
-    acoustic_e1,
     acoustic_energy,
     coefficient_diagnostics,
     heat_balance_residual,
@@ -292,17 +291,17 @@ def coupled_step(
 class SimulationResult:
     """Artifacts of one coupled run.
 
-    reports align with output_times; theta/p/v series hold raw field values
-    at the output times for cross-run comparisons; snapshots are
-    (time, x, p, p_t, theta, q_at_left_face) tuples at the configured
+    reports hold one row per output time (t = 0, every output_stride-th
+    step and the last step), each carrying its own t; theta/p/v series hold
+    raw field values at the same times for cross-run comparisons; snapshots
+    are (time, x, p, p_t, theta, q_at_left_face) tuples at the configured
     snapshot times.  alpha_min_per_step covers the initial state plus every
     accepted step (length n_steps + 1); the Picard histories cover the
-    accepted steps only.
+    accepted steps only.  x_norms are the solution-space norms of the whole
+    run (XNormAccumulator).
     """
 
     grid: Grid1D
-    dt: float
-    output_times: tuple[float, ...]
     reports: tuple[EnergyReport, ...]
     theta_series: tuple[np.ndarray, ...]
     p_series: tuple[np.ndarray, ...]
@@ -321,7 +320,6 @@ def _make_report(
     coeffs_prev: FrozenCoefficients | None,
     f_next: NodeField | None,
     params: PhysicalParams,
-    xacc: XNormAccumulator,
 ) -> EnergyReport:
     th, ac = state.thermal, state.acoustic
     e0 = heat_energy(th, params, 0)
@@ -333,18 +331,15 @@ def _make_report(
     if th.depth >= 3:
         e2 = heat_energy(th, params, 2)
         d2 = heat_dissipation(th, params, 2)
-    cal_e0 = cal_e1 = cal_d0 = cal_d1 = 0.0
+    cal_e0 = cal_e1 = 0.0
     if th.depth >= 3:
-        cal_e0, cal_e1, cal_d0, cal_d1 = theta_higher_energy(th, params)
+        cal_e0, cal_e1, _, _ = theta_higher_energy(th, params)
     try:
         ac_e1, ac_e2, ac_e3, ac_total = acoustic_energy(ac, coeffs, params)
     except InsufficientHistory:
-        ac_e1 = acoustic_e1(ac, coeffs)
+        ac_e1 = _first_energy(ac.p, ac.v, coeffs)
         ac_e2 = ac_e3 = 0.0
         ac_total = ac_e1
-    ac_d0 = 0.0
-    if ac.depth >= 3:
-        ac_d0 = acoustic_dissipation(ac, coeffs, params)
     lam = frak_f = 0.0
     heat_res = ac_res = 0.0
     if coeffs_prev is not None:
@@ -363,34 +358,24 @@ def _make_report(
         picard_iters=state.picard_iterations_last,
         heat_residual=heat_res,
         acoustic_residual=ac_res,
-        cal_D0=cal_d0, cal_D1=cal_d1, ac_D0=ac_d0,
-        x_norms=xacc.norms(),
     )
 
 
-def simulate(config, thermal_path: str = "auto") -> SimulationResult:
+def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     """Run the coupled integration described by a SimConfig.
 
-    thermal_path selects the relaxation treatment: "auto" steps Cattaneo for
-    tau > 0 and Fourier for tau = 0; "cattaneo" and "fourier" force the
-    respective path (the forced Cattaneo path at tau = 0 must reproduce the
-    Fourier path bit for bit).  Deterministic: identical configs produce
-    identical outputs.
+    The thermal step is Cattaneo for tau > 0 and Fourier for tau = 0.
+    force_cattaneo runs the Cattaneo step at tau = 0 as well; that path must
+    reproduce the Fourier path bit for bit (tau_zero_bit_identity).
+    Deterministic: identical configs produce identical outputs.
     """
     from .config import initial_fields, make_grid  # deferred: config imports us
 
-    if thermal_path not in ("auto", "cattaneo", "fourier"):
-        raise ValueError(f"unknown thermal path {thermal_path!r}")
     params, model = config.params, config.speed_model
     problems = validate_params(params, model)
     if problems:
         raise ValueError("invalid physical configuration: " + "; ".join(problems))
-    use_fourier = (
-        thermal_path == "fourier"
-        or (thermal_path == "auto" and params.tau == 0.0)
-    )
-    if use_fourier and thermal_path == "fourier" and params.tau != 0.0:
-        raise ValueError("the Fourier path is only meaningful at tau = 0")
+    use_fourier = params.tau == 0.0 and not force_cattaneo
 
     grid = make_grid(config)
     p0, p1, theta0, q0 = initial_fields(config, grid)
@@ -410,8 +395,7 @@ def simulate(config, thermal_path: str = "auto") -> SimulationResult:
 
     xacc = XNormAccumulator(dt)
     xacc.sample_output(state.acoustic, state.thermal)
-    reports = [_make_report(state, coeffs, None, None, params, xacc)]
-    output_times = [0.0]
+    reports = [_make_report(state, coeffs, None, None, params)]
     theta_series = [theta0.values.copy()]
     p_series = [p0.values.copy()]
     v_series = [p1.values.copy()]
@@ -436,9 +420,8 @@ def simulate(config, thermal_path: str = "auto") -> SimulationResult:
             xacc.sample_output(state.acoustic, state.thermal)
             f_next = q_source(params, state.acoustic.v)
             reports.append(
-                _make_report(state, state.coeffs_last, coeffs_prev, f_next, params, xacc)
+                _make_report(state, state.coeffs_last, coeffs_prev, f_next, params)
             )
-            output_times.append(state.t)
             theta_series.append(state.thermal.theta.values.copy())
             p_series.append(state.acoustic.p.values.copy())
             v_series.append(state.acoustic.v.values.copy())
@@ -448,8 +431,6 @@ def simulate(config, thermal_path: str = "auto") -> SimulationResult:
 
     return SimulationResult(
         grid=grid,
-        dt=dt,
-        output_times=tuple(output_times),
         reports=tuple(reports),
         theta_series=tuple(theta_series),
         p_series=tuple(p_series),
@@ -481,7 +462,8 @@ class SweepResult:
     """Relaxation-limit deviations against the tau = 0 Fourier reference.
 
     Entries are ordered by tau descending; each error is the maximum over
-    output times of the L2 distance to the reference run.
+    output times of the L2 distance to the reference run, and members holds
+    the per-tau runs in the same order.
     """
 
     taus: tuple[float, ...]
@@ -489,7 +471,7 @@ class SweepResult:
     e_p: tuple[float, ...]
     e_pt: tuple[float, ...]
     reference: SimulationResult
-    members: tuple[SimulationResult, ...] | None = None
+    members: tuple[SimulationResult, ...]
 
     def __post_init__(self) -> None:
         if any(tau <= 0.0 for tau in self.taus):
@@ -506,13 +488,13 @@ def _series_distance(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...], dx: f
     )
 
 
-def tau_sweep(base_config, tau_list=None, keep_members: bool = False) -> SweepResult:
+def tau_sweep(base_config, tau_list=None) -> SweepResult:
     """Run the relaxation ladder against the tau = 0 reference.
 
     All member runs share the grid, step size and initial data; only tau
     changes.  Runs execute sequentially (determinism for free); results are
-    sorted by tau descending regardless of the order given.  keep_members
-    retains the per-tau run artifacts (for file emission).
+    sorted by tau descending regardless of the order given.  The member runs
+    are kept in the same order (for file emission).
     """
     taus = tuple(tau_list) if tau_list is not None else tuple(base_config.sweep_tau_list or ())
     if not taus:
@@ -523,24 +505,23 @@ def tau_sweep(base_config, tau_list=None, keep_members: bool = False) -> SweepRe
     ref_config = replace(
         base_config, params=replace(base_config.params, tau=0.0)
     )
-    reference = simulate(ref_config, thermal_path="fourier")
+    reference = simulate(ref_config)
     dx = reference.grid.dx
 
     e_theta, e_p, e_pt = [], [], []
     members = []
     for tau in taus_sorted:
         cfg = replace(base_config, params=replace(base_config.params, tau=tau))
-        result = simulate(cfg, thermal_path="cattaneo")
+        result = simulate(cfg)
         e_theta.append(_series_distance(result.theta_series, reference.theta_series, dx))
         e_p.append(_series_distance(result.p_series, reference.p_series, dx))
         e_pt.append(_series_distance(result.v_series, reference.v_series, dx))
-        if keep_members:
-            members.append(result)
+        members.append(result)
     return SweepResult(
         taus=taus_sorted,
         e_theta=tuple(e_theta),
         e_p=tuple(e_p),
         e_pt=tuple(e_pt),
         reference=reference,
-        members=tuple(members) if keep_members else None,
+        members=tuple(members),
     )

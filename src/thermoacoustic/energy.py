@@ -26,7 +26,7 @@ Acoustic side, with frozen coefficients alpha, r and diffusivity b:
     E2 = 1/2 (||sqrt(alpha) p_tt||^2 + ||sqrt(r) grad p_t||^2 + b ||Lap p||^2)
     E3 = 1/2 (b ||grad p_tt||^2 + b ||grad Lap p||^2)
 
-plus the leading dissipation D0 and the coefficient diagnostics
+plus the coefficient diagnostics
 
     Lambda = ||alpha_t||^2 + ||alpha_t||^{4/3} + ||r_t||^{4/3}
              + ||grad r||^2 + ||r_t||_{L3}^2 + ||alpha_t||_{L3}^2
@@ -45,7 +45,7 @@ bounds, whose hidden constants are not computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +71,7 @@ __all__ = [
     "heat_dissipation",
     "theta_higher_energy",
     "heat_balance_residual",
-    "acoustic_e1",
     "acoustic_energy",
-    "acoustic_dissipation",
     "coefficient_diagnostics",
     "XNormAccumulator",
     "x_norm",
@@ -151,28 +149,18 @@ def heat_balance_residual(
     return abs((e_new - e_old) / dt + d_new - work)
 
 
-def _sqrt_weighted_sq(weight_nodes: np.ndarray, values: np.ndarray, dx: float) -> float:
-    """||sqrt(w) u||^2 = dx * sum w_j u_j^2 for a node weight field."""
-    return dx * float(np.dot(weight_nodes * values, values))
-
-
-def acoustic_e1(state: AcousticState, coeffs: FrozenCoefficients) -> float:
-    """First acoustic energy 1/2 (||sqrt(alpha) p_t||^2 + ||sqrt(r) grad p||^2)."""
-    return _first_energy(state.p, state.v, coeffs)
-
-
 def acoustic_energy(
     state: AcousticState, coeffs: FrozenCoefficients, params: PhysicalParams
 ) -> tuple[float, float, float, float]:
     """(E1, E2, E3, total); E2 and E3 need p_tt, hence 3 stored levels."""
     dx = state.grid.dx
-    e1 = acoustic_e1(state, coeffs)
+    e1 = _first_energy(state.p, state.v, coeffs)
     p_tt = state.second_derivative()
     r_faces = _face_extend(coeffs.r.values)
     grad_v = gradient_to_faces(state.v).values
     lap_p = laplacian_dirichlet(state.p)
     e2 = 0.5 * (
-        _sqrt_weighted_sq(coeffs.alpha.values, p_tt.values, dx)
+        dx * float(np.dot(coeffs.alpha.values * p_tt.values, p_tt.values))
         + dx * float(np.dot(r_faces * grad_v, grad_v))
         + params.b * l2_norm(lap_p) ** 2
     )
@@ -181,28 +169,6 @@ def acoustic_energy(
         + l2_norm(gradient_to_faces(lap_p)) ** 2
     )
     return e1, e2, e3, e1 + e2 + e3
-
-
-def acoustic_dissipation(
-    state: AcousticState, coeffs: FrozenCoefficients, params: PhysicalParams
-) -> float:
-    """Leading acoustic dissipation rate D0 (needs p_tt and p_ttt)."""
-    dx = state.grid.dx
-    b = params.b
-    p_tt = state.second_derivative()
-    p_ttt = state.third_derivative()
-    lap_p = laplacian_dirichlet(state.p)
-    lap_v = laplacian_dirichlet(state.v)
-    r_faces = _face_extend(coeffs.r.values)
-    grad_lap_p = gradient_to_faces(lap_p).values
-    return (
-        b * l2_norm(gradient_to_faces(state.v)) ** 2
-        + b * l2_norm(gradient_to_faces(p_tt)) ** 2
-        + _sqrt_weighted_sq(coeffs.r.values, lap_p.values, dx)
-        + b * l2_norm(lap_v) ** 2
-        + dx * float(np.dot(r_faces * grad_lap_p, grad_lap_p))
-        + _sqrt_weighted_sq(coeffs.alpha.values, p_ttt.values, dx)
-    )
 
 
 def coefficient_diagnostics(
@@ -388,9 +354,7 @@ class EnergyReport:
     """One diagnostics row of a run.
 
     Derivative-based entries read 0.0 until the history ring is deep enough
-    to define them (the first one or two rows).  The acoustic dissipation
-    and the running solution-space norms ride along but are not part of the
-    time-series schema.
+    to define them (the first one or two rows).
     """
 
     t: float
@@ -413,10 +377,6 @@ class EnergyReport:
     picard_iters: int
     heat_residual: float
     acoustic_residual: float
-    cal_D0: float = 0.0
-    cal_D1: float = 0.0
-    ac_D0: float = 0.0
-    x_norms: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0))
 
     def row(self) -> tuple:
         return (

@@ -92,12 +92,6 @@ class Grid1D:
         s = math.sin(k * math.pi * self.dx / (2.0 * self.L))
         return 4.0 / self.dx**2 * s * s
 
-    def node_field(self, values) -> "NodeField":
-        return NodeField(self, values)
-
-    def face_field(self, values) -> "FaceField":
-        return FaceField(self, values)
-
     def zero_node_field(self) -> "NodeField":
         return NodeField(self, np.zeros(self.N))
 

@@ -38,7 +38,7 @@ def constant_coeffs(grid, alpha=1.0, r=1.0, g=0.0):
         alpha=NodeField(grid, np.full(n, alpha)),
         r=NodeField(grid, np.full(n, r)),
         g=NodeField(grid, np.full(n, g)),
-        alpha_min=alpha, alpha_max=alpha, r_min=r,
+        alpha_min=alpha,
     )
 
 
@@ -100,7 +100,7 @@ class TestNondegeneracyGuard:
         alpha[5] = -0.2
         coeffs = FrozenCoefficients(
             alpha=NodeField(grid, alpha), r=NodeField(grid, np.ones(8)),
-            g=grid.zero_node_field(), alpha_min=-0.2, alpha_max=1.0, r_min=1.0,
+            g=grid.zero_node_field(), alpha_min=-0.2,
         )
         with pytest.raises(Degenerate) as err:
             check_nondegeneracy(coeffs, 0.5)
@@ -137,9 +137,7 @@ class TestWesterveltStep:
         r = NodeField(grid, 1.0 + 0.1 * np.cos(np.pi * x / 2))
         g = NodeField(grid, rng.standard_normal(64))
         coeffs = FrozenCoefficients(alpha=alpha, r=r, g=g,
-                                    alpha_min=float(alpha.values.min()),
-                                    alpha_max=float(alpha.values.max()),
-                                    r_min=float(r.values.min()))
+                                    alpha_min=float(alpha.values.min()))
         params = unit_params(b=0.5)
         dt = 0.01
         state = AcousticState.initial(p, v)
@@ -190,8 +188,6 @@ class TestWesterveltStep:
             return FrozenCoefficients(
                 alpha=alpha, r=r, g=NodeField(grid, g_vals),
                 alpha_min=float(alpha.values.min()),
-                alpha_max=float(alpha.values.max()),
-                r_min=float(r.values.min()),
             )
 
         def step(p, v, g_vals):

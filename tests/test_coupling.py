@@ -290,9 +290,9 @@ def _sha256(text: str) -> str:
 
 def test_golden_outputs_bitwise():
     # Whole-run bitwise proof for refactors: digests of the canonical run,
-    # the lensing-sweep reference and the sweep errors.  They depend on the
-    # numpy build (summation order of np.dot/np.sum); regenerate them only
-    # when a change is meant to alter the numbers.
+    # the lensing-sweep reference, its four member runs and the sweep errors.
+    # They depend on the numpy build (summation order of np.dot/np.sum);
+    # regenerate them only when a change is meant to alter the numbers.
     sweep = lensing_sweep()
     assert _sha256(timeseries_csv(canonical_run())) == (
         "196f28ad1dedf3b672dd6416925fb8869205a2be7cc9be6dfa92543db68bb090"
@@ -300,6 +300,12 @@ def test_golden_outputs_bitwise():
     assert _sha256(timeseries_csv(sweep.reference)) == (
         "d1f1d8bb61e765db5be3b1c7b8e3165ead7d571075b1b348d7363e0bd1e693e2"
     )
+    assert {tau: _sha256(timeseries_csv(m)) for tau, m in zip(sweep.taus, sweep.members)} == {
+        0.1: "4575d59635cc011c9e6e1d85df33f34cefd9d04439f00b2b99125498320549da",
+        0.05: "172d85b057e2c984081bf07f571cfe9e5af953a5e1a4ca6059b4ae97951e02c5",
+        0.025: "7265825448c4a5c08806bb77e06b138264d399a61bfe45d4e56294590b69a22d",
+        0.0125: "e0d486ce9a15cdb44c4904c5e402a4e695cc9e162ce423b3d27cf6906c5631e8",
+    }
     assert _sha256(repr((sweep.e_theta, sweep.e_p, sweep.e_pt))) == (
         "915e56307b6d676ad1407f08da09d7d2c167f602460204f01eaf8ecb8e5422b6"
     )

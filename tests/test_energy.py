@@ -43,7 +43,7 @@ def constant_coeffs(grid, alpha=1.0, r=1.0, g=0.0):
         alpha=NodeField(grid, np.full(n, alpha)),
         r=NodeField(grid, np.full(n, r)),
         g=NodeField(grid, np.full(n, g)),
-        alpha_min=alpha, alpha_max=alpha, r_min=r,
+        alpha_min=alpha,
     )
 
 
@@ -191,7 +191,7 @@ class TestCoefficientDiagnostics:
             alpha=NodeField(grid, np.ones(grid.N)),
             r=NodeField(grid, np.ones(grid.N)),
             g=NodeField(grid, g_vals),
-            alpha_min=1.0, alpha_max=1.0, r_min=1.0,
+            alpha_min=1.0,
         )
 
     def test_forcing_mode_value(self):
