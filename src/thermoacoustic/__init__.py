@@ -57,6 +57,7 @@ from .grid import (
     Grid1D,
     GridMismatch,
     NodeField,
+    NonFinite,
     SingularSystem,
     divergence_from_faces,
     gradient_to_faces,

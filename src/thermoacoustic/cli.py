@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 degeneracy abort,
 4 fixed-point divergence, 5 verification failure, 6 sound-speed floor
-violated, 7 cannot write outputs.  Floats are printed with 17 significant
+violated, 7 cannot write outputs, 8 non-finite values (step and time on
+stderr).  Floats are printed with 17 significant
 digits so equal runs produce byte-identical files; negative zero is
 normalized on output.
 """
@@ -26,7 +27,7 @@ from .acoustics import Degenerate
 from .config import ConfigError, load_config_file
 from .coupling import PicardDiverged, SimulationResult, simulate, tau_sweep
 from .energy import TIMESERIES_COLUMNS
-from .grid import FaceField, NodeField, l2_inner, l2_norm
+from .grid import FaceField, NodeField, NonFinite, l2_inner, l2_norm
 from .heat import ThermalState, cattaneo_step, fourier_thermal_step, telegraph_mode_oracle
 from .model import FloorViolated
 from .verification import run_all_checks
@@ -40,6 +41,7 @@ EXIT_PICARD = 4
 EXIT_VERIFY = 5
 EXIT_FLOOR = 6
 EXIT_OUTPUT = 7
+EXIT_NONFINITE = 8
 
 
 def _fmt(value) -> str:
@@ -230,6 +232,9 @@ def main(argv=None) -> int:
     except FloorViolated as exc:
         print(f"sound-speed floor violated: {exc}", file=sys.stderr)
         return EXIT_FLOOR
+    except NonFinite as exc:
+        print(f"non-finite values: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
     except OSError as exc:  # creating the output directory or writing a file
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_OUTPUT

@@ -25,6 +25,7 @@ values against the tau = 0 reference and reports max-in-time L2 deviations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from .acoustics import (
     westervelt_linear_step,
 )
 from .energy import (
+    TIMESERIES_COLUMNS,
     EnergyReport,
     XNormAccumulator,
     acoustic_energy,
@@ -53,6 +55,7 @@ from .grid import (
     FaceField,
     Grid1D,
     NodeField,
+    NonFinite,
     _difference_quotient,
     gradient_to_faces,
     l2_norm,
@@ -274,7 +277,7 @@ def coupled_step(
             coeffs = assemble_coefficients(theta_star, p_star, v_star, model, params)
             if converged:
                 break
-    except (Degenerate, FloorViolated) as exc:
+    except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
 
     return CoupledState(
@@ -347,7 +350,7 @@ def _make_report(
         ac_res = acoustic_identity_residual(ac, coeffs_prev, coeffs, params)
     if f_next is not None and th.depth >= 2:
         heat_res = heat_balance_residual(th, f_next, params)
-    return EnergyReport(
+    report = EnergyReport(
         t=state.t,
         E0=e0, E1=e1, E2=e2, E_tau=e0 + e1 + e2,
         D0=d0, D1=d1, D2=d2,
@@ -359,6 +362,10 @@ def _make_report(
         heat_residual=heat_res,
         acoustic_residual=ac_res,
     )
+    for column, value in zip(TIMESERIES_COLUMNS, report.row()):
+        if not math.isfinite(value):
+            raise NonFinite(f"report column {column}")
+    return report
 
 
 def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
@@ -378,7 +385,6 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     use_fourier = params.tau == 0.0 and not force_cattaneo
 
     grid = make_grid(config)
-    p0, p1, theta0, q0 = initial_fields(config, grid)
     dt = config.time.dt
     n_steps = int(round(config.time.T / dt))
     stride = config.time.output_stride
@@ -386,48 +392,52 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
         int(round(s / dt)): s for s in config.time.snapshot_times
     }
 
-    try:
+    try:  # setup counts as step 0
+        p0, p1, theta0, q0 = initial_fields(config, grid)
         coeffs = assemble_coefficients(theta0, p0, p1, model, params)
         check_nondegeneracy(coeffs, config.picard.gamma_bar)
-    except (Degenerate, FloorViolated) as exc:
+    except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(0, 0.0) from None
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
 
-    xacc = XNormAccumulator(dt)
-    xacc.sample_output(state.acoustic, state.thermal)
-    reports = [_make_report(state, coeffs, None, None, params)]
-    theta_series = [theta0.values.copy()]
-    p_series = [p0.values.copy()]
-    v_series = [p1.values.copy()]
-    snapshots = []
-    if 0 in snapshot_steps:
-        snapshots.append(_snapshot(state, grid))
-    alpha_mins: list[float] = [coeffs.alpha_min]
-    iters: list[int] = []
-    dists: list[tuple[float, ...]] = []
-
-    coeffs_prev = coeffs
-    for n in range(1, n_steps + 1):
-        state = coupled_step(
-            state, dt, config.picard.tol, config.picard.max_iter,
-            config.picard.gamma_bar, params, model, use_fourier=use_fourier,
-        )
-        alpha_mins.append(state.alpha_min_last)
-        iters.append(state.picard_iterations_last)
-        dists.append(state.picard_distances_last)
-        xacc.accumulate_step(state.acoustic, state.thermal)
-        if n % stride == 0 or n == n_steps:
-            xacc.sample_output(state.acoustic, state.thermal)
-            f_next = q_source(params, state.acoustic.v)
-            reports.append(
-                _make_report(state, state.coeffs_last, coeffs_prev, f_next, params)
-            )
-            theta_series.append(state.thermal.theta.values.copy())
-            p_series.append(state.acoustic.p.values.copy())
-            v_series.append(state.acoustic.v.values.copy())
-            coeffs_prev = state.coeffs_last
-        if n in snapshot_steps:
+    try:
+        xacc = XNormAccumulator(dt)
+        xacc.sample_output(state.acoustic, state.thermal)
+        reports = [_make_report(state, coeffs, None, None, params)]
+        theta_series = [theta0.values.copy()]
+        p_series = [p0.values.copy()]
+        v_series = [p1.values.copy()]
+        snapshots = []
+        if 0 in snapshot_steps:
             snapshots.append(_snapshot(state, grid))
+        alpha_mins: list[float] = [coeffs.alpha_min]
+        iters: list[int] = []
+        dists: list[tuple[float, ...]] = []
+
+        coeffs_prev = coeffs
+        for n in range(1, n_steps + 1):
+            state = coupled_step(
+                state, dt, config.picard.tol, config.picard.max_iter,
+                config.picard.gamma_bar, params, model, use_fourier=use_fourier,
+            )
+            alpha_mins.append(state.alpha_min_last)
+            iters.append(state.picard_iterations_last)
+            dists.append(state.picard_distances_last)
+            xacc.accumulate_step(state.acoustic, state.thermal)
+            if n % stride == 0 or n == n_steps:
+                xacc.sample_output(state.acoustic, state.thermal)
+                f_next = q_source(params, state.acoustic.v)
+                reports.append(
+                    _make_report(state, state.coeffs_last, coeffs_prev, f_next, params)
+                )
+                theta_series.append(state.thermal.theta.values.copy())
+                p_series.append(state.acoustic.p.values.copy())
+                v_series.append(state.acoustic.v.values.copy())
+                coeffs_prev = state.coeffs_last
+            if n in snapshot_steps:
+                snapshots.append(_snapshot(state, grid))
+    except NonFinite as exc:  # coupled_step locates its own; the diagnostics do not
+        raise (exc if exc.step is not None else exc.located(state.n, state.t)) from None
 
     return SimulationResult(
         grid=grid,

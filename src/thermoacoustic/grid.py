@@ -38,6 +38,7 @@ __all__ = [
     "NodeField",
     "FaceField",
     "GridMismatch",
+    "NonFinite",
     "SingularSystem",
     "gradient_to_faces",
     "divergence_from_faces",
@@ -53,6 +54,27 @@ __all__ = [
 
 class GridMismatch(ValueError):
     """Fields living on different grids (or of different kinds) were combined."""
+
+
+class NonFinite(ValueError):
+    """A field or a diagnostic holds inf or nan.
+
+    what names the field type or the report column; index is the first bad
+    entry of a field (None for a scalar).  The coupled driver adds the
+    failing step and time.
+    """
+
+    def __init__(self, what, index=None, step=None, time=None):
+        self.what = what
+        self.index = index
+        self.step = step
+        self.time = time
+        at = "" if index is None else f" (first at index {index})"
+        when = f" at step {step}, t={time:.6g}" if step is not None else ""
+        super().__init__(f"{what} contains non-finite entries{at}{when}")
+
+    def located(self, step: int, time: float) -> "NonFinite":
+        return NonFinite(self.what, self.index, step, time)
 
 
 class SingularSystem(ArithmeticError):
@@ -114,8 +136,9 @@ class _Field:
                 f"{type(self).__name__} on N={grid.N} needs shape ({expected},), "
                 f"got {vals.shape}"
             )
-        if not np.isfinite(vals).all():
-            raise ValueError(f"{type(self).__name__} contains non-finite entries")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise NonFinite(type(self).__name__, int(np.argmin(finite)))
         self.grid = grid
         self.values = vals
 

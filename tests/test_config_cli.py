@@ -14,6 +14,7 @@ from thermoacoustic.config import (
     make_grid,
 )
 from thermoacoustic.energy import TIMESERIES_COLUMNS
+from thermoacoustic.heat import fourier_thermal_step
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -145,6 +146,54 @@ class TestLoadConfig:
         grad = np.diff(theta0.values, prepend=0.0, append=0.0) / grid.dx
         assert np.array_equal(q0.values, -config.params.kappa_a * grad)
 
+    @staticmethod
+    def gaussian_fields(**init):
+        doc = minimal_doc()
+        doc["grid"]["L"] = 2.0
+        doc["params"]["kappa_a"] = 3.0
+        doc["initial_data"] = {
+            "preset": "gaussian", "amplitude_p": 0.1, "amplitude_theta": 0.5, **init,
+        }
+        config = load_config(json.dumps(doc))
+        grid = make_grid(config)
+        return grid, initial_fields(config, grid)
+
+    def test_gaussian_preset_defaults_and_fourier_flux(self):
+        grid, (p0, p1, theta0, q0) = self.gaussian_fields()
+        # defaults: centred bump of width L/10
+        bump = np.exp(-0.5 * ((grid.nodes() - 1.0) / 0.2) ** 2)
+        assert np.array_equal(p0.values, 0.1 * bump)
+        assert np.array_equal(theta0.values, 0.5 * bump)
+        assert np.array_equal(p1.values, np.zeros(grid.N))
+        grad = np.diff(theta0.values, prepend=0.0, append=0.0) / grid.dx
+        assert np.array_equal(q0.values, -3.0 * grad)
+        _, explicit = self.gaussian_fields(center=1.0, width=0.2)
+        for a, b in zip((p0, p1, theta0, q0), explicit):
+            assert np.array_equal(a.values, b.values)
+
+    def test_gaussian_preset_explicit_center_and_width(self):
+        grid, (p0, _, theta0, q0) = self.gaussian_fields(center=0.5, width=0.05)
+        bump = np.exp(-0.5 * ((grid.nodes() - 0.5) / 0.05) ** 2)
+        assert np.array_equal(p0.values, 0.1 * bump)
+        assert int(np.argmax(theta0.values)) == int(np.argmin(np.abs(grid.nodes() - 0.5)))
+        grad = np.diff(theta0.values, prepend=0.0, append=0.0) / grid.dx
+        assert np.array_equal(q0.values, -3.0 * grad)
+
+    def test_raw_preset_keeps_arrays_and_inconsistent_flux(self):
+        doc = minimal_doc()
+        n = doc["grid"]["N"]
+        arrays = {
+            "p0": [0.01 * j for j in range(n)],
+            "p1": [-0.02 * j for j in range(n)],
+            "theta0": [0.3 + 0.1 * j for j in range(n)],
+            "q0": [1.0] * (n + 1),  # not -kappa_a grad theta0
+        }
+        doc["initial_data"] = {"preset": "raw", **arrays}
+        config = load_config(json.dumps(doc))
+        fields = initial_fields(config, make_grid(config))
+        for field, key in zip(fields, ("p0", "p1", "theta0", "q0")):
+            assert np.array_equal(field.values, np.asarray(arrays[key]))
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -230,6 +279,53 @@ class TestCli:
         err = capsys.readouterr().err
         assert "step 0" in err and "t=0" in err and "node" in err
 
+    @pytest.mark.parametrize(
+        "case, where",
+        [
+            ("energy_overflow", "report column E0 contains non-finite entries at step 0, t=0"),
+            ("flux_overflow",
+             "FaceField contains non-finite entries (first at index 0) at step 0, t=0"),
+            ("raw_source_overflow",
+             "NodeField contains non-finite entries (first at index 0) at step 0, t=0"),
+            ("mid_run_overflow",
+             "report column E2 contains non-finite entries at step 2, t=0.002"),
+        ],
+        ids=["energy_overflow", "flux_overflow", "raw_source_overflow", "mid_run_overflow"],
+    )
+    def test_nonfinite_exit_code_and_location(self, tmp_path, capsys, case, where):
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"]["T"] = 0.01
+        init = doc["initial_data"]
+        if case == "energy_overflow":
+            init["amplitude_theta"] = 1e300
+        elif case == "flux_overflow":
+            init["amplitude_theta"] = 1e307
+            doc["params"]["kappa_a"] = 100.0
+        elif case == "raw_source_overflow":
+            n = doc["grid"]["N"]
+            doc["initial_data"] = {
+                "preset": "raw", "p0": [0.0] * n, "p1": [1e200] * n,
+                "theta0": [0.0] * n, "q0": [0.0] * (n + 1),
+            }
+        else:
+            init["amplitude_theta"] = 1e152
+            doc["time"]["output_stride"] = 1
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        assert code == 8
+        assert where in capsys.readouterr().err
+        assert not (out / "timeseries.csv").exists()
+
+    @pytest.mark.parametrize("exponents", [[1.0], [1.0, 2.0, 3.0]], ids=["one", "three"])
+    def test_growth_exponents_wrong_length_exits_2(self, tmp_path, capsys, exponents):
+        doc = sine_doc()
+        doc["speed_model"]["growth_exponents"] = exponents
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "speed_model.growth_exponents" in capsys.readouterr().err
+
     def test_unwritable_out_exit_code_and_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_doc())
         blocker = tmp_path / "not_a_dir"
@@ -270,6 +366,28 @@ class TestCli:
         assert lines[0] == "t,numeric,oracle,abs_err"
         worst = max(float(line.split(",")[3]) for line in lines[1:])
         assert worst < 1e-3
+
+    def test_modes_subcommand_fourier_limit(self, tmp_path, monkeypatch):
+        import thermoacoustic.cli as cli
+
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return fourier_thermal_step(*args)
+
+        monkeypatch.setattr(cli, "fourier_thermal_step", spy)
+        worst = {}
+        for dt in (1e-3, 5e-4):
+            doc = sine_doc(T=0.05, tau=0.0)
+            doc["time"]["dt"] = dt
+            cfg = write_config(tmp_path, doc)
+            assert main(["modes", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+            lines = (tmp_path / "modes.csv").read_text().splitlines()
+            worst[dt] = max(float(line.split(",")[3]) for line in lines[1:])
+        assert len(calls) == 50 + 100  # every step took the Fourier branch
+        assert worst[1e-3] < 1e-3
+        assert 1.8 < worst[1e-3] / worst[5e-4] < 2.2  # first order in time
 
     def test_limit_sweep_with_override(self, tmp_path):
         cfg = write_config(tmp_path, sine_doc(T=0.02))

@@ -20,6 +20,7 @@ from thermoacoustic.grid import (
     FaceField,
     Grid1D,
     NodeField,
+    NonFinite,
     gradient_to_faces,
     laplacian_dirichlet,
 )
@@ -129,6 +130,18 @@ class TestCoupledStep:
         model = SpeedOfSoundModel(coeffs=(1.0, -1.2), h_floor=0.5)
         with pytest.raises(FloorViolated) as err:
             coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(tau=0.05), model)
+        assert err.value.step == 1
+        assert err.value.time == pytest.approx(1e-3)
+        assert "step 1" in str(err.value)
+
+    def test_nonfinite_iterate_aborts_with_location(self):
+        grid = Grid1D(1.0, 32)
+        z = grid.zero_node_field()
+        v0 = NodeField(grid, np.full(grid.N, 1e200))  # g = 2 k v^2 overflows
+        state = CoupledState.initial(z, v0, z, grid.zero_face_field())
+        with pytest.raises(NonFinite) as err, np.errstate(over="ignore"):
+            coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(tau=0.05), UNIT_MODEL)
+        assert (err.value.what, err.value.index) == ("NodeField", 0)
         assert err.value.step == 1
         assert err.value.time == pytest.approx(1e-3)
         assert "step 1" in str(err.value)

@@ -12,6 +12,7 @@ from thermoacoustic.grid import (
     Grid1D,
     GridMismatch,
     NodeField,
+    NonFinite,
     SingularSystem,
     _dirichlet_gradient,
     _face_extend,
@@ -56,6 +57,17 @@ class TestGridBasics:
         vals[3] = np.nan
         with pytest.raises(ValueError):
             NodeField(grid64, vals)
+
+    def test_nonfinite_names_field_and_first_index(self, grid64):
+        vals = np.zeros(65)
+        vals[[7, 9]] = [np.inf, np.nan]
+        with pytest.raises(NonFinite) as err:
+            FaceField(grid64, vals)
+        assert (err.value.what, err.value.index, err.value.step) == ("FaceField", 7, None)
+        located = err.value.located(4, 0.25)
+        assert str(located) == (
+            "FaceField contains non-finite entries (first at index 7) at step 4, t=0.25"
+        )
 
     def test_wrong_length_rejected(self, grid64):
         with pytest.raises(ValueError):
