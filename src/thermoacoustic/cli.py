@@ -9,9 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 degeneracy abort,
 4 fixed-point divergence, 5 verification failure, 6 sound-speed floor
 violated, 7 cannot write outputs, 8 non-finite values (step and time on
-stderr).  Floats are printed with 17 significant
-digits so equal runs produce byte-identical files; negative zero is
-normalized on output.
+stderr).  Floats are printed with 17 significant digits so equal runs
+produce byte-identical files; negative zero is normalized on output.
 """
 
 from __future__ import annotations

@@ -436,8 +436,10 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
                 coeffs_prev = state.coeffs_last
             if n in snapshot_steps:
                 snapshots.append(_snapshot(state, grid))
-    except NonFinite as exc:  # coupled_step locates its own; the diagnostics do not
-        raise (exc if exc.step is not None else exc.located(state.n, state.t)) from None
+    except NonFinite as exc:
+        if exc.step is not None:  # located by coupled_step
+            raise
+        raise exc.located(state.n, state.t) from None  # from the diagnostics
 
     return SimulationResult(
         grid=grid,

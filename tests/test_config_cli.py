@@ -318,14 +318,6 @@ class TestCli:
         assert where in capsys.readouterr().err
         assert not (out / "timeseries.csv").exists()
 
-    @pytest.mark.parametrize("exponents", [[1.0], [1.0, 2.0, 3.0]], ids=["one", "three"])
-    def test_growth_exponents_wrong_length_exits_2(self, tmp_path, capsys, exponents):
-        doc = sine_doc()
-        doc["speed_model"]["growth_exponents"] = exponents
-        cfg = write_config(tmp_path, doc)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "speed_model.growth_exponents" in capsys.readouterr().err
-
     def test_unwritable_out_exit_code_and_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_doc())
         blocker = tmp_path / "not_a_dir"
@@ -342,8 +334,11 @@ class TestCli:
             ("time", "T", 0.0105),
             ("time", "snapshot_times", [0.5]),
             ("grid", "L", 10**400),
+            ("speed_model", "growth_exponents", [1.0]),
+            ("speed_model", "growth_exponents", [1.0, 2.0, 3.0]),
         ],
-        ids=["tau_nan", "dt_infinite", "T_off_grid", "snapshot_past_T", "L_huge_integer"],
+        ids=["tau_nan", "dt_infinite", "T_off_grid", "snapshot_past_T", "L_huge_integer",
+             "growth_exponents_one", "growth_exponents_three"],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, section, key, value):
         doc = minimal_doc()
