@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -195,6 +196,10 @@ class TestLoadConfig:
             assert np.array_equal(field.values, np.asarray(arrays[key]))
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -361,6 +366,21 @@ class TestCli:
         assert lines[0] == "t,numeric,oracle,abs_err"
         worst = max(float(line.split(",")[3]) for line in lines[1:])
         assert worst < 1e-3
+        assert sha256_of(tmp_path / "modes.csv") == (
+            "9bc869fa3779bb8beb190e3399fda600a197264aa8f3c72a4bc4ba8a9aa591d9"
+        )
+
+    def test_modes_csv_digest_projected_amplitude(self, tmp_path):
+        # Mode 3 at N = 128: the projected initial amplitude is not exactly
+        # the configured 0.7, and the oracle must start from the projection.
+        doc = sine_doc(T=0.05, tau=0.0)
+        doc["grid"]["N"] = 128
+        doc["initial_data"].update(mode_k=3, amplitude_theta=0.7)
+        cfg = write_config(tmp_path, doc)
+        assert main(["modes", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert sha256_of(tmp_path / "modes.csv") == (
+            "5610a3699d39d7923c31abf24c9503e640575c6e09e9f1d49e5b297315463a13"
+        )
 
     def test_modes_subcommand_fourier_limit(self, tmp_path, monkeypatch):
         import thermoacoustic.cli as cli
@@ -372,7 +392,7 @@ class TestCli:
             return fourier_thermal_step(*args)
 
         monkeypatch.setattr(cli, "fourier_thermal_step", spy)
-        worst = {}
+        worst, digests = {}, {}
         for dt in (1e-3, 5e-4):
             doc = sine_doc(T=0.05, tau=0.0)
             doc["time"]["dt"] = dt
@@ -380,7 +400,12 @@ class TestCli:
             assert main(["modes", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
             lines = (tmp_path / "modes.csv").read_text().splitlines()
             worst[dt] = max(float(line.split(",")[3]) for line in lines[1:])
+            digests[dt] = sha256_of(tmp_path / "modes.csv")
         assert len(calls) == 50 + 100  # every step took the Fourier branch
+        assert digests == {
+            1e-3: "ee71f468d47caad85f2183131ce207089928f9087f24b1ccbad84cd18f7b78d2",
+            5e-4: "9639e4f0eb1e93cd80203f97cf2ba9d81655d0257c1ec86d42a61112df7e1e48",
+        }
         assert worst[1e-3] < 1e-3
         assert 1.8 < worst[1e-3] / worst[5e-4] < 2.2  # first order in time
 
@@ -452,3 +477,6 @@ class TestVerifySubcommand:
             "acoustic_spatial_order",
             "sweep_p_ratio",
         }
+        assert sha256_of(tmp_path / "verify.csv") == (
+            "3d8fe4051cc90c41c993fd139cf6a2b19facd4134b63e15bbd403b4dce4a3f68"
+        )
