@@ -11,21 +11,10 @@ in dt.
 
 import numpy as np
 
-from thermoacoustic import (
-    Grid1D,
-    NodeField,
-    PhysicalParams,
-    ThermalState,
-    cattaneo_step,
-    l2_inner,
-    l2_norm,
-    telegraph_mode_oracle,
-)
+from thermoacoustic import Grid1D, NodeField
+from thermoacoustic.verification import mode_run, unit_params
 
-params = PhysicalParams(
-    rho_a=1.0, C_a=1.0, rho_b=1.0, C_b=1.0, W=1.0, kappa_a=1.0,
-    b=1.0, rho=1.0, beta_acous=1.0, theta_a=0.0, tau=0.1,
-)
+params = unit_params(tau=0.1)
 grid = Grid1D(L=1.0, N=128)
 lam = grid.laplacian_eigenvalue(1)
 print(f"tau = {params.tau}, lambda_h(1) = {lam:.6f} (vs pi^2 = {np.pi**2:.6f})")
@@ -35,19 +24,12 @@ disc = (params.m + params.tau * params.ell) ** 2 - 4 * params.tau * params.m * (
 print(f"characteristic discriminant = {disc:.4f} -> oscillatory decay\n")
 
 shape = NodeField(grid, np.sin(np.pi * grid.nodes()))
-shape_sq = l2_norm(shape) ** 2
-zero_f = grid.zero_node_field()
-T0, T0dot = 1.0, -params.ell / params.m  # flux starts at zero
 
 for dt in (1e-3, 5e-4):
-    state = ThermalState.initial(shape.copy(), grid.zero_face_field())
     worst = 0.0
     rows = []
-    n_steps = int(round(1.0 / dt))
-    for n in range(1, n_steps + 1):
-        state = cattaneo_step(state, zero_f, dt, params)
-        numeric = l2_inner(state.theta, shape) / shape_sq
-        oracle = telegraph_mode_oracle(params, lam, T0, T0dot, state.t)
+    run = mode_run(params, shape, 1.0, 1, dt, int(round(1.0 / dt)))
+    for n, (state, numeric, oracle) in enumerate(run, start=1):
         worst = max(worst, abs(numeric - oracle))
         if dt == 1e-3 and n % 200 == 0:
             rows.append((state.t, numeric, oracle))

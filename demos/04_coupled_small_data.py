@@ -13,11 +13,9 @@ diagnostics:
     reach a 1e-10 tolerance.
 """
 
-from thermoacoustic.coupling import simulate
-from thermoacoustic.verification import canonical_config, contraction_metrics
+from thermoacoustic.verification import canonical_run, contraction_metrics
 
-config = canonical_config()
-result = simulate(config)
+result = canonical_run()
 alpha_min, max_iters, worst_ratio = contraction_metrics(result)
 
 print(f"{'t':>6} {'E_tau':>12} {'acoustic E':>12} {'alpha_min':>10} {'iters':>6}")

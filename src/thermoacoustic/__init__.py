@@ -33,7 +33,6 @@ from .coupling import (
     PicardDiverged,
     SimulationResult,
     SweepResult,
-    TauZeroFluxDerivative,
     compatibility_data,
     coupled_step,
     simulate,
@@ -50,7 +49,6 @@ from .energy import (
     heat_dissipation,
     heat_energy,
     theta_higher_energy,
-    x_norm,
 )
 from .grid import (
     FaceField,
@@ -61,11 +59,9 @@ from .grid import (
     SingularSystem,
     divergence_from_faces,
     gradient_to_faces,
-    h1_seminorm,
     l2_inner,
     l2_norm,
     laplacian_dirichlet,
-    linf_norm,
     solve_tridiagonal,
 )
 from .heat import (

@@ -23,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import Degenerate
-from .config import ConfigError, load_config_file
+from .config import ConfigError, load_config_file, make_grid
 from .coupling import PicardDiverged, SimulationResult, simulate, tau_sweep
 from .energy import TIMESERIES_COLUMNS
-from .grid import FaceField, NodeField, NonFinite, l2_inner, l2_norm
-from .heat import ThermalState, cattaneo_step, fourier_thermal_step, telegraph_mode_oracle
+from .grid import NodeField, NonFinite, l2_inner, l2_norm
 from .model import FloorViolated
-from .verification import run_all_checks
+from .verification import mode_run, run_all_checks
 
 __all__ = ["main"]
 
@@ -44,6 +43,8 @@ EXIT_NONFINITE = 8
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
     return format(float(value) + 0.0, ".17g")  # +0.0 normalizes -0.0
@@ -108,16 +109,9 @@ def _cmd_limit_sweep(config, out_dir: Path, quiet: bool, tau_override) -> int:
 
 def _cmd_verify(config, out_dir: Path, quiet: bool) -> int:
     checks = run_all_checks(seed=config.seed)
-    rows = [
-        (c.name, int(c.passed), c.measured, c.threshold, c.detail)
-        for c in checks
-    ]
-    lines = [",".join(("check", "passed", "measured", "threshold", "detail"))]
-    for name, passed, measured, threshold, detail in rows:
-        lines.append(
-            f"{name},{passed},{_fmt(measured)},{_fmt(threshold)},{detail}"
-        )
-    _write(out_dir / "verify.csv", "\n".join(lines) + "\n", quiet)
+    rows = ((c.name, int(c.passed), c.measured, c.threshold, c.detail) for c in checks)
+    header = ("check", "passed", "measured", "threshold", "detail")
+    _write(out_dir / "verify.csv", _csv_text(header, rows), quiet)
     failed = [c for c in checks if not c.passed]
     for c in checks if not quiet else failed:
         status = "pass" if c.passed else "FAIL"
@@ -129,36 +123,20 @@ def _cmd_verify(config, out_dir: Path, quiet: bool) -> int:
 
 
 def _cmd_modes(config, out_dir: Path, quiet: bool) -> int:
-    from .config import make_grid
-
     grid = make_grid(config)
-    params = config.params
     amplitude = config.initial_data.amplitude_theta or 1.0
     mode_k = config.initial_data.mode_k
-    x = grid.nodes()
-    shape = NodeField(grid, np.sin(mode_k * np.pi * x / grid.L))
+    shape = NodeField(grid, np.sin(mode_k * np.pi * grid.nodes() / grid.L))
     theta0 = NodeField(grid, amplitude * shape.values)
-    q0 = FaceField(grid, np.zeros(grid.N + 1))
-    state = ThermalState.initial(theta0, q0)
-    zero_f = NodeField(grid, np.zeros(grid.N))
-
-    lam = grid.laplacian_eigenvalue(mode_k)
-    shape_sq = l2_norm(shape) ** 2
-    T0 = l2_inner(theta0, shape) / shape_sq
-    T0dot = -params.ell * T0 / params.m  # first equation at t=0 with q0 = 0, f = 0
+    T0 = l2_inner(theta0, shape) / l2_norm(shape) ** 2
 
     dt = config.time.dt
     n_steps = int(round(config.time.T / dt))
     stride = config.time.output_stride
     rows = [(0.0, T0, T0, 0.0)]
-    for n in range(1, n_steps + 1):
-        if params.tau == 0.0:
-            state = fourier_thermal_step(state, zero_f, dt, params)
-        else:
-            state = cattaneo_step(state, zero_f, dt, params)
+    run = mode_run(config.params, theta0, T0, mode_k, dt, n_steps)
+    for n, (state, numeric, oracle) in enumerate(run, start=1):
         if n % stride == 0 or n == n_steps:
-            numeric = l2_inner(state.theta, shape) / shape_sq
-            oracle = telegraph_mode_oracle(params, lam, T0, T0dot, state.t)
             rows.append((state.t, numeric, oracle, abs(numeric - oracle)))
     _write(out_dir / "modes.csv", _csv_text(("t", "numeric", "oracle", "abs_err"), rows), quiet)
     if not quiet:

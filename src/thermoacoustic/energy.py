@@ -45,7 +45,7 @@ bounds, whose hidden constants are not computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,7 +74,6 @@ __all__ = [
     "acoustic_energy",
     "coefficient_diagnostics",
     "XNormAccumulator",
-    "x_norm",
     "gronwall_bound",
 ]
 
@@ -299,19 +298,6 @@ class XNormAccumulator:
         return x_p, x_theta, x_q
 
 
-def x_norm(
-    acoustic_states, thermal_states, dt: float, output_stride: int = 1
-) -> tuple[float, float, float]:
-    """Solution-space norms of a stored run (sequences of states per step)."""
-    acc = XNormAccumulator(dt)
-    for n, (ac, th) in enumerate(zip(acoustic_states, thermal_states)):
-        if n > 0:
-            acc.accumulate_step(ac, th)
-        if n % output_stride == 0:
-            acc.sample_output(ac, th)
-    return acc.norms()
-
-
 def gronwall_bound(
     u0: float, alpha_samples, beta_samples, t_grid
 ) -> np.ndarray:
@@ -379,9 +365,5 @@ class EnergyReport:
     acoustic_residual: float
 
     def row(self) -> tuple:
-        return (
-            self.t, self.E0, self.E1, self.E2, self.E_tau, self.D0, self.D1,
-            self.D2, self.cal_E0, self.cal_E1, self.acE1, self.acE2, self.acE3,
-            self.acE_total, self.lam, self.frak_f, self.alpha_min,
-            self.picard_iters, self.heat_residual, self.acoustic_residual,
-        )
+        """The values in TIMESERIES_COLUMNS order, which is the field order."""
+        return tuple(getattr(self, f.name) for f in fields(self))

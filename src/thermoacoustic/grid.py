@@ -46,8 +46,6 @@ __all__ = [
     "interior_gradient",
     "l2_inner",
     "l2_norm",
-    "linf_norm",
-    "h1_seminorm",
     "solve_tridiagonal",
 ]
 
@@ -252,15 +250,6 @@ def l2_inner(u: _Field, v: _Field) -> float:
 
 def l2_norm(u: _Field) -> float:
     return math.sqrt(_quadrature_dot(u.values, u.values, u.grid.dx))
-
-
-def linf_norm(u: _Field) -> float:
-    return float(np.max(np.abs(u.values)))
-
-
-def h1_seminorm(u: NodeField) -> float:
-    """L2 norm of the Dirichlet gradient."""
-    return l2_norm(gradient_to_faces(u))
 
 
 _PIVOT_RTOL = 1e-14

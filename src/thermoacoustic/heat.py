@@ -175,7 +175,12 @@ def fourier_step(
 def fourier_thermal_step(
     state: ThermalState, f_next: NodeField, dt: float, params: PhysicalParams
 ) -> ThermalState:
-    """Fourier-path state update: parabolic step plus q = -kappa_a grad theta."""
+    """Fourier-path state update: parabolic step plus q = -kappa_a grad theta.
+
+    Written independently of cattaneo_step on purpose: the tau = 0 reference
+    runs through it, so the bitwise degeneration check (acceptance
+    criterion 8) compares two separate updates, not one code path with itself.
+    """
     theta_new = fourier_step(state.theta, f_next, dt, params)
     grad = _dirichlet_gradient(theta_new.values, state.grid.dx)
     q_new = FaceField(state.grid, -(params.kappa_a * grad))

@@ -53,7 +53,7 @@ from .grid import (
     l2_norm,
     laplacian_dirichlet,
 )
-from .heat import ThermalState, cattaneo_step, telegraph_mode_oracle
+from .heat import ThermalState, cattaneo_step, fourier_thermal_step, telegraph_mode_oracle
 from .model import PhysicalParams, SpeedOfSoundModel
 
 __all__ = [
@@ -65,6 +65,7 @@ __all__ = [
     "laplacian_quadratic_check",
     "laplacian_composition_check",
     "parseval_checks",
+    "mode_run",
     "mode_study",
     "manufactured_spatial_orders",
     "manufactured_temporal_orders",
@@ -182,6 +183,30 @@ def parseval_checks(N: int = 64) -> list[CheckResult]:
 # ------------------------------------------------------------- mode studies
 
 
+def mode_run(
+    params: PhysicalParams, theta0: NodeField, T0: float, mode_k: int, dt: float, n_steps: int
+):
+    """Step theta0 with q0 = 0, f = 0 and yield (state, numeric, oracle) per step.
+
+    numeric projects theta onto sin(mode_k pi x / L); oracle is the telegraph
+    amplitude from T0 with T0' = -ell T0 / m (the first equation at t = 0).
+    Fourier step at tau = 0, Cattaneo otherwise.  The single-mode driver of
+    mode_study, the modes subcommand and demo 02.
+    """
+    grid = theta0.grid
+    shape = NodeField(grid, np.sin(mode_k * np.pi * grid.nodes() / grid.L))
+    shape_sq = l2_norm(shape) ** 2
+    lam = grid.laplacian_eigenvalue(mode_k)
+    T0dot = -params.ell * T0 / params.m
+    step = fourier_thermal_step if params.tau == 0.0 else cattaneo_step
+    zero_f = grid.zero_node_field()
+    state = ThermalState.initial(theta0, grid.zero_face_field())
+    for _ in range(n_steps):
+        state = step(state, zero_f, dt, params)
+        numeric = l2_inner(state.theta, shape) / shape_sq
+        yield state, numeric, telegraph_mode_oracle(params, lam, T0, T0dot, state.t)
+
+
 @dataclass(frozen=True)
 class ModeStudy:
     """Single-mode Cattaneo run versus its exact scalar reductions."""
@@ -210,11 +235,9 @@ def mode_study(dt: float, tau: float = 0.1, N: int = 128, T: float = 1.0) -> Mod
     """
     params = unit_params(tau=tau)
     grid = Grid1D(1.0, N)
-    x = grid.nodes()
-    sin_field = NodeField(grid, np.sin(np.pi * x))
+    sin_field = NodeField(grid, np.sin(np.pi * grid.nodes()))
     cos_field = FaceField(grid, np.cos(np.pi * grid.faces()))
-    zero_f = NodeField(grid, np.zeros(N))
-    state = ThermalState.initial(sin_field.copy(), grid.zero_face_field())
+    zero_f = grid.zero_node_field()
 
     lam = grid.laplacian_eigenvalue(1)
     mu = math.sqrt(lam)
@@ -234,17 +257,14 @@ def mode_study(dt: float, tau: float = 0.1, N: int = 128, T: float = 1.0) -> Mod
         return ell * kappa * T_amp**2 * s_sq + R_amp**2 * c_sq
 
     T_amp, R_amp = 1.0, 0.0
-    T0dot = -ell / m  # m T'(0) = mu R(0) - ell T(0) with R(0) = 0
-    e0_prev = heat_energy(state, params, 0)
-    e0_first = e0_prev
-    n_steps = int(round(T / dt))
+    initial = ThermalState.initial(sin_field, grid.zero_face_field())
+    e0_first = e0_prev = heat_energy(initial, params, 0)
     max_amp_err = 0.0
     max_mismatch = 0.0
     decay_excess = -math.inf
     mono_excess = -math.inf
-    for n in range(1, n_steps + 1):
-        state = cattaneo_step(state, zero_f, dt, params)
-
+    run = mode_run(params, sin_field, 1.0, 1, dt, int(round(T / dt)))
+    for n, (state, numeric_amp, oracle_amp) in enumerate(run, start=1):
         T_new = ((m / dt) * T_amp + w * mu * R_amp) / denom
         R_new = w * R_amp - eta * mu * T_new
         defect_modal = abs(
@@ -255,8 +275,6 @@ def mode_study(dt: float, tau: float = 0.1, N: int = 128, T: float = 1.0) -> Mod
         max_mismatch = max(max_mismatch, abs(defect_pde - defect_modal))
         T_amp, R_amp = T_new, R_new
 
-        numeric_amp = l2_inner(state.theta, sin_field) / s_sq
-        oracle_amp = telegraph_mode_oracle(params, lam, 1.0, T0dot, state.t)
         max_amp_err = max(max_amp_err, abs(numeric_amp - oracle_amp))
 
         e0 = heat_energy(state, params, 0)

@@ -297,7 +297,7 @@ class TestCli:
         ],
         ids=["energy_overflow", "flux_overflow", "raw_source_overflow", "mid_run_overflow"],
     )
-    def test_nonfinite_exit_code_and_location(self, tmp_path, capsys, case, where):
+    def test_nonfinite_exit_code_and_location(self, tmp_path, capsys, recwarn, case, where):
         doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
         doc["time"]["T"] = 0.01
         init = doc["initial_data"]
@@ -317,10 +317,10 @@ class TestCli:
             doc["time"]["output_stride"] = 1
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
         assert code == 8
-        assert where in capsys.readouterr().err
+        assert capsys.readouterr().err == f"non-finite values: {where}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (out / "timeseries.csv").exists()
 
     def test_unwritable_out_exit_code_and_path(self, tmp_path, capsys):
@@ -370,9 +370,9 @@ class TestCli:
             "9bc869fa3779bb8beb190e3399fda600a197264aa8f3c72a4bc4ba8a9aa591d9"
         )
 
-    def test_modes_csv_digest_projected_amplitude(self, tmp_path):
-        # Mode 3 at N = 128: the projected initial amplitude is not exactly
-        # the configured 0.7, and the oracle must start from the projection.
+    def test_modes_csv_digest_higher_mode(self, tmp_path):
+        # Mode 3 at N = 128: the projection shape and the discrete eigenvalue
+        # must both come from initial_data.mode_k.
         doc = sine_doc(T=0.05, tau=0.0)
         doc["grid"]["N"] = 128
         doc["initial_data"].update(mode_k=3, amplitude_theta=0.7)
@@ -383,7 +383,7 @@ class TestCli:
         )
 
     def test_modes_subcommand_fourier_limit(self, tmp_path, monkeypatch):
-        import thermoacoustic.cli as cli
+        import thermoacoustic.verification as verification
 
         calls = []
 
@@ -391,7 +391,7 @@ class TestCli:
             calls.append(1)
             return fourier_thermal_step(*args)
 
-        monkeypatch.setattr(cli, "fourier_thermal_step", spy)
+        monkeypatch.setattr(verification, "fourier_thermal_step", spy)
         worst, digests = {}, {}
         for dt in (1e-3, 5e-4):
             doc = sine_doc(T=0.05, tau=0.0)

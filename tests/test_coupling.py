@@ -10,7 +10,6 @@ from thermoacoustic.config import InitialData, initial_fields, make_grid
 from thermoacoustic.coupling import (
     CoupledState,
     PicardDiverged,
-    TauZeroFluxDerivative,
     compatibility_data,
     coupled_step,
     simulate,
@@ -82,13 +81,6 @@ class TestCompatibilityData:
         out = compatibility_data(z, z, z, grid.zero_face_field(),
                                  unit_params(tau=0.0), UNIT_MODEL)
         assert out.q1 is None
-
-    def test_tau_zero_explicit_request_fails(self):
-        grid = Grid1D(1.0, 16)
-        z = grid.zero_node_field()
-        with pytest.raises(TauZeroFluxDerivative):
-            compatibility_data(z, z, z, grid.zero_face_field(),
-                               unit_params(tau=0.0), UNIT_MODEL, include_q1=True)
 
     def test_degenerate_data_rejected(self):
         grid = Grid1D(1.0, 16)
@@ -280,6 +272,16 @@ class TestSweep:
         config = replace(canonical_config(T=0.02), sweep_tau_list=None)
         with pytest.raises(ValueError):
             tau_sweep(config)
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan")])
+    def test_bad_tau_rejected_before_any_run(self, monkeypatch, bad):
+        import thermoacoustic.coupling as coupling
+
+        calls = []
+        monkeypatch.setattr(coupling, "simulate", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="finite and positive"):
+            tau_sweep(canonical_config(T=0.02), tau_list=(bad,))
+        assert calls == []
 
     def test_degeneracy_scaling_over_run(self):
         # halving the pressure amplitude at least halves max_t(1 - alpha_min)

@@ -20,12 +20,10 @@ from thermoacoustic.grid import (
     _thomas_loop,
     divergence_from_faces,
     gradient_to_faces,
-    h1_seminorm,
     interior_gradient,
     l2_inner,
     l2_norm,
     laplacian_dirichlet,
-    linf_norm,
     solve_tridiagonal,
 )
 
@@ -179,15 +177,6 @@ class TestNormsAndInner:
         rng = np.random.default_rng(5)
         u = NodeField(grid64, rng.standard_normal(64))
         assert l2_inner(u, u) == pytest.approx(l2_norm(u) ** 2, rel=1e-15)
-
-    def test_linf(self, grid64):
-        u = NodeField(grid64, np.linspace(-2.0, 1.0, 64))
-        assert linf_norm(u) == 2.0
-
-    def test_h1_seminorm_matches_gradient_norm(self, grid64):
-        rng = np.random.default_rng(9)
-        u = NodeField(grid64, rng.standard_normal(64))
-        assert h1_seminorm(u) == pytest.approx(l2_norm(gradient_to_faces(u)))
 
     def test_grid_mismatch_rejected(self, grid64):
         other = Grid1D(1.0, 32)
