@@ -323,6 +323,34 @@ class TestCli:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (out / "timeseries.csv").exists()
 
+    @pytest.mark.parametrize(
+        "variant", ["cattaneo", "fourier", "lensing"], ids=["tau_0.05", "tau_0", "lensing"]
+    )
+    def test_source_overflow_in_step_one_exits_8(self, tmp_path, capsys, recwarn, variant):
+        # Q(p_t) = 2b/(rho_a C_a^4) p_t^2 overflows for the first Picard iterate
+        # of step 1: C_a = 0.01 makes the factor 2e8 and p_t stays near 1e150.
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"]["T"] = 0.01
+        doc["params"]["C_a"] = 0.01
+        n = doc["grid"]["N"]
+        doc["initial_data"] = {
+            "preset": "raw", "p0": [0.0] * n, "p1": [1e150] * n,
+            "theta0": [0.0] * n, "q0": [0.0] * (n + 1),
+        }
+        if variant == "fourier":
+            doc["params"]["tau"] = 0.0
+        elif variant == "lensing":
+            doc["speed_model"] = {"coeffs": [1.0, 0.2], "h_floor": 0.5}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        assert code == 8
+        assert capsys.readouterr().err == (
+            "non-finite values: NodeField contains non-finite entries "
+            "(first at index 0) at step 1, t=0.001\n"
+        )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_unwritable_out_exit_code_and_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_doc())
         blocker = tmp_path / "not_a_dir"

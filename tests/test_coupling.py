@@ -303,12 +303,53 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _run_digests(run) -> dict[str, str]:
+    """Digests of what the CSVs do not carry: the per-step histories, the
+    x-norms and the final state's fields."""
+    final = run.final_state
+    fields = (final.acoustic.p, final.acoustic.v, final.thermal.theta, final.thermal.q)
+    return {
+        "x_norms": _sha256(repr(run.x_norms)),
+        "alpha_min_per_step": _sha256(repr(run.alpha_min_per_step)),
+        "picard_iters_per_step": _sha256(repr(run.picard_iters_per_step)),
+        "picard_distances_per_step": _sha256(repr(run.picard_distances_per_step)),
+        "final_fields": hashlib.sha256(b"".join(f.values.tobytes() for f in fields)).hexdigest(),
+    }
+
+
 def test_golden_outputs_bitwise():
     # Whole-run bitwise proof for refactors: digests of the canonical run,
-    # the lensing-sweep reference, its four member runs and the sweep errors.
+    # the lensing-sweep reference, its four member runs and the sweep errors,
+    # plus the histories and final fields of the canonical run, the
+    # reference and the tau = 0.1 member.
     # They depend on the numpy build (summation order of np.dot/np.sum);
     # regenerate them only when a change is meant to alter the numbers.
     sweep = lensing_sweep()
+    assert _run_digests(canonical_run()) == {
+        "x_norms": "1b9fd5f19a5fbd68ae5024d83d0314b5d2390a5f4617a6e9ab55ddfccc605a75",
+        "alpha_min_per_step": "6293ce6e3d3712484152bcd4077c0dfa12d1f5a882121db140c62ffb70a1bb60",
+        "picard_iters_per_step": "0e53606b41c548741ca9a2d0eb2e07debd14b06f68af236bd5ef85446a7ad4b7",
+        "picard_distances_per_step":
+            "e9c25db41b339516e8d04f24cbd5ef5ad690e2373e42b8988f24dd78881c9ff2",
+        "final_fields": "22ba119bc93ce1b4e0274cc0062197f47f5b0f670df6c72553fba42b00adab47",
+    }
+    assert _run_digests(sweep.reference) == {
+        "x_norms": "559f5da555e02c138828446e3e6e68ce8f48b6caf45ad96a45b259cb13b9a38f",
+        "alpha_min_per_step": "b505dd4db9b7e0509d811f9d146e58bfd93863dbb9963ed79f459f8179338dd2",
+        "picard_iters_per_step": "2b80d673218222cfdaf4da01f787c5aabbd3933bacae25bddb929819c392fbc1",
+        "picard_distances_per_step":
+            "9b13d52c35965401508378f87aef5574cefa88f95444cd7bbe83e0a2574190ee",
+        "final_fields": "342e755a1bb9a868bb44271213a48eccbc4211d6c652e1ec233f263feb2070ee",
+    }
+    assert sweep.taus[0] == 0.1
+    assert _run_digests(sweep.members[0]) == {
+        "x_norms": "20ec4605c796889b6b6fbb526a9ef30d92c98eab561451be833c60fa4ee5cb38",
+        "alpha_min_per_step": "75421701bddacebe2dec980a1a623fbcf99198e68da35b59e814ef1f1ad09074",
+        "picard_iters_per_step": "693a200f4aa557dc477e8f896f6a5911d5487727d41a33c92648e699f075c64e",
+        "picard_distances_per_step":
+            "31ea6b82b5370a78967c3f2468c7b60856bfb741b8cee5836aa0318eb0cc39ba",
+        "final_fields": "5aad93e113ec0296982a12764647ddcb6e8536b524e1f5c3ae1f51f0f6084689",
+    }
     assert _sha256(timeseries_csv(canonical_run())) == (
         "196f28ad1dedf3b672dd6416925fb8869205a2be7cc9be6dfa92543db68bb090"
     )
