@@ -124,17 +124,31 @@ def assemble_coefficients(
 
     Propagates FloorViolated from the h evaluation.
     """
-    grid = theta.grid
-    h_vals = h_eval(model, theta.values)
+    return _frozen(theta.grid, *_coefficients(theta.values, p.values, p_t.values, model, params))
+
+
+def _coefficients(theta, p, p_t, model, params):
+    """Raw (alpha, r, g) arrays of assemble_coefficients."""
+    h_vals = h_eval(model, theta)
     k_vals = _k_of_h(params, h_vals)
-    alpha = 1.0 - 2.0 * k_vals * p.values
-    g = 2.0 * k_vals * p_t.values * p_t.values
+    alpha = 1.0 - 2.0 * k_vals * p
+    g = 2.0 * k_vals * p_t * p_t
+    return alpha, h_vals, g
+
+
+def _frozen(grid, alpha, r, g) -> FrozenCoefficients:
     return FrozenCoefficients(
         alpha=NodeField(grid, alpha),
-        r=NodeField(grid, h_vals),
+        r=NodeField(grid, r),
         g=NodeField(grid, g),
         alpha_min=float(alpha.min()),
     )
+
+
+def _degeneracy_threshold(gamma_bar: float) -> float:
+    if not 0.0 < gamma_bar < 1.0:
+        raise ValueError(f"gamma_bar must lie in (0, 1), got {gamma_bar}")
+    return 1.0 - gamma_bar
 
 
 def check_nondegeneracy(coeffs: FrozenCoefficients, gamma_bar: float) -> None:
@@ -144,9 +158,7 @@ def check_nondegeneracy(coeffs: FrozenCoefficients, gamma_bar: float) -> None:
     coefficient that the pressure term may consume (the smallness margin
     gamma < 1/(2 k1) expressed through alpha).
     """
-    if not 0.0 < gamma_bar < 1.0:
-        raise ValueError(f"gamma_bar must lie in (0, 1), got {gamma_bar}")
-    threshold = 1.0 - gamma_bar
+    threshold = _degeneracy_threshold(gamma_bar)
     if coeffs.alpha_min < threshold:
         node = int(np.argmin(coeffs.alpha.values))
         raise Degenerate(coeffs.alpha_min, node, threshold)
@@ -167,22 +179,24 @@ def westervelt_linear_step(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     grid = state.grid
-    dx2 = grid.dx * grid.dx
-    alpha = coeffs.alpha.values
-    r = coeffs.r.values
-
-    stencil = (dt * r + params.b) / dx2  # per-row off-diagonal magnitude
-    diag = alpha / dt + 2.0 * stencil
-    lower = -stencil[1:]
-    upper = -stencil[:-1]
     lap_p = laplacian_dirichlet(state.p).values
-    rhs = alpha * state.v.values / dt + r * lap_p + coeffs.g.values
-
-    v_new = _thomas(diag, lower, upper, rhs)
+    system = _westervelt_system(
+        coeffs.alpha.values, coeffs.r.values, coeffs.g.values, state.v.values, lap_p,
+        dt, params, grid.dx,
+    )
+    v_new = _thomas(*system)
     p_new = state.p.values + dt * v_new
     return state.advanced(
         NodeField(grid, p_new), NodeField(grid, v_new), state.t + dt
     )
+
+
+def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx):
+    """(diag, lower, upper, rhs) of the step's tridiagonal system for v'."""
+    stencil = (dt * r + params.b) / (dx * dx)  # per-row off-diagonal magnitude
+    diag = alpha / dt + 2.0 * stencil
+    rhs = alpha * v / dt + r * lap_p + g
+    return diag, -stencil[1:], -stencil[:-1], rhs
 
 
 def _first_energy(p: NodeField, v: NodeField, coeffs: FrozenCoefficients) -> float:

@@ -16,14 +16,13 @@ produce byte-identical files; negative zero is normalized on output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .acoustics import Degenerate
-from .config import ConfigError, load_config_file, make_grid
+from .config import ConfigError, _tau_ladder_problem, load_config_file, make_grid
 from .coupling import PicardDiverged, SimulationResult, simulate, tau_sweep
 from .energy import TIMESERIES_COLUMNS
 from .grid import NodeField, NonFinite, l2_inner, l2_norm
@@ -150,11 +149,9 @@ def _parse_tau_list(text: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty tau list")
-    bad = [v for v in values if not (math.isfinite(v) and v > 0.0)]
-    if bad:
-        raise argparse.ArgumentTypeError(f"tau values must be finite and positive, got {bad}")
+    problem = _tau_ladder_problem(values)
+    if problem:
+        raise argparse.ArgumentTypeError(f"tau list {problem}")
     return values
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FaceField, Grid1D, NodeField, gradient_to_faces
-from .model import PhysicalParams, SpeedOfSoundModel, validate_params
+from .model import PhysicalParams, SpeedOfSoundModel, _invalid_taus, validate_params
 
 __all__ = [
     "ConfigError",
@@ -144,6 +144,20 @@ def _number(value, key: str) -> float:
     if not math.isfinite(number):
         raise ValidationError(key, "must be finite")
     return number
+
+
+def _tau_ladder_problem(taus) -> str | None:
+    """Why taus cannot be a user's sweep ladder (sweep.tau_list or
+    limit-sweep --tau), or None.  A ladder is non-empty, finite, positive and
+    strictly decreasing, so each member has its own tau and output folder."""
+    if not taus:
+        return "must not be empty"
+    bad = _invalid_taus(taus)
+    if bad:
+        return f"must hold finite and positive values, got {bad}"
+    if any(b >= a for a, b in zip(taus, taus[1:])):
+        return f"must be strictly decreasing, got {list(taus)}"
+    return None
 
 
 def _number_list(values, path: str) -> tuple[float, ...]:
@@ -300,12 +314,9 @@ def load_config(text: str) -> SimConfig:
             _require(sweep_sec, "sweep", "tau_list", list), "sweep.tau_list"
         )
         _reject_unknown(sweep_sec, "sweep")
-        if not sweep_taus:
-            raise ValidationError("sweep.tau_list", "must not be empty")
-        if any(t <= 0 for t in sweep_taus):
-            raise ValidationError("sweep.tau_list", "entries must be positive")
-        if any(b >= a for a, b in zip(sweep_taus, sweep_taus[1:])):
-            raise ValidationError("sweep.tau_list", "must be strictly decreasing")
+        problem = _tau_ladder_problem(sweep_taus)
+        if problem:
+            raise ValidationError("sweep.tau_list", problem)
 
     seed = _require(doc, "", "seed", int, optional=True, default=0)
     _reject_unknown(doc, "")

@@ -26,7 +26,7 @@ values against the tau = 0 reference and reports max-in-time L2 deviations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,11 +34,15 @@ from .acoustics import (
     AcousticState,
     Degenerate,
     FrozenCoefficients,
+    _coefficients,
+    _degeneracy_threshold,
     _first_energy,
+    _frozen,
+    _westervelt_system,
     acoustic_identity_residual,
     assemble_coefficients,
     check_nondegeneracy,
-    westervelt_linear_step,
+    westervelt_linear_step,  # not called here; perfbench/probes.py wraps it
 )
 from .energy import (
     TIMESERIES_COLUMNS,
@@ -57,20 +61,33 @@ from .grid import (
     NodeField,
     NonFinite,
     _difference_quotient,
+    _dirichlet_gradient,
+    _LapackBuffer,
+    _l2,
+    _require_finite,
+    _thomas,
     gradient_to_faces,
-    l2_norm,
+    l2_norm,  # not called here; perfbench/probes.py wraps it
     laplacian_dirichlet,
 )
 from .heat import (
     InsufficientHistory,
     ThermalState,
-    cattaneo_step,
-    fourier_thermal_step,
+    _cattaneo_flux,
+    _cattaneo_update,
+    _cattaneo_weights,
+    _fourier_flux,
+    _fourier_update,
+    _heat_solver,
+    cattaneo_step,  # not called here; perfbench/probes.py wraps it
+    fourier_thermal_step,  # not called here; perfbench/probes.py wraps it
 )
 from .model import (
     FloorViolated,
     PhysicalParams,
     SpeedOfSoundModel,
+    _absorbed_power,
+    _invalid_taus,
     q_source,
     validate_params,
 )
@@ -167,6 +184,21 @@ def compatibility_data(
     return CompatibilityData(p2=p2, theta1=theta1, q1=q1)
 
 
+class _Workspace:
+    """What the steps of one run share: the dgtsv buffer of the acoustic
+    solves and the heat operator, factored once.  Both are fixed by
+    ``key`` = (grid, dt, params, use_fourier)."""
+
+    def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, use_fourier: bool):
+        self.key = (grid, dt, params, use_fourier)
+        self.gtsv = _LapackBuffer(4, grid.N)
+        if use_fourier:
+            self.w, self.eta = 0.0, params.kappa_a
+        else:
+            self.w, self.eta = _cattaneo_weights(params, dt)
+        self.solve_heat = _heat_solver(grid, params, dt, self.eta)
+
+
 @dataclass(frozen=True)
 class CoupledState:
     """Accepted state of the coupled integration at one time level.
@@ -175,6 +207,12 @@ class CoupledState:
     fields (None for a state built by initial()).  coupled_step reuses them
     as the first iterate's coefficients of the next step, so it must be
     called with the params and speed model that produced them.
+
+    workspace is the run's _Workspace (the acoustic solve buffer and the
+    factored heat operator), carried from step to step like coeffs_last;
+    coupled_step builds a new one when it is None or was built for another
+    grid, dt, params or thermal path.  States that share it must not be
+    stepped from two threads at once.
     """
 
     acoustic: AcousticState
@@ -183,6 +221,7 @@ class CoupledState:
     picard_iterations_last: int = 0
     coeffs_last: FrozenCoefficients | None = None
     picard_distances_last: tuple[float, ...] = ()
+    workspace: _Workspace | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.acoustic.grid != self.thermal.grid:
@@ -212,6 +251,12 @@ class CoupledState:
         )
 
 
+def _check_arrays(*arrays: tuple[str, np.ndarray]) -> None:
+    """Raise the NonFinite of the first (kind, values) pair with a bad entry."""
+    for kind, values in arrays:
+        _require_finite(kind, values)
+
+
 def coupled_step(
     state: CoupledState,
     dt: float,
@@ -222,7 +267,15 @@ def coupled_step(
     model: SpeedOfSoundModel,
     use_fourier: bool = False,
 ) -> CoupledState:
-    """Advance the coupled system one step by frozen-coefficient iteration."""
+    """Advance the coupled system one step by frozen-coefficient iteration.
+
+    The iteration runs on raw arrays.  Only scalar guards run inside it: the
+    alpha_min threshold, and finiteness of the acoustic system (through one
+    dot product) and of the Picard distance and scale.  When one trips, the
+    arrays are checked in the order in which validated fields would have
+    been built, so the error raised names the same field, index, step and
+    time.  Fields are built for the accepted state only.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if picard_tol <= 0.0:
@@ -230,51 +283,87 @@ def coupled_step(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
+    grid, dx = state.grid, state.grid.dx
     step_index = state.n + 1
     step_time = state.t + dt
-    p_star = state.acoustic.p
-    v_star = state.acoustic.v
-    theta_star = state.thermal.theta
+    ws = state.workspace
+    if ws is None or ws.key != (grid, dt, params, use_fourier):
+        ws = _Workspace(grid, dt, params, use_fourier)
+    ac, th = state.acoustic, state.thermal
+    p_n, v_n, q_n = ac.p.values, ac.v.values, th.q.values
+    # per time level: Lap_h p^n, (m/dt) theta^n and w div q^n
+    grad_p_n = _dirichlet_gradient(p_n, dx)
+    lap_p_n = _difference_quotient(grad_p_n, dx)
+    m_theta = (params.m / dt) * th.theta.values
+    w_div_q = ws.w * _difference_quotient(q_n, dx) if ws.w != 0.0 else None
 
+    def flux(theta_new):
+        if use_fourier:
+            return _fourier_flux(theta_new, params, dx)
+        return _cattaneo_flux(theta_new, q_n, ws.w, ws.eta, dx)
+
+    p_star, v_star, theta_star = p_n, v_n, th.theta.values
     distances: list[float] = []
     try:
-        coeffs = state.coeffs_last
-        if coeffs is None:
-            coeffs = assemble_coefficients(theta_star, p_star, v_star, model, params)
+        if state.coeffs_last is None:
+            alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
+        else:
+            c = state.coeffs_last
+            alpha, r, g = c.alpha.values, c.r.values, c.g.values
+        threshold = _degeneracy_threshold(gamma_bar)
         for _ in range(max_iter):
-            check_nondegeneracy(coeffs, gamma_bar)
-            acoustic_new = westervelt_linear_step(state.acoustic, coeffs, dt, params)
-            f_next = q_source(params, acoustic_new.v)
+            coeff_arrays = (("NodeField", alpha), ("NodeField", r), ("NodeField", g))
+            alpha_min = float(alpha.min())
+            if alpha_min < threshold:
+                _check_arrays(*coeff_arrays)
+                raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
+            system = _westervelt_system(alpha, r, g, v_n, lap_p_n, dt, params, dx)
+            if not math.isfinite(np.dot(system[0], system[3])):
+                _check_arrays(*coeff_arrays, ("FaceField", grad_p_n), ("NodeField", lap_p_n))
+            v_new = _thomas(*system, ws.gtsv)
+            p_new = p_n + dt * v_new
+            f_next = _absorbed_power(params, v_new)
             if use_fourier:
-                thermal_new = fourier_thermal_step(state.thermal, f_next, dt, params)
+                theta_new = _fourier_update(f_next, m_theta, ws.solve_heat)
             else:
-                thermal_new = cattaneo_step(state.thermal, f_next, dt, params)
+                theta_new = _cattaneo_update(f_next, m_theta, w_div_q, ws.solve_heat)
 
-            d = (
-                l2_norm(acoustic_new.p - p_star)
-                + l2_norm(acoustic_new.v - v_star)
-                + l2_norm(thermal_new.theta - theta_star)
-            )
+            diffs = (p_new - p_star, v_new - v_star, theta_new - theta_star)
+            d = _l2(diffs[0], dx) + _l2(diffs[1], dx) + _l2(diffs[2], dx)
+            scale = _l2(p_new, dx) + _l2(v_new, dx) + _l2(theta_new, dx)
+            if not (math.isfinite(d) and math.isfinite(scale)):
+                _check_arrays(
+                    ("NodeField", p_new), ("NodeField", v_new), ("NodeField", f_next),
+                    ("NodeField", theta_new), ("FaceField", flux(theta_new)),
+                    *(("NodeField", diff) for diff in diffs),
+                )
             distances.append(d)
-            p_star, v_star = acoustic_new.p, acoustic_new.v
-            theta_star = thermal_new.theta
-            scale = l2_norm(p_star) + l2_norm(v_star) + l2_norm(theta_star)
+            p_star, v_star, theta_star = p_new, v_new, theta_new
             converged = d <= picard_tol * (1.0 + scale)
             if not converged and len(distances) == max_iter:
                 raise PicardDiverged(step_index, step_time, len(distances), distances)
-            coeffs = assemble_coefficients(theta_star, p_star, v_star, model, params)
             if converged:
+                acoustic = ac.advanced(
+                    NodeField(grid, p_new), NodeField(grid, v_new), step_time
+                )
+                thermal = th.advanced(
+                    NodeField(grid, theta_new), FaceField(grid, flux(theta_new)), th.t + dt
+                )
+            alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
+            if converged:
+                coeffs = _frozen(grid, alpha, r, g)
                 break
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
 
     return CoupledState(
-        acoustic=acoustic_new,
-        thermal=thermal_new,
+        acoustic=acoustic,
+        thermal=thermal,
         n=step_index,
         picard_iterations_last=len(distances),
         coeffs_last=coeffs,
         picard_distances_last=tuple(distances),
+        workspace=ws,
     )
 
 
@@ -495,7 +584,7 @@ def tau_sweep(base_config, tau_list=None) -> SweepResult:
     taus = tuple(tau_list) if tau_list is not None else tuple(base_config.sweep_tau_list or ())
     if not taus:
         raise ValueError("tau_sweep needs a non-empty tau list")
-    bad = [tau for tau in taus if not (math.isfinite(tau) and tau > 0.0)]
+    bad = _invalid_taus(taus)
     if bad:
         raise ValueError(f"sweep tau values must be finite and positive, got {bad}")
     order = sorted(range(len(taus)), key=lambda i: -taus[i])

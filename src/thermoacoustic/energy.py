@@ -54,7 +54,10 @@ from .grid import (
     FaceField,
     NodeField,
     _difference_quotient,
+    _dirichlet_gradient,
     _face_extend,
+    _l2,
+    _laplacian,
     gradient_to_faces,
     interior_gradient,
     l2_inner,
@@ -247,23 +250,33 @@ class XNormAccumulator:
                      "qt": 0.0, "qtt": 0.0}
 
     def accumulate_step(self, ac: AcousticState, th: ThermalState) -> None:
-        """Add the L2-in-time contributions of the newest accepted level."""
-        dt = self.dt
+        """Add the L2-in-time contributions of the newest accepted level.
+
+        Works on the raw history arrays.  A sum that turns non-finite
+        rebuilds the derivative fields in order, so a non-finite one raises
+        its NonFinite.
+        """
+        dt, dx, acc = self.dt, ac.grid.dx, self._int
         if ac.depth >= 2:
-            self._int["grad_lap_pt"] += dt * l2_norm(
-                gradient_to_faces(laplacian_dirichlet(ac.v))
-            ) ** 2
+            grad_lap = _dirichlet_gradient(_laplacian(ac.v.values, dx), dx)
+            acc["grad_lap_pt"] += dt * _l2(grad_lap, dx) ** 2
         if ac.depth >= 3:
-            self._int["lap_ptt"] += dt * l2_norm(
-                laplacian_dirichlet(ac.second_derivative())
-            ) ** 2
-            self._int["pttt"] += dt * l2_norm(ac.third_derivative()) ** 2
+            acc["lap_ptt"] += dt * _l2(_laplacian(ac._difference(1, 2), dx), dx) ** 2
+            acc["pttt"] += dt * _l2(ac._difference(2, 2), dx) ** 2
         if th.depth >= 2:
-            _, q_t = reconstruct_time_derivatives(th, 1)
-            self._int["qt"] += dt * l2_norm(q_t) ** 2
+            acc["qt"] += dt * _l2(th._difference(2, 1), dx) ** 2
         if th.depth >= 3:
-            _, q_tt = reconstruct_time_derivatives(th, 2)
-            self._int["qtt"] += dt * l2_norm(q_tt) ** 2
+            acc["qtt"] += dt * _l2(th._difference(2, 2), dx) ** 2
+        if not math.isfinite(sum(acc.values())):
+            if ac.depth >= 2:
+                gradient_to_faces(laplacian_dirichlet(ac.v))
+            if ac.depth >= 3:
+                laplacian_dirichlet(ac.second_derivative())
+                ac.third_derivative()
+            if th.depth >= 2:
+                reconstruct_time_derivatives(th, 1)
+            if th.depth >= 3:
+                reconstruct_time_derivatives(th, 2)
 
     def sample_output(self, ac: AcousticState, th: ThermalState) -> None:
         """Refresh the sup-in-time terms at an output time."""

@@ -119,6 +119,13 @@ class Grid1D:
         return FaceField(self, np.zeros(self.N + 1))
 
 
+def _require_finite(what: str, values: np.ndarray) -> None:
+    """Raise NonFinite(what, first bad index) unless every entry is finite."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) != finite.size:  # faster than finite.all()
+        raise NonFinite(what, int(np.argmin(finite)))
+
+
 class _Field:
     """Shared machinery of NodeField / FaceField: validation and arithmetic."""
 
@@ -134,9 +141,7 @@ class _Field:
                 f"{type(self).__name__} on N={grid.N} needs shape ({expected},), "
                 f"got {vals.shape}"
             )
-        finite = np.isfinite(vals)
-        if not finite.all():
-            raise NonFinite(type(self).__name__, int(np.argmin(finite)))
+        _require_finite(type(self).__name__, vals)
         self.grid = grid
         self.values = vals
 
@@ -213,6 +218,11 @@ def _face_extend(node_values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _laplacian(values: np.ndarray, dx: float) -> np.ndarray:
+    """Node values of the 3-point Laplacian: the divergence of the gradient."""
+    return _difference_quotient(_dirichlet_gradient(values, dx), dx)
+
+
 def gradient_to_faces(u: NodeField) -> FaceField:
     """Difference quotient (u_{j+1} - u_j)/dx with the zero Dirichlet closure."""
     return FaceField(u.grid, _dirichlet_gradient(u.values, u.grid.dx))
@@ -242,6 +252,10 @@ def _quadrature_dot(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     return dx * float(np.dot(a, b))
 
 
+def _l2(values: np.ndarray, dx: float) -> float:
+    return math.sqrt(_quadrature_dot(values, values, dx))
+
+
 def l2_inner(u: _Field, v: _Field) -> float:
     """dx-weighted Euclidean inner product of two same-kind, same-grid fields."""
     u._check_compatible(v)
@@ -249,7 +263,7 @@ def l2_inner(u: _Field, v: _Field) -> float:
 
 
 def l2_norm(u: _Field) -> float:
-    return math.sqrt(_quadrature_dot(u.values, u.values, u.grid.dx))
+    return _l2(u.values, u.grid.dx)
 
 
 _PIVOT_RTOL = 1e-14
@@ -286,8 +300,8 @@ def _thomas_loop(diag, lower, upper, rhs):
     return x
 
 
-def _load_gtsv():
-    """LAPACK dgtsv from the OpenBLAS bundled with numpy's wheel, or None.
+def _lapack(name: str, argtypes: list):
+    """LAPACK routine ``name`` of the OpenBLAS bundled with numpy's wheel, or None.
 
     The library (numpy.libs/libscipy_openblas64_*) is already mapped into
     every process that imports numpy, so loading it costs neither import
@@ -296,23 +310,81 @@ def _load_gtsv():
     """
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
-        name = min(f for f in os.listdir(libdir) if f.startswith("libscipy_openblas64_"))
-        gtsv = ctypes.CDLL(os.path.join(libdir, name)).scipy_dgtsv_64_
+        lib = min(f for f in os.listdir(libdir) if f.startswith("libscipy_openblas64_"))
+        routine = getattr(ctypes.CDLL(os.path.join(libdir, lib)), name)
     except (OSError, ValueError, AttributeError):  # no directory, library or symbol
         return None
-    ref = ctypes.POINTER(ctypes.c_int64)
-    # N, NRHS, DL, D, DU, B, LDB, INFO
-    gtsv.argtypes = [ref, ref] + [ctypes.c_void_p] * 4 + [ref, ref]
-    gtsv.restype = None
-    return gtsv
+    routine.argtypes = argtypes
+    routine.restype = None
+    return routine
 
 
-_GTSV = _load_gtsv()
-_ONE = ctypes.c_int64(1)  # NRHS; read, never written, by dgtsv
+_REF, _PTR = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+# N, NRHS, DL, D, DU, B, LDB, INFO
+_GTSV = _lapack("scipy_dgtsv_64_", [_REF, _REF] + [_PTR] * 4 + [_REF, _REF])
+# N, DL, D, DU, DU2, IPIV, INFO
+_GTTRF = _lapack("scipy_dgttrf_64_", [_REF] + [_PTR] * 5 + [_REF])
+# TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO, hidden length of TRANS
+_GTTRS = _lapack(
+    "scipy_dgttrs_64_", [ctypes.c_char_p, _REF, _REF] + [_PTR] * 6 + [_REF, _REF, ctypes.c_size_t]
+)
+_ONE = ctypes.c_int64(1)  # NRHS; read, never written, by LAPACK
+
+
+class _LapackBuffer:
+    """A (rows, n) LAPACK buffer whose first rows hold the bands lower, diag,
+    upper (the last entry of lower and upper stays 0), with its address and
+    int64 N and INFO; reused across solves of one size."""
+
+    __slots__ = ("buf", "at", "size", "info")
+
+    def __init__(self, rows: int, n: int) -> None:
+        self.buf = np.zeros((rows, n))
+        self.at = self.buf.ctypes.data  # row k starts at at + 8 * n * k
+        self.size = ctypes.c_int64(n)
+        self.info = ctypes.c_int64(0)
+
+    def load_bands(self, diag, lower, upper) -> np.ndarray:
+        """Copy the bands in; returns their absolute values."""
+        self.buf[0, :-1] = lower
+        self.buf[1] = diag
+        self.buf[2, :-1] = upper
+        return np.abs(self.buf[:3])
+
+
+def _eliminated_like_loop(u_diag: np.ndarray, abs_bands: np.ndarray) -> bool:
+    """Whether an LU elimination interchanged no row and left a U diagonal
+    u_diag that passes the loop's _PIVOT_RTOL row test.  abs_bands is the
+    (consumed) result of _LapackBuffer.load_bands for the matrix."""
+    n = u_diag.shape[0]
+    piv = np.abs(u_diag)
+    abs_lower = abs_bands[0, :-1]
+    # the loop's row scales; addition commutes, so the order matches
+    scale = abs_bands[1]
+    scale[1:] += abs_lower
+    scale[:-1] += abs_bands[2, :-1]
+    scale *= _PIVOT_RTOL
+    return (
+        np.count_nonzero(piv[:-1] > abs_lower) == n - 1  # no row interchange
+        and np.count_nonzero(piv >= scale) == n
+    )
+
+
+def _finite_nonzero(x: np.ndarray) -> bool:
+    n = x.shape[0]
+    return np.count_nonzero(x) == n and np.count_nonzero(np.isfinite(x)) == n
+
+
+def _loop(diag, lower, upper, rhs) -> np.ndarray:
+    return np.array(_thomas_loop(diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist()))
 
 
 def _thomas(
-    diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+    diag: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    rhs: np.ndarray,
+    work: _LapackBuffer | None = None,
 ) -> np.ndarray:
     """Solve the tridiagonal system (lower[i] on row i+1) into a fresh array.
 
@@ -323,38 +395,65 @@ def _thomas(
     interchanged, every pivot passes the loop's _PIVOT_RTOL row test and
     every entry is finite and nonzero; it then equals the loop's bit for
     bit.  Otherwise, and without the library, the loop runs and returns
-    its result or raises SingularSystem.
+    its result or raises SingularSystem.  work, a _LapackBuffer(4, n), saves
+    the allocations of a call.
     """
-    n = diag.shape[0]
     if _GTSV is not None:
-        work = np.zeros((4, n))  # rows: lower, diag, upper, rhs -> solution
-        work[0, :-1] = lower
-        work[1] = diag
-        work[2, :-1] = upper
-        work[3] = rhs
-        bands = np.abs(work[:3])  # before dgtsv overwrites them
-        size = ctypes.c_int64(n)
-        info = ctypes.c_int64(0)
-        at = work.ctypes.data
-        row = 8 * n
-        _GTSV(size, _ONE, at, at + row, at + 2 * row, at + 3 * row, size, info)
-        if info.value == 0:
-            piv = np.abs(work[1])  # the diagonal of U
-            abs_lower = bands[0, :-1]
-            # the loop's row scales; addition commutes, so the order matches
-            scale = bands[1]
-            scale[1:] += abs_lower
-            scale[:-1] += bands[2, :-1]
-            scale *= _PIVOT_RTOL
-            x = work[3]
-            if (
-                np.count_nonzero(piv[:-1] > abs_lower) == n - 1  # no row interchange
-                and np.count_nonzero(piv >= scale) == n
-                and np.count_nonzero(x) == n
-                and np.count_nonzero(np.isfinite(x)) == n
-            ):
-                return x
-    return np.array(_thomas_loop(diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist()))
+        n = diag.shape[0]
+        fresh = work is None
+        if fresh:
+            work = _LapackBuffer(4, n)
+        abs_bands = work.load_bands(diag, lower, upper)
+        work.buf[3] = rhs  # -> solution
+        at, row = work.at, 8 * n
+        _GTSV(work.size, _ONE, at, at + row, at + 2 * row, at + 3 * row, work.size, work.info)
+        x = work.buf[3]
+        if (
+            work.info.value == 0
+            and _eliminated_like_loop(work.buf[1], abs_bands)
+            and _finite_nonzero(x)
+        ):
+            return x if fresh else x.copy()
+    return _loop(diag, lower, upper, rhs)
+
+
+class _FactoredTridiagonal:
+    """A tridiagonal matrix factored once by dgttrf, for repeated dgttrs solves.
+
+    Without row interchange dgttrf and dgttrs perform the IEEE operations
+    of _thomas_loop (w = l/d, d - w*u, b - w*y, (y - u*x)/d), plus dgtsv's
+    0.0 * x[i+2] term.  ``factored`` says whether the routines exist and the
+    factorization interchanged no row and passes the loop's pivot test,
+    checked once here; callers solve with _thomas otherwise.  Each solution
+    is still kept only when finite and nonzero, and the loop solves when it
+    is not.
+    """
+
+    def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+        n = diag.shape[0]
+        self.bands = (diag, lower, upper)
+        self.lu = _LapackBuffer(5, n)  # rows: DL, D, DU, DU2, B
+        self.ipiv = np.zeros(n, dtype=np.int64)
+        # DL, D, DU, DU2, IPIV, B
+        self.ptrs = tuple(self.lu.at + 8 * n * k for k in range(4)) + (
+            self.ipiv.ctypes.data, self.lu.at + 32 * n,
+        )
+        abs_bands = self.lu.load_bands(diag, lower, upper)
+        self.factored = _GTTRF is not None and _GTTRS is not None
+        if self.factored:
+            _GTTRF(self.lu.size, *self.ptrs[:5], self.lu.info)
+            self.factored = self.lu.info.value == 0 and _eliminated_like_loop(
+                self.lu.buf[1], abs_bands
+            )
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution for rhs as a fresh array (only when ``factored``)."""
+        lu = self.lu
+        lu.buf[4] = rhs
+        _GTTRS(b"N", lu.size, _ONE, *self.ptrs, lu.size, lu.info, 1)
+        if lu.info.value == 0 and _finite_nonzero(lu.buf[4]):
+            return lu.buf[4].copy()
+        return _loop(*self.bands, rhs)
 
 
 def solve_tridiagonal(diag, lower, upper, rhs: NodeField) -> NodeField:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .grid import (
     NodeField,
     _difference_quotient,
     _dirichlet_gradient,
+    _FactoredTridiagonal,
     _Field,
     _thomas,
 )
@@ -141,19 +143,59 @@ class ThermalState(_TimeLevels):
         return self.history[-1][2]
 
 
-def _theta_solve(
-    grid: Grid1D,
-    params: PhysicalParams,
-    dt: float,
-    eta: float,
-    rhs: np.ndarray,
-) -> np.ndarray:
-    """Solve (m/dt + ell - eta*Lap_h) theta = rhs.  Strictly diagonally dominant."""
+def _heat_solver(grid: Grid1D, params: PhysicalParams, dt: float, eta: float):
+    """rhs -> theta solving (m/dt + ell - eta*Lap_h) theta = rhs.
+
+    The operator is strictly diagonally dominant and fixed by (grid,
+    params, dt, eta), so it is factored once; without the factorization
+    every solve goes through _thomas.
+    """
     dx2 = grid.dx * grid.dx
-    diag_val = params.m / dt + params.ell + 2.0 * eta / dx2
-    off_val = -eta / dx2
-    off = np.full(grid.N - 1, off_val)
-    return _thomas(np.full(grid.N, diag_val), off, off, rhs)
+    diag = np.full(grid.N, params.m / dt + params.ell + 2.0 * eta / dx2)
+    off = np.full(grid.N - 1, -eta / dx2)
+    lu = _FactoredTridiagonal(diag, off, off)
+    return lu.solve if lu.factored else partial(_thomas, diag, off, off)
+
+
+def _cattaneo_weights(params: PhysicalParams, dt: float) -> tuple[float, float]:
+    """(w, eta) of the flux elimination q' = w q - eta grad theta'."""
+    tau = params.tau
+    if tau < 0.0:
+        raise ValueError("tau must be nonnegative")
+    return tau / (tau + dt), params.kappa_a * (dt / (tau + dt))
+
+
+# The raw updates below serve both the public steppers and the coupled
+# kernel.  m_theta = (m/dt) theta^n and w_div_q = w div q^n depend on the
+# time level only, so the kernel computes them once per step.
+
+
+def _fourier_update(f: np.ndarray, m_theta: np.ndarray, solve) -> np.ndarray:
+    """theta^{n+1} of the Fourier step for the source f."""
+    return solve(f + m_theta)
+
+
+def _fourier_flux(theta_new: np.ndarray, params: PhysicalParams, dx: float) -> np.ndarray:
+    """The Fourier law q = -kappa_a grad theta."""
+    return -(params.kappa_a * _dirichlet_gradient(theta_new, dx))
+
+
+def _cattaneo_update(f: np.ndarray, m_theta: np.ndarray, w_div_q, solve) -> np.ndarray:
+    """theta^{n+1} of the Cattaneo step; w_div_q is None when w = 0."""
+    rhs = f + m_theta
+    if w_div_q is not None:
+        rhs = rhs - w_div_q
+    return solve(rhs)
+
+
+def _cattaneo_flux(
+    theta_new: np.ndarray, q: np.ndarray, w: float, eta: float, dx: float
+) -> np.ndarray:
+    """The eliminated flux q' = w q - eta grad theta'; the w term is skipped at w = 0."""
+    grad = _dirichlet_gradient(theta_new, dx)
+    if w != 0.0:
+        return w * q - eta * grad
+    return -(eta * grad)
 
 
 def fourier_step(
@@ -167,8 +209,8 @@ def fourier_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rhs = f_next.values + (params.m / dt) * theta.values
-    new_vals = _theta_solve(theta.grid, params, dt, params.kappa_a, rhs)
+    solve = _heat_solver(theta.grid, params, dt, params.kappa_a)
+    new_vals = _fourier_update(f_next.values, (params.m / dt) * theta.values, solve)
     return NodeField(theta.grid, new_vals)
 
 
@@ -182,8 +224,7 @@ def fourier_thermal_step(
     criterion 8) compares two separate updates, not one code path with itself.
     """
     theta_new = fourier_step(state.theta, f_next, dt, params)
-    grad = _dirichlet_gradient(theta_new.values, state.grid.dx)
-    q_new = FaceField(state.grid, -(params.kappa_a * grad))
+    q_new = FaceField(state.grid, _fourier_flux(theta_new.values, params, state.grid.dx))
     return state.advanced(theta_new, q_new, state.t + dt)
 
 
@@ -202,23 +243,15 @@ def cattaneo_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    tau = params.tau
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    w, eta = _cattaneo_weights(params, dt)
     grid = state.grid
-    w = tau / (tau + dt)
-    eta = params.kappa_a * (dt / (tau + dt))
-
-    rhs = f_next.values + (params.m / dt) * state.theta.values
-    if w != 0.0:
-        rhs = rhs - w * _difference_quotient(state.q.values, grid.dx)
-    theta_new = _theta_solve(grid, params, dt, eta, rhs)
-
-    grad = _dirichlet_gradient(theta_new, grid.dx)
-    if w != 0.0:
-        q_new = w * state.q.values - eta * grad
-    else:
-        q_new = -(eta * grad)
+    q = state.q.values
+    w_div_q = w * _difference_quotient(q, grid.dx) if w != 0.0 else None
+    solve = _heat_solver(grid, params, dt, eta)
+    theta_new = _cattaneo_update(
+        f_next.values, (params.m / dt) * state.theta.values, w_div_q, solve
+    )
+    q_new = _cattaneo_flux(theta_new, q, w, eta, grid.dx)
     return state.advanced(
         NodeField(grid, theta_new), FaceField(grid, q_new), state.t + dt
     )

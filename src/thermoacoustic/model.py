@@ -184,9 +184,9 @@ def h_eval(model: SpeedOfSoundModel, theta):
         if v < model.h_floor:
             raise FloorViolated(float(theta_arr), v, model.h_floor)
         return v
-    bad = np.flatnonzero(values < model.h_floor)
-    if bad.size:
-        i = int(bad[0])
+    # fmin skips nan entries, which never compare below the floor
+    if np.fmin.reduce(values, initial=np.inf) < model.h_floor:
+        i = int(np.flatnonzero(values < model.h_floor)[0])
         raise FloorViolated(float(theta_arr[i]), float(values[i]), model.h_floor, index=i)
     return values
 
@@ -209,8 +209,18 @@ def q_source(params: PhysicalParams, p_t: NodeField) -> NodeField:
 
     Quadratic in p_t, hence nonnegative everywhere.
     """
+    return NodeField(p_t.grid, _absorbed_power(params, p_t.values))
+
+
+def _absorbed_power(params: PhysicalParams, p_t: np.ndarray) -> np.ndarray:
+    """Raw values of q_source."""
     coeff = 2.0 * params.b / (params.rho_a * params.C_a**4)
-    return NodeField(p_t.grid, coeff * p_t.values * p_t.values)
+    return coeff * p_t * p_t
+
+
+def _invalid_taus(taus) -> list:
+    """The entries of taus that are not finite and positive relaxation times."""
+    return [tau for tau in taus if not (np.isfinite(tau) and tau > 0.0)]
 
 
 def validate_params(params: PhysicalParams, model: SpeedOfSoundModel) -> list[str]:

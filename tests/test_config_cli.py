@@ -459,6 +459,23 @@ class TestCli:
         assert "finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "tau_0").exists()  # rejected before any run
 
+    @pytest.mark.parametrize("taus", ["0.05,0.1", "0.1,0.1"], ids=["increasing", "duplicate"])
+    def test_limit_sweep_rejects_taus_the_config_rejects(self, tmp_path, capsys, taus):
+        # one rule for sweep.tau_list and --tau: a duplicate tau would write
+        # two members into the same tau_<value>/ folder
+        doc = sine_doc(T=0.02)
+        doc["sweep"] = {"tau_list": [float(t) for t in taus.split(",")]}
+        with pytest.raises(ValidationError) as err:
+            load_config(json.dumps(doc))
+        assert "strictly decreasing" in str(err.value)
+        cfg = write_config(tmp_path, sine_doc(T=0.02))
+        with pytest.raises(SystemExit) as exc:
+            main(["limit-sweep", "--config", cfg, "--out", str(tmp_path),
+                  "--tau", taus, "--quiet"])
+        assert exc.value.code == 2
+        assert "strictly decreasing" in capsys.readouterr().err
+        assert not (tmp_path / "tau_0").exists()  # rejected before any run
+
     def test_sweep_without_taus_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, sine_doc(T=0.02))
         assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -1,9 +1,12 @@
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from thermoacoustic import coupling as coupling_mod
+from thermoacoustic import heat as heat_mod
 from thermoacoustic.acoustics import Degenerate, assemble_coefficients
 from thermoacoustic.cli import timeseries_csv
 from thermoacoustic.config import InitialData, initial_fields, make_grid
@@ -290,6 +293,32 @@ class TestSweep:
         gap_full = max(1.0 - a for a in full.alpha_min_per_step)
         gap_half = max(1.0 - a for a in half.alpha_min_per_step)
         assert gap_half <= 0.5 * gap_full * (1.0 + 1e-9)
+
+
+_THERMAL_UPDATES = ("_fourier_update", "_fourier_flux", "_cattaneo_update", "_cattaneo_flux")
+
+
+@pytest.mark.parametrize("force_cattaneo", [False, True], ids=["fourier", "force_cattaneo"])
+def test_tau_zero_path_runs_its_own_update(monkeypatch, force_cattaneo):
+    # Criterion 8 compares the Cattaneo update at tau = 0 with the separately
+    # written Fourier update.  A run that sent one path through the other's
+    # arithmetic (say Fourier as Cattaneo with w = 0) would compare a code
+    # path with itself, and the bitwise check would pass without meaning.
+    calls = Counter()
+    for module in (coupling_mod, heat_mod):
+        for name in _THERMAL_UPDATES:
+            original = getattr(module, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+    result = simulate(canonical_config(tau=0.0, T=0.01), force_cattaneo=force_cattaneo)
+    used, unused = ("_cattaneo", "_fourier") if force_cattaneo else ("_fourier", "_cattaneo")
+    assert calls[f"{used}_update"] == sum(result.picard_iters_per_step)
+    assert calls[f"{used}_flux"] == len(result.picard_iters_per_step) == 10
+    assert calls[f"{unused}_update"] == calls[f"{unused}_flux"] == 0
 
 
 def test_report_energy_sums_are_exact():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,12 +249,13 @@ class TestTridiagonalLoop(TestTridiagonal):
         monkeypatch.setattr(grid_mod, "_GTSV", None)
 
 
-def _dominant_system(rng, n, decades, zero_share):
+def _dominant_system(rng, n, decades, zero_share, rhs_zero_share=0.0):
     """Bands strictly diagonally dominant by rows and by columns, and a rhs.
 
     Entries have either sign and magnitudes spread over 10**-decades ..
-    10**decades; a zero_share of the off-diagonal entries is 0.0.  The rhs
-    has no zeros, which would give zero solution entries and thus the loop.
+    10**decades; a zero_share of the off-diagonal entries is 0.0.  By
+    default the rhs has no zeros, which could give zero solution entries
+    and thus the loop; rhs_zero_share sets a share of them to +-0.0.
     """
 
     def mixed(size, zeros):
@@ -263,6 +265,7 @@ def _dominant_system(rng, n, decades, zero_share):
         return values
 
     lower, upper, rhs = mixed(n - 1, zero_share), mixed(n - 1, zero_share), mixed(n, 0.0)
+    rhs[rng.random(n) < rhs_zero_share] *= 0.0
     rows = np.zeros(n)
     rows[1:] += np.abs(lower)
     rows[:-1] += np.abs(upper)
@@ -344,6 +347,102 @@ class TestLapackPath:
         assert _thomas(diag, off, off, rhs).tobytes() == ref.tobytes()
         if grid_mod._GTSV is not None:
             assert calls == [6]
+
+
+def _factored_solve(diag, lower, upper, rhs):
+    """A solve as the heat stepper makes it: factored once when possible."""
+    lu = grid_mod._FactoredTridiagonal(diag, lower, upper)
+    return lu.solve(rhs) if lu.factored else _thomas(diag, lower, upper, rhs)
+
+
+@st.composite
+def dominant_systems_with_zero_rhs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _dominant_system(
+        rng, draw(st.integers(2, 300)), draw(st.integers(0, 100)), draw(st.floats(0.0, 0.5)),
+        rhs_zero_share=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@given(dominant_systems_with_zero_rhs())
+@settings(max_examples=150, deadline=None)
+def test_factored_solve_bytes_equal_loop_on_dominant_systems(system):
+    ref = _loop_reference(*system).tobytes()
+    assert _factored_solve(*system).tobytes() == ref
+    with mock.patch.object(grid_mod, "_GTTRF", None), mock.patch.object(grid_mod, "_GTTRS", None):
+        assert _factored_solve(*system).tobytes() == ref
+
+
+class TestFactoredPath:
+    """_FactoredTridiagonal (dgttrf once, dgttrs per solve) against the loop."""
+
+    def _factors(self):
+        return grid_mod._GTTRF is not None and grid_mod._GTTRS is not None
+
+    def test_dominant_systems_factor_once_and_take_the_fast_path(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        systems = [_dominant_system(rng, int(n), 100, 0.0) for n in rng.integers(2, 301, 50)]
+        calls = _count_fallbacks(monkeypatch)
+        for diag, lower, upper, _ in systems:
+            lu = grid_mod._FactoredTridiagonal(diag, lower, upper)
+            assert lu.factored == self._factors()
+            for _ in range(4):
+                rhs = rng.uniform(1.0, 2.0, diag.shape[0]) * rng.choice([-1.0, 1.0], diag.shape[0])
+                x = lu.solve(rhs) if lu.factored else _thomas(diag, lower, upper, rhs)
+                assert x.tobytes() == _loop_reference(diag, lower, upper, rhs).tobytes()
+        if grid_mod._GTSV is not None:
+            assert calls == []
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative_zero"])
+    def test_zero_solution_entries_fall_back_to_loop(self, monkeypatch, zero):
+        # dgttrs's back substitution subtracts 0.0 * x[i+2] like dgtsv's, so
+        # a zero solution entry may carry the wrong sign
+        diag = np.full(6, 4.0)
+        off = np.full(5, -1.0)
+        rhs = np.full(6, zero)
+        ref = _loop_reference(diag, off, off, rhs)
+        assert np.all(np.signbit(ref) == np.signbit(zero))
+        calls = _count_fallbacks(monkeypatch)
+        assert _factored_solve(diag, off, off, rhs).tobytes() == ref.tobytes()
+        if grid_mod._GTSV is not None:
+            assert calls == [6]
+
+    def test_row_interchange_is_not_factored(self, monkeypatch):
+        diag = np.array([1.0, 4.0, 4.0, 4.0])
+        lower = np.array([3.0, 1.0, 1.0])
+        upper = np.array([1.0, 1.0, 1.0])
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        assert not grid_mod._FactoredTridiagonal(diag, lower, upper).factored
+        ref = _loop_reference(diag, lower, upper, rhs)
+        assert _factored_solve(diag, lower, upper, rhs).tobytes() == ref.tobytes()
+
+    def test_tiny_pivot_is_not_factored_and_stays_singular(self):
+        diag = np.array([2.0, 0.5 + 2.0**-52])
+        assert not grid_mod._FactoredTridiagonal(diag, np.ones(1), np.ones(1)).factored
+        with pytest.raises(SingularSystem):
+            _factored_solve(diag, np.ones(1), np.ones(1), np.ones(2))
+
+
+class TestFactoredPathWithoutGttrs(TestFactoredPath):
+    """The same cases with dgttrf/dgttrs missing: every solve goes through _thomas."""
+
+    @pytest.fixture(autouse=True)
+    def _no_gttrs(self, monkeypatch):
+        monkeypatch.setattr(grid_mod, "_GTTRF", None)
+        monkeypatch.setattr(grid_mod, "_GTTRS", None)
+
+
+def test_reused_gtsv_buffer_gives_the_loop_bytes():
+    rng = np.random.default_rng(23)
+    work = grid_mod._LapackBuffer(4, 64)
+    solutions = []
+    for _ in range(20):
+        system = _dominant_system(rng, 64, 30, 0.2, rhs_zero_share=0.1)
+        x = _thomas(*system, work)
+        assert x.tobytes() == _loop_reference(*system).tobytes()
+        solutions.append((x, x.copy()))
+    # each result is its own array, not a view of the reused buffer
+    assert all(x.tobytes() == kept.tobytes() for x, kept in solutions)
 
 
 # Finite values up to 1e300 in magnitude, with signed zeros and subnormals.
