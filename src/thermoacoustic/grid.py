@@ -434,10 +434,9 @@ class _FactoredTridiagonal:
         self.bands = (diag, lower, upper)
         self.lu = _LapackBuffer(5, n)  # rows: DL, D, DU, DU2, B
         self.ipiv = np.zeros(n, dtype=np.int64)
+        at, row = self.lu.at, 8 * n
         # DL, D, DU, DU2, IPIV, B
-        self.ptrs = tuple(self.lu.at + 8 * n * k for k in range(4)) + (
-            self.ipiv.ctypes.data, self.lu.at + 32 * n,
-        )
+        self.ptrs = (at, at + row, at + 2 * row, at + 3 * row, self.ipiv.ctypes.data, at + 4 * row)
         abs_bands = self.lu.load_bands(diag, lower, upper)
         self.factored = _GTTRF is not None and _GTTRS is not None
         if self.factored:

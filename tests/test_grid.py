@@ -407,7 +407,7 @@ class TestFactoredPath:
         if grid_mod._GTSV is not None:
             assert calls == [6]
 
-    def test_row_interchange_is_not_factored(self, monkeypatch):
+    def test_row_interchange_is_not_factored(self):
         diag = np.array([1.0, 4.0, 4.0, 4.0])
         lower = np.array([3.0, 1.0, 1.0])
         upper = np.array([1.0, 1.0, 1.0])
