@@ -141,6 +141,52 @@ class TestCoupledStep:
         assert err.value.time == pytest.approx(1e-3)
         assert "step 1" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "case, where",
+        [
+            ("r_overflow", ("NodeField", 5)),  # h(theta) = 1 + theta^8 overflows
+            ("gradient_overflow", ("FaceField", 1)),  # grad p^n overflows
+            ("laplacian_overflow", ("NodeField", 0)),  # Lap_h p^n overflows
+        ],
+    )
+    def test_nonfinite_located_like_the_field_iteration(self, case, where):
+        # The kernel runs on raw arrays and re-checks them in the order the
+        # field-based iteration validated its fields; these are the errors
+        # that iteration raised.
+        grid = Grid1D(1.0, 16)
+        z = grid.zero_node_field()
+        if case == "r_overflow":
+            theta0 = np.zeros(grid.N)
+            theta0[[5, 9]] = 1e40
+            state = CoupledState.initial(z, z, NodeField(grid, theta0), grid.zero_face_field())
+            params = unit_params(tau=0.05)
+            model = SpeedOfSoundModel(coeffs=(1.0,) + (0.0,) * 7 + (1.0,), h_floor=1.0)
+        else:
+            amplitude = 1e307 if case == "gradient_overflow" else 1e306
+            p0 = NodeField(grid, amplitude * np.array([(-1.0) ** j for j in range(grid.N)]))
+            state = CoupledState.initial(p0, z, z, grid.zero_face_field())
+            params = replace(unit_params(tau=0.05), beta_acous=1e-310)  # alpha stays near 1
+            model = UNIT_MODEL
+        with pytest.raises(NonFinite) as err, np.errstate(all="ignore"):
+            coupled_step(state, 1e-3, 1e-10, 25, 0.5, params, model)
+        assert (err.value.what, err.value.index, err.value.step) == (*where, 1)
+
+    def test_overflowing_norms_alone_do_not_stop_a_step(self):
+        # ||v|| overflows although every entry is finite: the distance guard
+        # trips, the re-check finds no bad field, and the step is accepted
+        # as the field-based iteration accepted it (d = inf <= tol*(1 + inf)).
+        grid = Grid1D(1.0, 16)
+        z = grid.zero_node_field()
+        params = replace(unit_params(tau=0.05), C_a=1e10, beta_acous=1e-310)
+        state = CoupledState.initial(
+            z, NodeField(grid, np.full(grid.N, 1.2e154)), z, grid.zero_face_field()
+        )
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                state = coupled_step(state, 1e-3, 1e-10, 25, 0.5, params, UNIT_MODEL)
+                assert state.picard_distances_last == (np.inf,)
+        assert np.all(np.isfinite(state.acoustic.v.values))
+
     def test_exhausted_iterations_raise(self):
         config = canonical_config()
         grid = make_grid(config)
