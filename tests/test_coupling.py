@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -339,6 +341,22 @@ class TestSweep:
         gap_full = max(1.0 - a for a in full.alpha_min_per_step)
         gap_half = max(1.0 - a for a in half.alpha_min_per_step)
         assert gap_half <= 0.5 * gap_full * (1.0 + 1e-9)
+
+
+def test_copied_state_gets_its_own_workspace_buffers():
+    # The run workspace holds raw buffer addresses for LAPACK; a pickled or
+    # deep-copied state must not write through the original's addresses.
+    config = canonical_config(T=0.005)
+    state = simulate(config).final_state
+    args = (config.time.dt, config.picard.tol, config.picard.max_iter,
+            config.picard.gamma_bar, config.params, config.speed_model)
+    for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        ws = twin.workspace
+        assert ws.gtsv.at == ws.gtsv.buf.ctypes.data != state.workspace.gtsv.at
+        a, b = coupled_step(state, *args), coupled_step(twin, *args)
+        for x, y in ((a.acoustic.v, b.acoustic.v), (a.thermal.theta, b.thermal.theta),
+                     (a.thermal.q, b.thermal.q)):
+            assert x.values.tobytes() == y.values.tobytes()
 
 
 _THERMAL_UPDATES = ("_fourier_update", "_fourier_flux", "_cattaneo_update", "_cattaneo_flux")
