@@ -62,6 +62,7 @@ from .grid import (
     NonFinite,
     _difference_quotient,
     _dirichlet_gradient,
+    _FactoredTridiagonal,
     _LapackBuffer,
     _l2,
     _require_finite,
@@ -71,14 +72,13 @@ from .grid import (
     laplacian_dirichlet,
 )
 from .heat import (
-    InsufficientHistory,
     ThermalState,
     _cattaneo_flux,
     _cattaneo_update,
     _cattaneo_weights,
     _fourier_flux,
     _fourier_update,
-    _heat_solver,
+    _heat_matrix,
     cattaneo_step,  # not called here; perfbench/probes.py wraps it
     fourier_thermal_step,  # not called here; perfbench/probes.py wraps it
 )
@@ -186,8 +186,9 @@ def compatibility_data(
 
 class _Workspace:
     """What the steps of one run share: the dgtsv buffer of the acoustic
-    solves and the heat operator, factored once.  Both are fixed by
-    ``key`` = (grid, dt, params, use_fourier)."""
+    solves and the heat operator of _heat_matrix, factored here once for
+    the whole run.  Both are fixed by ``key`` = (grid, dt, params,
+    use_fourier)."""
 
     def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, use_fourier: bool):
         self.key = (grid, dt, params, use_fourier)
@@ -196,7 +197,7 @@ class _Workspace:
             self.w, self.eta = 0.0, params.kappa_a
         else:
             self.w, self.eta = _cattaneo_weights(params, dt)
-        self.solve_heat = _heat_solver(grid, params, dt, self.eta)
+        self.solve_heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta)).solve
 
 
 @dataclass(frozen=True)
@@ -396,30 +397,23 @@ class SimulationResult:
 
 def _make_report(
     state: CoupledState,
-    coeffs: FrozenCoefficients,
     coeffs_prev: FrozenCoefficients | None,
     f_next: NodeField | None,
     params: PhysicalParams,
 ) -> EnergyReport:
-    th, ac = state.thermal, state.acoustic
-    e0 = heat_energy(th, params, 0)
-    d0 = heat_dissipation(th, params, 0)
-    e1 = e2 = d1 = d2 = 0.0
-    if th.depth >= 2:
-        e1 = heat_energy(th, params, 1)
-        d1 = heat_dissipation(th, params, 1)
-    if th.depth >= 3:
-        e2 = heat_energy(th, params, 2)
-        d2 = heat_dissipation(th, params, 2)
+    th, ac, coeffs = state.thermal, state.acoustic, state.coeffs_last
+    e, d = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    for k in range(min(th.depth, 3)):  # order k needs k + 1 stored levels
+        e[k] = heat_energy(th, params, k)
+        d[k] = heat_dissipation(th, params, k)
     cal_e0 = cal_e1 = 0.0
     if th.depth >= 3:
         cal_e0, cal_e1, _, _ = theta_higher_energy(th, params)
-    try:
+    if ac.depth >= 3:
         ac_e1, ac_e2, ac_e3, ac_total = acoustic_energy(ac, coeffs, params)
-    except InsufficientHistory:
-        ac_e1 = _first_energy(ac.p, ac.v, coeffs)
+    else:
+        ac_e1 = ac_total = _first_energy(ac.p, ac.v, coeffs)
         ac_e2 = ac_e3 = 0.0
-        ac_total = ac_e1
     lam = frak_f = 0.0
     heat_res = ac_res = 0.0
     if coeffs_prev is not None:
@@ -429,8 +423,8 @@ def _make_report(
         heat_res = heat_balance_residual(th, f_next, params)
     report = EnergyReport(
         t=state.t,
-        E0=e0, E1=e1, E2=e2, E_tau=e0 + e1 + e2,
-        D0=d0, D1=d1, D2=d2,
+        E0=e[0], E1=e[1], E2=e[2], E_tau=e[0] + e[1] + e[2],
+        D0=d[0], D1=d[1], D2=d[2],
         cal_E0=cal_e0, cal_E1=cal_e1,
         acE1=ac_e1, acE2=ac_e2, acE3=ac_e3, acE_total=ac_total,
         lam=lam, frak_f=frak_f,
@@ -468,9 +462,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     dt = config.time.dt
     n_steps = int(round(config.time.T / dt))
     stride = config.time.output_stride
-    snapshot_steps = {
-        int(round(s / dt)): s for s in config.time.snapshot_times
-    }
+    snapshot_steps = {int(round(s / dt)) for s in config.time.snapshot_times}
 
     try:  # setup counts as step 0
         p0, p1, theta0, q0 = initial_fields(config, grid)
@@ -480,36 +472,28 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
         raise exc.located(0, 0.0) from None
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
 
+    xacc = XNormAccumulator(dt)
+    reports, theta_series, p_series, v_series, snapshots = [], [], [], [], []
+    alpha_mins: list[float] = [coeffs.alpha_min]
+    iters: list[int] = []
+    dists: list[tuple[float, ...]] = []
+    coeffs_prev = None
     try:
-        xacc = XNormAccumulator(dt)
-        xacc.sample_output(state.acoustic, state.thermal)
-        reports = [_make_report(state, coeffs, None, None, params)]
-        theta_series = [theta0.values.copy()]
-        p_series = [p0.values.copy()]
-        v_series = [p1.values.copy()]
-        snapshots = []
-        if 0 in snapshot_steps:
-            snapshots.append(_snapshot(state, grid))
-        alpha_mins: list[float] = [coeffs.alpha_min]
-        iters: list[int] = []
-        dists: list[tuple[float, ...]] = []
-
-        coeffs_prev = coeffs
-        for n in range(1, n_steps + 1):
-            state = coupled_step(
-                state, dt, config.picard.tol, config.picard.max_iter,
-                config.picard.gamma_bar, params, model, use_fourier=use_fourier,
-            )
-            alpha_mins.append(state.alpha_min_last)
-            iters.append(state.picard_iterations_last)
-            dists.append(state.picard_distances_last)
-            xacc.accumulate_step(state.acoustic, state.thermal)
+        for n in range(n_steps + 1):
+            if n >= 1:
+                state = coupled_step(
+                    state, dt, config.picard.tol, config.picard.max_iter,
+                    config.picard.gamma_bar, params, model, use_fourier=use_fourier,
+                )
+                alpha_mins.append(state.alpha_min_last)
+                iters.append(state.picard_iterations_last)
+                dists.append(state.picard_distances_last)
+                xacc.accumulate_step(state.acoustic, state.thermal)
             if n % stride == 0 or n == n_steps:
                 xacc.sample_output(state.acoustic, state.thermal)
-                f_next = q_source(params, state.acoustic.v)
-                reports.append(
-                    _make_report(state, state.coeffs_last, coeffs_prev, f_next, params)
-                )
+                # step 0 has no source yet: Q(p1) is first formed by step 1
+                f_next = q_source(params, state.acoustic.v) if n >= 1 else None
+                reports.append(_make_report(state, coeffs_prev, f_next, params))
                 theta_series.append(state.thermal.theta.values.copy())
                 p_series.append(state.acoustic.p.values.copy())
                 v_series.append(state.acoustic.v.values.copy())
@@ -576,10 +560,11 @@ def tau_sweep(base_config, tau_list=None) -> SweepResult:
     """Run the relaxation ladder against the tau = 0 reference.
 
     All member runs share the grid, step size and initial data; only tau
-    changes.  Runs execute sequentially (determinism for free); results are
-    sorted by tau descending regardless of the order given.  The member runs
-    are kept in the same order (for file emission).  An empty list or a tau
-    that is not finite and positive raises ValueError before any run.
+    changes.  Runs execute sequentially (determinism for free), the
+    reference first; results are sorted by tau descending regardless of the
+    order given, and the member runs are kept in the same order (for file
+    emission).  An empty list or a tau that is not finite and positive
+    raises ValueError before any run.
     """
     taus = tuple(tau_list) if tau_list is not None else tuple(base_config.sweep_tau_list or ())
     if not taus:
@@ -587,29 +572,22 @@ def tau_sweep(base_config, tau_list=None) -> SweepResult:
     bad = _invalid_taus(taus)
     if bad:
         raise ValueError(f"sweep tau values must be finite and positive, got {bad}")
-    order = sorted(range(len(taus)), key=lambda i: -taus[i])
-    taus_sorted = tuple(taus[i] for i in order)
+    taus_sorted = tuple(sorted(taus, reverse=True))
 
-    ref_config = replace(
-        base_config, params=replace(base_config.params, tau=0.0)
+    reference, *members = (
+        simulate(replace(base_config, params=replace(base_config.params, tau=tau)))
+        for tau in (0.0,) + taus_sorted
     )
-    reference = simulate(ref_config)
     dx = reference.grid.dx
-
-    e_theta, e_p, e_pt = [], [], []
-    members = []
-    for tau in taus_sorted:
-        cfg = replace(base_config, params=replace(base_config.params, tau=tau))
-        result = simulate(cfg)
-        e_theta.append(_series_distance(result.theta_series, reference.theta_series, dx))
-        e_p.append(_series_distance(result.p_series, reference.p_series, dx))
-        e_pt.append(_series_distance(result.v_series, reference.v_series, dx))
-        members.append(result)
+    e_theta, e_p, e_pt = (
+        tuple(_series_distance(getattr(m, s), getattr(reference, s), dx) for m in members)
+        for s in ("theta_series", "p_series", "v_series")
+    )
     return SweepResult(
         taus=taus_sorted,
-        e_theta=tuple(e_theta),
-        e_p=tuple(e_p),
-        e_pt=tuple(e_pt),
+        e_theta=e_theta,
+        e_p=e_p,
+        e_pt=e_pt,
         reference=reference,
         members=tuple(members),
     )

@@ -427,9 +427,9 @@ class _FactoredTridiagonal:
     of _thomas_loop (w = l/d, d - w*u, b - w*y, (y - u*x)/d), plus dgtsv's
     0.0 * x[i+2] term.  ``factored`` says whether the routines exist and the
     factorization interchanged no row and passes the loop's pivot test,
-    checked once here; callers solve with _thomas otherwise.  Each solution
-    is still kept only when finite and nonzero, and the loop solves when it
-    is not.
+    checked once here; solve goes through _thomas when it is false.  Each
+    dgttrs solution is still kept only when finite and nonzero, and the loop
+    solves when it is not.
     """
 
     def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
@@ -452,7 +452,9 @@ class _FactoredTridiagonal:
         return _FactoredTridiagonal, self.bands
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for rhs as a fresh array (only when ``factored``)."""
+        """The solution for rhs as a fresh array, with _thomas when not ``factored``."""
+        if not self.factored:
+            return _thomas(*self.bands, rhs)
         lu = self.lu
         lu.buf[4] = rhs
         _GTTRS(b"N", lu.size, _ONE, *self.ptrs, lu.size, lu.info, 1)

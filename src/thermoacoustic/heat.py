@@ -45,7 +45,6 @@ from .grid import (
     NodeField,
     _difference_quotient,
     _dirichlet_gradient,
-    _FactoredTridiagonal,
     _Field,
     _thomas,
 )
@@ -143,18 +142,17 @@ class ThermalState(_TimeLevels):
         return self.history[-1][2]
 
 
-def _heat_solver(grid: Grid1D, params: PhysicalParams, dt: float, eta: float):
-    """rhs -> theta solving (m/dt + ell - eta*Lap_h) theta = rhs.
+def _heat_matrix(grid: Grid1D, params: PhysicalParams, dt: float, eta: float):
+    """(diag, lower, upper) of the heat operator m/dt + ell - eta*Lap_h.
 
-    The operator is strictly diagonally dominant and fixed by (grid,
-    params, dt, eta), so it is factored once; without the factorization
-    every solve goes through _thomas.
+    Strictly diagonally dominant with margin m/dt + ell, and fixed by
+    (grid, params, dt, eta): a coupled run factors it once, while the
+    public steppers, one step per call, solve it once with _thomas.
     """
     dx2 = grid.dx * grid.dx
     diag = np.full(grid.N, params.m / dt + params.ell + 2.0 * eta / dx2)
     off = np.full(grid.N - 1, -eta / dx2)
-    lu = _FactoredTridiagonal(diag, off, off)
-    return lu.solve if lu.factored else partial(_thomas, diag, off, off)
+    return diag, off, off
 
 
 def _cattaneo_weights(params: PhysicalParams, dt: float) -> tuple[float, float]:
@@ -209,7 +207,7 @@ def fourier_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    solve = _heat_solver(theta.grid, params, dt, params.kappa_a)
+    solve = partial(_thomas, *_heat_matrix(theta.grid, params, dt, params.kappa_a))
     new_vals = _fourier_update(f_next.values, (params.m / dt) * theta.values, solve)
     return NodeField(theta.grid, new_vals)
 
@@ -247,7 +245,7 @@ def cattaneo_step(
     grid = state.grid
     q = state.q.values
     w_div_q = w * _difference_quotient(q, grid.dx) if w != 0.0 else None
-    solve = _heat_solver(grid, params, dt, eta)
+    solve = partial(_thomas, *_heat_matrix(grid, params, dt, eta))
     theta_new = _cattaneo_update(
         f_next.values, (params.m / dt) * state.theta.values, w_div_q, solve
     )
