@@ -287,10 +287,15 @@ def load_config(text: str) -> SimConfig:
     if stride < 1:
         raise ValidationError("time.output_stride", "must be at least 1")
     n_steps = _step_count(T, dt, "time.T")
+    snap_steps = set()
     for i, s in enumerate(snap):
         key = f"time.snapshot_times[{i}]"
-        if not 0 <= _step_count(s, dt, key) <= n_steps:
+        step = _step_count(s, dt, key)
+        if not 0 <= step <= n_steps:
             raise ValidationError(key, "must lie in [0, time.T]")
+        if step in snap_steps:
+            raise ValidationError(key, f"falls on step {step} like an earlier entry")
+        snap_steps.add(step)
     time_cfg = TimeConfig(T=T, dt=dt, output_stride=stride, snapshot_times=snap)
 
     picard_sec = _require(doc, "", "picard", dict, optional=True, default={})

@@ -23,6 +23,7 @@ k <= k1 = beta_acous / (rho * h_floor) used by the non-degeneracy guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,8 +215,12 @@ def q_source(params: PhysicalParams, p_t: NodeField) -> NodeField:
 
 def _absorbed_power(params: PhysicalParams, p_t: np.ndarray) -> np.ndarray:
     """Raw values of q_source."""
-    coeff = 2.0 * params.b / (params.rho_a * params.C_a**4)
-    return coeff * p_t * p_t
+    return _absorption(params) * p_t * p_t
+
+
+def _absorption(params: PhysicalParams) -> float:
+    """The factor 2b/(rho_a C_a^4) of Q."""
+    return 2.0 * params.b / (params.rho_a * params.C_a**4)
 
 
 def _invalid_taus(taus) -> list:
@@ -226,8 +231,24 @@ def _invalid_taus(taus) -> list:
 def validate_params(params: PhysicalParams, model: SpeedOfSoundModel) -> list[str]:
     """Collect every violated invariant by name; empty list means ok."""
     errors = params.validate() + model.validate()
-    if not errors:
-        k1 = model.k1(params)
-        if not (np.isfinite(k1) and k1 > 0.0):
-            errors.append("k1 = beta_acous/(rho*h_floor) must be finite and positive")
+    if errors:
+        return errors
+    # the derived constants the run divides by or multiplies with
+    positive = [
+        ("k1 = beta_acous/(rho*h_floor)", lambda: model.k1(params)),
+        ("m = rho_a*C_a", lambda: params.m),
+        ("rho_a*C_a**4", lambda: params.rho_a * params.C_a**4),
+        ("2b/(rho_a*C_a**4)", lambda: _absorption(params)),
+    ]
+    if params.tau > 0.0:
+        positive.append(("tau*m", lambda: params.tau * params.m))
+    for name, constant in positive:
+        try:
+            value = constant()
+        except (OverflowError, ZeroDivisionError):  # Python floats raise where numpy gives inf
+            value = math.inf
+        if not (math.isfinite(value) and value > 0.0):
+            errors.append(f"{name} must be finite and positive")
+    if not math.isfinite(params.ell):
+        errors.append("ell = rho_b*C_b*W must be finite")
     return errors

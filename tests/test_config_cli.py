@@ -380,6 +380,46 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, params, constant",
+        [
+            ("simulate", "canonical.json", {"C_a": 1e80}, "rho_a*C_a**4"),
+            ("simulate", "canonical.json", {"C_a": 1e-100}, "rho_a*C_a**4"),
+            ("simulate", "canonical.json", {"C_a": 1e-80}, "2b/(rho_a*C_a**4)"),
+            ("simulate", "canonical.json", {"rho_b": 1e300, "C_b": 1e300}, "ell = rho_b*C_b*W"),
+            ("simulate", "canonical.json", {"rho": 1e-200}, "k1 = beta_acous/(rho*h_floor)"),
+            ("modes", "canonical.json", {"rho_a": 1e-200, "C_a": 1e-200}, "m = rho_a*C_a"),
+            ("modes", "modes.json", {"tau": 1e-200, "rho_a": 1e-200}, "tau*m"),
+        ],
+        ids=["C_a_pow4_overflows", "C_a_pow4_underflows", "Q_factor_overflows",
+             "ell_overflows", "k1_division_by_zero", "m_underflows", "tau_m_underflows"],
+    )
+    def test_out_of_range_derived_constant_exits_2(
+        self, tmp_path, capsys, command, config, params, constant
+    ):
+        # Each constant is finite and positive, but a product or quotient the
+        # run divides by or multiplies with is not (Python floats raise on
+        # C_a**4 overflow and on division by an underflowed 0).
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        doc["time"]["T"] = 0.01
+        doc["params"].update(params)
+        if "rho" in params:
+            doc["speed_model"]["h_floor"] = 1e-200
+        cfg = write_config(tmp_path, doc)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: params: ") and err.count("\n") == 1
+        assert f"{constant} must be finite" in err
+
+    def test_snapshot_times_on_one_step_exit_2(self, tmp_path, capsys):
+        # three snapshots asked for, one step: the run would write only one
+        doc = minimal_doc()
+        doc["time"]["snapshot_times"] = [0.005, 0.005, 0.0050000000001]
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "time.snapshot_times[1]: falls on step 5" in capsys.readouterr().err
+
     def test_picard_divergence_exit_code(self, tmp_path, capsys):
         doc = sine_doc()
         doc["picard"] = {"tol": 1e-15, "max_iter": 1, "gamma_bar": 0.5}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from thermoacoustic import coupling as coupling_mod
+from thermoacoustic import grid as grid_mod
 from thermoacoustic import heat as heat_mod
 from thermoacoustic.acoustics import Degenerate, assemble_coefficients
 from thermoacoustic.cli import timeseries_csv
@@ -28,6 +29,7 @@ from thermoacoustic.grid import (
     gradient_to_faces,
     laplacian_dirichlet,
 )
+from thermoacoustic.heat import ThermalState, cattaneo_step, fourier_step, fourier_thermal_step
 from thermoacoustic.model import FloorViolated, SpeedOfSoundModel, q_source
 from thermoacoustic.verification import (
     canonical_config,
@@ -357,6 +359,35 @@ def test_copied_state_gets_its_own_workspace_buffers():
         for x, y in ((a.acoustic.v, b.acoustic.v), (a.thermal.theta, b.thermal.theta),
                      (a.thermal.q, b.thermal.q)):
             assert x.values.tobytes() == y.values.tobytes()
+
+
+def test_only_a_run_factors_the_heat_operator(monkeypatch):
+    # A run factors its heat operator once and solves it at every Picard
+    # iterate; a public stepper solves it once per call, where factoring
+    # first would cost more than it saves.
+    if grid_mod._GTTRF is None:
+        pytest.skip("numpy ships no bundled OpenBLAS here")
+    calls = []
+    gttrf = grid_mod._GTTRF
+
+    def spy(*args):
+        calls.append(1)
+        return gttrf(*args)
+
+    monkeypatch.setattr(grid_mod, "_GTTRF", spy)
+    simulate(canonical_config(T=0.01))
+    assert len(calls) == 1
+    tau_sweep(canonical_config(T=0.01), tau_list=(0.1, 0.05))
+    assert len(calls) == 1 + 3  # the reference and two members
+    grid = Grid1D(1.0, 16)
+    theta = NodeField(grid, np.sin(np.pi * grid.nodes()))
+    state = ThermalState.initial(theta, gradient_to_faces(theta) * -1.0)
+    for tau in (0.0, 0.1):
+        params = unit_params(tau=tau)
+        fourier_step(theta, theta, 1e-3, params)
+        fourier_thermal_step(state, theta, 1e-3, params)
+        cattaneo_step(state, theta, 1e-3, params)
+    assert len(calls) == 4
 
 
 _THERMAL_UPDATES = ("_fourier_update", "_fourier_flux", "_cattaneo_update", "_cattaneo_flux")

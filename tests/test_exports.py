@@ -1,6 +1,9 @@
-"""Every exported name resolves, so ``import *`` cannot break on a pruned name."""
+"""Every exported name resolves, so ``import *`` cannot break on a pruned
+name, and every imported name is used."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +28,30 @@ def test_exported_names_resolve(module_name):
     exec(f"from {module_name} import *", namespace)
     exported = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
     assert [name for name in exported if name not in namespace] == []
+
+
+_PROBED = "perfbench/probes.py wraps it"
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_import_is_used_or_exported(module_name):
+    # A name imported but never read is dead code left by a refactor.  The
+    # exception is a name imported only so that the benchmark's tracer can
+    # wrap it, marked on its import line.
+    module = importlib.import_module(module_name)
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported[name] = lines[alias.lineno - 1]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # without __all__ (the package itself) every public name is exported
+    used.update(getattr(module, "__all__", [n for n in imported if not n.startswith("_")]))
+    dead = [name for name, line in imported.items() if name not in used and _PROBED not in line]
+    assert dead == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from thermoacoustic import grid as grid_mod
+from thermoacoustic.acoustics import _westervelt_system
 from thermoacoustic.grid import (
     FaceField,
     Grid1D,
@@ -27,6 +29,8 @@ from thermoacoustic.grid import (
     laplacian_dirichlet,
     solve_tridiagonal,
 )
+from thermoacoustic.heat import _heat_matrix
+from thermoacoustic.verification import unit_params
 
 
 @pytest.fixture
@@ -443,6 +447,43 @@ def test_reused_gtsv_buffer_gives_the_loop_bytes():
         solutions.append((x, x.copy()))
     # each result is its own array, not a view of the reused buffer
     assert all(x.tobytes() == kept.tobytes() for x, kept in solutions)
+
+
+@st.composite
+def run_systems(draw):
+    """The two matrices a coupled run solves, each with a rhs: the Westervelt
+    matrix for alpha >= 1 - gamma_bar > 0, r >= h_floor > 0 and b > 0, and
+    the heat operator m/dt + ell - eta Lap_h.  Every scalar spans 16
+    decades, and alpha and r vary by up to 8 more across the nodes."""
+    magnitude = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+    n = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def nodal(scale):
+        return scale * 10.0 ** rng.uniform(-4.0, 4.0, n)
+
+    alpha, r = nodal(draw(magnitude)), nodal(draw(magnitude))
+    dt, dx, m, eta = (draw(magnitude) for _ in range(4))
+    # m = rho_a and ell = W in the unit medium
+    ell = draw(st.one_of(st.just(0.0), magnitude))
+    params = replace(unit_params(b=draw(magnitude)), rho_a=m, W=ell)
+    g, v, lap_p = (rng.standard_normal(n) * draw(magnitude) for _ in range(3))
+    westervelt = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx)
+    heat = _heat_matrix(Grid1D(dx * (n + 1), n), params, dt, eta)
+    return westervelt, (*heat, rng.standard_normal(n) * draw(magnitude))
+
+
+@given(run_systems())
+@settings(max_examples=300, deadline=None)
+def test_run_matrices_never_meet_a_vanishing_pivot(systems):
+    # Both matrices are strictly diagonally dominant by rows, with margins
+    # alpha/dt and m/dt + ell, so no solve of a run raises SingularSystem.
+    # _loop_reference raises SingularSystem on a vanishing pivot
+    westervelt, heat = systems
+    for system in (westervelt, heat):
+        assert _thomas(*system).tobytes() == _loop_reference(*system).tobytes()
+    factored = grid_mod._FactoredTridiagonal(*heat[:3]).solve(heat[3])
+    assert factored.tobytes() == _loop_reference(*heat).tobytes()
 
 
 # Finite values up to 1e300 in magnitude, with signed zeros and subnormals.
