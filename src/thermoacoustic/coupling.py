@@ -406,20 +406,17 @@ def _make_report(
     for k in range(min(th.depth, 3)):  # order k needs k + 1 stored levels
         e[k] = heat_energy(th, params, k)
         d[k] = heat_dissipation(th, params, k)
-    cal_e0 = cal_e1 = 0.0
+    cal_e0 = cal_e1 = ac_e2 = ac_e3 = 0.0
     if th.depth >= 3:
         cal_e0, cal_e1, _, _ = theta_higher_energy(th, params)
     if ac.depth >= 3:
         ac_e1, ac_e2, ac_e3, ac_total = acoustic_energy(ac, coeffs, params)
     else:
         ac_e1 = ac_total = _first_energy(ac.p, ac.v, coeffs)
-        ac_e2 = ac_e3 = 0.0
-    lam = frak_f = 0.0
-    heat_res = ac_res = 0.0
-    if coeffs_prev is not None:
+    lam = frak_f = heat_res = ac_res = 0.0
+    if coeffs_prev is not None:  # every row but step 0's, which has no f_next either
         lam, frak_f = coefficient_diagnostics(coeffs_prev, coeffs, th.dt)
         ac_res = acoustic_identity_residual(ac, coeffs_prev, coeffs, params)
-    if f_next is not None and th.depth >= 2:
         heat_res = heat_balance_residual(th, f_next, params)
     report = EnergyReport(
         t=state.t,

@@ -215,12 +215,8 @@ def q_source(params: PhysicalParams, p_t: NodeField) -> NodeField:
 
 def _absorbed_power(params: PhysicalParams, p_t: np.ndarray) -> np.ndarray:
     """Raw values of q_source."""
-    return _absorption(params) * p_t * p_t
-
-
-def _absorption(params: PhysicalParams) -> float:
-    """The factor 2b/(rho_a C_a^4) of Q."""
-    return 2.0 * params.b / (params.rho_a * params.C_a**4)
+    coeff = 2.0 * params.b / (params.rho_a * params.C_a**4)
+    return coeff * p_t * p_t
 
 
 def _invalid_taus(taus) -> list:
@@ -238,7 +234,7 @@ def validate_params(params: PhysicalParams, model: SpeedOfSoundModel) -> list[st
         ("k1 = beta_acous/(rho*h_floor)", lambda: model.k1(params)),
         ("m = rho_a*C_a", lambda: params.m),
         ("rho_a*C_a**4", lambda: params.rho_a * params.C_a**4),
-        ("2b/(rho_a*C_a**4)", lambda: _absorption(params)),
+        ("2b/(rho_a*C_a**4)", lambda: _absorbed_power(params, 1.0)),  # Q at p_t = 1
     ]
     if params.tau > 0.0:
         positive.append(("tau*m", lambda: params.tau * params.m))
