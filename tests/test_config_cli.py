@@ -403,7 +403,7 @@ class TestCli:
         doc = json.loads((CONFIG_DIR / config).read_text())
         doc["time"]["T"] = 0.01
         doc["params"].update(params)
-        if "rho" in params:
+        if "rho" in params:  # k1 divides by rho*h_floor, which then underflows to 0
             doc["speed_model"]["h_floor"] = 1e-200
         cfg = write_config(tmp_path, doc)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])

@@ -477,8 +477,8 @@ def run_systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_run_matrices_never_meet_a_vanishing_pivot(systems):
     # Both matrices are strictly diagonally dominant by rows, with margins
-    # alpha/dt and m/dt + ell, so no solve of a run raises SingularSystem.
-    # _loop_reference raises SingularSystem on a vanishing pivot
+    # alpha/dt and m/dt + ell, so no solve of a run raises SingularSystem
+    # (which _loop_reference would raise on a vanishing pivot).
     westervelt, heat = systems
     for system in (westervelt, heat):
         assert _thomas(*system).tobytes() == _loop_reference(*system).tobytes()
