@@ -294,8 +294,11 @@ class TestCli:
              "NodeField contains non-finite entries (first at index 0) at step 0, t=0"),
             ("mid_run_overflow",
              "report column E2 contains non-finite entries at step 2, t=0.002"),
+            ("derivative_overflow",
+             "NodeField contains non-finite entries (first at index 51) at step 1, t=0.0001"),
         ],
-        ids=["energy_overflow", "flux_overflow", "raw_source_overflow", "mid_run_overflow"],
+        ids=["energy_overflow", "flux_overflow", "raw_source_overflow", "mid_run_overflow",
+             "derivative_overflow"],
     )
     def test_nonfinite_exit_code_and_location(self, tmp_path, capsys, recwarn, case, where):
         doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
@@ -312,9 +315,23 @@ class TestCli:
                 "preset": "raw", "p0": [0.0] * n, "p1": [1e200] * n,
                 "theta0": [0.0] * n, "q0": [0.0] * (n + 1),
             }
-        else:
+        elif case == "mid_run_overflow":
             init["amplitude_theta"] = 1e152
             doc["time"]["output_stride"] = 1
+        else:
+            # The source Q(p_t) (C_a = 0.01 makes its factor 2e8) lifts theta
+            # to about 1e304 in step 1, so theta_t = (theta^1 - theta^0)/dt
+            # overflows in the row at ring depth 2, the first field built
+            # from it; a tiny kappa_a keeps q, and the per-step x-norm sums,
+            # small, and a tiny beta_acous keeps alpha near 1.
+            n = doc["grid"]["N"]
+            x = np.arange(1, n + 1) / (n + 1)
+            doc["params"].update(C_a=0.01, beta_acous=1e-300, kappa_a=1e-200)
+            doc["time"].update(dt=1e-4, output_stride=1)
+            doc["initial_data"] = {
+                "preset": "raw", "p0": [0.0] * n, "p1": (1e149 * np.sin(np.pi * x)).tolist(),
+                "theta0": [0.0] * n, "q0": [0.0] * (n + 1),
+            }
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])

@@ -11,8 +11,8 @@ from thermoacoustic import coupling as coupling_mod
 from thermoacoustic import grid as grid_mod
 from thermoacoustic import heat as heat_mod
 from thermoacoustic.acoustics import Degenerate, assemble_coefficients
-from thermoacoustic.cli import timeseries_csv
-from thermoacoustic.config import InitialData, initial_fields, make_grid
+from thermoacoustic.cli import snapshot_csv, timeseries_csv
+from thermoacoustic.config import InitialData, TimeConfig, initial_fields, make_grid
 from thermoacoustic.coupling import (
     CoupledState,
     PicardDiverged,
@@ -34,6 +34,7 @@ from thermoacoustic.model import FloorViolated, SpeedOfSoundModel, q_source
 from thermoacoustic.verification import (
     canonical_config,
     canonical_run,
+    lensing_config,
     lensing_sweep,
     unit_params,
     unit_speed_model,
@@ -445,7 +446,8 @@ def test_golden_outputs_bitwise():
     # Whole-run bitwise proof for refactors: digests of the canonical run,
     # the lensing-sweep reference, its four member runs and the sweep errors,
     # plus the histories and final fields of the canonical run, the
-    # reference and the tau = 0.1 member.
+    # reference and the tau = 0.1 member, and a stride-1 lensing run with
+    # snapshots.
     # They depend on the numpy build (summation order of np.dot/np.sum);
     # regenerate them only when a change is meant to alter the numbers.
     sweep = lensing_sweep()
@@ -489,3 +491,21 @@ def test_golden_outputs_bitwise():
     assert _sha256(repr((sweep.e_theta, sweep.e_p, sweep.e_pt))) == (
         "915e56307b6d676ad1407f08da09d7d2c167f602460204f01eaf8ecb8e5422b6"
     )
+    # A report row and an x-norm sample at every step, so the rows at ring
+    # depth 1 and 2 (steps 0 and 1) are pinned too; shaped like perfbench's
+    # dense_diagnostics workload.
+    dense = simulate(replace(
+        lensing_config(),
+        time=TimeConfig(T=0.05, dt=1e-3, output_stride=1,
+                        snapshot_times=(0.0, 0.001, 0.002, 0.025, 0.05)),
+    ))
+    assert len(dense.reports) == 51 and len(dense.snapshots) == 5
+    assert {
+        "timeseries": _sha256(timeseries_csv(dense)),
+        "snapshots": _sha256("".join(snapshot_csv(s) for s in dense.snapshots)),
+        "x_norms": _sha256(repr(dense.x_norms)),
+    } == {
+        "timeseries": "ba2fd595fb9c0f3223b2867d732e41ed1483a3ca305db9e18fac4ec9a4596dcb",
+        "snapshots": "9375d9b723b02d70a75596a6dc5749952f71b8e4c631fbce63554e29d4405d55",
+        "x_norms": "d056517cc1c8a537c8b0cba22869d7bf458012c303e7055289f9bcd51617ca66",
+    }
