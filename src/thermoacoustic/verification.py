@@ -47,6 +47,7 @@ from .grid import (
     FaceField,
     Grid1D,
     NodeField,
+    NonFinite,
     divergence_from_faces,
     gradient_to_faces,
     l2_inner,
@@ -190,8 +191,9 @@ def mode_run(
 
     numeric projects theta onto sin(mode_k pi x / L); oracle is the telegraph
     amplitude from T0 with T0' = -ell T0 / m (the first equation at t = 0).
-    Fourier step at tau = 0, Cattaneo otherwise.  The single-mode driver of
-    mode_study, the modes subcommand and demo 02.
+    Fourier step at tau = 0, Cattaneo otherwise; a non-finite value (bb*bb of
+    the oracle can overflow) raises a located NonFinite.  The single-mode
+    driver of mode_study, the modes subcommand and demo 02.
     """
     grid = theta0.grid
     shape = NodeField(grid, np.sin(mode_k * np.pi * grid.nodes() / grid.L))
@@ -201,10 +203,14 @@ def mode_run(
     step = fourier_thermal_step if params.tau == 0.0 else cattaneo_step
     zero_f = grid.zero_node_field()
     state = ThermalState.initial(theta0, grid.zero_face_field())
-    for _ in range(n_steps):
+    for n in range(1, n_steps + 1):
         state = step(state, zero_f, dt, params)
         numeric = l2_inner(state.theta, shape) / shape_sq
-        yield state, numeric, telegraph_mode_oracle(params, lam, T0, T0dot, state.t)
+        oracle = telegraph_mode_oracle(params, lam, T0, T0dot, state.t)
+        for column, value in (("numeric", numeric), ("oracle", oracle)):
+            if not math.isfinite(value):
+                raise NonFinite(f"modes column {column}", step=n, time=state.t)
+        yield state, numeric, oracle
 
 
 @dataclass(frozen=True)

@@ -467,6 +467,22 @@ class TestCli:
             "5610a3699d39d7923c31abf24c9503e640575c6e09e9f1d49e5b297315463a13"
         )
 
+    def test_modes_nonfinite_oracle_exits_8(self, tmp_path, capsys, recwarn):
+        # Every derived constant is finite, but bb = m + tau*ell overflows in
+        # the telegraph oracle, which then returns nan from the first step on.
+        doc = json.loads((CONFIG_DIR / "modes.json").read_text())
+        doc["time"]["T"] = 0.01
+        doc["params"].update(tau=1e300, W=1e10)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["modes", "--config", cfg, "--out", str(out), "--quiet"]) == 8
+        assert capsys.readouterr().err == (
+            "non-finite values: modes column oracle contains non-finite entries"
+            " at step 1, t=0.001\n"
+        )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "modes.csv").exists()
+
     def test_modes_subcommand_fourier_limit(self, tmp_path, monkeypatch):
         import thermoacoustic.verification as verification
 
