@@ -35,16 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    NodeField,
-    _face_extend,
-    _thomas,
-    gradient_to_faces,
-    interior_gradient,
-    l2_inner,
-    l2_norm,
-    laplacian_dirichlet,
-)
+from .grid import NodeField, _thomas, laplacian_dirichlet
 from .heat import _TimeLevels
 from .model import PhysicalParams, SpeedOfSoundModel, _k_of_h, h_eval
 
@@ -97,10 +88,6 @@ class AcousticState(_TimeLevels):
     def second_derivative(self) -> NodeField:
         """p_tt by second differences over the stored levels."""
         return NodeField(self.grid, self._difference(1, 2))
-
-    def third_derivative(self) -> NodeField:
-        """p_ttt as the second difference of the stored velocities."""
-        return NodeField(self.grid, self._difference(2, 2))
 
 
 @dataclass(frozen=True)
@@ -199,15 +186,6 @@ def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx):
     return diag, -stencil[1:], -stencil[:-1], rhs
 
 
-def _first_energy(p: NodeField, v: NodeField, coeffs: FrozenCoefficients) -> float:
-    """E1 = 1/2 (||sqrt(alpha) v||^2 + ||sqrt(r) grad p||^2) of one time level."""
-    dx = p.grid.dx
-    a_term = dx * float(np.dot(coeffs.alpha.values * v.values, v.values))
-    grad_p = gradient_to_faces(p).values
-    r_faces = _face_extend(coeffs.r.values)
-    return 0.5 * (a_term + dx * float(np.dot(r_faces * grad_p, grad_p)))
-
-
 def acoustic_identity_residual(
     state: AcousticState,
     coeffs_prev: FrozenCoefficients,
@@ -227,22 +205,8 @@ def acoustic_identity_residual(
     residual is the backward-Euler defect and vanishes at rate O(dt) on
     smooth runs; the spatial part cancels exactly by summation by parts.
     """
-    dt = state.dt  # InsufficientHistory below 2 stored levels
-    (_, p0, v0), (_, p1, v1) = state.history[-2:]
-    dx = state.grid.dx
+    from .energy import _Row  # deferred: energy imports this module
 
-    lhs = (_first_energy(p1, v1, coeffs_next) - _first_energy(p0, v0, coeffs_prev)) / dt
-    lhs += params.b * l2_norm(gradient_to_faces(v1)) ** 2
-
-    alpha_t = (coeffs_next.alpha.values - coeffs_prev.alpha.values) / dt
-    r_t = (coeffs_next.r.values - coeffs_prev.r.values) / dt
-    grad_p1 = gradient_to_faces(p1).values
-    rhs = l2_inner(coeffs_next.g, v1)
-    rhs += 0.5 * dx * float(np.dot(alpha_t, v1.values * v1.values))
-    # grad r lives only on interior faces (r does not vanish on the boundary);
-    # v is interpolated to the same face midpoints.
-    grad_r = interior_gradient(coeffs_next.r)
-    rhs -= dx * float(np.dot(grad_r * grad_p1[1:-1], _face_extend(v1.values)[1:-1]))
-    r_t_faces = _face_extend(r_t)
-    rhs += 0.5 * dx * float(np.dot(r_t_faces, grad_p1 * grad_p1))
-    return abs(lhs - rhs)
+    row = _Row(ac=state, levels=2)
+    e1 = row.first_energy(coeffs_next, row.v, row.grad_p)
+    return row.identity_residual(coeffs_prev, coeffs_next, params, e1)

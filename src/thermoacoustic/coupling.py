@@ -36,25 +36,13 @@ from .acoustics import (
     FrozenCoefficients,
     _coefficients,
     _degeneracy_threshold,
-    _first_energy,
     _frozen,
     _westervelt_system,
-    acoustic_identity_residual,
     assemble_coefficients,
     check_nondegeneracy,
     westervelt_linear_step,  # not called here; perfbench/probes.py wraps it
 )
-from .energy import (
-    TIMESERIES_COLUMNS,
-    EnergyReport,
-    XNormAccumulator,
-    acoustic_energy,
-    coefficient_diagnostics,
-    heat_balance_residual,
-    heat_dissipation,
-    heat_energy,
-    theta_higher_energy,
-)
+from .energy import TIMESERIES_COLUMNS, EnergyReport, XNormAccumulator, coefficient_diagnostics
 from .grid import (
     FaceField,
     Grid1D,
@@ -65,7 +53,7 @@ from .grid import (
     _FactoredTridiagonal,
     _LapackBuffer,
     _l2,
-    _require_finite,
+    _check_arrays,
     _thomas,
     gradient_to_faces,
     l2_norm,  # not called here; perfbench/probes.py wraps it
@@ -252,12 +240,6 @@ class CoupledState:
         )
 
 
-def _check_arrays(*arrays: tuple[str, np.ndarray]) -> None:
-    """Raise the NonFinite of the first (kind, values) pair with a bad entry."""
-    for kind, values in arrays:
-        _require_finite(kind, values)
-
-
 def coupled_step(
     state: CoupledState,
     dt: float,
@@ -316,11 +298,11 @@ def coupled_step(
             coeff_arrays = (("NodeField", alpha), ("NodeField", r), ("NodeField", g))
             alpha_min = float(alpha.min())
             if alpha_min < threshold:
-                _check_arrays(*coeff_arrays)
+                _check_arrays(coeff_arrays)
                 raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
             system = _westervelt_system(alpha, r, g, v_n, lap_p_n, dt, params, dx)
             if not math.isfinite(np.dot(system[0], system[3])):
-                _check_arrays(*coeff_arrays, ("FaceField", grad_p_n), ("NodeField", lap_p_n))
+                _check_arrays(coeff_arrays + (("FaceField", grad_p_n), ("NodeField", lap_p_n)))
             v_new = _thomas(*system, ws.gtsv)
             p_new = p_n + dt * v_new
             f_next = _absorbed_power(params, v_new)
@@ -333,11 +315,11 @@ def coupled_step(
             d = _l2(diffs[0], dx) + _l2(diffs[1], dx) + _l2(diffs[2], dx)
             scale = _l2(p_new, dx) + _l2(v_new, dx) + _l2(theta_new, dx)
             if not (math.isfinite(d) and math.isfinite(scale)):
-                _check_arrays(
+                _check_arrays((
                     ("NodeField", p_new), ("NodeField", v_new), ("NodeField", f_next),
                     ("NodeField", theta_new), ("FaceField", flux(theta_new)),
                     *(("NodeField", diff) for diff in diffs),
-                )
+                ))
             distances.append(d)
             p_star, v_star, theta_star = p_new, v_new, theta_new
             converged = d <= picard_tol * (1.0 + scale)
@@ -398,40 +380,35 @@ class SimulationResult:
 def _make_report(
     state: CoupledState,
     coeffs_prev: FrozenCoefficients | None,
-    f_next: NodeField | None,
+    f_next: np.ndarray | None,
     params: PhysicalParams,
+    row,
 ) -> EnergyReport:
+    """The report of an output row, read from the _Row of its x-norm sample."""
     th, ac, coeffs = state.thermal, state.acoustic, state.coeffs_last
     e, d = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
     for k in range(min(th.depth, 3)):  # order k needs k + 1 stored levels
-        e[k] = heat_energy(th, params, k)
-        d[k] = heat_dissipation(th, params, k)
-    cal_e0 = cal_e1 = ac_e2 = ac_e3 = 0.0
-    if th.depth >= 3:
-        cal_e0, cal_e1, _, _ = theta_higher_energy(th, params)
-    if ac.depth >= 3:
-        ac_e1, ac_e2, ac_e3, ac_total = acoustic_energy(ac, coeffs, params)
-    else:
-        ac_e1 = ac_total = _first_energy(ac.p, ac.v, coeffs)
+        e[k], d[k] = row.heat(params, k)
+    cal_e0, cal_e1 = row.theta_higher(params)[:2] if th.depth >= 3 else (0.0, 0.0)
+    ac_e1, ac_e2, ac_e3, ac_total = row.acoustic(coeffs, params)
     lam = frak_f = heat_res = ac_res = 0.0
     if coeffs_prev is not None:  # every row but step 0's, which has no f_next either
+        # the fields the report's own functions built: Q(v), grad g, grad p_prev
+        row.chains += [(f_next, 0, None), (coeffs.g.values, 1, None),
+                       (ac.history[-2][1].values, 1, None)]
         lam, frak_f = coefficient_diagnostics(coeffs_prev, coeffs, th.dt)
-        ac_res = acoustic_identity_residual(ac, coeffs_prev, coeffs, params)
-        heat_res = heat_balance_residual(th, f_next, params)
+        ac_res = row.identity_residual(coeffs_prev, coeffs, params, ac_e1)
+        heat_res = row.heat_residual(f_next, params)
     report = EnergyReport(
-        t=state.t,
-        E0=e[0], E1=e[1], E2=e[2], E_tau=e[0] + e[1] + e[2],
-        D0=d[0], D1=d[1], D2=d[2],
-        cal_E0=cal_e0, cal_E1=cal_e1,
-        acE1=ac_e1, acE2=ac_e2, acE3=ac_e3, acE_total=ac_total,
-        lam=lam, frak_f=frak_f,
-        alpha_min=coeffs.alpha_min,
-        picard_iters=state.picard_iterations_last,
-        heat_residual=heat_res,
-        acoustic_residual=ac_res,
+        t=state.t, E0=e[0], E1=e[1], E2=e[2], E_tau=e[0] + e[1] + e[2],
+        D0=d[0], D1=d[1], D2=d[2], cal_E0=cal_e0, cal_E1=cal_e1,
+        acE1=ac_e1, acE2=ac_e2, acE3=ac_e3, acE_total=ac_total, lam=lam, frak_f=frak_f,
+        alpha_min=coeffs.alpha_min, picard_iters=state.picard_iterations_last,
+        heat_residual=heat_res, acoustic_residual=ac_res,
     )
     for column, value in zip(TIMESERIES_COLUMNS, report.row()):
         if not math.isfinite(value):
+            _check_arrays(row.fields())
             raise NonFinite(f"report column {column}")
     return report
 
@@ -487,10 +464,10 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
                 dists.append(state.picard_distances_last)
                 xacc.accumulate_step(state.acoustic, state.thermal)
             if n % stride == 0 or n == n_steps:
-                xacc.sample_output(state.acoustic, state.thermal)
+                row = xacc.sample_output(state.acoustic, state.thermal)
                 # step 0 has no source yet: Q(p1) is first formed by step 1
-                f_next = q_source(params, state.acoustic.v) if n >= 1 else None
-                reports.append(_make_report(state, coeffs_prev, f_next, params))
+                f_next = _absorbed_power(params, state.acoustic.v.values) if n >= 1 else None
+                reports.append(_make_report(state, coeffs_prev, f_next, params, row))
                 theta_series.append(state.thermal.theta.values.copy())
                 p_series.append(state.acoustic.p.values.copy())
                 v_series.append(state.acoustic.v.values.copy())

@@ -40,6 +40,13 @@ would be wrong for them.  Third spatial derivatives (grad Lap p) use the
 composite stencil Lap_h then grad_h and are first-order accurate only;
 Lambda and E3 are reported as diagnostics, never asserted against a priori
 bounds, whose hidden constants are not computable.
+
+An output row of simulate is one pass over raw arrays: _Row forms each time
+difference, stencil and L2 norm once, sample_output and the report read it,
+and the public functions are thin wrappers over its formulas.  No field is
+validated on the way: a non-finite norm or report column re-checks the
+arrays in the order the field-based diagnostics built them (x-norm samples,
+Q(v), grad g, grad p of the previous level), so the same NonFinite results.
 """
 
 from __future__ import annotations
@@ -49,22 +56,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .acoustics import AcousticState, FrozenCoefficients, _first_energy
+from .acoustics import AcousticState, FrozenCoefficients
 from .grid import (
-    FaceField,
     NodeField,
     _difference_quotient,
     _dirichlet_gradient,
     _face_extend,
+    _check_arrays,
     _l2,
-    _laplacian,
-    gradient_to_faces,
-    interior_gradient,
-    l2_inner,
-    l2_norm,
-    laplacian_dirichlet,
+    _quadrature_dot,
 )
-from .heat import ThermalState, reconstruct_time_derivatives
+from .heat import InsufficientHistory, ThermalState
 from .model import PhysicalParams
 
 __all__ = [
@@ -87,48 +89,147 @@ def _l3_norm(values: np.ndarray, dx: float) -> float:
     return (dx * float(np.sum(np.abs(values) ** 3))) ** (1.0 / 3.0)
 
 
-def _level_e0(theta: NodeField, q: FaceField, params: PhysicalParams) -> float:
-    return 0.5 * (
-        params.m * params.kappa_a * l2_norm(theta) ** 2 + params.tau * l2_norm(q) ** 2
-    )
+def _stencils(u: np.ndarray, dx: float, order: int):
+    """Yield grad u, Lap u = div grad u, grad Lap u, ... (order of them)."""
+    for k in range(order):
+        u = (_dirichlet_gradient if k % 2 == 0 else _difference_quotient)(u, dx)
+        yield u
 
 
-def _level_d0(theta: NodeField, q: FaceField, params: PhysicalParams) -> float:
-    return params.ell * params.kappa_a * l2_norm(theta) ** 2 + l2_norm(q) ** 2
+def _chain_fields(chains, dx: float):
+    """(kind, values) of each chain (u, order, flux): u, flux, order stencils of u."""
+    for u, order, flux in chains:
+        yield "NodeField", u
+        if flux is not None:
+            yield "FaceField", flux
+        yield from zip(("FaceField", "NodeField", "FaceField"), _stencils(u, dx, order))
+
+
+_LEVELS = {0: ("theta", "q"), 1: ("theta_t", "q_t"), 2: ("theta_tt", "q_tt"),
+           "prev": ("theta_prev", "q_prev")}
+
+
+class _Row:
+    """Each time difference, stencil and L2 norm of one time level, computed
+    once from the raw arrays of the history rings (one may be None, one must
+    hold ``levels`` levels); its methods are the state diagnostics' formulas.
+    Arrays: p, v, theta, q, theta_prev, q_prev, as deep as the rings allow
+    p_tt, theta_t, q_t, theta_tt, q_tt, their stencils grad_, lap_, grad_lap_
+    as far as read; ``n``: their norms.  A stencil the field-based samples
+    built but nothing reads overflows only from an entry above 1.3e154 of
+    the array below (for dx > 1.5e-154), whose norm then overflows too."""
+
+    def __init__(self, ac: AcousticState | None = None, th: ThermalState | None = None,
+                 levels: int = 1) -> None:
+        ring = ac or th
+        if ring.depth < levels:
+            raise InsufficientHistory(f"need {levels} stored levels, have {ring.depth}")
+        self.ac, self.th, self.dx = ac, th, ring.grid.dx
+        chains = []  # (name, array, stencils read, stencils its field had, flux name)
+        if ac is not None:
+            chains += [("p", ac.p.values, 3, 3, None), ("v", ac.v.values, 2, 3, None)]
+            if ac.depth >= 3:
+                chains.append(("p_tt", ac._difference(1, 2), 1, 1, None))
+        if th is not None:
+            chains.append(("theta", th.theta.values, 2, 3, None))
+            self.q = th.q.values
+            if th.depth >= 2:
+                self.theta_prev, self.q_prev = (f.values for f in th.history[-2][1:])
+                self.q_t = th._difference(2, 1)
+                chains.append(("theta_t", th._difference(1, 1), 1, 3, "q_t"))
+            if th.depth >= 3:
+                self.q_tt = th._difference(2, 2)
+                chains.append(("theta_tt", th._difference(1, 2), 0, 0, "q_tt"))
+        for name, u, read, _, _ in chains:
+            setattr(self, name, u)
+            for prefix, values in zip(("grad_", "lap_", "grad_lap_"), _stencils(u, self.dx, read)):
+                setattr(self, prefix + name, values)
+        self.chains = [(u, had, flux and getattr(self, flux)) for _, u, _, had, flux in chains]
+        self.n = {k: _l2(a, self.dx) for k, a in vars(self).items() if isinstance(a, np.ndarray)}
+
+    def fields(self):
+        """(kind, values) of the row's chains, in the field-based diagnostics' order."""
+        return _chain_fields(self.chains, self.dx)
+
+    def heat(self, params: PhysicalParams, k=0) -> tuple[float, float]:
+        """(E_k, D_k) of time order k = 0, 1, 2, or (E_0, D_0) of the level before ("prev")."""
+        theta, q = _LEVELS[k]
+        theta_sq, q_sq = self.n[theta] ** 2, self.n[q] ** 2
+        e = 0.5 * (params.m * params.kappa_a * theta_sq + params.tau * q_sq)
+        return e, params.ell * params.kappa_a * theta_sq + q_sq
+
+    def theta_higher(self, params: PhysicalParams) -> tuple[float, float, float, float]:
+        n = self.n
+        sq_sum = n["theta"] ** 2 + n["theta_t"] ** 2 + n["theta_tt"] ** 2
+        grad, grad_t, lap = n["grad_theta"] ** 2, n["grad_theta_t"] ** 2, n["lap_theta"] ** 2
+        m, ell, kappa, tau = params.m, params.ell, params.kappa_a, params.tau
+        cal_e0 = 0.5 * m * kappa * sq_sum
+        cal_e1 = 0.5 * (m + tau * ell) * grad + kappa * grad_t + kappa * lap
+        cal_d0 = ell * kappa * sq_sum
+        cal_d1 = ell * grad + kappa * grad_t + kappa * lap
+        return cal_e0, cal_e1, cal_d0, cal_d1
+
+    def heat_residual(self, f: np.ndarray, params: PhysicalParams) -> float:
+        e_old, _ = self.heat(params, "prev")
+        e_new, d_new = self.heat(params)
+        work = params.kappa_a * _quadrature_dot(f, self.theta, self.dx)
+        return abs((e_new - e_old) / self.th.dt + d_new - work)
+
+    def first_energy(self, coeffs: FrozenCoefficients, v, grad_p, r_faces=None) -> float:
+        """E1 = 1/2 (||sqrt(alpha) v||^2 + ||sqrt(r) grad p||^2) of a level."""
+        r_faces = _face_extend(coeffs.r.values) if r_faces is None else r_faces
+        a_term = self.dx * float(np.dot(coeffs.alpha.values * v, v))
+        return 0.5 * (a_term + self.dx * float(np.dot(r_faces * grad_p, grad_p)))
+
+    def acoustic(self, coeffs: FrozenCoefficients, params: PhysicalParams) -> tuple:
+        """(E1, E2, E3, total); E1 only, with zeros, below 3 stored levels."""
+        dx, grad_v, r_faces = self.dx, self.grad_v, _face_extend(coeffs.r.values)
+        e1 = self.first_energy(coeffs, self.v, self.grad_p, r_faces)
+        if self.ac.depth < 3:
+            return e1, 0.0, 0.0, e1
+        e2 = 0.5 * (
+            dx * float(np.dot(coeffs.alpha.values * self.p_tt, self.p_tt))
+            + dx * float(np.dot(r_faces * grad_v, grad_v))
+            + params.b * self.n["lap_p"] ** 2
+        )
+        e3 = 0.5 * params.b * (self.n["grad_p_tt"] ** 2 + self.n["grad_lap_p"] ** 2)
+        return e1, e2, e3, e1 + e2 + e3
+
+    def identity_residual(self, coeffs_prev, coeffs, params: PhysicalParams, e1: float) -> float:
+        """acoustics.acoustic_identity_residual, given E1 of the newest level."""
+        dt = self.ac.dt  # InsufficientHistory below 2 stored levels
+        dx, v, grad_p = self.dx, self.v, self.grad_p
+        _, p0, v0 = self.ac.history[-2]
+        e1_old = self.first_energy(coeffs_prev, v0.values, _dirichlet_gradient(p0.values, dx))
+        lhs = (e1 - e1_old) / dt
+        lhs += params.b * self.n["grad_v"] ** 2
+        alpha_t = (coeffs.alpha.values - coeffs_prev.alpha.values) / dt
+        r_t = (coeffs.r.values - coeffs_prev.r.values) / dt
+        rhs = dx * float(np.dot(coeffs.g.values, v))
+        rhs += 0.5 * dx * float(np.dot(alpha_t, v * v))
+        # grad r lives only on interior faces (r does not vanish on the
+        # boundary); v is interpolated to the same face midpoints.
+        grad_r = _difference_quotient(coeffs.r.values, dx)
+        rhs -= dx * float(np.dot(grad_r * grad_p[1:-1], _face_extend(v)[1:-1]))
+        rhs += 0.5 * dx * float(np.dot(_face_extend(r_t), grad_p * grad_p))
+        return abs(lhs - rhs)
 
 
 def heat_energy(state: ThermalState, params: PhysicalParams, k: int) -> float:
     """E_k of the current level; time derivatives from the history ring."""
-    if k == 0:
-        return _level_e0(state.theta, state.q, params)
-    dtheta, dq = reconstruct_time_derivatives(state, k)
-    return _level_e0(dtheta, dq, params)
+    return _Row(th=state, levels=k + 1).heat(params, k)[0]
 
 
 def heat_dissipation(state: ThermalState, params: PhysicalParams, k: int) -> float:
     """D_k of the current level."""
-    if k == 0:
-        return _level_d0(state.theta, state.q, params)
-    dtheta, dq = reconstruct_time_derivatives(state, k)
-    return _level_d0(dtheta, dq, params)
+    return _Row(th=state, levels=k + 1).heat(params, k)[1]
 
 
 def theta_higher_energy(
     state: ThermalState, params: PhysicalParams
 ) -> tuple[float, float, float, float]:
     """(cal_E0, cal_E1, cal_D0, cal_D1); needs 3 stored levels for theta_tt."""
-    theta_t, _ = reconstruct_time_derivatives(state, 1)
-    theta_tt, _ = reconstruct_time_derivatives(state, 2)
-    sq_sum = l2_norm(state.theta) ** 2 + l2_norm(theta_t) ** 2 + l2_norm(theta_tt) ** 2
-    grad = l2_norm(gradient_to_faces(state.theta)) ** 2
-    grad_t = l2_norm(gradient_to_faces(theta_t)) ** 2
-    lap = l2_norm(laplacian_dirichlet(state.theta)) ** 2
-    m, ell, kappa, tau = params.m, params.ell, params.kappa_a, params.tau
-    cal_e0 = 0.5 * m * kappa * sq_sum
-    cal_e1 = 0.5 * (m + tau * ell) * grad + kappa * grad_t + kappa * lap
-    cal_d0 = ell * kappa * sq_sum
-    cal_d1 = ell * grad + kappa * grad_t + kappa * lap
-    return cal_e0, cal_e1, cal_d0, cal_d1
+    return _Row(th=state, levels=3).theta_higher(params)
 
 
 def heat_balance_residual(
@@ -142,35 +243,14 @@ def heat_balance_residual(
     smooth runs and matches the scalar modal defect exactly on single-mode
     runs.
     """
-    dt = state.dt  # InsufficientHistory below 2 stored levels
-    (_, th0, q0), (_, th1, q1) = state.history[-2:]
-    e_old = _level_e0(th0, q0, params)
-    e_new = _level_e0(th1, q1, params)
-    d_new = _level_d0(th1, q1, params)
-    work = params.kappa_a * l2_inner(f_next, th1)
-    return abs((e_new - e_old) / dt + d_new - work)
+    return _Row(th=state, levels=2).heat_residual(f_next.values, params)
 
 
 def acoustic_energy(
     state: AcousticState, coeffs: FrozenCoefficients, params: PhysicalParams
 ) -> tuple[float, float, float, float]:
     """(E1, E2, E3, total); E2 and E3 need p_tt, hence 3 stored levels."""
-    dx = state.grid.dx
-    e1 = _first_energy(state.p, state.v, coeffs)
-    p_tt = state.second_derivative()
-    r_faces = _face_extend(coeffs.r.values)
-    grad_v = gradient_to_faces(state.v).values
-    lap_p = laplacian_dirichlet(state.p)
-    e2 = 0.5 * (
-        dx * float(np.dot(coeffs.alpha.values * p_tt.values, p_tt.values))
-        + dx * float(np.dot(r_faces * grad_v, grad_v))
-        + params.b * l2_norm(lap_p) ** 2
-    )
-    e3 = 0.5 * params.b * (
-        l2_norm(gradient_to_faces(p_tt)) ** 2
-        + l2_norm(gradient_to_faces(lap_p)) ** 2
-    )
-    return e1, e2, e3, e1 + e2 + e3
+    return _Row(ac=state, levels=3).acoustic(coeffs, params)
 
 
 def coefficient_diagnostics(
@@ -179,48 +259,20 @@ def coefficient_diagnostics(
     """(Lambda, F) from two consecutive coefficient levels."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid = coeffs_next.alpha.grid
-    dx = grid.dx
-    exponent = 4.0 / (4.0 - _SPATIAL_DIM)
-
+    dx, exponent = coeffs_next.alpha.grid.dx, 4.0 / (4.0 - _SPATIAL_DIM)
     alpha_t = (coeffs_next.alpha.values - coeffs_prev.alpha.values) / dt
     r_t = (coeffs_next.r.values - coeffs_prev.r.values) / dt
     g_t = (coeffs_next.g.values - coeffs_prev.g.values) / dt
-
-    alpha_t_l2 = math.sqrt(dx * float(np.dot(alpha_t, alpha_t)))
-    r_t_l2 = math.sqrt(dx * float(np.dot(r_t, r_t)))
-    grad_r = interior_gradient(coeffs_next.r)
-    grad_alpha = interior_gradient(coeffs_next.alpha)
-    grad_r_l2_sq = dx * float(np.dot(grad_r, grad_r))
-
+    alpha_t_l2, r_t_l2 = _l2(alpha_t, dx), _l2(r_t, dx)
+    grad_r = _difference_quotient(coeffs_next.r.values, dx)
+    grad_alpha = _difference_quotient(coeffs_next.alpha.values, dx)
     lam = (
-        alpha_t_l2**2
-        + alpha_t_l2**exponent
-        + r_t_l2**exponent
-        + grad_r_l2_sq
-        + _l3_norm(r_t, dx) ** 2
-        + _l3_norm(alpha_t, dx) ** 2
-        + _l3_norm(grad_r, dx) ** 2
-        + _l3_norm(grad_alpha, dx) ** 2
+        alpha_t_l2**2 + alpha_t_l2**exponent + r_t_l2**exponent
+        + dx * float(np.dot(grad_r, grad_r)) + _l3_norm(r_t, dx) ** 2
+        + _l3_norm(alpha_t, dx) ** 2 + _l3_norm(grad_r, dx) ** 2 + _l3_norm(grad_alpha, dx) ** 2
     )
-    grad_g = gradient_to_faces(coeffs_next.g)
-    frak_f = l2_norm(grad_g) ** 2 + dx * float(np.dot(g_t, g_t))
-    return lam, frak_f
-
-
-def _h_norms(u: NodeField) -> tuple[float, float, float, float]:
-    """(||u||, |u|_H1, |u|_H2, |u|_H3) seminorm ladder via the composite stencils."""
-    n0 = l2_norm(u)
-    n1 = l2_norm(gradient_to_faces(u))
-    lap = laplacian_dirichlet(u)
-    n2 = l2_norm(lap)
-    n3 = l2_norm(gradient_to_faces(lap))
-    return n0, n1, n2, n3
-
-
-def _sobolev(u: NodeField, order: int) -> float:
-    parts = _h_norms(u)[: order + 1]
-    return math.sqrt(sum(p * p for p in parts))
+    grad_g = _dirichlet_gradient(coeffs_next.g.values, dx)
+    return lam, _l2(grad_g, dx) ** 2 + dx * float(np.dot(g_t, g_t))
 
 
 class XNormAccumulator:
@@ -243,62 +295,56 @@ class XNormAccumulator:
 
     def __init__(self, dt: float) -> None:
         self.dt = dt
-        self._sup = {"p_h3": 0.0, "pt_h2": 0.0, "ptt_grad": 0.0,
-                     "theta_h2": 0.0, "thetat_h1": 0.0, "thetatt": 0.0,
-                     "q_h1": 0.0}
-        self._int = {"grad_lap_pt": 0.0, "lap_ptt": 0.0, "pttt": 0.0,
-                     "qt": 0.0, "qtt": 0.0}
+        self._sup = dict.fromkeys(
+            ("p_h3", "pt_h2", "ptt_grad", "theta_h2", "thetat_h1", "thetatt", "q_h1"), 0.0
+        )
+        self._int = dict.fromkeys(("grad_lap_pt", "lap_ptt", "pttt", "qt", "qtt"), 0.0)
 
     def accumulate_step(self, ac: AcousticState, th: ThermalState) -> None:
-        """Add the L2-in-time contributions of the newest accepted level.
-
-        Works on the raw history arrays.  A sum that turns non-finite
-        rebuilds the derivative fields in order, so a non-finite one raises
-        its NonFinite.
-        """
+        """Add the L2-in-time contributions of the newest accepted level, from
+        raw arrays; a non-finite sum re-checks them in their field order."""
         dt, dx, acc = self.dt, ac.grid.dx, self._int
         if ac.depth >= 2:
-            grad_lap = _dirichlet_gradient(_laplacian(ac.v.values, dx), dx)
-            acc["grad_lap_pt"] += dt * _l2(grad_lap, dx) ** 2
+            *_, grad_lap_v = _stencils(ac.v.values, dx, 3)
+            acc["grad_lap_pt"] += dt * _l2(grad_lap_v, dx) ** 2
         if ac.depth >= 3:
-            acc["lap_ptt"] += dt * _l2(_laplacian(ac._difference(1, 2), dx), dx) ** 2
+            *_, lap_p_tt = _stencils(ac._difference(1, 2), dx, 2)
+            acc["lap_ptt"] += dt * _l2(lap_p_tt, dx) ** 2
             acc["pttt"] += dt * _l2(ac._difference(2, 2), dx) ** 2
         if th.depth >= 2:
             acc["qt"] += dt * _l2(th._difference(2, 1), dx) ** 2
         if th.depth >= 3:
             acc["qtt"] += dt * _l2(th._difference(2, 2), dx) ** 2
         if not math.isfinite(sum(acc.values())):
-            if ac.depth >= 2:
-                gradient_to_faces(laplacian_dirichlet(ac.v))
+            chains = [(ac.v.values, 3, None)] if ac.depth >= 2 else []
             if ac.depth >= 3:
-                laplacian_dirichlet(ac.second_derivative())
-                ac.third_derivative()
-            if th.depth >= 2:
-                reconstruct_time_derivatives(th, 1)
-            if th.depth >= 3:
-                reconstruct_time_derivatives(th, 2)
+                chains += [(ac._difference(1, 2), 2, None), (ac._difference(2, 2), 0, None)]
+            for k in range(1, th.depth):
+                chains.append((th._difference(1, k), 0, th._difference(2, k)))
+            _check_arrays(_chain_fields(chains, dx))
 
-    def sample_output(self, ac: AcousticState, th: ThermalState) -> None:
-        """Refresh the sup-in-time terms at an output time."""
-        sup = self._sup
-        sup["p_h3"] = max(sup["p_h3"], _sobolev(ac.p, 3))
-        sup["pt_h2"] = max(sup["pt_h2"], _sobolev(ac.v, 2))
+    def sample_output(self, ac: AcousticState, th: ThermalState) -> _Row:
+        """Refresh the sup-in-time terms at an output time and return the
+        _Row they were read from; a non-finite norm re-checks its fields."""
+        row = _Row(ac, th)
+        n, q_deriv = row.n, _difference_quotient(row.q, row.dx)
+        samples = {
+            "p_h3": _h_norm(n["p"], n["grad_p"], n["lap_p"], n["grad_lap_p"]),
+            "pt_h2": _h_norm(n["v"], n["grad_v"], n["lap_v"]),
+            "theta_h2": _h_norm(n["theta"], n["grad_theta"], n["lap_theta"]),
+            "q_h1": math.sqrt(n["q"] ** 2 + row.dx * float(np.dot(q_deriv, q_deriv))),
+        }
         if ac.depth >= 3:
-            sup["ptt_grad"] = max(
-                sup["ptt_grad"], l2_norm(gradient_to_faces(ac.second_derivative()))
-            )
-        sup["theta_h2"] = max(sup["theta_h2"], _sobolev(th.theta, 2))
+            samples["ptt_grad"] = n["grad_p_tt"]
         if th.depth >= 2:
-            theta_t, _ = reconstruct_time_derivatives(th, 1)
-            sup["thetat_h1"] = max(sup["thetat_h1"], _sobolev(theta_t, 1))
+            samples["thetat_h1"] = _h_norm(n["theta_t"], n["grad_theta_t"])
         if th.depth >= 3:
-            theta_tt, _ = reconstruct_time_derivatives(th, 2)
-            sup["thetatt"] = max(sup["thetatt"], l2_norm(theta_tt))
-        q_deriv = _difference_quotient(th.q.values, th.grid.dx)
-        q_h1 = math.sqrt(
-            l2_norm(th.q) ** 2 + th.grid.dx * float(np.dot(q_deriv, q_deriv))
-        )
-        sup["q_h1"] = max(sup["q_h1"], q_h1)
+            samples["thetatt"] = n["theta_tt"]
+        if not math.isfinite(sum(n.values())):
+            _check_arrays(row.fields())
+        for key, value in samples.items():
+            self._sup[key] = max(self._sup[key], value)
+        return row
 
     def norms(self) -> tuple[float, float, float]:
         s, i = self._sup, self._int
@@ -309,6 +355,11 @@ class XNormAccumulator:
         x_theta = s["theta_h2"] + s["thetat_h1"] + s["thetatt"]
         x_q = s["q_h1"] + math.sqrt(i["qt"]) + math.sqrt(i["qtt"])
         return x_p, x_theta, x_q
+
+
+def _h_norm(*norms: float) -> float:
+    """sqrt of the sum of squares of a seminorm ladder ||u||, |u|_H1, ..."""
+    return math.sqrt(sum(n * n for n in norms))
 
 
 def gronwall_bound(

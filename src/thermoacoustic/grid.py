@@ -126,6 +126,12 @@ def _require_finite(what: str, values: np.ndarray) -> None:
         raise NonFinite(what, int(np.argmin(finite)))
 
 
+def _check_arrays(arrays) -> None:
+    """Raise the NonFinite of the first (kind, values) pair with a bad entry."""
+    for kind, values in arrays:
+        _require_finite(kind, values)
+
+
 class _Field:
     """Shared machinery of NodeField / FaceField: validation and arithmetic."""
 
@@ -216,11 +222,6 @@ def _face_extend(node_values: np.ndarray) -> np.ndarray:
     out[1:-1] *= 0.5
     out[-1] = node_values[-1]
     return out
-
-
-def _laplacian(values: np.ndarray, dx: float) -> np.ndarray:
-    """Node values of the 3-point Laplacian: the divergence of the gradient."""
-    return _difference_quotient(_dirichlet_gradient(values, dx), dx)
 
 
 def gradient_to_faces(u: NodeField) -> FaceField:

@@ -10,9 +10,22 @@ import pytest
 from thermoacoustic import coupling as coupling_mod
 from thermoacoustic import grid as grid_mod
 from thermoacoustic import heat as heat_mod
-from thermoacoustic.acoustics import Degenerate, assemble_coefficients
+from thermoacoustic.acoustics import (
+    Degenerate,
+    acoustic_identity_residual,
+    assemble_coefficients,
+)
 from thermoacoustic.cli import snapshot_csv, timeseries_csv
 from thermoacoustic.config import InitialData, TimeConfig, initial_fields, make_grid
+from thermoacoustic.energy import (
+    XNormAccumulator,
+    acoustic_energy,
+    coefficient_diagnostics,
+    heat_balance_residual,
+    heat_dissipation,
+    heat_energy,
+    theta_higher_energy,
+)
 from thermoacoustic.coupling import (
     CoupledState,
     PicardDiverged,
@@ -415,6 +428,74 @@ def test_tau_zero_path_runs_its_own_update(monkeypatch, force_cattaneo):
     assert calls[f"{used}_update"] == sum(result.picard_iters_per_step)
     assert calls[f"{used}_flux"] == len(result.picard_iters_per_step) == 10
     assert calls[f"{unused}_update"] == calls[f"{unused}_flux"] == 0
+
+
+def _dense_lensing(T=0.05):
+    return replace(lensing_config(), time=TimeConfig(T=T, dt=1e-3, output_stride=1))
+
+
+def test_output_rows_build_no_fields(monkeypatch):
+    # The diagnostics of a row run on raw arrays: a run builds the 7 fields
+    # of each accepted step (p, v, theta, q and the frozen alpha, r, g) plus
+    # those of its set-up, whatever the output stride.  _make_report and
+    # sample_output, which perfbench times, run once per output row.
+    calls = Counter()
+    init = grid_mod._Field.__init__
+
+    def counting_init(self, grid, values):
+        calls["fields"] += 1
+        init(self, grid, values)
+
+    monkeypatch.setattr(grid_mod._Field, "__init__", counting_init)
+    for owner, name in ((coupling_mod, "_make_report"), (XNormAccumulator, "sample_output")):
+        original = getattr(owner, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    result = simulate(_dense_lensing())
+    assert len(result.reports) == 51
+    assert calls["_make_report"] == calls["sample_output"] == 51
+    assert calls["fields"] <= 7 * 50 + 10
+
+
+def test_public_diagnostics_equal_report_columns(monkeypatch):
+    # Each public diagnostic function and the report of simulate read the
+    # same formulas, so their values agree bit for bit on every row.
+    rows = []
+    original = coupling_mod._make_report
+
+    def capture(state, coeffs_prev, f_next, params, row):
+        report = original(state, coeffs_prev, f_next, params, row)
+        rows.append((state, coeffs_prev, f_next, report))
+        return report
+
+    monkeypatch.setattr(coupling_mod, "_make_report", capture)
+    config = _dense_lensing(T=0.005)
+    params = config.params
+    simulate(config)
+    assert len(rows) == 6
+
+    def same(a, b):
+        assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+    for state, coeffs_prev, f_next, report in rows:
+        th, ac, coeffs = state.thermal, state.acoustic, state.coeffs_last
+        for k in range(th.depth):
+            same(heat_energy(th, params, k), (report.E0, report.E1, report.E2)[k])
+            same(heat_dissipation(th, params, k), (report.D0, report.D1, report.D2)[k])
+        if th.depth == 3:
+            same(theta_higher_energy(th, params)[:2], (report.cal_E0, report.cal_E1))
+            same(acoustic_energy(ac, coeffs, params),
+                 (report.acE1, report.acE2, report.acE3, report.acE_total))
+        if coeffs_prev is not None:
+            same(coefficient_diagnostics(coeffs_prev, coeffs, th.dt), (report.lam, report.frak_f))
+            same(acoustic_identity_residual(ac, coeffs_prev, coeffs, params),
+                 report.acoustic_residual)
+            same(heat_balance_residual(th, NodeField(th.grid, f_next), params),
+                 report.heat_residual)
 
 
 def test_report_energy_sums_are_exact():
