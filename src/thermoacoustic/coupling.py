@@ -48,12 +48,12 @@ from .grid import (
     Grid1D,
     NodeField,
     NonFinite,
+    _check_arrays,
     _difference_quotient,
     _dirichlet_gradient,
     _FactoredTridiagonal,
     _LapackBuffer,
     _l2,
-    _check_arrays,
     _thomas,
     gradient_to_faces,
     l2_norm,  # not called here; perfbench/probes.py wraps it

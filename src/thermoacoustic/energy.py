@@ -59,10 +59,10 @@ import numpy as np
 from .acoustics import AcousticState, FrozenCoefficients
 from .grid import (
     NodeField,
+    _check_arrays,
     _difference_quotient,
     _dirichlet_gradient,
     _face_extend,
-    _check_arrays,
     _l2,
     _quadrature_dot,
 )
