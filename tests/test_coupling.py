@@ -461,6 +461,23 @@ def test_output_rows_build_no_fields(monkeypatch):
     assert calls["fields"] <= 7 * 50 + 10
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="lambda, frakF and acoustic_residual pair the previous output row's "
+    "coefficients with one step's dt and the ring's previous level (README, "
+    "Known limitations); the fix changes recorded CSV bytes",
+)
+def test_report_row_does_not_depend_on_output_stride():
+    config = canonical_config(T=0.1)
+    rows = {}
+    for stride in (1, 10):
+        run = simulate(replace(config, time=replace(config.time, output_stride=stride)))
+        rows[stride] = next(r for r in run.reports if r.t == pytest.approx(0.05))
+    assert rows[1].heat_residual == rows[10].heat_residual  # the ring only: agrees today
+    for column in ("lam", "frak_f", "acoustic_residual"):
+        assert getattr(rows[1], column) == getattr(rows[10], column), column
+
+
 def test_public_diagnostics_equal_report_columns(monkeypatch):
     # Each public diagnostic function and the report of simulate read the
     # same formulas, so their values agree bit for bit on every row.
