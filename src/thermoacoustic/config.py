@@ -1,20 +1,23 @@
 """Strict JSON run configuration.
 
-The schema is flat and normative; unknown keys are rejected outright
-because physics configs die silently otherwise (a typoed parameter name
-must not fall back to a default).  JSON is used for its unambiguous typing
-of numeric arrays.
+The section dataclasses are the schema: a section holds the fields of its
+dataclass under their names, each read by its annotation (float, int, str
+or an array of numbers), and a field is optional exactly when it has a
+default.  Unknown keys are rejected outright because physics configs die
+silently otherwise (a typoed parameter name must not fall back to a
+default); load_config adds the rules that relate values.  JSON is used for
+its unambiguous typing of numeric arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .grid import FaceField, Grid1D, NodeField, gradient_to_faces
+from .grid import FaceField, Grid1D, NodeField, _normal_spacing, gradient_to_faces
 from .model import PhysicalParams, SpeedOfSoundModel, _invalid_taus, validate_params
 
 __all__ = [
@@ -105,45 +108,72 @@ class SimConfig:
     seed: int = 0
 
 
-def _require(section: dict, path: str, key: str, kind, *, optional=False, default=None):
-    if key not in section:
-        if optional:
-            return default
-        raise ValidationError(f"{path}.{key}" if path else key, "required")
-    value = section.pop(key)
-    full = f"{path}.{key}" if path else key
-    if kind is float:
-        return _number(value, full)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(full, "must be an integer")
+def _of_type(kind, what: str):
+    """Reader of a JSON value of one type; true and false are not numbers."""
+    def read(value, key: str):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValidationError(key, f"must be {what}")
         return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValidationError(full, "must be a string")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ValidationError(full, "must be an array")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ValidationError(full, "must be an object")
-        return value
-    raise AssertionError(kind)
+    return read
+
+
+_real = _of_type((int, float), "a number")
+_integer = _of_type(int, "an integer")
+_object = _of_type(dict, "an object")
+_array = _of_type(list, "an array")
 
 
 def _number(value, key: str) -> float:
     """A finite JSON number; json.loads accepts NaN and Infinity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(key, "must be a number")
     try:
-        number = float(value)
+        number = float(_real(value, key))
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
-    if not math.isfinite(number):
-        raise ValidationError(key, "must be finite")
+    _reject(key, not math.isfinite(number) and "must be finite")
     return number
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(_array(value, key)))
+
+
+# the reader of a field, by its annotation stripped of "| None" and "[...]"
+_READERS = {"float": _number, "int": _integer, "str": _of_type(str, "a string"),
+            "tuple": _numbers}
+
+
+def _take(section: dict, key: str, read, default=MISSING):
+    """read() the entry of section that the dotted key ends in, else default."""
+    name = key.rpartition(".")[2]
+    if name in section:
+        return read(section.pop(name), key)
+    if default is MISSING:
+        raise ValidationError(key, "required")
+    return default
+
+
+def _section(doc: dict, name: str, cls, **checks):
+    """cls from the object doc[name], read field by field in declaration order.
+
+    The key of a field is its name and its annotation picks the reader; a
+    field with a default is optional and gets that default when absent, and
+    a section whose fields all have defaults may be absent.  checks[field]
+    runs on a value as soon as it is read and returns a falsy value or why
+    the value is wrong, so the first fault of a document is the one reported.
+    """
+    specs = fields(cls)
+    optional = all(f.default is not MISSING for f in specs)
+    section = _take(doc, name, _object, {} if optional else MISSING)
+    values = {}
+    for f in specs:
+        if f.name in section or f.default is MISSING:
+            key = f"{name}.{f.name}"
+            read = _READERS[f.type.removesuffix(" | None").split("[")[0]]
+            value = values[f.name] = _take(section, key, read)
+            if f.name in checks:
+                _reject(key, checks[f.name](value))
+    _reject_unknown(section, name)
+    return cls(**values)
 
 
 def _tau_ladder_problem(taus) -> str | None:
@@ -160,10 +190,6 @@ def _tau_ladder_problem(taus) -> str | None:
     return None
 
 
-def _number_list(values, path: str) -> tuple[float, ...]:
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(values))
-
-
 def _step_count(value: float, dt: float, key: str) -> int:
     """value / dt, which must be an integer to within 1e-9 relative."""
     steps = value / dt
@@ -178,10 +204,16 @@ def _reject_unknown(section: dict, path: str) -> None:
         raise UnknownKey(f"{path}.{key}" if path else key)
 
 
-_PARAM_KEYS = (
-    "rho_a", "C_a", "rho_b", "C_b", "W", "kappa_a", "b", "rho",
-    "beta_acous", "theta_a", "tau",
-)
+def _reject(key: str, reason) -> None:
+    """Raise ValidationError(key, reason) unless reason is falsy; the rules
+    pass `violated and reason`."""
+    if reason:
+        raise ValidationError(key, reason)
+
+
+def _length(n: int):
+    return lambda values: len(values) != n and f"must have length {n}"
+
 
 _PRESETS = ("zero", "sine", "gaussian", "raw")
 
@@ -195,135 +227,62 @@ def load_config(text: str) -> SimConfig:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
 
-    grid_sec = _require(doc, "", "grid", dict)
-    L = _require(grid_sec, "grid", "L", float)
-    N = _require(grid_sec, "grid", "N", int)
-    _reject_unknown(grid_sec, "grid")
-    if N < 2:
-        raise ValidationError("grid.N", "must be at least 2")
-    if L <= 0:
-        raise ValidationError("grid.L", "must be positive")
-    grid = GridConfig(L=L, N=N)
+    grid = _section(doc, "grid", GridConfig)
+    N = grid.N
+    _reject("grid.N", N < 2 and "must be at least 2")
+    _reject("grid.L", grid.L <= 0 and "must be positive")
+    _reject("grid.L", not _normal_spacing(grid.L, N)
+            and "too small or too large for grid.N: (L/(N+1))**2 must be a normal float")
 
-    param_sec = _require(doc, "", "params", dict)
-    values = {k: _require(param_sec, "params", k, float) for k in _PARAM_KEYS}
-    _reject_unknown(param_sec, "params")
-    params = PhysicalParams(**values)
-
-    model_sec = _require(doc, "", "speed_model", dict)
-    coeffs = _number_list(
-        _require(model_sec, "speed_model", "coeffs", list), "speed_model.coeffs"
+    params = _section(doc, "params", PhysicalParams)
+    model = _section(
+        doc, "speed_model", SpeedOfSoundModel,
+        coeffs=lambda coeffs: not coeffs and "must not be empty",
+        growth_exponents=lambda growth: len(growth) != 2 and "must have exactly 2 entries",
     )
-    if not coeffs:
-        raise ValidationError("speed_model.coeffs", "must not be empty")
-    h_floor = _require(model_sec, "speed_model", "h_floor", float)
-    growth = _require(
-        model_sec, "speed_model", "growth_exponents", list, optional=True
+    _reject("params", "; ".join(validate_params(params, model)))
+
+    init = _section(
+        doc, "initial_data", InitialData,
+        preset=lambda name: name not in _PRESETS and f"must be one of {', '.join(_PRESETS)}",
+        p0=_length(N), p1=_length(N), theta0=_length(N), q0=_length(N + 1),
     )
-    if growth is not None:
-        growth = _number_list(growth, "speed_model.growth_exponents")
-        if len(growth) != 2:
-            raise ValidationError(
-                "speed_model.growth_exponents", "must have exactly 2 entries"
-            )
-    _reject_unknown(model_sec, "speed_model")
-    model = SpeedOfSoundModel(coeffs=coeffs, h_floor=h_floor, growth_exponents=growth)
+    for key in ("p0", "p1", "theta0", "q0"):
+        _reject(f"initial_data.{key}", init.preset == "raw" and getattr(init, key) is None
+                and "required for the raw preset")
+    _reject("initial_data.width", init.preset == "gaussian" and init.width is not None
+            and init.width <= 0 and "must be positive")
+    _reject("initial_data.mode_k", init.mode_k < 1 and "must be at least 1")
+    # sin(k pi x / L) with k > N is zero to rounding at every node
+    _reject("initial_data.mode_k", init.mode_k > N and "must be at most grid.N")
 
-    problems = validate_params(params, model)
-    if problems:
-        raise ValidationError("params", "; ".join(problems))
-
-    init_sec = _require(doc, "", "initial_data", dict)
-    preset = _require(init_sec, "initial_data", "preset", str)
-    if preset not in _PRESETS:
-        raise ValidationError(
-            "initial_data.preset", f"must be one of {', '.join(_PRESETS)}"
-        )
-    amplitude_p = _require(init_sec, "initial_data", "amplitude_p", float,
-                           optional=True, default=0.0)
-    amplitude_theta = _require(init_sec, "initial_data", "amplitude_theta", float,
-                               optional=True, default=0.0)
-    mode_k = _require(init_sec, "initial_data", "mode_k", int,
-                      optional=True, default=1)
-    center = _require(init_sec, "initial_data", "center", float, optional=True)
-    width = _require(init_sec, "initial_data", "width", float, optional=True)
-    raw = {}
-    for key, length in (("p0", N), ("p1", N), ("theta0", N), ("q0", N + 1)):
-        arr = _require(init_sec, "initial_data", key, list, optional=True)
-        if arr is not None:
-            arr = _number_list(arr, f"initial_data.{key}")
-            if len(arr) != length:
-                raise ValidationError(
-                    f"initial_data.{key}", f"must have length {length}"
-                )
-        raw[key] = arr
-    _reject_unknown(init_sec, "initial_data")
-    if preset == "raw":
-        for key in ("p0", "p1", "theta0", "q0"):
-            if raw[key] is None:
-                raise ValidationError(
-                    f"initial_data.{key}", "required for the raw preset"
-                )
-    if preset == "gaussian" and width is not None and width <= 0:
-        raise ValidationError("initial_data.width", "must be positive")
-    if mode_k < 1:
-        raise ValidationError("initial_data.mode_k", "must be at least 1")
-    init = InitialData(
-        preset=preset, amplitude_p=amplitude_p, amplitude_theta=amplitude_theta,
-        mode_k=mode_k, center=center, width=width, **raw,
-    )
-
-    time_sec = _require(doc, "", "time", dict)
-    T = _require(time_sec, "time", "T", float)
-    dt = _require(time_sec, "time", "dt", float)
-    stride = _require(time_sec, "time", "output_stride", int, optional=True, default=1)
-    snap = _require(time_sec, "time", "snapshot_times", list, optional=True, default=[])
-    snap = _number_list(snap, "time.snapshot_times")
-    _reject_unknown(time_sec, "time")
-    if T < 0:
-        raise ValidationError("time.T", "must be nonnegative")
-    if dt <= 0:
-        raise ValidationError("time.dt", "must be positive")
-    if stride < 1:
-        raise ValidationError("time.output_stride", "must be at least 1")
-    n_steps = _step_count(T, dt, "time.T")
+    time_cfg = _section(doc, "time", TimeConfig)
+    dt = time_cfg.dt
+    _reject("time.T", time_cfg.T < 0 and "must be nonnegative")
+    _reject("time.dt", dt <= 0 and "must be positive")
+    _reject("time.output_stride", time_cfg.output_stride < 1 and "must be at least 1")
+    n_steps = _step_count(time_cfg.T, dt, "time.T")
     snap_steps = set()
-    for i, s in enumerate(snap):
+    for i, s in enumerate(time_cfg.snapshot_times):
         key = f"time.snapshot_times[{i}]"
         step = _step_count(s, dt, key)
-        if not 0 <= step <= n_steps:
-            raise ValidationError(key, "must lie in [0, time.T]")
-        if step in snap_steps:
-            raise ValidationError(key, f"falls on step {step} like an earlier entry")
+        _reject(key, not 0 <= step <= n_steps and "must lie in [0, time.T]")
+        _reject(key, step in snap_steps and f"falls on step {step} like an earlier entry")
         snap_steps.add(step)
-    time_cfg = TimeConfig(T=T, dt=dt, output_stride=stride, snapshot_times=snap)
 
-    picard_sec = _require(doc, "", "picard", dict, optional=True, default={})
-    tol = _require(picard_sec, "picard", "tol", float, optional=True, default=1e-10)
-    max_iter = _require(picard_sec, "picard", "max_iter", int, optional=True, default=25)
-    gamma_bar = _require(picard_sec, "picard", "gamma_bar", float,
-                         optional=True, default=0.5)
-    _reject_unknown(picard_sec, "picard")
-    if tol <= 0:
-        raise ValidationError("picard.tol", "must be positive")
-    if max_iter < 1:
-        raise ValidationError("picard.max_iter", "must be at least 1")
-    if not 0.0 < gamma_bar < 1.0:
-        raise ValidationError("picard.gamma_bar", "must lie in (0, 1)")
-    picard = PicardConfig(tol=tol, max_iter=max_iter, gamma_bar=gamma_bar)
+    picard = _section(doc, "picard", PicardConfig)
+    _reject("picard.tol", picard.tol <= 0 and "must be positive")
+    _reject("picard.max_iter", picard.max_iter < 1 and "must be at least 1")
+    _reject("picard.gamma_bar", not 0.0 < picard.gamma_bar < 1.0 and "must lie in (0, 1)")
 
-    sweep_sec = _require(doc, "", "sweep", dict, optional=True)
+    sweep = _take(doc, "sweep", _object, None)
     sweep_taus = None
-    if sweep_sec is not None:
-        sweep_taus = _number_list(
-            _require(sweep_sec, "sweep", "tau_list", list), "sweep.tau_list"
-        )
-        _reject_unknown(sweep_sec, "sweep")
-        problem = _tau_ladder_problem(sweep_taus)
-        if problem:
-            raise ValidationError("sweep.tau_list", problem)
+    if sweep is not None:
+        sweep_taus = _take(sweep, "sweep.tau_list", _numbers)
+        _reject_unknown(sweep, "sweep")
+        _reject("sweep.tau_list", _tau_ladder_problem(sweep_taus))
 
-    seed = _require(doc, "", "seed", int, optional=True, default=0)
+    seed = _take(doc, "seed", _integer, SimConfig.seed)
     _reject_unknown(doc, "")
 
     return SimConfig(

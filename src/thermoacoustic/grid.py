@@ -29,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,15 @@ class SingularSystem(ArithmeticError):
     """Tridiagonal elimination met a vanishing pivot."""
 
 
+def _normal_spacing(L: float, N: int) -> bool:
+    """Whether dx*dx is a normal float; the stencils divide by it."""
+    try:
+        dx = L / (N + 1)
+    except OverflowError:  # N beyond the float range
+        return False
+    return sys.float_info.min <= dx * dx < math.inf
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform staggered grid on (0, L) with N interior nodes.
@@ -94,6 +104,8 @@ class Grid1D:
             raise ValueError(f"need at least 2 interior nodes, got N={self.N}")
         if not self.L > 0.0:
             raise ValueError(f"domain length must be positive, got L={self.L}")
+        if not _normal_spacing(self.L, self.N):
+            raise ValueError(f"dx*dx must be a normal float, got L={self.L}, N={self.N}")
 
     @property
     def dx(self) -> float:

@@ -191,9 +191,10 @@ def mode_run(
 
     numeric projects theta onto sin(mode_k pi x / L); oracle is the telegraph
     amplitude from T0 with T0' = -ell T0 / m (the first equation at t = 0).
-    Fourier step at tau = 0, Cattaneo otherwise; a non-finite value (bb*bb of
-    the oracle can overflow) raises a located NonFinite.  The single-mode
-    driver of mode_study, the modes subcommand and demo 02.
+    Fourier step at tau = 0, Cattaneo otherwise; a non-finite field or value
+    (bb*bb of the oracle can overflow) raises a NonFinite located at its
+    step, without a numpy warning.  The single-mode driver of mode_study, the
+    modes subcommand and demo 02.
     """
     grid = theta0.grid
     shape = NodeField(grid, np.sin(mode_k * np.pi * grid.nodes() / grid.L))
@@ -204,8 +205,12 @@ def mode_run(
     zero_f = grid.zero_node_field()
     state = ThermalState.initial(theta0, grid.zero_face_field())
     for n in range(1, n_steps + 1):
-        state = step(state, zero_f, dt, params)
-        numeric = l2_inner(state.theta, shape) / shape_sq
+        try:
+            with np.errstate(all="ignore"):
+                state = step(state, zero_f, dt, params)
+                numeric = l2_inner(state.theta, shape) / shape_sq
+        except NonFinite as exc:
+            raise exc.located(n, state.t + dt) from None
         oracle = telegraph_mode_oracle(params, lam, T0, T0dot, state.t)
         for column, value in (("numeric", numeric), ("oracle", oracle)):
             if not math.isfinite(value):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,28 @@ class TestLoadConfig:
         with pytest.raises(ValidationError) as err:
             load_config(json.dumps(doc))
         assert err.value.key == "initial_data.q0"
+
+    @pytest.mark.parametrize(
+        "section, fields, message",
+        [
+            ("speed_model", {"coeffs": [], "h_floor": "x"},
+             "speed_model.coeffs: must not be empty"),
+            ("speed_model", {"growth_exponents": [1.0], "zz": 0},
+             "speed_model.growth_exponents: must have exactly 2 entries"),
+            ("initial_data", {"preset": "sawtooth", "amplitude_p": "x", "zz": 0},
+             "initial_data.preset: must be one of zero, sine, gaussian, raw"),
+            ("initial_data", {"preset": "raw", "p0": [0.0], "q0": "x"},
+             "initial_data.p0: must have length 16"),
+        ],
+        ids=["empty_coeffs", "growth_exponents_length", "unknown_preset", "raw_length"],
+    )
+    def test_value_rule_fires_before_later_keys_are_read(self, section, fields, message):
+        # these rules judge one value as soon as it is read, so a document
+        # with a later fault in the same section still reports them first
+        doc = minimal_doc()
+        doc[section].update(fields)
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            load_config(json.dumps(doc))
 
     def test_sweep_must_decrease_strictly(self):
         doc = minimal_doc(sweep={"tau_list": [0.1, 0.1]})
@@ -386,9 +409,12 @@ class TestCli:
             ("grid", "L", 10**400),
             ("speed_model", "growth_exponents", [1.0]),
             ("speed_model", "growth_exponents", [1.0, 2.0, 3.0]),
+            ("initial_data", "mode_k", 10**400),
+            ("initial_data", "mode_k", 17),
         ],
         ids=["tau_nan", "dt_infinite", "T_off_grid", "snapshot_past_T", "L_huge_integer",
-             "growth_exponents_one", "growth_exponents_three"],
+             "growth_exponents_one", "growth_exponents_three", "mode_k_huge_integer",
+             "mode_k_above_N"],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, section, key, value):
         doc = minimal_doc()
@@ -428,6 +454,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: params: ") and err.count("\n") == 1
         assert f"{constant} must be finite" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "limit-sweep", "modes"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("L", 1e-200), ("L", 1e-160), ("L", 1e-155), ("L", 1e160), ("mode_k", 10**400),
+         ("mode_k", 129)],
+        ids=["L_1e-200", "L_1e-160", "L_1e-155", "L_1e160", "mode_k_huge_integer",
+             "mode_k_N_plus_1"],
+    )
+    def test_grid_spacing_and_mode_out_of_range_exit_2(
+        self, tmp_path, capsys, command, key, value
+    ):
+        # N = 128: below L ~ 1.9e-152 dx*dx is no longer a normal float (the
+        # stencils divided by 0 or overflowed), above L ~ 1.7e156 it
+        # overflows; a mode above N is zero to rounding at every node.
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"]["T"] = 0.005
+        if key == "L":
+            doc["grid"]["L"] = value
+            if command != "modes":
+                doc["initial_data"] = {"preset": "zero"}
+            name = "grid.L"
+        else:
+            doc["initial_data"]["mode_k"] = value
+            name = "initial_data.mode_k"
+        cfg = write_config(tmp_path, doc)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {name}: ") and err.count("\n") == 1
 
     def test_snapshot_times_on_one_step_exit_2(self, tmp_path, capsys):
         # three snapshots asked for, one step: the run would write only one
@@ -478,6 +534,23 @@ class TestCli:
         assert main(["modes", "--config", cfg, "--out", str(out), "--quiet"]) == 8
         assert capsys.readouterr().err == (
             "non-finite values: modes column oracle contains non-finite entries"
+            " at step 1, t=0.001\n"
+        )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "modes.csv").exists()
+
+    def test_modes_step_overflow_exits_8_located(self, tmp_path, capsys, recwarn):
+        # m/dt = 1e303 is finite, but (m/dt) theta overflows in the first
+        # Cattaneo step: one located line on stderr, no numpy warning.
+        doc = json.loads((CONFIG_DIR / "modes.json").read_text())
+        doc["time"]["T"] = 0.01
+        doc["params"]["rho_a"] = 1e300
+        doc["initial_data"]["amplitude_theta"] = 1e160
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["modes", "--config", cfg, "--out", str(out), "--quiet"]) == 8
+        assert capsys.readouterr().err == (
+            "non-finite values: NodeField contains non-finite entries (first at index 0)"
             " at step 1, t=0.001\n"
         )
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -55,6 +55,22 @@ class TestGridBasics:
         with pytest.raises(ValueError):
             Grid1D(1.0, 1)
 
+    @pytest.mark.parametrize(
+        "L", [1e-200, math.nextafter(2.0 ** -511 * 3, 0.0), 2.0 ** 512 * 3, 1e300]
+    )
+    def test_spacing_whose_square_is_not_normal_rejected(self, L):
+        # dx*dx underflows below the normal range or overflows: the stencils
+        # divide by it
+        with pytest.raises(ValueError, match=r"dx\*dx"):
+            Grid1D(L, 2)
+
+    def test_spacing_at_the_ends_of_the_normal_range_accepted(self):
+        tiny, huge = 2.0 ** -511 * 3, 2.0 ** 511 * 3
+        for L in (tiny, huge):
+            dx = Grid1D(L, 2).dx
+            assert 2.0 ** -1022 <= dx * dx < math.inf
+            assert 4.0 / dx**2 > 0.0
+
     def test_nonfinite_field_rejected(self, grid64):
         vals = np.zeros(64)
         vals[3] = np.nan
