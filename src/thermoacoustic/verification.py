@@ -205,12 +205,12 @@ def mode_run(
     zero_f = grid.zero_node_field()
     state = ThermalState.initial(theta0, grid.zero_face_field())
     for n in range(1, n_steps + 1):
-        try:
-            with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            try:
                 state = step(state, zero_f, dt, params)
-                numeric = l2_inner(state.theta, shape) / shape_sq
-        except NonFinite as exc:
-            raise exc.located(n, state.t + dt) from None
+            except NonFinite as exc:
+                raise exc.located(n, state.t + dt) from None
+            numeric = l2_inner(state.theta, shape) / shape_sq
         oracle = telegraph_mode_oracle(params, lam, T0, T0dot, state.t)
         for column, value in (("numeric", numeric), ("oracle", oracle)):
             if not math.isfinite(value):
