@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermoacoustic import coupling as coupling_mod
 from thermoacoustic.cli import main
 from thermoacoustic.config import (
     ParseError,
@@ -15,6 +16,7 @@ from thermoacoustic.config import (
     load_config,
     make_grid,
 )
+from thermoacoustic.coupling import PicardDiverged
 from thermoacoustic.energy import TIMESERIES_COLUMNS
 from thermoacoustic.heat import fourier_thermal_step
 
@@ -362,6 +364,49 @@ class TestCli:
         assert capsys.readouterr().err == f"non-finite values: {where}\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (out / "timeseries.csv").exists()
+
+    @pytest.mark.parametrize(
+        "case, where, kernel_step",
+        [
+            ("derivative_overflow",
+             "NodeField contains non-finite entries (first at index 51) at step 1, t=0.0001", 3),
+            ("mid_run_overflow",
+             "report column E2 contains non-finite entries at step 2, t=0.002", 5),
+        ],
+        ids=["derivative_overflow", "mid_run_overflow"],
+    )
+    def test_diagnostics_error_wins_over_a_later_kernel_error(
+        self, tmp_path, capsys, monkeypatch, case, where, kernel_step
+    ):
+        # Two configs of test_nonfinite_exit_code_and_location whose report
+        # row fails; the kernel is made to diverge a few steps later.  The
+        # earlier step's error is the one reported, however the diagnostics
+        # of the steps between are scheduled.
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"].update(T=0.01, output_stride=1)
+        if case == "mid_run_overflow":
+            doc["initial_data"]["amplitude_theta"] = 1e152
+        else:
+            n = doc["grid"]["N"]
+            x = np.arange(1, n + 1) / (n + 1)
+            doc["params"].update(C_a=0.01, beta_acous=1e-300, kappa_a=1e-200)
+            doc["time"]["dt"] = 1e-4
+            doc["initial_data"] = {
+                "preset": "raw", "p0": [0.0] * n, "p1": (1e149 * np.sin(np.pi * x)).tolist(),
+                "theta0": [0.0] * n, "q0": [0.0] * (n + 1),
+            }
+        stepped = coupling_mod.coupled_step
+
+        def diverging(state, dt, *args, **kwargs):
+            if state.n + 1 == kernel_step:
+                raise PicardDiverged(kernel_step, state.t + dt, 1, (1.0,))
+            return stepped(state, dt, *args, **kwargs)
+
+        monkeypatch.setattr(coupling_mod, "coupled_step", diverging)
+        cfg = write_config(tmp_path, doc)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 8
+        assert capsys.readouterr().err == f"non-finite values: {where}\n"
 
     @pytest.mark.parametrize(
         "variant", ["cattaneo", "fourier", "lensing"], ids=["tau_0.05", "tau_0", "lensing"]

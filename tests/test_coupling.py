@@ -607,3 +607,33 @@ def test_golden_outputs_bitwise():
         "snapshots": "9375d9b723b02d70a75596a6dc5749952f71b8e4c631fbce63554e29d4405d55",
         "x_norms": "d056517cc1c8a537c8b0cba22869d7bf458012c303e7055289f9bcd51617ca66",
     }
+
+
+# Runs whose lengths straddle the fixed-size chunks of the diagnostics pass
+# (32 rows at N = 128), with output strides that do and do not divide the
+# chunk and snapshots on and next to chunk edges.  The digests were recorded
+# from the step-by-step diagnostics, so a chunked pass must reproduce every
+# report row, x-norm and snapshot bit for bit.
+_CHUNK_EDGE_DIGESTS = {
+    1: "84a3ca711973bf9440cb8ad0300132a50a6bbf7aaf120a4f8ee812140dd86a8e",
+    2: "9fe2fadc83bbef1a99718030edcc6772ddb1644d16331a01a66414c560b290a3",
+    3: "473de39bcd996b8ec754022fa4fa8f1cf7efb580e0d02d835f9fdf412ccbcc3c",
+    31: "00028c369958d6b8cdde74ce16b7ff9ef7551c0df1a56f3006bf7cf293f61117",
+    32: "4a16a0d148123b298b710962d1e194e931832110e75d6e362eb347e25a0fc6e2",
+    33: "01c55e501524cdd463c1ce81e91d2cbc52860d6f815e51a0c4352a0da77d63fa",
+    69: "5dc59b201fa8e24ae7c3fc4f4a3cc78b097826e28801a91fcb72112f6e6a1443",
+}
+
+
+@pytest.mark.parametrize("steps", sorted(_CHUNK_EDGE_DIGESTS))
+def test_chunk_edge_outputs_bitwise(steps):
+    snapshot_steps = [n for n in (0, 1, 2, 31, 32, 33, 34, 63, 64, 65, 66) if n <= steps]
+    parts = []
+    for stride in (1, 3, 7):
+        run = simulate(replace(lensing_config(), time=TimeConfig(
+            T=steps * 1e-3, dt=1e-3, output_stride=stride,
+            snapshot_times=tuple(n * 1e-3 for n in snapshot_steps),
+        )))
+        assert len(run.snapshots) == len(snapshot_steps)
+        parts += [timeseries_csv(run), repr(run.x_norms), *map(snapshot_csv, run.snapshots)]
+    assert _sha256("".join(parts)) == _CHUNK_EDGE_DIGESTS[steps]
