@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoacoustic.acoustics import AcousticState, FrozenCoefficients
 from thermoacoustic.energy import (
@@ -322,3 +324,35 @@ def test_report_row_matches_schema():
     assert row[0] == 1.0
     assert row[TIMESERIES_COLUMNS.index("lambda")] == 13.0
     assert row[TIMESERIES_COLUMNS.index("picard_iters")] == 3
+
+
+def _mixed_magnitudes(rng, shape):
+    """Values from 1e-320 (subnormal) to 1e150 in size, one in ten a signed zero."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 150, size=shape)
+    u = rng.random(shape)
+    values[u < 0.05] = 0.0
+    values[(u >= 0.05) & (u < 0.1)] = -0.0
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.integers(1, 69), n=st.integers(2, 399), step=st.integers(1, 3),
+    trim=st.booleans(), seed=st.integers(0, 2**32 - 1),
+)
+def test_vecdot_rows_equal_dot_bitwise(rows, n, step, trim, seed):
+    # The chunked diagnostics take every inner product of a chunk as one
+    # np.vecdot over its (K, n) arrays, and the recorded report and x-norm
+    # digests were made with np.dot on each row's 1-D array; they agree bit
+    # for bit only if the two reduce each row in the same order.  Rows are
+    # strided (every step-th column) or trimmed like grad_p[1:-1]; at least
+    # two entries remain, since np.dot multiplies a single pair, which keeps
+    # a -0.0 that vecdot's sum turns into +0.0.
+    rng = np.random.default_rng(seed)
+    width = n + 2 if trim else n
+    a, b = (_mixed_magnitudes(rng, (rows, width * step))[:, ::step] for _ in range(2))
+    if trim:
+        a, b = a[:, 1:-1], b[:, 1:-1]
+    dots = np.vecdot(a, b)
+    for i in range(rows):
+        assert dots[i].tobytes() == np.float64(np.dot(a[i], b[i])).tobytes()
