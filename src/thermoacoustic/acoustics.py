@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import NodeField, _thomas, laplacian_dirichlet
-from .heat import _TimeLevels
+from .heat import _time_difference, _TimeLevels
 from .model import PhysicalParams, SpeedOfSoundModel, _k_of_h, h_eval
 
 __all__ = [
@@ -87,7 +87,7 @@ class AcousticState(_TimeLevels):
 
     def second_derivative(self) -> NodeField:
         """p_tt by second differences over the stored levels."""
-        return NodeField(self.grid, self._difference(1, 2))
+        return NodeField(self.grid, _time_difference([self], 1, 2)[0])
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,7 @@ def acoustic_identity_residual(
     residual is the backward-Euler defect and vanishes at rate O(dt) on
     smooth runs; the spatial part cancels exactly by summation by parts.
     """
-    from .energy import _Row  # deferred: energy imports this module
+    from .energy import _Row, _Rows  # deferred: energy imports this module
 
-    row = _Row(ac=state, levels=2)
-    e1 = row.first_energy(coeffs_next, row.v, row.grad_p)
-    return row.identity_residual(coeffs_prev, coeffs_next, params, e1)
+    row = _Row(_Rows([state], levels=2, coeffs=[coeffs_next], prevs=[coeffs_prev]), 0)
+    return row.identity_residual(params, row.acoustic(params)[0])

@@ -42,7 +42,7 @@ from .acoustics import (
     check_nondegeneracy,
     westervelt_linear_step,  # not called here; perfbench/probes.py wraps it
 )
-from .energy import TIMESERIES_COLUMNS, EnergyReport, XNormAccumulator, coefficient_diagnostics
+from .energy import _CHUNK_ENTRIES, TIMESERIES_COLUMNS, EnergyReport, XNormAccumulator, _Row, _Rows
 from .grid import (
     FaceField,
     Grid1D,
@@ -384,21 +384,22 @@ def _make_report(
     params: PhysicalParams,
     row,
 ) -> EnergyReport:
-    """The report of an output row, read from the _Row of its x-norm sample."""
+    """The report of an output row, read from its _Row of the chunk pass,
+    which holds the inner products with coeffs_prev and f_next."""
     th, ac, coeffs = state.thermal, state.acoustic, state.coeffs_last
     e, d = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
     for k in range(min(th.depth, 3)):  # order k needs k + 1 stored levels
         e[k], d[k] = row.heat(params, k)
     cal_e0, cal_e1 = row.theta_higher(params)[:2] if th.depth >= 3 else (0.0, 0.0)
-    ac_e1, ac_e2, ac_e3, ac_total = row.acoustic(coeffs, params)
+    ac_e1, ac_e2, ac_e3, ac_total = row.acoustic(params)
     lam = frak_f = heat_res = ac_res = 0.0
+    built = ()
     if coeffs_prev is not None:  # every row but step 0's, which has no f_next either
         # the fields the report's own functions built: Q(v), grad g, grad p_prev
-        row.chains += [(f_next, 0, None), (coeffs.g.values, 1, None),
-                       (ac.history[-2][1].values, 1, None)]
-        lam, frak_f = coefficient_diagnostics(coeffs_prev, coeffs, th.dt)
-        ac_res = row.identity_residual(coeffs_prev, coeffs, params, ac_e1)
-        heat_res = row.heat_residual(f_next, params)
+        built = ((f_next, 0, None), (coeffs.g.values, 1, None), (ac.history[-2][1].values, 1, None))
+        lam, frak_f = row.coefficients()
+        ac_res = row.identity_residual(params, ac_e1)
+        heat_res = row.heat_residual(params)
     report = EnergyReport(
         t=state.t, E0=e[0], E1=e[1], E2=e[2], E_tau=e[0] + e[1] + e[2],
         D0=d[0], D1=d[1], D2=d[2], cal_E0=cal_e0, cal_E1=cal_e1,
@@ -408,7 +409,7 @@ def _make_report(
     )
     for column, value in zip(TIMESERIES_COLUMNS, report.row()):
         if not math.isfinite(value):
-            _check_arrays(row.fields())
+            _check_arrays(row.fields(*built))
             raise NonFinite(f"report column {column}")
     return report
 
@@ -452,32 +453,58 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     iters: list[int] = []
     dists: list[tuple[float, ...]] = []
     coeffs_prev = None
-    try:
-        for n in range(n_steps + 1):
-            if n >= 1:
+    chunk: list[CoupledState] = []  # accepted states whose diagnostics are pending
+
+    def flush() -> None:
+        """The diagnostics of the chunk's rows, in step order: one _Rows
+        pass, then per row the x-norm sums, sample and report; an error is
+        located at its own row."""
+        nonlocal coeffs_prev
+        outs = [i for i, s in enumerate(chunk) if s.n % stride == 0 or s.n == n_steps]
+        coeffs = [chunk[i].coeffs_last for i in outs]
+        later = outs and coeffs_prev is not None  # rows after step 0's: prevs and sources
+        sources = np.array([chunk[i].acoustic.v.values for i in outs]) if later else None
+        rows = _Rows(
+            [s.acoustic for s in chunk], [s.thermal for s in chunk], sel=outs, coeffs=coeffs,
+            prevs=[coeffs_prev, *coeffs[:-1]] if later else (),
+            f=_absorbed_power(params, sources) if later else None,
+        )
+        for i, s in enumerate(chunk):
+            try:
+                if s.n >= 1:
+                    xacc.accumulate_step(s.acoustic, s.thermal, rows, i)
+                if i in outs:
+                    row = xacc.sample_output(s.acoustic, s.thermal, _Row(rows, i))
+                    reports.append(_make_report(s, coeffs_prev, row.f, params, row))
+                    theta_series.append(s.thermal.theta.values.copy())
+                    p_series.append(s.acoustic.p.values.copy())
+                    v_series.append(s.acoustic.v.values.copy())
+                    coeffs_prev = s.coeffs_last
+            except NonFinite as exc:
+                raise exc.located(s.n, s.t) from None
+            if s.n in snapshot_steps:
+                snapshots.append(_snapshot(s, grid))
+        chunk.clear()
+
+    chunk_rows = max(1, _CHUNK_ENTRIES // grid.N)
+    for n in range(n_steps + 1):
+        if n >= 1:
+            try:
                 state = coupled_step(
                     state, dt, config.picard.tol, config.picard.max_iter,
                     config.picard.gamma_bar, params, model, use_fourier=use_fourier,
                 )
-                alpha_mins.append(state.alpha_min_last)
-                iters.append(state.picard_iterations_last)
-                dists.append(state.picard_distances_last)
-                xacc.accumulate_step(state.acoustic, state.thermal)
-            if n % stride == 0 or n == n_steps:
-                row = xacc.sample_output(state.acoustic, state.thermal)
-                # step 0 has no source yet: Q(p1) is first formed by step 1
-                f_next = _absorbed_power(params, state.acoustic.v.values) if n >= 1 else None
-                reports.append(_make_report(state, coeffs_prev, f_next, params, row))
-                theta_series.append(state.thermal.theta.values.copy())
-                p_series.append(state.acoustic.p.values.copy())
-                v_series.append(state.acoustic.v.values.copy())
-                coeffs_prev = state.coeffs_last
-            if n in snapshot_steps:
-                snapshots.append(_snapshot(state, grid))
-    except NonFinite as exc:
-        if exc.step is not None:  # located by coupled_step
-            raise
-        raise exc.located(state.n, state.t) from None  # from the diagnostics
+            except Exception:
+                if chunk:  # an error in an earlier step's diagnostics wins
+                    flush()
+                raise
+            alpha_mins.append(state.alpha_min_last)
+            iters.append(state.picard_iterations_last)
+            dists.append(state.picard_distances_last)
+        chunk.append(state)
+        # the rows of a pass share their ring depth, so steps 0 and 1 go alone
+        if len(chunk) == chunk_rows or n < 2 or n == n_steps:
+            flush()
 
     return SimulationResult(
         grid=grid,

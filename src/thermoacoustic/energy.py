@@ -41,12 +41,17 @@ composite stencil Lap_h then grad_h and are first-order accurate only;
 Lambda and E3 are reported as diagnostics, never asserted against a priori
 bounds, whose hidden constants are not computable.
 
-An output row of simulate is one pass over raw arrays: _Row forms each time
-difference, stencil and L2 norm once, sample_output and the report read it,
-and the public functions are thin wrappers over its formulas.  No field is
-validated on the way: a non-finite norm or report column re-checks the
-arrays in the order the field-based diagnostics built them (x-norm samples,
-Q(v), grad g, grad p of the previous level), so the same NonFinite results.
+simulate defers the diagnostics of up to K = max(1, 4096 // N) accepted
+steps and runs them as one chunk pass (_Rows): each time difference and
+stencil is formed once for all K rows as a (K, N) array, and each L2 norm
+or inner product is one np.vecdot, which sums each row in np.dot's order.
+Then, row by row in step order, the x-norm sums, sample_output and the
+report read the row's Python floats (_Row), with the scalar formulas and
+powers evaluated per row as before; the public functions are one-row
+passes.  No field is validated on the way: a non-finite norm or report
+column re-checks the row's arrays in the order the field-based diagnostics
+built them (x-norm samples, Q(v), grad g, grad p of the previous level), so
+the same NonFinite results, located at the row's own step.
 """
 
 from __future__ import annotations
@@ -63,10 +68,8 @@ from .grid import (
     _difference_quotient,
     _dirichlet_gradient,
     _face_extend,
-    _l2,
-    _quadrature_dot,
 )
-from .heat import InsufficientHistory, ThermalState
+from .heat import InsufficientHistory, ThermalState, _levels, _time_difference
 from .model import PhysicalParams
 
 __all__ = [
@@ -83,10 +86,7 @@ __all__ = [
 ]
 
 _SPATIAL_DIM = 1  # fixes the 4/(4-d) exponent below
-
-
-def _l3_norm(values: np.ndarray, dx: float) -> float:
-    return (dx * float(np.sum(np.abs(values) ** 3))) ** (1.0 / 3.0)
+_CHUNK_ENTRIES = 4096  # a chunk pass stacks max(1, _CHUNK_ENTRIES // N) rows
 
 
 def _stencils(u: np.ndarray, dx: float, order: int):
@@ -96,60 +96,129 @@ def _stencils(u: np.ndarray, dx: float, order: int):
         yield u
 
 
-def _chain_fields(chains, dx: float):
-    """(kind, values) of each chain (u, order, flux): u, flux, order stencils of u."""
-    for u, order, flux in chains:
-        yield "NodeField", u
-        if flux is not None:
-            yield "FaceField", flux
-        yield from zip(("FaceField", "NodeField", "FaceField"), _stencils(u, dx, order))
-
-
 _LEVELS = {0: ("theta", "q"), 1: ("theta_t", "q_t"), 2: ("theta_tt", "q_tt"),
            "prev": ("theta_prev", "q_prev")}
+# (name, ring, slot, k, stencils): of field ``slot`` of the acoustic (0) or
+# thermal (1) ring, the level -k steps back (k <= 0) or the order-k time
+# difference (k > 0), then as many stencils as are read
+_ARRAYS = (
+    ("q", 1, 2, 0, 0), ("theta_prev", 1, 1, -1, 0), ("q_prev", 1, 2, -1, 0), ("q_t", 1, 2, 1, 0),
+    ("q_tt", 1, 2, 2, 0), ("p", 0, 1, 0, 3), ("v", 0, 2, 0, 3), ("p_tt", 0, 1, 2, 2),
+    ("v_tt", 0, 2, 2, 0), ("theta", 1, 1, 0, 2), ("theta_t", 1, 1, 1, 1), ("theta_tt", 1, 1, 2, 0),
+)
+# (x-norm sum, array, ring, stored levels needed); the first three arrays'
+# norms are read by the sums alone
+_SUMS = (("grad_lap_pt", "grad_lap_v", 0, 2), ("lap_ptt", "lap_p_tt", 0, 3), ("pttt", "v_tt", 0, 3),
+         ("qt", "q_t", 1, 2), ("qtt", "q_tt", 1, 3))
+_SUMS_ONLY = ("grad_lap_v", "lap_p_tt", "v_tt")
+# (name, stencils its field had, flux) of the arrays re-checked for a row
+# and for the x-norm sums, in the order the field-based diagnostics built them
+_ROW_FIELDS = (("p", 3, None), ("v", 3, None), ("p_tt", 1, None), ("theta", 3, None),
+               ("theta_t", 3, "q_t"), ("theta_tt", 0, "q_tt"))
+_SUM_FIELDS = (("v", 3, None), ("p_tt", 2, None), ("v_tt", 0, None), ("theta_t", 0, "q_t"),
+               ("theta_tt", 0, "q_tt"))
+
+
+def _stacked(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, r, g) of some FrozenCoefficients, as rows."""
+    return tuple(np.array([getattr(c, k).values for c in coeffs]) for k in ("alpha", "r", "g"))
+
+
+class _Rows:
+    """K rows (time levels) in one pass: each time difference or stencil is
+    one (K, n) array of ``a``, each norm one np.vecdot, which sums a row in
+    np.dot's order.  acs and ths are the rows' rings (either may be empty;
+    those of a list have one depth, >= ``levels``).  The rows ``sel`` (all
+    by default) get the inner products ``d`` with their coefficients, those
+    of the previous report row ``prevs`` (over the rings' spacing or ``dts``)
+    and the sources ``f``."""
+
+    def __init__(self, acs=(), ths=(), levels=1, sel=None, coeffs=(), prevs=(), f=None, dts=()):
+        rings = acs or ths
+        if rings and rings[0].depth < levels:
+            raise InsufficientHistory(f"need {levels} stored levels, have {rings[0].depth}")
+        self.acs, self.ths, self.f = acs, ths, f
+        self.dx = dx = (rings[0].grid if rings else coeffs[0].alpha.grid).dx
+        self.sel = list(range(len(rings) or len(coeffs))) if sel is None else sel
+        a = {}
+        for name, which, slot, k, read in _ARRAYS:
+            of = (acs, ths)[which]
+            if of and of[0].depth > abs(k):
+                a[name] = u = _time_difference(of, slot, k) if k > 0 else _levels(of, slot, -k)
+                for prefix, values in zip(("grad_", "lap_", "grad_lap_"), _stencils(u, dx, read)):
+                    a[prefix + name] = values
+        self.a = a
+        self.norms = dict(zip(a, np.sqrt(dx * np.array([np.vecdot(u, u) for u in a.values()]))
+                              .tolist()))
+
+        def dot(x, y):
+            return np.vecdot(x, y).tolist()
+
+        b = {k: a[k][self.sel] for k in ("q", "theta", "v", "grad_p", "p_tt", "grad_v") if k in a}
+        d = self.d = {}
+        if ths:
+            div_q = _difference_quotient(b["q"], dx)
+            d["div_q"] = dot(div_q, div_q)
+        if f is not None:
+            d["f_theta"] = dot(f, b["theta"])
+        alpha, r, g = _stacked(coeffs)
+        if coeffs and acs:
+            v, grad_p, r_faces = b["v"], b["grad_p"], _face_extend(r)
+            d["alpha_v"], d["r_grad_p"] = dot(alpha * v, v), dot(r_faces * grad_p, grad_p)
+            if "p_tt" in b:
+                p_tt, grad_v = b["p_tt"], b["grad_v"]
+                d["alpha_p_tt"] = dot(alpha * p_tt, p_tt)
+                d["r_grad_v"] = dot(r_faces * grad_v, grad_v)
+        if prevs:
+            alpha0, r0, g0 = _stacked(prevs)
+            dt = np.array(dts or [rings[i].dt for i in self.sel])[:, None]
+            alpha_t, r_t, g_t = (alpha - alpha0) / dt, (r - r0) / dt, (g - g0) / dt
+            grad_r, grad_g = _difference_quotient(r, dx), _dirichlet_gradient(g, dx)
+            for name, u in (("alpha_t", alpha_t), ("r_t", r_t), ("grad_r", grad_r),
+                            ("grad_g", grad_g), ("g_t", g_t)):
+                d[name] = dot(u, u)
+            # L3 norms: each row summed alone, as np.sum sums a 1-D array
+            for name, u in (("r_t", r_t), ("alpha_t", alpha_t), ("grad_r", grad_r),
+                            ("grad_alpha", _difference_quotient(alpha, dx))):
+                d["cube_" + name] = [float(np.add.reduce(row)) for row in np.abs(u) ** 3]
+        if prevs and acs:
+            p0, v0 = (_levels([acs[i] for i in self.sel], slot, 1) for slot in (1, 2))
+            grad_p0 = _dirichlet_gradient(p0, dx)
+            d["alpha0_v0"] = dot(alpha0 * v0, v0)
+            d["r0_grad_p0"] = dot(_face_extend(r0) * grad_p0, grad_p0)
+            d["g_v"], d["alpha_t_vv"] = dot(g, v), dot(alpha_t, v * v)
+            d["grad_r_p_v"] = dot(grad_r * grad_p[:, 1:-1], _face_extend(v)[:, 1:-1])
+            d["r_t_grad_p2"] = dot(_face_extend(r_t), grad_p * grad_p)
+
+    def fields(self, i: int, table, extra=()):
+        """(kind, values) of u, flux and order stencils of u for the chains
+        (u, order, flux) of row i's arrays in table, then of extra."""
+        a = self.a
+        chains = [(a[u][i], order, flux and a[flux][i]) for u, order, flux in table if u in a]
+        for u, order, flux in chains + list(extra):
+            yield "NodeField", u
+            if flux is not None:
+                yield "FaceField", flux
+            yield from zip(("FaceField", "NodeField", "FaceField"), _stencils(u, self.dx, order))
 
 
 class _Row:
-    """Each time difference, stencil and L2 norm of one time level, computed
-    once from the raw arrays of the history rings (one may be None, one must
-    hold ``levels`` levels); its methods are the state diagnostics' formulas.
-    Arrays: p, v, theta, q, theta_prev, q_prev, as deep as the rings allow
-    p_tt, theta_t, q_t, theta_tt, q_tt, their stencils grad_, lap_, grad_lap_
-    as far as read; ``n``: their norms.  A stencil the field-based samples
-    built but nothing reads overflows only from an entry above 1.3e154 of
-    the array below (for dx > 1.5e-154), whose norm then overflows too."""
+    """Row i (one of ``sel``) of a _Rows: the norms ``n`` and inner products
+    ``d`` it reads, as Python floats, and ``f``, its source; its methods are
+    the diagnostics' scalar formulas."""
 
-    def __init__(self, ac: AcousticState | None = None, th: ThermalState | None = None,
-                 levels: int = 1) -> None:
-        ring = ac or th
-        if ring.depth < levels:
-            raise InsufficientHistory(f"need {levels} stored levels, have {ring.depth}")
-        self.ac, self.th, self.dx = ac, th, ring.grid.dx
-        chains = []  # (name, array, stencils read, stencils its field had, flux name)
-        if ac is not None:
-            chains += [("p", ac.p.values, 3, 3, None), ("v", ac.v.values, 2, 3, None)]
-            if ac.depth >= 3:
-                chains.append(("p_tt", ac._difference(1, 2), 1, 1, None))
-        if th is not None:
-            chains.append(("theta", th.theta.values, 2, 3, None))
-            self.q = th.q.values
-            if th.depth >= 2:
-                self.theta_prev, self.q_prev = (f.values for f in th.history[-2][1:])
-                self.q_t = th._difference(2, 1)
-                chains.append(("theta_t", th._difference(1, 1), 1, 3, "q_t"))
-            if th.depth >= 3:
-                self.q_tt = th._difference(2, 2)
-                chains.append(("theta_tt", th._difference(1, 2), 0, 0, "q_tt"))
-        for name, u, read, _, _ in chains:
-            setattr(self, name, u)
-            for prefix, values in zip(("grad_", "lap_", "grad_lap_"), _stencils(u, self.dx, read)):
-                setattr(self, prefix + name, values)
-        self.chains = [(u, had, flux and getattr(self, flux)) for _, u, _, had, flux in chains]
-        self.n = {k: _l2(a, self.dx) for k, a in vars(self).items() if isinstance(a, np.ndarray)}
+    def __init__(self, rows: _Rows, i: int) -> None:
+        j = rows.sel.index(i)
+        self.rows, self.i, self.dx = rows, i, rows.dx
+        self.ac, self.th = (ring[i] if ring else None for ring in (rows.acs, rows.ths))
+        self.f = None if rows.f is None else rows.f[j]
+        self.n = {k: col[i] for k, col in rows.norms.items() if k not in _SUMS_ONLY}
+        self.d = {k: col[j] for k, col in rows.d.items()}
 
-    def fields(self):
-        """(kind, values) of the row's chains, in the field-based diagnostics' order."""
-        return _chain_fields(self.chains, self.dx)
+    def fields(self, *extra):
+        """(kind, values) of the row's arrays, then of ``extra`` chains
+        (u, order, flux), in the field-based diagnostics' order."""
+        return self.rows.fields(self.i, _ROW_FIELDS, extra)
 
     def heat(self, params: PhysicalParams, k=0) -> tuple[float, float]:
         """(E_k, D_k) of time order k = 0, 1, 2, or (E_0, D_0) of the level before ("prev")."""
@@ -169,67 +238,64 @@ class _Row:
         cal_d1 = ell * grad + kappa * grad_t + kappa * lap
         return cal_e0, cal_e1, cal_d0, cal_d1
 
-    def heat_residual(self, f: np.ndarray, params: PhysicalParams) -> float:
+    def heat_residual(self, params: PhysicalParams) -> float:
         e_old, _ = self.heat(params, "prev")
         e_new, d_new = self.heat(params)
-        work = params.kappa_a * _quadrature_dot(f, self.theta, self.dx)
+        work = params.kappa_a * (self.dx * self.d["f_theta"])
         return abs((e_new - e_old) / self.th.dt + d_new - work)
 
-    def first_energy(self, coeffs: FrozenCoefficients, v, grad_p, r_faces=None) -> float:
-        """E1 = 1/2 (||sqrt(alpha) v||^2 + ||sqrt(r) grad p||^2) of a level."""
-        r_faces = _face_extend(coeffs.r.values) if r_faces is None else r_faces
-        a_term = self.dx * float(np.dot(coeffs.alpha.values * v, v))
-        return 0.5 * (a_term + self.dx * float(np.dot(r_faces * grad_p, grad_p)))
-
-    def acoustic(self, coeffs: FrozenCoefficients, params: PhysicalParams) -> tuple:
+    def acoustic(self, params: PhysicalParams) -> tuple:
         """(E1, E2, E3, total); E1 only, with zeros, below 3 stored levels."""
-        dx, grad_v, r_faces = self.dx, self.grad_v, _face_extend(coeffs.r.values)
-        e1 = self.first_energy(coeffs, self.v, self.grad_p, r_faces)
+        n, d, dx = self.n, self.d, self.dx
+        e1 = 0.5 * (dx * d["alpha_v"] + dx * d["r_grad_p"])
         if self.ac.depth < 3:
             return e1, 0.0, 0.0, e1
-        e2 = 0.5 * (
-            dx * float(np.dot(coeffs.alpha.values * self.p_tt, self.p_tt))
-            + dx * float(np.dot(r_faces * grad_v, grad_v))
-            + params.b * self.n["lap_p"] ** 2
-        )
-        e3 = 0.5 * params.b * (self.n["grad_p_tt"] ** 2 + self.n["grad_lap_p"] ** 2)
+        e2 = 0.5 * (dx * d["alpha_p_tt"] + dx * d["r_grad_v"] + params.b * n["lap_p"] ** 2)
+        e3 = 0.5 * params.b * (n["grad_p_tt"] ** 2 + n["grad_lap_p"] ** 2)
         return e1, e2, e3, e1 + e2 + e3
 
-    def identity_residual(self, coeffs_prev, coeffs, params: PhysicalParams, e1: float) -> float:
+    def coefficients(self) -> tuple[float, float]:
+        """(Lambda, F) of coefficient_diagnostics."""
+        d, dx, exponent = self.d, self.dx, 4.0 / (4.0 - _SPATIAL_DIM)
+        alpha_t, r_t = math.sqrt(dx * d["alpha_t"]), math.sqrt(dx * d["r_t"])
+        l3 = {k: (dx * d["cube_" + k]) ** (1.0 / 3.0)
+              for k in ("r_t", "alpha_t", "grad_r", "grad_alpha")}
+        lam = (
+            alpha_t**2 + alpha_t**exponent + r_t**exponent + dx * d["grad_r"] + l3["r_t"] ** 2
+            + l3["alpha_t"] ** 2 + l3["grad_r"] ** 2 + l3["grad_alpha"] ** 2
+        )
+        return lam, math.sqrt(dx * d["grad_g"]) ** 2 + dx * d["g_t"]
+
+    def identity_residual(self, params: PhysicalParams, e1: float) -> float:
         """acoustics.acoustic_identity_residual, given E1 of the newest level."""
-        dt = self.ac.dt  # InsufficientHistory below 2 stored levels
-        dx, v, grad_p = self.dx, self.v, self.grad_p
-        _, p0, v0 = self.ac.history[-2]
-        e1_old = self.first_energy(coeffs_prev, v0.values, _dirichlet_gradient(p0.values, dx))
+        dt, dx, d = self.ac.dt, self.dx, self.d
+        e1_old = 0.5 * (dx * d["alpha0_v0"] + dx * d["r0_grad_p0"])
         lhs = (e1 - e1_old) / dt
         lhs += params.b * self.n["grad_v"] ** 2
-        alpha_t = (coeffs.alpha.values - coeffs_prev.alpha.values) / dt
-        r_t = (coeffs.r.values - coeffs_prev.r.values) / dt
-        rhs = dx * float(np.dot(coeffs.g.values, v))
-        rhs += 0.5 * dx * float(np.dot(alpha_t, v * v))
+        rhs = dx * d["g_v"]
+        rhs += 0.5 * dx * d["alpha_t_vv"]
         # grad r lives only on interior faces (r does not vanish on the
         # boundary); v is interpolated to the same face midpoints.
-        grad_r = _difference_quotient(coeffs.r.values, dx)
-        rhs -= dx * float(np.dot(grad_r * grad_p[1:-1], _face_extend(v)[1:-1]))
-        rhs += 0.5 * dx * float(np.dot(_face_extend(r_t), grad_p * grad_p))
+        rhs -= dx * d["grad_r_p_v"]
+        rhs += 0.5 * dx * d["r_t_grad_p2"]
         return abs(lhs - rhs)
 
 
 def heat_energy(state: ThermalState, params: PhysicalParams, k: int) -> float:
     """E_k of the current level; time derivatives from the history ring."""
-    return _Row(th=state, levels=k + 1).heat(params, k)[0]
+    return _Row(_Rows(ths=[state], levels=k + 1), 0).heat(params, k)[0]
 
 
 def heat_dissipation(state: ThermalState, params: PhysicalParams, k: int) -> float:
     """D_k of the current level."""
-    return _Row(th=state, levels=k + 1).heat(params, k)[1]
+    return _Row(_Rows(ths=[state], levels=k + 1), 0).heat(params, k)[1]
 
 
 def theta_higher_energy(
     state: ThermalState, params: PhysicalParams
 ) -> tuple[float, float, float, float]:
     """(cal_E0, cal_E1, cal_D0, cal_D1); needs 3 stored levels for theta_tt."""
-    return _Row(th=state, levels=3).theta_higher(params)
+    return _Row(_Rows(ths=[state], levels=3), 0).theta_higher(params)
 
 
 def heat_balance_residual(
@@ -243,14 +309,14 @@ def heat_balance_residual(
     smooth runs and matches the scalar modal defect exactly on single-mode
     runs.
     """
-    return _Row(th=state, levels=2).heat_residual(f_next.values, params)
+    return _Row(_Rows(ths=[state], levels=2, f=f_next.values[None]), 0).heat_residual(params)
 
 
 def acoustic_energy(
     state: AcousticState, coeffs: FrozenCoefficients, params: PhysicalParams
 ) -> tuple[float, float, float, float]:
     """(E1, E2, E3, total); E2 and E3 need p_tt, hence 3 stored levels."""
-    return _Row(ac=state, levels=3).acoustic(coeffs, params)
+    return _Row(_Rows([state], levels=3, coeffs=[coeffs]), 0).acoustic(params)
 
 
 def coefficient_diagnostics(
@@ -259,20 +325,7 @@ def coefficient_diagnostics(
     """(Lambda, F) from two consecutive coefficient levels."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    dx, exponent = coeffs_next.alpha.grid.dx, 4.0 / (4.0 - _SPATIAL_DIM)
-    alpha_t = (coeffs_next.alpha.values - coeffs_prev.alpha.values) / dt
-    r_t = (coeffs_next.r.values - coeffs_prev.r.values) / dt
-    g_t = (coeffs_next.g.values - coeffs_prev.g.values) / dt
-    alpha_t_l2, r_t_l2 = _l2(alpha_t, dx), _l2(r_t, dx)
-    grad_r = _difference_quotient(coeffs_next.r.values, dx)
-    grad_alpha = _difference_quotient(coeffs_next.alpha.values, dx)
-    lam = (
-        alpha_t_l2**2 + alpha_t_l2**exponent + r_t_l2**exponent
-        + dx * float(np.dot(grad_r, grad_r)) + _l3_norm(r_t, dx) ** 2
-        + _l3_norm(alpha_t, dx) ** 2 + _l3_norm(grad_r, dx) ** 2 + _l3_norm(grad_alpha, dx) ** 2
-    )
-    grad_g = _dirichlet_gradient(coeffs_next.g.values, dx)
-    return lam, _l2(grad_g, dx) ** 2 + dx * float(np.dot(g_t, g_t))
+    return _Row(_Rows(coeffs=[coeffs_next], prevs=[coeffs_prev], dts=[dt]), 0).coefficients()
 
 
 class XNormAccumulator:
@@ -300,39 +353,29 @@ class XNormAccumulator:
         )
         self._int = dict.fromkeys(("grad_lap_pt", "lap_ptt", "pttt", "qt", "qtt"), 0.0)
 
-    def accumulate_step(self, ac: AcousticState, th: ThermalState) -> None:
-        """Add the L2-in-time contributions of the newest accepted level, from
-        raw arrays; a non-finite sum re-checks them in their field order."""
-        dt, dx, acc = self.dt, ac.grid.dx, self._int
-        if ac.depth >= 2:
-            *_, grad_lap_v = _stencils(ac.v.values, dx, 3)
-            acc["grad_lap_pt"] += dt * _l2(grad_lap_v, dx) ** 2
-        if ac.depth >= 3:
-            *_, lap_p_tt = _stencils(ac._difference(1, 2), dx, 2)
-            acc["lap_ptt"] += dt * _l2(lap_p_tt, dx) ** 2
-            acc["pttt"] += dt * _l2(ac._difference(2, 2), dx) ** 2
-        if th.depth >= 2:
-            acc["qt"] += dt * _l2(th._difference(2, 1), dx) ** 2
-        if th.depth >= 3:
-            acc["qtt"] += dt * _l2(th._difference(2, 2), dx) ** 2
+    def accumulate_step(self, ac: AcousticState, th: ThermalState, rows=None, i=0) -> None:
+        """Add the L2-in-time contributions of the newest accepted level, row
+        i of a chunk pass ``rows`` or of one made here; a non-finite sum
+        re-checks the row's arrays in their field order."""
+        rows = _Rows([ac], [th]) if rows is None else rows
+        n, dt, acc = rows.norms, self.dt, self._int
+        for key, name, which, depth in _SUMS:
+            if (ac, th)[which].depth >= depth:
+                acc[key] += dt * n[name][i] ** 2
         if not math.isfinite(sum(acc.values())):
-            chains = [(ac.v.values, 3, None)] if ac.depth >= 2 else []
-            if ac.depth >= 3:
-                chains += [(ac._difference(1, 2), 2, None), (ac._difference(2, 2), 0, None)]
-            for k in range(1, th.depth):
-                chains.append((th._difference(1, k), 0, th._difference(2, k)))
-            _check_arrays(_chain_fields(chains, dx))
+            _check_arrays(rows.fields(i, _SUM_FIELDS[ac.depth < 2:]))  # no v at depth 1
 
-    def sample_output(self, ac: AcousticState, th: ThermalState) -> _Row:
+    def sample_output(self, ac: AcousticState, th: ThermalState, row: _Row | None = None) -> _Row:
         """Refresh the sup-in-time terms at an output time and return the
-        _Row they were read from; a non-finite norm re-checks its fields."""
-        row = _Row(ac, th)
-        n, q_deriv = row.n, _difference_quotient(row.q, row.dx)
+        _Row they were read from: ``row`` of a chunk pass, or one made here;
+        a non-finite norm re-checks its arrays."""
+        row = _Row(_Rows([ac], [th]), 0) if row is None else row
+        n = row.n
         samples = {
             "p_h3": _h_norm(n["p"], n["grad_p"], n["lap_p"], n["grad_lap_p"]),
             "pt_h2": _h_norm(n["v"], n["grad_v"], n["lap_v"]),
             "theta_h2": _h_norm(n["theta"], n["grad_theta"], n["lap_theta"]),
-            "q_h1": math.sqrt(n["q"] ** 2 + row.dx * float(np.dot(q_deriv, q_deriv))),
+            "q_h1": math.sqrt(n["q"] ** 2 + row.dx * row.d["div_q"]),
         }
         if ac.depth >= 3:
             samples["ptt_grad"] = n["grad_p_tt"]

@@ -207,13 +207,14 @@ class FaceField(_Field):
 
 
 def _dirichlet_gradient(values: np.ndarray, dx: float) -> np.ndarray:
-    """Face values (u_{j+1} - u_j)/dx of node values, with the zero closure."""
-    out = np.empty(values.shape[0] + 1)
+    """Face values (u_{j+1} - u_j)/dx of node values, with the zero closure.
+    Like the next two, it acts on the last axis of one level or K levels."""
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
     # explicit subtractions with the boundary zero: 0.0 - (+0.0) is +0.0,
     # where -(+0.0) would be -0.0
-    out[0] = values[0] - 0.0
-    np.subtract(values[1:], values[:-1], out=out[1:-1])
-    out[-1] = 0.0 - values[-1]
+    out[..., 0] = values[..., 0] - 0.0
+    np.subtract(values[..., 1:], values[..., :-1], out=out[..., 1:-1])
+    out[..., -1] = 0.0 - values[..., -1]
     out /= dx
     return out
 
@@ -221,18 +222,18 @@ def _dirichlet_gradient(values: np.ndarray, dx: float) -> np.ndarray:
 def _difference_quotient(values: np.ndarray, dx: float) -> np.ndarray:
     """(values[j+1] - values[j])/dx: faces -> nodes divergence, or the
     interior gradient of node values."""
-    out = values[1:] - values[:-1]
+    out = values[..., 1:] - values[..., :-1]
     out /= dx
     return out
 
 
 def _face_extend(node_values: np.ndarray) -> np.ndarray:
     """Interpolate node values to all N+1 faces, one-sided at the boundary."""
-    out = np.empty(node_values.shape[0] + 1)
-    out[0] = node_values[0]
-    np.add(node_values[:-1], node_values[1:], out=out[1:-1])
-    out[1:-1] *= 0.5
-    out[-1] = node_values[-1]
+    out = np.empty(node_values.shape[:-1] + (node_values.shape[-1] + 1,))
+    out[..., 0] = node_values[..., 0]
+    np.add(node_values[..., :-1], node_values[..., 1:], out=out[..., 1:-1])
+    out[..., 1:-1] *= 0.5
+    out[..., -1] = node_values[..., -1]
     return out
 
 

@@ -117,17 +117,25 @@ class _TimeLevels:
     def advanced(self, a: _Field, b: _Field, t: float):
         return type(self)((self.history + ((t, a, b),))[-_HISTORY_DEPTH:])
 
-    def _difference(self, slot: int, k: int) -> np.ndarray:
-        """Order-k (1 or 2) backward difference of field a (slot 1) or b (slot 2)."""
-        if self.depth < k + 1:
-            raise InsufficientHistory(
-                f"time derivative of order {k} needs {k + 1} levels, have {self.depth}"
-            )
-        dt = self.dt
-        levels = [h[slot].values for h in self.history[-(k + 1):]]
-        if k == 1:
-            return (levels[1] - levels[0]) / dt
-        return (levels[2] - 2.0 * levels[1] + levels[0]) / dt**2
+
+def _levels(rings, slot: int, back: int = 0) -> np.ndarray:
+    """Field ``slot`` of each ring, ``back`` levels before its newest, as rows."""
+    return np.array([ring.history[-1 - back][slot].values for ring in rings])
+
+
+def _time_difference(rings, slot: int, k: int) -> np.ndarray:
+    """Order-k (1 or 2) backward difference of field a (slot 1) or b (slot 2)
+    of each of some rings of equal depth, as rows; each row divides by its
+    own ring's last spacing (dt**2 a Python float)."""
+    if rings[0].depth < k + 1:
+        raise InsufficientHistory(
+            f"time derivative of order {k} needs {k + 1} levels, have {rings[0].depth}"
+        )
+    dts = [ring.dt for ring in rings]
+    new, old = _levels(rings, slot), _levels(rings, slot, 1)
+    if k == 1:
+        return (new - old) / np.array(dts)[:, None]
+    return (new - 2.0 * old + _levels(rings, slot, 2)) / np.array([dt**2 for dt in dts])[:, None]
 
 
 class ThermalState(_TimeLevels):
@@ -267,8 +275,8 @@ def reconstruct_time_derivatives(
     if k not in (1, 2):
         raise ValueError("derivative order k must be 1 or 2")
     return (
-        NodeField(state.grid, state._difference(1, k)),
-        FaceField(state.grid, state._difference(2, k)),
+        NodeField(state.grid, _time_difference([state], 1, k)[0]),
+        FaceField(state.grid, _time_difference([state], 2, k)[0]),
     )
 
 
