@@ -216,6 +216,10 @@ def _length(n: int):
 
 
 _PRESETS = ("zero", "sine", "gaussian", "raw")
+# A run holds about 800 bytes per node (some 100 arrays of N floats in a step
+# and its diagnostics pass, measured at N = 2e4 .. 1e5), plus 24 bytes per
+# node for each output row; 1e6 nodes is about 0.8 GB before the first row.
+_MAX_GRID_N = 10**6
 
 
 def load_config(text: str) -> SimConfig:
@@ -230,6 +234,7 @@ def load_config(text: str) -> SimConfig:
     grid = _section(doc, "grid", GridConfig)
     N = grid.N
     _reject("grid.N", N < 2 and "must be at least 2")
+    _reject("grid.N", N > _MAX_GRID_N and f"must be at most {_MAX_GRID_N}")
     _reject("grid.L", grid.L <= 0 and "must be positive")
     _reject("grid.L", not _normal_spacing(grid.L, N)
             and "too small or too large for grid.N: (L/(N+1))**2 must be a normal float")

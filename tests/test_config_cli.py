@@ -51,6 +51,18 @@ class TestLoadConfig:
         assert np.all(p0.values == 0.0)
         assert np.all(q0.values == 0.0)
 
+    def test_grid_size_bounded_before_anything_is_allocated(self):
+        # Checked through load_config alone: no run, so no array of the
+        # rejected (or of the largest accepted) size is ever made.
+        doc = minimal_doc()
+        for n in (10**6 + 1, 10**400):
+            doc["grid"]["N"] = n
+            with pytest.raises(ValidationError) as err:
+                load_config(json.dumps(doc))
+            assert (err.value.key, err.value.reason) == ("grid.N", "must be at most 1000000")
+        doc["grid"]["N"] = 10**6
+        assert load_config(json.dumps(doc)).grid.N == 10**6
+
     def test_missing_required_parameter(self):
         doc = minimal_doc()
         del doc["params"]["b"]
