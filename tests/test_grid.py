@@ -212,6 +212,43 @@ class TestNormsAndInner:
         assert np.all(out == 0.0)
 
 
+_EPS = np.finfo(float).eps
+random_grids = st.builds(
+    Grid1D, L=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False), N=st.integers(2, 400)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid=random_grids, seed=st.integers(0, 2**32 - 1))
+def test_summation_by_parts_on_random_grids(grid, seed):
+    # <div w, v> = -<w, grad v> up to the rounding of the two sums, on any
+    # grid: the error bound scales with the sums of absolute products.
+    w, v = random_fields(grid, np.random.default_rng(seed))
+    div_w, grad_v = divergence_from_faces(w), gradient_to_faces(v)
+    defect = abs(l2_inner(div_w, v) + l2_inner(w, grad_v))
+    scale = grid.dx * (
+        np.sum(np.abs(div_w.values * v.values)) + np.sum(np.abs(w.values * grad_v.values))
+    )
+    assert defect <= 8 * (grid.N + 1) * _EPS * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid=random_grids, data=st.data())
+def test_parseval_identities_on_random_grids(grid, data):
+    # For every mode k <= N: ||sin||^2 over the nodes and ||cos||^2 over the
+    # faces are L/2, -Lap_h sin = lambda_h(k) sin, and by summation by parts
+    # ||grad_h sin||^2 = lambda_h(k) ||sin||^2.
+    k = data.draw(st.integers(1, grid.N))
+    L, tol = grid.L, 16 * (grid.N + 1) * _EPS
+    u = NodeField(grid, np.sin(k * np.pi * grid.nodes() / L))
+    cos_faces = FaceField(grid, np.cos(k * np.pi * grid.faces() / L))
+    assert abs(l2_norm(u) ** 2 - L / 2) <= tol * L
+    assert abs(l2_norm(cos_faces) ** 2 - L / 2) <= tol * L
+    lam, top = grid.laplacian_eigenvalue(k), 4.0 / grid.dx**2  # lambda_h(k) <= top
+    assert np.max(np.abs(laplacian_dirichlet(u).values + lam * u.values)) <= tol * top
+    assert abs(l2_norm(gradient_to_faces(u)) ** 2 - lam * l2_norm(u) ** 2) <= tol * top * L
+
+
 class TestTridiagonal:
     def test_identity(self, grid64):
         rng = np.random.default_rng(1)
