@@ -140,21 +140,24 @@ class _Rows:
         self.acs, self.ths, self.f = acs, ths, f
         self.dx = dx = (rings[0].grid if rings else coeffs[0].alpha.grid).dx
         self.sel = list(range(len(rings) or len(coeffs))) if sel is None else sel
-        a = {}
+        a, sq = {}, {}  # arrays (a stencil only where the report reads it), squared norms
         for name, which, slot, k, read in _ARRAYS:
             of = (acs, ths)[which]
             if of and of[0].depth > abs(k):
                 a[name] = u = _time_difference(of, slot, k) if k > 0 else _levels(of, slot, -k)
+                sq[name] = np.vecdot(u, u)
                 for prefix, values in zip(("grad_", "lap_", "grad_lap_"), _stencils(u, dx, read)):
-                    a[prefix + name] = values
+                    sq[prefix + name] = np.vecdot(values, values)
+                    if prefix + name in ("grad_p", "grad_v"):
+                        a[prefix + name] = values
         self.a = a
-        self.norms = dict(zip(a, np.sqrt(dx * np.array([np.vecdot(u, u) for u in a.values()]))
-                              .tolist()))
+        self.norms = dict(zip(sq, np.sqrt(dx * np.array(list(sq.values()))).tolist()))
 
         def dot(x, y):
             return np.vecdot(x, y).tolist()
 
-        b = {k: a[k][self.sel] for k in ("q", "theta", "v", "grad_p", "p_tt", "grad_v") if k in a}
+        b = a if sel is None or len(self.sel) == len(rings) else {
+            k: a[k][self.sel] for k in ("q", "theta", "v", "grad_p", "p_tt", "grad_v") if k in a}
         d = self.d = {}
         if ths:
             div_q = _difference_quotient(b["q"], dx)
