@@ -209,12 +209,11 @@ class FaceField(_Field):
 def _dirichlet_gradient(values: np.ndarray, dx: float) -> np.ndarray:
     """Face values (u_{j+1} - u_j)/dx of node values, with the zero closure.
     Like the next two, it acts on the last axis of one level or K levels."""
-    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
-    # explicit subtractions with the boundary zero: 0.0 - (+0.0) is +0.0,
-    # where -(+0.0) would be -0.0
-    out[..., 0] = values[..., 0] - 0.0
-    np.subtract(values[..., 1:], values[..., :-1], out=out[..., 1:-1])
-    out[..., -1] = 0.0 - values[..., -1]
+    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + 2,))
+    padded[..., 1:-1] = values
+    # the end faces subtract the boundary zero explicitly: 0.0 - (+0.0) is
+    # +0.0, where -(+0.0) would be -0.0
+    out = padded[..., 1:] - padded[..., :-1]
     out /= dx
     return out
 
