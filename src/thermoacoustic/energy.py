@@ -98,14 +98,15 @@ def _stencils(u: np.ndarray, dx: float, order: int):
 
 _LEVELS = {0: ("theta", "q"), 1: ("theta_t", "q_t"), 2: ("theta_tt", "q_tt"),
            "prev": ("theta_prev", "q_prev")}
-# (name, ring, slot, k, stencils): of field ``slot`` of the acoustic (0) or
+# name: (ring, slot, k, stencils): of field ``slot`` of the acoustic (0) or
 # thermal (1) ring, the level -k steps back (k <= 0) or the order-k time
 # difference (k > 0), then as many stencils as are read
-_ARRAYS = (
-    ("q", 1, 2, 0, 0), ("theta_prev", 1, 1, -1, 0), ("q_prev", 1, 2, -1, 0), ("q_t", 1, 2, 1, 0),
-    ("q_tt", 1, 2, 2, 0), ("p", 0, 1, 0, 3), ("v", 0, 2, 0, 3), ("p_tt", 0, 1, 2, 2),
-    ("v_tt", 0, 2, 2, 0), ("theta", 1, 1, 0, 2), ("theta_t", 1, 1, 1, 1), ("theta_tt", 1, 1, 2, 0),
-)
+_ARRAYS = {
+    "q": (1, 2, 0, 0), "theta_prev": (1, 1, -1, 0), "q_prev": (1, 2, -1, 0), "q_t": (1, 2, 1, 0),
+    "q_tt": (1, 2, 2, 0), "p": (0, 1, 0, 3), "v": (0, 2, 0, 3), "p_tt": (0, 1, 2, 2),
+    "v_tt": (0, 2, 2, 0), "theta": (1, 1, 0, 2), "theta_t": (1, 1, 1, 1), "theta_tt": (1, 1, 2, 0),
+}
+_KEPT = ("q", "theta", "v", "grad_p", "p_tt", "grad_v")  # read again by the report's dots
 # (x-norm sum, array, ring, stored levels needed); the first three arrays'
 # norms are read by the sums alone
 _SUMS = (("grad_lap_pt", "grad_lap_v", 0, 2), ("lap_ptt", "lap_p_tt", 0, 3), ("pttt", "v_tt", 0, 3),
@@ -117,6 +118,15 @@ _ROW_FIELDS = (("p", 3, None), ("v", 3, None), ("p_tt", 1, None), ("theta", 3, N
                ("theta_t", 3, "q_t"), ("theta_tt", 0, "q_tt"))
 _SUM_FIELDS = (("v", 3, None), ("p_tt", 2, None), ("v_tt", 0, None), ("theta_t", 0, "q_t"),
                ("theta_tt", 0, "q_tt"))
+
+
+def _formed(name: str, acs, ths) -> np.ndarray | None:
+    """Array ``name`` of _ARRAYS for some rings, as rows; None below its depth."""
+    which, slot, k, _ = _ARRAYS[name]
+    rings = (acs, ths)[which]
+    if rings and rings[0].depth > abs(k):
+        return _time_difference(rings, slot, k) if k > 0 else _levels(rings, slot, -k)
+    return None
 
 
 def _stacked(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,24 +150,21 @@ class _Rows:
         self.acs, self.ths, self.f = acs, ths, f
         self.dx = dx = (rings[0].grid if rings else coeffs[0].alpha.grid).dx
         self.sel = list(range(len(rings) or len(coeffs))) if sel is None else sel
-        a, sq = {}, {}  # arrays (a stencil only where the report reads it), squared norms
-        for name, which, slot, k, read in _ARRAYS:
-            of = (acs, ths)[which]
-            if of and of[0].depth > abs(k):
-                a[name] = u = _time_difference(of, slot, k) if k > 0 else _levels(of, slot, -k)
-                sq[name] = np.vecdot(u, u)
-                for prefix, values in zip(("grad_", "lap_", "grad_lap_"), _stencils(u, dx, read)):
-                    sq[prefix + name] = np.vecdot(values, values)
-                    if prefix + name in ("grad_p", "grad_v"):
-                        a[prefix + name] = values
-        self.a = a
+        a, sq = {}, {}  # the _KEPT arrays, the squared norms
+        for name, (_, _, _, read) in _ARRAYS.items():
+            if (u := _formed(name, acs, ths)) is not None:
+                for key, values in zip((name, "grad_" + name, "lap_" + name, "grad_lap_" + name),
+                                       (u, *_stencils(u, dx, read))):
+                    sq[key] = np.vecdot(values, values)
+                    if key in _KEPT:
+                        a[key] = values
         self.norms = dict(zip(sq, np.sqrt(dx * np.array(list(sq.values()))).tolist()))
 
         def dot(x, y):
             return np.vecdot(x, y).tolist()
 
-        b = a if sel is None or len(self.sel) == len(rings) else {
-            k: a[k][self.sel] for k in ("q", "theta", "v", "grad_p", "p_tt", "grad_v") if k in a}
+        every = sel is None or len(self.sel) == len(rings)
+        b = a if every else {k: u[self.sel] for k, u in a.items()}
         d = self.d = {}
         if ths:
             div_q = _difference_quotient(b["q"], dx)
@@ -195,9 +202,11 @@ class _Rows:
 
     def fields(self, i: int, table, extra=()):
         """(kind, values) of u, flux and order stencils of u for the chains
-        (u, order, flux) of row i's arrays in table, then of extra."""
-        a = self.a
-        chains = [(a[u][i], order, flux and a[flux][i]) for u, order, flux in table if u in a]
+        (u, order, flux) of row i's arrays in table, formed again from the
+        row's rings (the same operations give the same bits), then of extra."""
+        rings = (self.acs[i:i + 1], self.ths[i:i + 1])
+        chains = [(u[0], order, flux and _formed(flux, *rings)[0])
+                  for name, order, flux in table if (u := _formed(name, *rings)) is not None]
         for u, order, flux in chains + list(extra):
             yield "NodeField", u
             if flux is not None:
