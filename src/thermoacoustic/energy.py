@@ -46,9 +46,8 @@ steps and runs them as one chunk pass (_Rows): each time difference and
 stencil is formed once for all K rows as a (K, N) array, and each L2 norm
 or inner product is one np.vecdot, which sums each row in np.dot's order.
 Then, row by row in step order, the x-norm sums, sample_output and the
-report read the row's Python floats (_Row), with the scalar formulas and
-powers evaluated per row as before; the public functions are one-row
-passes.  No field is validated on the way: a non-finite norm or report
+report read the row's Python floats (_Row), and the scalar formulas and
+Python powers run per row; the public functions are one-row passes.  No field is validated on the way: a non-finite norm or report
 column re-checks the row's arrays in the order the field-based diagnostics
 built them (x-norm samples, Q(v), grad g, grad p of the previous level), so
 the same NonFinite results, located at the row's own step.
