@@ -135,7 +135,7 @@ def _stacked(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class _Rows:
     """K rows (time levels) in one pass: each time difference or stencil is
-    one (K, n) array of ``a``, each norm one np.vecdot, which sums a row in
+    one (K, n) array, each norm one np.vecdot, which sums a row in
     np.dot's order.  acs and ths are the rows' rings (either may be empty;
     those of a list have one depth, >= ``levels``).  The rows ``sel`` (all
     by default) get the inner products ``d`` with their coefficients, those
@@ -216,7 +216,9 @@ class _Rows:
 class _Row:
     """Row i (one of ``sel``) of a _Rows: the norms ``n`` and inner products
     ``d`` it reads, as Python floats, and ``f``, its source; its methods are
-    the diagnostics' scalar formulas."""
+    the diagnostics' scalar formulas.  The re-check also checks stencils no
+    norm reads; one overflows only from an entry above 1.3e154 of the array
+    below (for dx > 1.5e-154), whose norm then overflows too."""
 
     def __init__(self, rows: _Rows, i: int) -> None:
         j = rows.sel.index(i)
