@@ -42,7 +42,7 @@ from .acoustics import (
     check_nondegeneracy,
     westervelt_linear_step,  # not called here; perfbench/probes.py wraps it
 )
-from .energy import _CHUNK_ENTRIES, TIMESERIES_COLUMNS, EnergyReport, XNormAccumulator, _Row, _Rows
+from .energy import _CHUNK_ENTRIES, EnergyReport, XNormAccumulator, _make_report, _Row, _Rows
 from .grid import (
     FaceField,
     Grid1D,
@@ -375,43 +375,6 @@ class SimulationResult:
     picard_iters_per_step: tuple[int, ...]
     picard_distances_per_step: tuple[tuple[float, ...], ...]
     x_norms: tuple[float, float, float]
-
-
-def _make_report(
-    state: CoupledState,
-    coeffs_prev: FrozenCoefficients | None,
-    f_next: np.ndarray | None,
-    params: PhysicalParams,
-    row,
-) -> EnergyReport:
-    """The report of an output row, read from its _Row of the chunk pass,
-    which holds the inner products with coeffs_prev and f_next."""
-    th, ac, coeffs = state.thermal, state.acoustic, state.coeffs_last
-    e, d = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
-    for k in range(min(th.depth, 3)):  # order k needs k + 1 stored levels
-        e[k], d[k] = row.heat(params, k)
-    cal_e0, cal_e1 = row.theta_higher(params)[:2] if th.depth >= 3 else (0.0, 0.0)
-    ac_e1, ac_e2, ac_e3, ac_total = row.acoustic(params)
-    lam = frak_f = heat_res = ac_res = 0.0
-    built = ()
-    if coeffs_prev is not None:  # every row but step 0's, which has no f_next either
-        # the fields the report's own functions built: Q(v), grad g, grad p_prev
-        built = ((f_next, 0, None), (coeffs.g.values, 1, None), (ac.history[-2][1].values, 1, None))
-        lam, frak_f = row.coefficients()
-        ac_res = row.identity_residual(params, ac_e1)
-        heat_res = row.heat_residual(params)
-    report = EnergyReport(
-        t=state.t, E0=e[0], E1=e[1], E2=e[2], E_tau=e[0] + e[1] + e[2],
-        D0=d[0], D1=d[1], D2=d[2], cal_E0=cal_e0, cal_E1=cal_e1,
-        acE1=ac_e1, acE2=ac_e2, acE3=ac_e3, acE_total=ac_total, lam=lam, frak_f=frak_f,
-        alpha_min=coeffs.alpha_min, picard_iters=state.picard_iterations_last,
-        heat_residual=heat_res, acoustic_residual=ac_res,
-    )
-    for column, value in zip(TIMESERIES_COLUMNS, report.row()):
-        if not math.isfinite(value):
-            _check_arrays(row.fields(*built))
-            raise NonFinite(f"report column {column}")
-    return report
 
 
 @np.errstate(all="ignore")

@@ -57,12 +57,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .acoustics import AcousticState, FrozenCoefficients
 from .grid import (
     NodeField,
+    NonFinite,
     _check_arrays,
     _difference_quotient,
     _dirichlet_gradient,
@@ -294,6 +296,39 @@ class _Row:
         return abs(lhs - rhs)
 
 
+def _make_report(state, coeffs_prev: FrozenCoefficients | None, f_next: np.ndarray | None,
+                 params: PhysicalParams, row: _Row) -> EnergyReport:
+    """The report of the output row of a coupling.CoupledState, read from
+    its _Row of the chunk pass, which holds the inner products with
+    coeffs_prev and f_next; a non-finite column re-checks the row's arrays."""
+    th, ac, coeffs = state.thermal, state.acoustic, state.coeffs_last
+    e, d = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    for k in range(min(th.depth, 3)):  # order k needs k + 1 stored levels
+        e[k], d[k] = row.heat(params, k)
+    cal_e0, cal_e1 = row.theta_higher(params)[:2] if th.depth >= 3 else (0.0, 0.0)
+    ac_e1, ac_e2, ac_e3, ac_total = row.acoustic(params)
+    lam = frak_f = heat_res = ac_res = 0.0
+    built = ()
+    if coeffs_prev is not None:  # every row but step 0's, which has no f_next either
+        # the fields the report's own functions built: Q(v), grad g, grad p_prev
+        built = ((f_next, 0, None), (coeffs.g.values, 1, None), (ac.history[-2][1].values, 1, None))
+        lam, frak_f = row.coefficients()
+        ac_res = row.identity_residual(params, ac_e1)
+        heat_res = row.heat_residual(params)
+    report = EnergyReport(
+        t=state.t, E0=e[0], E1=e[1], E2=e[2], E_tau=e[0] + e[1] + e[2],
+        D0=d[0], D1=d[1], D2=d[2], cal_E0=cal_e0, cal_E1=cal_e1,
+        acE1=ac_e1, acE2=ac_e2, acE3=ac_e3, acE_total=ac_total, lam=lam, frak_f=frak_f,
+        alpha_min=coeffs.alpha_min, picard_iters=state.picard_iterations_last,
+        heat_residual=heat_res, acoustic_residual=ac_res,
+    )
+    for column, value in zip(TIMESERIES_COLUMNS, report.row()):
+        if not math.isfinite(value):
+            _check_arrays(row.fields(*built))
+            raise NonFinite(f"report column {column}")
+    return report
+
+
 def heat_energy(state: ThermalState, params: PhysicalParams, k: int) -> float:
     """E_k of the current level; time derivatives from the history ring."""
     return _Row(_Rows(ths=[state], levels=k + 1), 0).heat(params, k)[0]
@@ -448,13 +483,6 @@ def gronwall_bound(
     return np.exp(a_curve) * (u0 + cumtrapz(weighted))
 
 
-TIMESERIES_COLUMNS = (
-    "t", "E0", "E1", "E2", "E_tau", "D0", "D1", "D2", "cal_E0", "cal_E1",
-    "acE1", "acE2", "acE3", "acE_total", "lambda", "frakF", "alpha_min",
-    "picard_iters", "heat_residual", "acoustic_residual",
-)
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """One diagnostics row of a run.
@@ -486,4 +514,10 @@ class EnergyReport:
 
     def row(self) -> tuple:
         """The values in TIMESERIES_COLUMNS order, which is the field order."""
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return _row_values(self)
+
+
+_row_values = attrgetter(*(f.name for f in fields(EnergyReport)))
+# the timeseries.csv header is the field order, two fields spelled otherwise
+_CSV_SPELLINGS = {"lam": "lambda", "frak_f": "frakF"}
+TIMESERIES_COLUMNS = tuple(_CSV_SPELLINGS.get(f.name, f.name) for f in fields(EnergyReport))
