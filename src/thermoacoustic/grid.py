@@ -286,23 +286,27 @@ def _thomas_loop(diag, lower, upper, rhs):
     """Thomas elimination on Python lists; returns the solution as a list.
 
     The reference for _thomas and its fallback.  Raises SingularSystem
-    when a pivot falls below _PIVOT_RTOL times the max-abs row scale of the
-    original matrix row.
+    when a pivot is zero or falls below the sum of the original matrix
+    row's absolute entries, each times _PIVOT_RTOL (scaled before summing,
+    so the sum cannot overflow).
     """
     n = len(diag)
     d = [0.0] * n
     y = [0.0] * n
+    r = _PIVOT_RTOL
     piv = diag[0]
-    scale = abs(diag[0]) + (abs(upper[0]) if n > 1 else 0.0)
-    if scale == 0.0 or abs(piv) < _PIVOT_RTOL * scale:
+    scale = r * abs(diag[0]) + (r * abs(upper[0]) if n > 1 else 0.0)
+    if piv == 0.0 or abs(piv) < scale:
         raise SingularSystem(f"vanishing pivot at row 0 (pivot={piv!r})")
     d[0] = piv
     y[0] = rhs[0]
     for i in range(1, n):
         w = lower[i - 1] / d[i - 1]
         piv = diag[i] - w * upper[i - 1]
-        scale = abs(lower[i - 1]) + abs(diag[i]) + (abs(upper[i]) if i < n - 1 else 0.0)
-        if scale == 0.0 or abs(piv) < _PIVOT_RTOL * scale:
+        scale = r * abs(lower[i - 1]) + r * abs(diag[i])
+        if i < n - 1:
+            scale += r * abs(upper[i])
+        if piv == 0.0 or abs(piv) < scale:
             raise SingularSystem(f"vanishing pivot at row {i} (pivot={piv!r})")
         d[i] = piv
         y[i] = rhs[i] - w * y[i - 1]
@@ -374,16 +378,14 @@ def _eliminated_like_loop(u_diag: np.ndarray, abs_bands: np.ndarray) -> bool:
     (consumed) result of _LapackBuffer.load_bands for the matrix."""
     n = u_diag.shape[0]
     piv = np.abs(u_diag)
-    abs_lower = abs_bands[0, :-1]
+    if np.count_nonzero(piv[:-1] > abs_bands[0, :-1]) != n - 1:  # a row interchange
+        return False
     # the loop's row scales; addition commutes, so the order matches
+    abs_bands *= _PIVOT_RTOL
     scale = abs_bands[1]
-    scale[1:] += abs_lower
+    scale[1:] += abs_bands[0, :-1]
     scale[:-1] += abs_bands[2, :-1]
-    scale *= _PIVOT_RTOL
-    return (
-        np.count_nonzero(piv[:-1] > abs_lower) == n - 1  # no row interchange
-        and np.count_nonzero(piv >= scale) == n
-    )
+    return np.count_nonzero(piv >= scale) == n
 
 
 def _finite_nonzero(x: np.ndarray) -> bool:

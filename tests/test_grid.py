@@ -539,6 +539,29 @@ def test_run_matrices_never_meet_a_vanishing_pivot(systems):
     assert factored.tobytes() == _loop_reference(*heat).tobytes()
 
 
+@st.composite
+def near_max_systems(draw):
+    """Bands with the sign pattern of both run matrices (positive diagonal,
+    nonpositive off-diagonals), strictly dominant by rows and by columns,
+    scaled so the largest entry is within a factor 2 of the float maximum:
+    a row's absolute sum overflows, while every pivot stays below its
+    diagonal entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag, lower, upper, rhs = _dominant_system(rng, draw(st.integers(2, 64)), 0, 0.0)
+    scale = draw(st.floats(0.5, 0.99)) * np.finfo(float).max / np.abs(diag).max()
+    return np.abs(diag) * scale, -np.abs(lower) * scale, -np.abs(upper) * scale, rhs * scale
+
+
+@given(near_max_systems())
+@settings(max_examples=100, deadline=None)
+def test_bands_near_the_float_maximum_meet_no_vanishing_pivot(system):
+    # The pivot test scales each entry by _PIVOT_RTOL before summing a row,
+    # so a row sum above the float maximum is no vanishing pivot.
+    ref = _loop_reference(*system).tobytes()
+    assert _thomas(*system).tobytes() == ref
+    assert grid_mod._FactoredTridiagonal(*system[:3]).solve(system[3]).tobytes() == ref
+
+
 # Finite values up to 1e300 in magnitude, with signed zeros and subnormals.
 _stencil_values = st.one_of(
     st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324]),
