@@ -16,13 +16,14 @@ produce byte-identical files; negative zero is normalized on output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .acoustics import Degenerate
-from .config import ConfigError, _tau_ladder_problem, load_config_file, make_grid
+from .config import ConfigError, _member_problem, _tau_ladder_problem, load_config_file, make_grid
 from .coupling import PicardDiverged, SimulationResult, simulate, tau_sweep
 from .energy import TIMESERIES_COLUMNS
 from .grid import NodeField, NonFinite, l2_inner, l2_norm
@@ -94,6 +95,11 @@ def _cmd_limit_sweep(config, out_dir: Path, quiet: bool, tau_override) -> int:
     if not taus:
         print("limit-sweep needs sweep.tau_list in the config or --tau", file=sys.stderr)
         return EXIT_CONFIG
+    for tau in tau_override or ():  # the config's own list passed load_config
+        problem = _member_problem(config.params, config.speed_model, tau)
+        if problem:
+            print(f"configuration error: --tau {tau!r}: {problem}", file=sys.stderr)
+            return EXIT_CONFIG
     sweep = tau_sweep(config, taus)
     rows = zip(sweep.taus, sweep.e_theta, sweep.e_p, sweep.e_pt)
     _write(out_dir / "sweep.csv", _csv_text(("tau", "e_theta", "e_p", "e_pt"), rows), quiet)
@@ -127,7 +133,10 @@ def _cmd_modes(config, out_dir: Path, quiet: bool) -> int:
     mode_k = config.initial_data.mode_k
     shape = NodeField(grid, np.sin(mode_k * np.pi * grid.nodes() / grid.L))
     theta0 = NodeField(grid, amplitude * shape.values)
-    T0 = l2_inner(theta0, shape) / l2_norm(shape) ** 2
+    with np.errstate(all="ignore"):
+        T0 = l2_inner(theta0, shape) / l2_norm(shape) ** 2
+    if not math.isfinite(T0):  # the t = 0 row's numeric and oracle
+        raise NonFinite("modes column numeric", step=0, time=0.0)
 
     dt = config.time.dt
     n_steps = int(round(config.time.T / dt))

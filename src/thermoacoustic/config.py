@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -190,6 +190,12 @@ def _tau_ladder_problem(taus) -> str | None:
     return None
 
 
+def _member_problem(params: PhysicalParams, model: SpeedOfSoundModel, tau: float) -> str:
+    """Why the sweep member at tau, the medium of params with that tau,
+    cannot run (validate_params), or ''."""
+    return "; ".join(validate_params(replace(params, tau=tau), model))
+
+
 def _step_count(value: float, dt: float, key: str) -> int:
     """value / dt, which must be an integer to within 1e-9 relative."""
     steps = value / dt
@@ -265,6 +271,8 @@ def load_config(text: str) -> SimConfig:
     dt = time_cfg.dt
     _reject("time.T", time_cfg.T < 0 and "must be nonnegative")
     _reject("time.dt", dt <= 0 and "must be positive")
+    # the second time difference of the energies divides by dt**2
+    _reject("time.dt", dt * dt == math.inf and "too large: time.dt**2 must be a finite float")
     _reject("time.output_stride", time_cfg.output_stride < 1 and "must be at least 1")
     n_steps = _step_count(time_cfg.T, dt, "time.T")
     snap_steps = set()
@@ -286,6 +294,8 @@ def load_config(text: str) -> SimConfig:
         sweep_taus = _take(sweep, "sweep.tau_list", _numbers)
         _reject_unknown(sweep, "sweep")
         _reject("sweep.tau_list", _tau_ladder_problem(sweep_taus))
+        for i, tau in enumerate(sweep_taus):
+            _reject(f"sweep.tau_list[{i}]", _member_problem(params, model, tau))
 
     seed = _take(doc, "seed", _integer, SimConfig.seed)
     _reject_unknown(doc, "")

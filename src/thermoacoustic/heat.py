@@ -319,4 +319,7 @@ def telegraph_mode_oracle(
     sigma = bb / (2.0 * a)
     omega = math.sqrt(-disc) / (2.0 * a)
     c2 = (T0dot + sigma * T0) / omega
-    return math.exp(-sigma * t) * (T0 * math.cos(omega * t) + c2 * math.sin(omega * t))
+    phase = omega * t
+    if math.isinf(phase):  # math.cos raises where numpy would give nan
+        return math.nan
+    return math.exp(-sigma * t) * (T0 * math.cos(phase) + c2 * math.sin(phase))

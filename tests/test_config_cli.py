@@ -684,6 +684,82 @@ class TestCli:
         assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+class TestExtremeInputs:
+    """Inputs near the ends of the float range that once ended in exit 1 with
+    a traceback, or in exit 0 with a numpy warning: each now exits 2 or 8
+    with one stderr line, no warning and no output file."""
+
+    def _run(self, tmp_path, capsys, recwarn, command, doc, *extra):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out), "--quiet", *extra])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists() or not list(out.iterdir())
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "limit-sweep"])
+    def test_row_sum_overflow_is_not_a_vanishing_pivot(self, tmp_path, capsys, recwarn, command):
+        # h = 4e306: the acoustic matrix's entries and pivots are finite,
+        # but |l| + |d| + |u| of a row overflows; the pivot test scales each
+        # entry first, so the run goes on until the field overflows.
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["speed_model"]["coeffs"] = [4e306]
+        doc["time"]["T"] = 0.01
+        assert self._run(tmp_path, capsys, recwarn, command, doc) == (8, (
+            "non-finite values: NodeField contains non-finite entries (first at index 0)"
+            " at step 1, t=0.001\n"))
+
+    @pytest.mark.parametrize("dt", [1e300, 1.4e154])
+    def test_dt_whose_square_overflows_exits_2(self, tmp_path, capsys, recwarn, dt):
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"].update(T=2 * dt, dt=dt)
+        assert self._run(tmp_path, capsys, recwarn, "simulate", doc) == (2, (
+            "configuration error: time.dt: too large: time.dt**2 must be a finite float\n"))
+
+    def test_largest_dt_with_a_finite_square_is_accepted(self):
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"].update(T=2.6e154, dt=1.3e154)
+        assert load_config(json.dumps(doc)).time.dt == 1.3e154
+
+    def test_sweep_member_whose_constants_break_exits_2(self, tmp_path, capsys, recwarn):
+        # tau*m = 1e310 at the first member, though the base tau*m is finite
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["params"]["rho_a"] = 1e10
+        doc["sweep"]["tau_list"] = [1e300, 0.05]
+        assert self._run(tmp_path, capsys, recwarn, "limit-sweep", doc) == (2, (
+            "configuration error: sweep.tau_list[0]: tau*m must be finite and positive\n"))
+
+    def test_tau_flag_member_whose_constants_break_exits_2(self, tmp_path, capsys, recwarn):
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["params"]["rho_a"] = 1e10
+        code, err = self._run(tmp_path, capsys, recwarn, "limit-sweep", doc, "--tau", "1e300,0.05")
+        assert (code, err) == (2, (
+            "configuration error: --tau 1e+300: tau*m must be finite and positive\n"))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"initial_data.amplitude_theta": 1.7e308, "time.T": 0},
+             "modes column numeric contains non-finite entries at step 0, t=0"),
+            ({"initial_data.amplitude_theta": 1.7e308, "time.T": 0.01},
+             "modes column numeric contains non-finite entries at step 0, t=0"),
+            ({"grid.L": 1e-150, "grid.N": 2, "params.tau": 1e12, "time.T": 2, "time.dt": 1},
+             "modes column oracle contains non-finite entries at step 1, t=1"),
+        ],
+        ids=["amplitude_T0", "amplitude", "oracle_phase_overflows"],
+    )
+    def test_modes_overflow_exits_8(self, tmp_path, capsys, recwarn, changes, message):
+        # The projection T0 of the amplitude overflows (it was written as the
+        # t = 0 row, or warned before the step's own error), or the oracle's
+        # frequency does (math.cos of an infinite phase raised).
+        doc = json.loads((CONFIG_DIR / "modes.json").read_text())
+        for key, value in changes.items():
+            section, name = key.split(".")
+            doc[section][name] = value
+        code, err = self._run(tmp_path, capsys, recwarn, "modes", doc)
+        assert (code, err) == (8, f"non-finite values: {message}\n")
+
+
 class TestShippedConfigs:
     def test_canonical_config_matches_library_pin(self):
         from pathlib import Path

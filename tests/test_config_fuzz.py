@@ -89,3 +89,74 @@ def test_mutated_config_exits_with_a_documented_code(command, mutations):
         # a warning would print on stderr next to the message
         lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
         assert len(lines) == 1 and "Traceback" not in lines[0], lines
+
+
+def _exp10(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# Magnitudes log-uniform over the float range and within 17 decades of its ends.
+_MAGNITUDES = st.one_of(
+    st.sampled_from([1e-300, 1e-12, 0.05, 1.0, 1e12, 1.7e308]),
+    _exp10(-307.0, 308.0), _exp10(-307.0, -290.0), _exp10(291.0, 308.0),
+)
+_SIGNED = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda x: -x))
+_PARAM_KEYS = ["rho_a", "C_a", "rho_b", "C_b", "W", "kappa_a", "b", "rho", "beta_acous"]
+
+
+@st.composite
+def _extreme_documents(draw):
+    """A config of N <= 16 and at most 50 steps whose grid length, medium,
+    speed polynomial, initial data (any preset) and step size may sit at the
+    ends of the float range, with a sweep ladder of extreme taus."""
+    N = draw(st.integers(2, 16))
+    doc = json.loads(json.dumps(BASE))
+    # dx from the whole range the grid.L rule allows, 1.5e-154 < dx < 1.3e154
+    dx = draw(st.one_of(st.just(1.0), _exp10(-153.8, 154.1), _exp10(-153.8, -145.0)))
+    doc["grid"] = {"L": dx * (N + 1), "N": N}
+    params = doc["params"]
+    for key in draw(st.lists(st.sampled_from(_PARAM_KEYS), max_size=3, unique=True)):
+        params[key] = draw(_MAGNITUDES)
+    params["tau"] = draw(st.one_of(st.sampled_from([0.0, 0.05]), _MAGNITUDES))
+    coeffs = [draw(_MAGNITUDES)] + draw(st.lists(_SIGNED, max_size=2))
+    floor = coeffs[0] * draw(st.sampled_from([1.0, 0.5, 1e-12]))
+    doc["speed_model"] = {"coeffs": coeffs, "h_floor": floor}
+    preset = draw(st.sampled_from(["zero", "sine", "gaussian", "raw"]))
+    init = {"preset": preset, "amplitude_p": draw(_SIGNED), "amplitude_theta": draw(_SIGNED),
+            "mode_k": draw(st.integers(1, N))}
+    if preset == "gaussian":
+        init["width"] = draw(_MAGNITUDES)
+        init["center"] = draw(_SIGNED)
+    if preset == "raw":
+        for key, size in (("p0", N), ("p1", N), ("theta0", N), ("q0", N + 1)):
+            init[key] = draw(st.lists(_SIGNED, min_size=size, max_size=size))
+    doc["initial_data"] = init
+    dt = draw(st.one_of(st.sampled_from([1e-3, 1.0]), _MAGNITUDES, _exp10(150.0, 160.0)))
+    doc["time"] = {"T": draw(st.integers(0, 50)) * dt, "dt": dt,
+                   "output_stride": draw(st.integers(1, 3)), "snapshot_times": []}
+    ladder = draw(st.lists(_MAGNITUDES, min_size=1, max_size=3, unique=True))
+    doc["sweep"] = {"tau_list": sorted(ladder, reverse=True)}
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["simulate", "limit-sweep", "modes"]),
+    doc=_extreme_documents(),
+    taus=st.one_of(st.none(), st.lists(_MAGNITUDES, min_size=1, max_size=2, unique=True)),
+)
+def test_extreme_config_exits_with_a_documented_code(command, doc, taus):
+    argv = [command, "--quiet"]
+    if command == "limit-sweep" and taus is not None:
+        argv += ["--tau", ",".join(repr(tau) for tau in sorted(taus, reverse=True))]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in EXIT_CODES, (code, err.getvalue())
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert len(lines) == (code != 0) and "Traceback" not in err.getvalue(), lines
