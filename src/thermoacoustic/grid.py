@@ -378,12 +378,14 @@ def _eliminated_like_loop(u_diag: np.ndarray, abs_bands: np.ndarray) -> bool:
     (consumed) result of _LapackBuffer.load_bands for the matrix."""
     n = u_diag.shape[0]
     piv = np.abs(u_diag)
-    if np.count_nonzero(piv[:-1] > abs_bands[0, :-1]) != n - 1:  # a row interchange
+    abs_lower = abs_bands[0, :-1]
+    if np.count_nonzero(piv[:-1] > abs_lower) != n - 1:  # a row interchange
         return False
-    # the loop's row scales; addition commutes, so the order matches
+    # the loop's row scales (the views above and below scale in place);
+    # addition commutes, so the order matches
     abs_bands *= _PIVOT_RTOL
     scale = abs_bands[1]
-    scale[1:] += abs_bands[0, :-1]
+    scale[1:] += abs_lower
     scale[:-1] += abs_bands[2, :-1]
     return np.count_nonzero(piv >= scale) == n
 
