@@ -388,7 +388,8 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     floating-point warnings are silenced; a non-finite field or report
     value still raises the located NonFinite.
     """
-    from .config import initial_fields, make_grid  # deferred: config imports us
+    # looked up at call time, so wrappers set on config (perfbench/probes.py) apply
+    from .config import initial_fields, make_grid
 
     params, model = config.params, config.speed_model
     problems = validate_params(params, model)

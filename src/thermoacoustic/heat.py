@@ -225,9 +225,11 @@ def fourier_thermal_step(
 ) -> ThermalState:
     """Fourier-path state update: parabolic step plus q = -kappa_a grad theta.
 
-    Written independently of cattaneo_step on purpose: the tau = 0 reference
-    runs through it, so the bitwise degeneration check (acceptance
-    criterion 8) compares two separate updates, not one code path with itself.
+    Written independently of cattaneo_step on purpose, so the bitwise
+    degeneration check (acceptance criterion 8) compares two separate
+    updates, not one code path with itself.  Coupled runs call its raw
+    parts, _fourier_update and _fourier_flux, from their kernel; mode_run
+    and the tests call this function.
     """
     theta_new = fourier_step(state.theta, f_next, dt, params)
     q_new = FaceField(state.grid, _fourier_flux(theta_new.values, params, state.grid.dx))

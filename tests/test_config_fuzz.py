@@ -3,7 +3,10 @@
 One to three leaves of configs/canonical.json (shrunk to N = 8 and T = 5 ms)
 are replaced by extreme, zero, negative, wrong-type or empty values and
 unknown presets; every outcome must be a documented exit code, and a
-non-zero exit prints exactly one line on stderr and no traceback.
+non-zero exit prints exactly one line on stderr and no traceback.  A second
+property draws whole configs (every preset, multi-term speed polynomials,
+sweep ladders) whose sizes sit at the ends of the float range, and also
+asks for no numpy warning on a successful run.
 """
 
 import contextlib
