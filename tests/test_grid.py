@@ -543,9 +543,9 @@ def test_run_matrices_never_meet_a_vanishing_pivot(systems):
 def near_max_systems(draw):
     """Bands with the sign pattern of both run matrices (positive diagonal,
     nonpositive off-diagonals), strictly dominant by rows and by columns,
-    scaled so the largest entry is within a factor 2 of the float maximum:
-    a row's absolute sum overflows, while every pivot stays below its
-    diagonal entry."""
+    scaled so the largest diagonal entry is within a factor 2 of the float
+    maximum: a row's absolute sum often exceeds it, while every pivot
+    stays below its diagonal entry."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     diag, lower, upper, rhs = _dominant_system(rng, draw(st.integers(2, 64)), 0, 0.0)
     scale = draw(st.floats(0.5, 0.99)) * np.finfo(float).max / np.abs(diag).max()
