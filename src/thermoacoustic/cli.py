@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import Degenerate
-from .config import ConfigError, _member_problem, _tau_ladder_problem, load_config_file, make_grid
+from .config import ConfigError, ValidationError, _ladder_problem, load_config_file, make_grid
 from .coupling import PicardDiverged, SimulationResult, simulate, tau_sweep
 from .energy import TIMESERIES_COLUMNS
 from .grid import NodeField, NonFinite, l2_inner, l2_norm
@@ -90,16 +90,19 @@ def _tau_dirname(tau: float) -> str:
     return "tau_" + format(tau, "g")
 
 
-def _cmd_limit_sweep(config, out_dir: Path, quiet: bool, tau_override) -> int:
-    taus = tau_override if tau_override is not None else config.sweep_tau_list
+def _cmd_limit_sweep(config, out_dir: Path, quiet: bool, tau_text) -> int:
+    taus = config.sweep_tau_list  # load_config checked it
+    if tau_text is not None:
+        try:
+            taus = tuple(float(part) for part in tau_text.split(",") if part.strip())
+        except ValueError:
+            raise ValidationError("--tau", f"not a comma-separated float list: {tau_text!r}")
+        i, reason = _ladder_problem(taus, config.params, config.speed_model)
+        if reason:
+            raise ValidationError("--tau" if i is None else f"--tau {taus[i]!r}", reason)
     if not taus:
         print("limit-sweep needs sweep.tau_list in the config or --tau", file=sys.stderr)
         return EXIT_CONFIG
-    for tau in tau_override or ():  # the config's own list passed load_config
-        problem = _member_problem(config.params, config.speed_model, tau)
-        if problem:
-            print(f"configuration error: --tau {tau!r}: {problem}", file=sys.stderr)
-            return EXIT_CONFIG
     sweep = tau_sweep(config, taus)
     rows = zip(sweep.taus, sweep.e_theta, sweep.e_p, sweep.e_pt)
     _write(out_dir / "sweep.csv", _csv_text(("tau", "e_theta", "e_p", "e_pt"), rows), quiet)
@@ -153,17 +156,6 @@ def _cmd_modes(config, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _parse_tau_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    problem = _tau_ladder_problem(values)
-    if problem:
-        raise argparse.ArgumentTypeError(f"tau list {problem}")
-    return values
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="thermoacoustic",
@@ -181,10 +173,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         if name == "limit-sweep":
-            p.add_argument(
-                "--tau", type=_parse_tau_list, default=None,
-                help="comma-separated override of sweep.tau_list",
-            )
+            p.add_argument("--tau", help="comma-separated override of sweep.tau_list")
     args = parser.parse_args(argv)
 
     try:
@@ -206,6 +195,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(config, out_dir, args.quiet)
         return _cmd_modes(config, out_dir, args.quiet)
+    except ConfigError as exc:  # a --tau the ladder rule rejects
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Degenerate as exc:
         print(f"degeneracy abort: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -176,24 +176,25 @@ def _section(doc: dict, name: str, cls, **checks):
     return cls(**values)
 
 
-def _tau_ladder_problem(taus) -> str | None:
-    """Why taus cannot be a user's sweep ladder (sweep.tau_list or
-    limit-sweep --tau), or None.  A ladder is non-empty, finite, positive and
-    strictly decreasing, so each member has its own tau and output folder."""
+def _ladder_problem(taus, params: PhysicalParams, model: SpeedOfSoundModel):
+    """(i, reason) why taus cannot be a user's sweep ladder (sweep.tau_list
+    or limit-sweep --tau); reason is '' for a ladder that can run.  i is None
+    when the list itself breaks the rule: a ladder is non-empty, finite,
+    positive and strictly decreasing, so each member has its own tau and
+    output folder.  Otherwise i is the first member whose medium, params with
+    tau = taus[i], fails validate_params."""
     if not taus:
-        return "must not be empty"
+        return None, "must not be empty"
     bad = _invalid_taus(taus)
     if bad:
-        return f"must hold finite and positive values, got {bad}"
+        return None, f"must hold finite and positive values, got {bad}"
     if any(b >= a for a, b in zip(taus, taus[1:])):
-        return f"must be strictly decreasing, got {list(taus)}"
-    return None
-
-
-def _member_problem(params: PhysicalParams, model: SpeedOfSoundModel, tau: float) -> str:
-    """Why the sweep member at tau, the medium of params with that tau,
-    cannot run (validate_params), or ''."""
-    return "; ".join(validate_params(replace(params, tau=tau), model))
+        return None, f"must be strictly decreasing, got {list(taus)}"
+    for i, tau in enumerate(taus):
+        problems = validate_params(replace(params, tau=tau), model)
+        if problems:
+            return i, "; ".join(problems)
+    return None, ""
 
 
 def _step_count(value: float, dt: float, key: str) -> int:
@@ -293,9 +294,8 @@ def load_config(text: str) -> SimConfig:
     if sweep is not None:
         sweep_taus = _take(sweep, "sweep.tau_list", _numbers)
         _reject_unknown(sweep, "sweep")
-        _reject("sweep.tau_list", _tau_ladder_problem(sweep_taus))
-        for i, tau in enumerate(sweep_taus):
-            _reject(f"sweep.tau_list[{i}]", _member_problem(params, model, tau))
+        i, reason = _ladder_problem(sweep_taus, params, model)
+        _reject("sweep.tau_list" if i is None else f"sweep.tau_list[{i}]", reason)
 
     seed = _take(doc, "seed", _integer, SimConfig.seed)
     _reject_unknown(doc, "")

@@ -655,11 +655,11 @@ class TestCli:
     @pytest.mark.parametrize("tau", ["0", "-0.1", "nan", "inf"])
     def test_limit_sweep_rejects_bad_tau(self, tmp_path, capsys, tau):
         cfg = write_config(tmp_path, sine_doc(T=0.02))
-        with pytest.raises(SystemExit) as exc:
-            main(["limit-sweep", "--config", cfg, "--out", str(tmp_path),
-                  "--tau", f"0.1,{tau}", "--quiet"])
-        assert exc.value.code == 2
-        assert "finite and positive" in capsys.readouterr().err
+        assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--tau", f"0.1,{tau}", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "finite and positive" in err
         assert not (tmp_path / "tau_0").exists()  # rejected before any run
 
     @pytest.mark.parametrize("taus", ["0.05,0.1", "0.1,0.1"], ids=["increasing", "duplicate"])
@@ -672,11 +672,11 @@ class TestCli:
             load_config(json.dumps(doc))
         assert "strictly decreasing" in str(err.value)
         cfg = write_config(tmp_path, sine_doc(T=0.02))
-        with pytest.raises(SystemExit) as exc:
-            main(["limit-sweep", "--config", cfg, "--out", str(tmp_path),
-                  "--tau", taus, "--quiet"])
-        assert exc.value.code == 2
-        assert "strictly decreasing" in capsys.readouterr().err
+        assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--tau", taus, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "strictly decreasing" in err
         assert not (tmp_path / "tau_0").exists()  # rejected before any run
 
     def test_sweep_without_taus_is_config_error(self, tmp_path):
