@@ -87,7 +87,9 @@ def _cmd_simulate(config, out_dir: Path, quiet: bool) -> int:
 
 
 def _tau_dirname(tau: float) -> str:
-    return "tau_" + format(tau, "g")
+    """tau_<%g>, or tau_<repr> where %g does not read back as tau."""
+    name = format(tau, "g")
+    return "tau_" + (name if float(name) == tau else repr(tau))
 
 
 def _cmd_limit_sweep(config, out_dir: Path, quiet: bool, tau_text) -> int:

@@ -652,6 +652,23 @@ class TestCli:
         assert (tmp_path / "tau_0.05" / "timeseries.csv").exists()
         assert (tmp_path / "tau_0" / "timeseries.csv").exists()  # reference run
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_close_taus_get_their_own_folders(self, tmp_path, source):
+        # %g names 0.1000001 and 0.1 alike; the second run must not
+        # overwrite the first one's timeseries
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"]["T"] = 0.02
+        doc["sweep"]["tau_list"] = [0.1000001, 0.1, 0.05]
+        extra = ["--tau", "0.1000001,0.1,0.05"] if source == "flag" else []
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["limit-sweep", "--config", cfg, "--out", str(out), "--quiet", *extra]) == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+            "tau_0", "tau_0.05", "tau_0.1", "tau_0.1000001"]
+        close = [(out / name / "timeseries.csv").read_bytes()
+                 for name in ("tau_0.1", "tau_0.1000001")]
+        assert close[0] != close[1]
+
     @pytest.mark.parametrize("tau", ["0", "-0.1", "nan", "inf"])
     def test_limit_sweep_rejects_bad_tau(self, tmp_path, capsys, tau):
         cfg = write_config(tmp_path, sine_doc(T=0.02))
