@@ -11,7 +11,6 @@ from .acoustics import (
     AcousticState,
     Degenerate,
     FrozenCoefficients,
-    acoustic_identity_residual,
     assemble_coefficients,
     check_nondegeneracy,
     westervelt_linear_step,
@@ -43,6 +42,7 @@ from .energy import (
     TIMESERIES_COLUMNS,
     XNormAccumulator,
     acoustic_energy,
+    acoustic_identity_residual,
     coefficient_diagnostics,
     gronwall_bound,
     heat_balance_residual,

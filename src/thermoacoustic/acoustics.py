@@ -46,7 +46,6 @@ __all__ = [
     "assemble_coefficients",
     "check_nondegeneracy",
     "westervelt_linear_step",
-    "acoustic_identity_residual",
 ]
 
 class Degenerate(ArithmeticError):
@@ -184,28 +183,3 @@ def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx):
     diag = alpha / dt + 2.0 * stencil
     rhs = alpha * v / dt + r * lap_p + g
     return diag, -stencil[1:], -stencil[:-1], rhs
-
-
-def acoustic_identity_residual(
-    state: AcousticState,
-    coeffs_prev: FrozenCoefficients,
-    coeffs_next: FrozenCoefficients,
-    params: PhysicalParams,
-) -> float:
-    """Defect of the first-energy balance of the damped wave equation.
-
-    The continuous identity obtained by testing with p_t,
-
-        d/dt E1[p] + b ||grad p_t||^2
-            = <g, p_t> + 1/2 <alpha_t, p_t^2> - <grad r . grad p, p_t>
-              + 1/2 <r_t, |grad p|^2>,
-
-    is evaluated with backward differences in time and face-midpoint values
-    for the mixed-location product, using the last two stored levels.  The
-    residual is the backward-Euler defect and vanishes at rate O(dt) on
-    smooth runs; the spatial part cancels exactly by summation by parts.
-    """
-    from .energy import _Row, _Rows  # deferred: energy imports this module
-
-    row = _Row(_Rows([state], levels=2, coeffs=[coeffs_next], prevs=[coeffs_prev]), 0)
-    return row.identity_residual(params, row.acoustic(params)[0])

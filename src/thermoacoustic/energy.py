@@ -82,6 +82,7 @@ __all__ = [
     "heat_balance_residual",
     "acoustic_energy",
     "coefficient_diagnostics",
+    "acoustic_identity_residual",
     "XNormAccumulator",
     "gronwall_bound",
 ]
@@ -282,7 +283,7 @@ class _Row:
         return lam, math.sqrt(dx * d["grad_g"]) ** 2 + dx * d["g_t"]
 
     def identity_residual(self, params: PhysicalParams, e1: float) -> float:
-        """acoustics.acoustic_identity_residual, given E1 of the newest level."""
+        """acoustic_identity_residual, given E1 of the newest level."""
         dt, dx, d = self.ac.dt, self.dx, self.d
         e1_old = 0.5 * (dx * d["alpha0_v0"] + dx * d["r0_grad_p0"])
         lhs = (e1 - e1_old) / dt
@@ -374,6 +375,29 @@ def coefficient_diagnostics(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     return _Row(_Rows(coeffs=[coeffs_next], prevs=[coeffs_prev], dts=[dt]), 0).coefficients()
+
+
+def acoustic_identity_residual(
+    state: AcousticState,
+    coeffs_prev: FrozenCoefficients,
+    coeffs_next: FrozenCoefficients,
+    params: PhysicalParams,
+) -> float:
+    """Defect of the first-energy balance of the damped wave equation.
+
+    The continuous identity obtained by testing with p_t,
+
+        d/dt E1[p] + b ||grad p_t||^2
+            = <g, p_t> + 1/2 <alpha_t, p_t^2> - <grad r . grad p, p_t>
+              + 1/2 <r_t, |grad p|^2>,
+
+    is evaluated with backward differences in time and face-midpoint values
+    for the mixed-location product, using the last two stored levels.  The
+    residual is the backward-Euler defect and vanishes at rate O(dt) on
+    smooth runs; the spatial part cancels exactly by summation by parts.
+    """
+    row = _Row(_Rows([state], levels=2, coeffs=[coeffs_next], prevs=[coeffs_prev]), 0)
+    return row.identity_residual(params, row.acoustic(params)[0])
 
 
 class XNormAccumulator:

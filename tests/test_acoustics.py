@@ -5,11 +5,11 @@ from thermoacoustic.acoustics import (
     AcousticState,
     Degenerate,
     FrozenCoefficients,
-    acoustic_identity_residual,
     assemble_coefficients,
     check_nondegeneracy,
     westervelt_linear_step,
 )
+from thermoacoustic.energy import acoustic_identity_residual
 from thermoacoustic.grid import (
     Grid1D,
     NodeField,

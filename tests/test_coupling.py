@@ -12,7 +12,6 @@ from thermoacoustic import grid as grid_mod
 from thermoacoustic import heat as heat_mod
 from thermoacoustic.acoustics import (
     Degenerate,
-    acoustic_identity_residual,
     assemble_coefficients,
 )
 from thermoacoustic.cli import snapshot_csv, timeseries_csv
@@ -20,6 +19,7 @@ from thermoacoustic.config import InitialData, TimeConfig, initial_fields, make_
 from thermoacoustic.energy import (
     XNormAccumulator,
     acoustic_energy,
+    acoustic_identity_residual,
     coefficient_diagnostics,
     heat_balance_residual,
     heat_dissipation,
