@@ -389,7 +389,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     value still raises the located NonFinite.
     """
     # looked up at call time, so wrappers set on config (perfbench/probes.py) apply
-    from .config import initial_fields, make_grid
+    from .config import initial_fields, make_grid  # deferred for perfbench/probes.py
 
     params, model = config.params, config.speed_model
     problems = validate_params(params, model)

@@ -1,5 +1,5 @@
 """Every exported name resolves, so ``import *`` cannot break on a pruned
-name, and every imported name is used."""
+name, every imported name is used, and no function imports a module."""
 
 import ast
 import importlib
@@ -19,6 +19,7 @@ MODULES = (
     "thermoacoustic.model",
     "thermoacoustic.verification",
 )
+SRC = Path(importlib.import_module("thermoacoustic").__file__).parent
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -55,3 +56,23 @@ def test_every_import_is_used_or_exported(module_name):
     used.update(getattr(module, "__all__", [n for n in imported if not n.startswith("_")]))
     dead = [name for name, line in imported.items() if name not in used and _PROBED not in line]
     assert dead == []
+
+
+_DEFERRED = "deferred for perfbench/probes.py"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_import_inside_a_function(path):
+    # An import inside a function hides a dependency, an import cycle
+    # included.  The exception is an import deferred so that the benchmark's
+    # wrappers on the imported module apply, marked on its line.
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    deferred = {
+        node.lineno
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _DEFERRED not in lines[node.lineno - 1]
+    }
+    assert sorted(deferred) == []
