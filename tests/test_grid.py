@@ -297,6 +297,14 @@ class TestTridiagonal:
         with pytest.raises(SingularSystem):
             solve_tridiagonal(diag, np.ones(1), np.ones(1), rhs)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_first_pivot_is_singular(self, n):
+        # dgtsv interchanges rows (n = 3) or reports the zero pivot (n = 1), and
+        # the loop that _thomas falls back to rejects row 0
+        off = np.ones(n - 1)
+        with pytest.raises(SingularSystem, match="row 0"):
+            _thomas(np.array([0.0] + [4.0] * (n - 1)), off, off, np.ones(n))
+
 
 class TestTridiagonalLoop(TestTridiagonal):
     """The same cases with the LAPACK path switched off: the loop alone."""
@@ -472,6 +480,16 @@ class TestFactoredPath:
         assert not grid_mod._FactoredTridiagonal(diag, lower, upper).factored
         ref = _loop_reference(diag, lower, upper, rhs)
         assert _factored_solve(diag, lower, upper, rhs).tobytes() == ref.tobytes()
+
+    def test_unfactored_solve_goes_through_thomas(self):
+        # the row-interchange matrix above, solved by solve itself
+        diag = np.array([1.0, 4.0, 4.0, 4.0])
+        lower = np.array([3.0, 1.0, 1.0])
+        upper = np.array([1.0, 1.0, 1.0])
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        lu = grid_mod._FactoredTridiagonal(diag, lower, upper)
+        assert not lu.factored
+        assert lu.solve(rhs).tobytes() == _thomas(diag, lower, upper, rhs).tobytes()
 
     def test_tiny_pivot_is_not_factored_and_stays_singular(self):
         diag = np.array([2.0, 0.5 + 2.0**-52])
