@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermoacoustic
 from thermoacoustic import coupling as coupling_mod
 from thermoacoustic.cli import main
 from thermoacoustic.config import (
@@ -699,6 +703,34 @@ class TestCli:
     def test_sweep_without_taus_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, sine_doc(T=0.02))
         assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m thermoacoustic`` in a fresh interpreter, without --quiet."""
+
+    def _run(self, *args):
+        src = str(Path(thermoacoustic.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        return subprocess.run([sys.executable, "-m", "thermoacoustic", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_modes_prints_what_it_wrote_and_its_error(self, tmp_path):
+        done = self._run("modes", "--config", str(CONFIG_DIR / "modes.json"),
+                         "--out", str(tmp_path))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (f"wrote {tmp_path / 'modes.csv'}\n"
+                               "modes: max |numeric - oracle| = 3.694e-03\n")
+
+    def test_bad_tau_is_one_configuration_error(self, tmp_path):
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"]["T"] = 0.02
+        done = self._run("limit-sweep", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "out"), "--tau", "0.05,0.1")
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: --tau")
+        assert "usage:" not in done.stderr
 
 
 class TestExtremeInputs:
