@@ -68,11 +68,11 @@ def test_no_import_inside_a_function(path):
     # wrappers on the imported module apply, marked on its line.
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
-    deferred = {
+    inner = {
         node.lineno
         for function in ast.walk(ast.parse(source))
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(function)
         if isinstance(node, (ast.Import, ast.ImportFrom)) and _DEFERRED not in lines[node.lineno - 1]
     }
-    assert sorted(deferred) == []
+    assert sorted(inner) == []
