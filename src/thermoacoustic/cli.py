@@ -73,12 +73,12 @@ def _write(path: Path, text: str, quiet: bool) -> None:
         print(f"wrote {path}")
 
 
-def _cmd_simulate(config, out_dir: Path, quiet: bool) -> int:
+def _cmd_simulate(config, args) -> int:
     result = simulate(config)
-    _write(out_dir / "timeseries.csv", timeseries_csv(result), quiet)
+    _write(args.out / "timeseries.csv", timeseries_csv(result), args.quiet)
     for k, snap in enumerate(result.snapshots):
-        _write(out_dir / f"snapshot_{k}.csv", snapshot_csv(snap), quiet)
-    if not quiet:
+        _write(args.out / f"snapshot_{k}.csv", snapshot_csv(snap), args.quiet)
+    if not args.quiet:
         print(
             f"simulate: {len(result.reports)} report rows, "
             f"final t={result.final_state.t:.6g}"
@@ -92,38 +92,38 @@ def _tau_dirname(tau: float) -> str:
     return "tau_" + (name if float(name) == tau else repr(tau))
 
 
-def _cmd_limit_sweep(config, out_dir: Path, quiet: bool, tau_text) -> int:
+def _cmd_limit_sweep(config, args) -> int:
     taus = config.sweep_tau_list  # load_config checked it
-    if tau_text is not None:
+    if args.tau is not None:
         try:
-            taus = tuple(float(part) for part in tau_text.split(",") if part.strip())
+            taus = tuple(float(part) for part in args.tau.split(",") if part.strip())
         except ValueError:
-            raise ValidationError("--tau", f"not a comma-separated float list: {tau_text!r}")
+            raise ValidationError("--tau", f"not a comma-separated float list: {args.tau!r}")
         i, reason = _ladder_problem(taus, config.params, config.speed_model)
         if reason:
             raise ValidationError("--tau" if i is None else f"--tau {taus[i]!r}", reason)
     if not taus:
-        print("limit-sweep needs sweep.tau_list in the config or --tau", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValidationError("sweep.tau_list", "required by limit-sweep unless --tau is given")
     sweep = tau_sweep(config, taus)
     rows = zip(sweep.taus, sweep.e_theta, sweep.e_p, sweep.e_pt)
-    _write(out_dir / "sweep.csv", _csv_text(("tau", "e_theta", "e_p", "e_pt"), rows), quiet)
+    header = ("tau", "e_theta", "e_p", "e_pt")
+    _write(args.out / "sweep.csv", _csv_text(header, rows), args.quiet)
     members = dict(zip(sweep.taus, sweep.members))
     members[0.0] = sweep.reference
     for tau, member in sorted(members.items(), reverse=True):
-        member_dir = out_dir / _tau_dirname(tau)
+        member_dir = args.out / _tau_dirname(tau)
         member_dir.mkdir(parents=True, exist_ok=True)
-        _write(member_dir / "timeseries.csv", timeseries_csv(member), quiet)
+        _write(member_dir / "timeseries.csv", timeseries_csv(member), args.quiet)
     return EXIT_OK
 
 
-def _cmd_verify(config, out_dir: Path, quiet: bool) -> int:
+def _cmd_verify(config, args) -> int:
     checks = run_all_checks(seed=config.seed)
     rows = ((c.name, int(c.passed), c.measured, c.threshold, c.detail) for c in checks)
     header = ("check", "passed", "measured", "threshold", "detail")
-    _write(out_dir / "verify.csv", _csv_text(header, rows), quiet)
+    _write(args.out / "verify.csv", _csv_text(header, rows), args.quiet)
     failed = [c for c in checks if not c.passed]
-    for c in checks if not quiet else failed:
+    for c in checks if not args.quiet else failed:
         status = "pass" if c.passed else "FAIL"
         print(f"{status}  {c.name}: measured={c.measured:.3e} threshold={c.threshold:.3e}")
     if failed:
@@ -132,7 +132,7 @@ def _cmd_verify(config, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_modes(config, out_dir: Path, quiet: bool) -> int:
+def _cmd_modes(config, args) -> int:
     grid = make_grid(config)
     amplitude = config.initial_data.amplitude_theta or 1.0
     mode_k = config.initial_data.mode_k
@@ -151,11 +151,24 @@ def _cmd_modes(config, out_dir: Path, quiet: bool) -> int:
     for n, (state, numeric, oracle) in enumerate(run, start=1):
         if n % stride == 0 or n == n_steps:
             rows.append((state.t, numeric, oracle, abs(numeric - oracle)))
-    _write(out_dir / "modes.csv", _csv_text(("t", "numeric", "oracle", "abs_err"), rows), quiet)
-    if not quiet:
+    header = ("t", "numeric", "oracle", "abs_err")
+    _write(args.out / "modes.csv", _csv_text(header, rows), args.quiet)
+    if not args.quiet:
         worst = max(r[3] for r in rows)
         print(f"modes: max |numeric - oracle| = {worst:.3e}")
     return EXIT_OK
+
+
+# The one map from a failure to its exit code and stderr prefix; a run that
+# leaves the validated regime ends in the first row its exception matches.
+_FAILURES = (
+    (ConfigError, EXIT_CONFIG, "configuration error"),
+    (Degenerate, EXIT_DEGENERATE, "degeneracy abort"),
+    (PicardDiverged, EXIT_PICARD, "fixed-point divergence"),
+    (FloorViolated, EXIT_FLOOR, "sound-speed floor violated"),
+    (NonFinite, EXIT_NONFINITE, "non-finite values"),
+    (OSError, EXIT_OUTPUT, "cannot write outputs"),  # --out or a file in it
+)
 
 
 def main(argv=None) -> int:
@@ -164,15 +177,18 @@ def main(argv=None) -> int:
         description="1D coupled thermo-acoustic simulator with energy diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "run the coupled system and emit timeseries/snapshots"),
-        ("limit-sweep", "run the relaxation ladder against the Fourier reference"),
-        ("verify", "run the verification suites and emit verify.csv"),
-        ("modes", "single-mode thermal run against the telegraph oracle"),
+    for name, run, help_text in (
+        ("simulate", _cmd_simulate, "run the coupled system and emit timeseries/snapshots"),
+        ("limit-sweep", _cmd_limit_sweep,
+         "run the relaxation ladder against the Fourier reference"),
+        ("verify", _cmd_verify, "run the verification suites and emit verify.csv"),
+        ("modes", _cmd_modes, "single-mode thermal run against the telegraph oracle"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
-        p.add_argument("--out", default=".", help="output directory (created if missing)")
+        p.add_argument("--out", type=Path, default=".",
+                       help="output directory (created if missing)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         if name == "limit-sweep":
             p.add_argument("--tau", help="comma-separated override of sweep.tau_list")
@@ -180,41 +196,13 @@ def main(argv=None) -> int:
 
     try:
         config = load_config_file(args.config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return _cmd_simulate(config, out_dir, args.quiet)
-        if args.command == "limit-sweep":
-            return _cmd_limit_sweep(config, out_dir, args.quiet, args.tau)
-        if args.command == "verify":
-            return _cmd_verify(config, out_dir, args.quiet)
-        return _cmd_modes(config, out_dir, args.quiet)
-    except ConfigError as exc:  # a --tau the ladder rule rejects
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Degenerate as exc:
-        print(f"degeneracy abort: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except PicardDiverged as exc:
-        print(f"fixed-point divergence: {exc}", file=sys.stderr)
-        return EXIT_PICARD
-    except FloorViolated as exc:
-        print(f"sound-speed floor violated: {exc}", file=sys.stderr)
-        return EXIT_FLOOR
-    except NonFinite as exc:
-        print(f"non-finite values: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except OSError as exc:  # creating the output directory or writing a file
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+        args.out.mkdir(parents=True, exist_ok=True)
+        return args.run(config, args)
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in _FAILURES
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

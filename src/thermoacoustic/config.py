@@ -307,8 +307,12 @@ def load_config(text: str) -> SimConfig:
 
 
 def load_config_file(path) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    return load_config(text)
 
 
 def make_grid(config: SimConfig) -> Grid1D:
