@@ -235,6 +235,8 @@ def load_config(text: str) -> SimConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
+    except (RecursionError, ValueError) as exc:  # nesting too deep, integer too long
+        raise ParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
 
@@ -310,6 +312,8 @@ def load_config_file(path) -> SimConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return load_config(text)

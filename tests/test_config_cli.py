@@ -309,11 +309,36 @@ class TestCli:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "content, cause",
+        [
+            (b"\xff\xfe{}", "byte 0xff is not UTF-8"),
+            (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+            (b"1" * 5000, "Exceeds the limit (4300 digits)"),
+            (b"{not json", "(line 1): Expecting property name"),
+            ("missing", "cannot read config: [Errno 2]"),
+            ("directory", "cannot read config: [Errno 21]"),
+        ],
+        ids=["not-utf8", "deep-nesting", "long-integer", "not-json", "missing", "directory"],
+    )
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content, cause):
+        path = tmp_path / "config.json"
+        if content == "directory":
+            path.mkdir()
+        elif content != "missing":
+            path.write_bytes(content)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("configuration error: ") and cause in err
+
     def test_degenerate_exit_code_and_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sine_doc(amplitude_p=0.75))
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
+        assert err.startswith("degeneracy abort: ")
         assert "step" in err and "node" in err
 
     def test_floor_violation_exit_code_and_location(self, tmp_path, capsys):
@@ -323,6 +348,7 @@ class TestCli:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
         assert code == 6
         err = capsys.readouterr().err
+        assert err.startswith("sound-speed floor violated: ")
         assert "step 0" in err and "t=0" in err and "node" in err
 
     @pytest.mark.parametrize(
@@ -458,7 +484,9 @@ class TestCli:
         blocker.write_text("")
         code = main(["simulate", "--config", cfg, "--out", str(blocker)])
         assert code == 7
-        assert str(blocker) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write outputs: ")
+        assert str(blocker) in err
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -559,6 +587,7 @@ class TestCli:
         doc["picard"] = {"tol": 1e-15, "max_iter": 1, "gamma_bar": 0.5}
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("fixed-point divergence: ")
 
     def test_modes_subcommand(self, tmp_path):
         doc = sine_doc(T=0.05, tau=0.1)
@@ -700,9 +729,11 @@ class TestCli:
         assert "strictly decreasing" in err
         assert not (tmp_path / "tau_0").exists()  # rejected before any run
 
-    def test_sweep_without_taus_is_config_error(self, tmp_path):
+    def test_sweep_without_taus_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sine_doc(T=0.02))
         assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: sweep.tau_list")
 
 
 class TestModuleEntryPoint:

@@ -6,7 +6,9 @@ unknown presets; every outcome must be a documented exit code, and a
 non-zero exit prints exactly one line on stderr and no traceback.  A second
 property draws whole configs (every preset, multi-term speed polynomials,
 sweep ladders) whose sizes sit at the ends of the float range, and also
-asks for no numpy warning on a successful run.
+asks for no numpy warning on a successful run.  A third writes drawn bytes
+as the config file: any bytes, and JSON texts nested deeper than the parser
+recurses or holding an integer literal longer than int() reads.
 """
 
 import contextlib
@@ -162,4 +164,33 @@ def test_extreme_config_exits_with_a_documented_code(command, doc, taus):
             code = main(argv + ["--config", str(config), "--out", str(Path(tmp) / "out")])
     assert code in EXIT_CODES, (code, err.getvalue())
     lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert len(lines) == (code != 0) and "Traceback" not in err.getvalue(), lines
+
+
+def _log_uniform_int(hi: float):
+    return st.floats(0.0, hi).map(lambda e: int(10.0**e))
+
+
+_FILE_TEXTS = st.one_of(
+    st.binary(max_size=64),
+    _log_uniform_int(5.3).map(lambda n: ("[" * n + "]" * n).encode()),
+    _log_uniform_int(5.3).map(lambda n: ('{"grid": ' + "[" * n + "]" * n + "}").encode()),
+    _log_uniform_int(4.3).map(lambda n: ('{"seed": ' + "7" * n + "}").encode()),
+    _log_uniform_int(4.3).map(lambda n: ("-" + "9" * n).encode()),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["simulate", "limit-sweep", "verify", "modes"]),
+       content=_FILE_TEXTS)
+def test_config_file_bytes_exit_with_a_documented_code(command, content):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_bytes(content)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out"),
+                         "--quiet"])
+    assert code in EXIT_CODES, (code, err.getvalue())
+    lines = err.getvalue().splitlines()
     assert len(lines) == (code != 0) and "Traceback" not in err.getvalue(), lines
