@@ -26,7 +26,7 @@ values against the tau = 0 reference and reports max-in-time L2 deviations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,12 +174,11 @@ def compatibility_data(
 
 class _Workspace:
     """What the steps of one run share: the dgtsv buffer of the acoustic
-    solves and the heat operator of _heat_matrix, factored here once for
-    the whole run.  Both are fixed by ``key`` = (grid, dt, params,
-    use_fourier)."""
+    solves and the heat operator of _heat_matrix, factored here once.  Both
+    are fixed by the grid, dt, params and thermal path it was built for;
+    simulate builds one per run and passes it to every coupled_step."""
 
     def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, use_fourier: bool):
-        self.key = (grid, dt, params, use_fourier)
         self.gtsv = _LapackBuffer(4, grid.N)
         if use_fourier:
             self.w, self.eta = 0.0, params.kappa_a
@@ -196,21 +195,15 @@ class CoupledState:
     fields (None for a state built by initial()).  coupled_step reuses them
     as the first iterate's coefficients of the next step, so it must be
     called with the params and speed model that produced them.
-
-    workspace is the run's _Workspace (the acoustic solve buffer and the
-    factored heat operator), carried from step to step like coeffs_last;
-    coupled_step builds a new one when it is None or was built for another
-    grid, dt, params or thermal path.  States that share it must not be
-    stepped from two threads at once.
+    picard_distances_last are the successive Picard distances of the step
+    that produced this state (empty for initial()).
     """
 
     acoustic: AcousticState
     thermal: ThermalState
     n: int
-    picard_iterations_last: int = 0
     coeffs_last: FrozenCoefficients | None = None
     picard_distances_last: tuple[float, ...] = ()
-    workspace: _Workspace | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.acoustic.grid != self.thermal.grid:
@@ -223,6 +216,10 @@ class CoupledState:
     @property
     def t(self) -> float:
         return self.acoustic.t
+
+    @property
+    def picard_iterations_last(self) -> int:
+        return len(self.picard_distances_last)
 
     @property
     def alpha_min_last(self) -> float:
@@ -249,8 +246,12 @@ def coupled_step(
     params: PhysicalParams,
     model: SpeedOfSoundModel,
     use_fourier: bool = False,
+    workspace: _Workspace | None = None,
 ) -> CoupledState:
     """Advance the coupled system one step by frozen-coefficient iteration.
+
+    workspace is the _Workspace that simulate builds once for a run's grid,
+    dt, params and thermal path; without it the step builds its own.
 
     The iteration runs on raw arrays.  Only scalar guards run inside it: the
     alpha_min threshold, and finiteness of the acoustic system (through one
@@ -269,9 +270,7 @@ def coupled_step(
     grid, dx = state.grid, state.grid.dx
     step_index = state.n + 1
     step_time = state.t + dt
-    ws = state.workspace
-    if ws is None or ws.key != (grid, dt, params, use_fourier):
-        ws = _Workspace(grid, dt, params, use_fourier)
+    ws = workspace or _Workspace(grid, dt, params, use_fourier)
     ac, th = state.acoustic, state.thermal
     p_n, v_n, q_n = ac.p.values, ac.v.values, th.q.values
     # per time level: Lap_h p^n, (m/dt) theta^n and w div q^n
@@ -343,10 +342,8 @@ def coupled_step(
         acoustic=acoustic,
         thermal=thermal,
         n=step_index,
-        picard_iterations_last=len(distances),
         coeffs_last=coeffs,
         picard_distances_last=tuple(distances),
-        workspace=ws,
     )
 
 
@@ -372,9 +369,12 @@ class SimulationResult:
     snapshots: tuple[tuple, ...]
     final_state: CoupledState
     alpha_min_per_step: tuple[float, ...]
-    picard_iters_per_step: tuple[int, ...]
     picard_distances_per_step: tuple[tuple[float, ...], ...]
     x_norms: tuple[float, float, float]
+
+    @property
+    def picard_iters_per_step(self) -> tuple[int, ...]:
+        return tuple(len(d) for d in self.picard_distances_per_step)
 
 
 @np.errstate(all="ignore")
@@ -410,11 +410,11 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(0, 0.0) from None
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
+    workspace = _Workspace(grid, dt, params, use_fourier)
 
     xacc = XNormAccumulator(dt)
     reports, theta_series, p_series, v_series, snapshots = [], [], [], [], []
     alpha_mins: list[float] = [coeffs.alpha_min]
-    iters: list[int] = []
     dists: list[tuple[float, ...]] = []
     coeffs_prev = None
     chunk: list[CoupledState] = []  # accepted states whose diagnostics are pending
@@ -457,13 +457,13 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
                 state = coupled_step(
                     state, dt, config.picard.tol, config.picard.max_iter,
                     config.picard.gamma_bar, params, model, use_fourier=use_fourier,
+                    workspace=workspace,
                 )
             except Exception:
                 if chunk:  # an error in an earlier step's diagnostics wins
                     flush()
                 raise
             alpha_mins.append(state.alpha_min_last)
-            iters.append(state.picard_iterations_last)
             dists.append(state.picard_distances_last)
         chunk.append(state)
         # the rows of a pass share their ring depth, so steps 0 and 1 go alone
@@ -479,7 +479,6 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
         snapshots=tuple(snapshots),
         final_state=state,
         alpha_min_per_step=tuple(alpha_mins),
-        picard_iters_per_step=tuple(iters),
         picard_distances_per_step=tuple(dists),
         x_norms=xacc.norms(),
     )

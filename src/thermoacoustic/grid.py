@@ -361,9 +361,6 @@ class _LapackBuffer:
         self.size = ctypes.c_int64(n)
         self.info = ctypes.c_int64(0)
 
-    def __reduce__(self):  # a copy gets its own buffer, not this one's address
-        return _LapackBuffer, self.buf.shape
-
     def load_bands(self, diag, lower, upper) -> np.ndarray:
         """Copy the bands in; returns their absolute values."""
         self.buf[0, :-1] = lower
@@ -464,9 +461,6 @@ class _FactoredTridiagonal:
             self.factored = self.lu.info.value == 0 and _eliminated_like_loop(
                 self.lu.buf[1], abs_bands
             )
-
-    def __reduce__(self):  # a copy factors again into its own buffers
-        return _FactoredTridiagonal, self.bands
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution for rhs as a fresh array, with _thomas when not ``factored``."""

@@ -359,20 +359,33 @@ class TestSweep:
         assert gap_half <= 0.5 * gap_full * (1.0 + 1e-9)
 
 
-def test_copied_state_gets_its_own_workspace_buffers():
-    # The run workspace holds raw buffer addresses for LAPACK; a pickled or
-    # deep-copied state must not write through the original's addresses.
-    config = canonical_config(T=0.005)
-    state = simulate(config).final_state
-    args = (config.time.dt, config.picard.tol, config.picard.max_iter,
-            config.picard.gamma_bar, config.params, config.speed_model)
-    for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
-        ws = twin.workspace
-        assert ws.gtsv.at == ws.gtsv.buf.ctypes.data != state.workspace.gtsv.at
-        a, b = coupled_step(state, *args), coupled_step(twin, *args)
-        for x, y in ((a.acoustic.v, b.acoustic.v), (a.thermal.theta, b.thermal.theta),
-                     (a.thermal.q, b.thermal.q)):
-            assert x.values.tobytes() == y.values.tobytes()
+def _state_bytes(state) -> bytes:
+    fields = (state.acoustic.p, state.acoustic.v, state.thermal.theta, state.thermal.q)
+    return b"".join(f.values.tobytes() for f in fields)
+
+
+def test_copied_or_hand_stepped_state_matches_simulate():
+    # A state carries no solver workspace, only fields: a pickled or
+    # deep-copied final state steps to the bytes of the original, and public
+    # coupled_step calls from CoupledState.initial, each building its own
+    # workspace, reproduce the run that shares one, on both thermal paths.
+    for tau in (0.05, 0.0):
+        config = canonical_config(tau=tau, T=0.005)
+        run = simulate(config)
+        args = (config.time.dt, config.picard.tol, config.picard.max_iter,
+                config.picard.gamma_bar, config.params, config.speed_model)
+        kw = {"use_fourier": tau == 0.0}
+        stepped = _state_bytes(coupled_step(run.final_state, *args, **kw))
+        for twin in (pickle.loads(pickle.dumps(run.final_state)), copy.deepcopy(run.final_state)):
+            assert _state_bytes(coupled_step(twin, *args, **kw)) == stepped
+        state = CoupledState.initial(*initial_fields(config, make_grid(config)))
+        distances = []
+        for _ in range(5):
+            state = coupled_step(state, *args, **kw)
+            distances.append(state.picard_distances_last)
+        assert (state.n, state.t) == (run.final_state.n, run.final_state.t)
+        assert _state_bytes(state) == _state_bytes(run.final_state)
+        assert tuple(distances) == run.picard_distances_per_step
 
 
 def test_only_a_run_factors_the_heat_operator(monkeypatch):
