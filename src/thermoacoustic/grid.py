@@ -175,20 +175,10 @@ class _Field:
         self._check_compatible(other)
         return type(self)(self.grid, self.values + other.values)
 
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return type(self)(self.grid, self.values - other.values)
-
     def __mul__(self, scalar):
         return type(self)(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return type(self)(self.grid, -self.values)
-
-    def copy(self):
-        return type(self)(self.grid, self.values.copy())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(N={self.grid.N}, values={self.values!r})"
