@@ -169,6 +169,8 @@ _FAILURES = (
     (NonFinite, EXIT_NONFINITE, "non-finite values"),
     (OSError, EXIT_OUTPUT, "cannot write outputs"),  # --out or a file in it
 )
+# What str.splitlines() breaks at, printed as escapes so a failure stays one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def main(argv=None) -> int:
@@ -201,7 +203,7 @@ def main(argv=None) -> int:
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         code, prefix = next((code, prefix) for kind, code, prefix in _FAILURES
                             if isinstance(exc, kind))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        print(f"{prefix}: {exc}".translate(_LINE_BREAKS), file=sys.stderr)
         return code
 
 

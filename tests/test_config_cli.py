@@ -333,6 +333,22 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("configuration error: ") and cause in err
 
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", " "], ids=["lf", "crlf", "u2028"])
+    def test_unknown_key_with_a_line_break_is_one_stderr_line(self, tmp_path, capsys, sep):
+        doc = minimal_doc()
+        doc["grid"][f"x{sep}y"] = 1
+        code = main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith("configuration error: unknown configuration key: grid.x")
+
+    def test_failure_lines_escape_what_splitlines_breaks_at(self):
+        from thermoacoustic.cli import _LINE_BREAKS
+
+        breaks = {i for i in range(sys.maxunicode + 1) if len(f"a{chr(i)}b".splitlines()) > 1}
+        assert set(_LINE_BREAKS) == breaks
+        assert all(len(escape.splitlines()) == 1 for escape in _LINE_BREAKS.values())
+
     def test_degenerate_exit_code_and_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sine_doc(amplitude_p=0.75))
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
