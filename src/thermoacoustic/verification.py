@@ -88,6 +88,18 @@ class CheckResult:
     detail: str = ""
 
 
+def _bound(name: str, measured: float, low: float, high: float, detail: str = "") -> CheckResult:
+    """Passes when low <= measured <= high; the threshold column shows high,
+    or low when high is inf."""
+    threshold = low if high == math.inf else high
+    return CheckResult(name, low <= measured <= high, measured, threshold, detail)
+
+
+def _flag(name: str, ok: bool, detail: str = "") -> CheckResult:
+    """A yes/no check: measured 0 when it holds and 1 when not, against 0.5."""
+    return CheckResult(name, ok, 0.0 if ok else 1.0, 0.5, detail)
+
+
 def unit_params(tau: float = 0.0, b: float = 1.0) -> PhysicalParams:
     """All-ones medium: m = ell = kappa_a = rho = beta_acous = 1."""
     return PhysicalParams(
@@ -142,8 +154,8 @@ def sbp_adjointness_check(seed: int = 0, n_pairs: int = 100, N: int = 64) -> Che
             l2_inner(divergence_from_faces(w), v) + l2_inner(w, gradient_to_faces(v))
         )
         worst = max(worst, defect / (l2_norm(w) * l2_norm(v)))
-    return CheckResult("operator_sbp_adjointness", worst <= 1e-12, worst, 1e-12,
-                       f"{n_pairs} random pairs at N={N}")
+    return _bound("operator_sbp_adjointness", worst, -math.inf, 1e-12,
+                  f"{n_pairs} random pairs at N={N}")
 
 
 def laplacian_quadratic_check(N: int = 64) -> CheckResult:
@@ -152,8 +164,8 @@ def laplacian_quadratic_check(N: int = 64) -> CheckResult:
     x = grid.nodes()
     u = NodeField(grid, x * (1.0 - x))
     dev = float(np.max(np.abs(laplacian_dirichlet(u).values + 2.0)))
-    return CheckResult("operator_laplacian_quadratic", dev <= 1e-10, dev, 1e-10,
-                       "roundoff-only deviation from -2")
+    return _bound("operator_laplacian_quadratic", dev, -math.inf, 1e-10,
+                  "roundoff-only deviation from -2")
 
 
 def laplacian_composition_check(N: int = 64, seed: int = 0) -> CheckResult:
@@ -163,9 +175,7 @@ def laplacian_composition_check(N: int = 64, seed: int = 0) -> CheckResult:
     u = NodeField(grid, rng.standard_normal(N))
     lhs = laplacian_dirichlet(u).values.tobytes()
     rhs = divergence_from_faces(gradient_to_faces(u)).values.tobytes()
-    same = lhs == rhs
-    return CheckResult("operator_laplacian_composition", same,
-                       0.0 if same else 1.0, 0.5, "bitwise comparison")
+    return _flag("operator_laplacian_composition", lhs == rhs, "bitwise comparison")
 
 
 def parseval_checks(N: int = 64) -> list[CheckResult]:
@@ -173,11 +183,9 @@ def parseval_checks(N: int = 64) -> list[CheckResult]:
     grid = Grid1D(1.0, N)
     s = NodeField(grid, np.sin(np.pi * grid.nodes()))
     c = FaceField(grid, np.cos(np.pi * grid.faces()))
-    dev_s = abs(l2_norm(s) ** 2 - 0.5)
-    dev_c = abs(l2_norm(c) ** 2 - 0.5)
     return [
-        CheckResult("operator_sine_node_norm", dev_s <= 1e-14, dev_s, 1e-14),
-        CheckResult("operator_cosine_face_norm", dev_c <= 1e-14, dev_c, 1e-14),
+        _bound("operator_sine_node_norm", abs(l2_norm(s) ** 2 - 0.5), -math.inf, 1e-14),
+        _bound("operator_cosine_face_norm", abs(l2_norm(c) ** 2 - 0.5), -math.inf, 1e-14),
     ]
 
 
@@ -461,97 +469,62 @@ def gronwall_cases(dt: float = 1e-3, T: float = 1.0) -> float:
 
 
 def _ratio_check(name: str, errors, detail: str) -> CheckResult:
-    """Strictly-decreasing ladder with consecutive ratios >= 1.5."""
+    """Strictly-decreasing ladder with consecutive ratios >= 1.5; the worst
+    ratio reads 0 for a ladder that does not decrease strictly to a positive
+    error."""
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     if decreasing and errors[-1] > 0.0:
         worst = min(a / b for a, b in zip(errors, errors[1:]))
     else:
         worst = 0.0
-    return CheckResult(name, decreasing and worst >= 1.5, worst, 1.5, detail)
+    return _bound(name, worst, 1.5, math.inf, detail)
+
+
+def _orders(orders) -> str:
+    return "orders " + "/".join(f"{o:.3f}" for o in orders)
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-
-    checks.append(sbp_adjointness_check(seed=seed))
-    checks.append(laplacian_quadratic_check())
-    checks.append(laplacian_composition_check(seed=seed))
-    checks.extend(parseval_checks())
-
-    coarse = mode_study(1e-3)
-    fine = mode_study(5e-4)
-    checks.append(CheckResult(
-        "mode_amplitude_error", coarse.max_amplitude_error <= 2e-3,
-        coarse.max_amplitude_error, 2e-3, "vs telegraph oracle at dt=1e-3"))
-    ratio = coarse.max_amplitude_error / fine.max_amplitude_error
-    checks.append(CheckResult(
-        "mode_amplitude_refinement", 1.7 <= ratio <= 2.3, ratio, 2.3,
-        "halving dt halves the error"))
-    checks.append(CheckResult(
-        "mode_decay_certificate", coarse.decay_excess <= 0.0,
-        coarse.decay_excess, 0.0, "E0 <= E0(0)(1+2c dt)^-n exactly"))
-    checks.append(CheckResult(
-        "mode_energy_monotone", coarse.monotonicity_excess <= 0.0,
-        coarse.monotonicity_excess, 0.0))
-    checks.append(CheckResult(
-        "balance_modal_defect", coarse.max_defect_mismatch <= 1e-12,
-        coarse.max_defect_mismatch, 1e-12,
-        "PDE balance defect vs scalar recurrence"))
-
+    inf = math.inf
+    coarse, fine = mode_study(1e-3), mode_study(5e-4)
     spatial = manufactured_spatial_orders()
-    checks.append(CheckResult(
-        "acoustic_spatial_order", min(spatial) >= 1.9, min(spatial), 1.9,
-        "orders " + "/".join(f"{o:.3f}" for o in spatial)
-        + "; b=1 sine solution is spatially exact so no order is observable"))
     spatial_b2 = manufactured_spatial_orders(b=2.0)
-    checks.append(CheckResult(
-        "acoustic_spatial_order_b2", min(spatial_b2) >= 1.9, min(spatial_b2), 1.9,
-        "orders " + "/".join(f"{o:.3f}" for o in spatial_b2)
-        + " with b=2 (spatial truncation visible)"))
     temporal = manufactured_temporal_orders()
-    dev = max(abs(o - 1.0) for o in temporal)
-    checks.append(CheckResult(
-        "acoustic_temporal_order", dev <= 0.1, dev, 0.1,
-        "orders " + "/".join(f"{o:.3f}" for o in temporal)))
-
-    run = canonical_run()
-    alpha_min, iters, ratio = contraction_metrics(run)
-    checks.append(CheckResult(
-        "coupled_alpha_min", alpha_min >= 0.5, alpha_min, 0.5,
-        "canonical small-data run"))
-    checks.append(CheckResult(
-        "coupled_picard_iterations", iters <= 5, float(iters), 5.0))
-    checks.append(CheckResult(
-        "coupled_contraction_ratio", ratio <= 0.5, ratio, 0.5,
-        "successive Picard differences"))
-    heat_ratio = residual_refinement_ratio("heat_residual")
-    checks.append(CheckResult(
-        "balance_refinement_heat", 1.7 <= heat_ratio <= 2.3, heat_ratio, 2.3))
-    ac_ratio = residual_refinement_ratio("acoustic_residual")
-    checks.append(CheckResult(
-        "balance_refinement_acoustic", 1.7 <= ac_ratio <= 2.3, ac_ratio, 2.3))
-
+    alpha_min, iters, ratio = contraction_metrics(canonical_run())
     sweep = canonical_sweep()
-    checks.append(_ratio_check("sweep_theta_ratio", sweep.e_theta,
-                               "consecutive e_theta ratios"))
-    checks.append(_ratio_check(
-        "sweep_p_ratio", sweep.e_p,
-        "e_p on the canonical run; identically zero because h=const "
-        "decouples the pressure path from the temperature"))
-    lensing = lensing_sweep()
-    checks.append(_ratio_check("sweep_p_ratio_lensing", lensing.e_p,
-                               "e_p with h = 1 + 0.2 theta"))
-
-    identical = tau_zero_bit_identity()
-    checks.append(CheckResult(
-        "tau_zero_bitwise", identical, 0.0 if identical else 1.0, 0.5,
-        "Cattaneo path at tau=0 vs Fourier path"))
-
-    located, detail = degeneracy_semantics()
-    checks.append(CheckResult(
-        "degeneracy_semantics", located, 0.0 if located else 1.0, 0.5, detail))
-
-    worst = gronwall_cases()
-    checks.append(CheckResult(
-        "gronwall_closed_forms", worst <= 1e-8, worst, 1e-8))
-    return checks
+    return [
+        sbp_adjointness_check(seed=seed),
+        laplacian_quadratic_check(),
+        laplacian_composition_check(seed=seed),
+        *parseval_checks(),
+        _bound("mode_amplitude_error", coarse.max_amplitude_error, -inf, 2e-3,
+               "vs telegraph oracle at dt=1e-3"),
+        _bound("mode_amplitude_refinement",
+               coarse.max_amplitude_error / fine.max_amplitude_error, 1.7, 2.3,
+               "halving dt halves the error"),
+        _bound("mode_decay_certificate", coarse.decay_excess, -inf, 0.0,
+               "E0 <= E0(0)(1+2c dt)^-n exactly"),
+        _bound("mode_energy_monotone", coarse.monotonicity_excess, -inf, 0.0),
+        _bound("balance_modal_defect", coarse.max_defect_mismatch, -inf, 1e-12,
+               "PDE balance defect vs scalar recurrence"),
+        _bound("acoustic_spatial_order", min(spatial), 1.9, inf, _orders(spatial)
+               + "; b=1 sine solution is spatially exact so no order is observable"),
+        _bound("acoustic_spatial_order_b2", min(spatial_b2), 1.9, inf, _orders(spatial_b2)
+               + " with b=2 (spatial truncation visible)"),
+        _bound("acoustic_temporal_order", max(abs(o - 1.0) for o in temporal), -inf, 0.1,
+               _orders(temporal)),
+        _bound("coupled_alpha_min", alpha_min, 0.5, inf, "canonical small-data run"),
+        _bound("coupled_picard_iterations", float(iters), -inf, 5.0),
+        _bound("coupled_contraction_ratio", ratio, -inf, 0.5, "successive Picard differences"),
+        _bound("balance_refinement_heat", residual_refinement_ratio("heat_residual"), 1.7, 2.3),
+        _bound("balance_refinement_acoustic", residual_refinement_ratio("acoustic_residual"),
+               1.7, 2.3),
+        _ratio_check("sweep_theta_ratio", sweep.e_theta, "consecutive e_theta ratios"),
+        _ratio_check("sweep_p_ratio", sweep.e_p,
+                     "e_p on the canonical run; identically zero because h=const "
+                     "decouples the pressure path from the temperature"),
+        _ratio_check("sweep_p_ratio_lensing", lensing_sweep().e_p, "e_p with h = 1 + 0.2 theta"),
+        _flag("tau_zero_bitwise", tau_zero_bit_identity(), "Cattaneo path at tau=0 vs Fourier path"),
+        _flag("degeneracy_semantics", *degeneracy_semantics()),
+        _bound("gronwall_closed_forms", gronwall_cases(), -inf, 1e-8),
+    ]
