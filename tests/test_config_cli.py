@@ -718,31 +718,42 @@ class TestCli:
                  for name in ("tau_0.1", "tau_0.1000001")]
         assert close[0] != close[1]
 
-    @pytest.mark.parametrize("tau", ["0", "-0.1", "nan", "inf"])
-    def test_limit_sweep_rejects_bad_tau(self, tmp_path, capsys, tau):
+    @pytest.mark.parametrize(
+        "tau, message",
+        [("0", "finite and positive"), ("-0.1", "finite and positive"),
+         ("nan", "finite and positive"), ("inf", "finite and positive"),
+         ("abc", "--tau: not a comma-separated float list: '0.1,abc'")],
+        ids=["0", "-0.1", "nan", "inf", "abc"],
+    )
+    def test_limit_sweep_rejects_bad_tau(self, tmp_path, capsys, tau, message):
         cfg = write_config(tmp_path, sine_doc(T=0.02))
         assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path),
                      "--tau", f"0.1,{tau}", "--quiet"]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "finite and positive" in err
+        assert message in err
         assert not (tmp_path / "tau_0").exists()  # rejected before any run
 
-    @pytest.mark.parametrize("taus", ["0.05,0.1", "0.1,0.1"], ids=["increasing", "duplicate"])
-    def test_limit_sweep_rejects_taus_the_config_rejects(self, tmp_path, capsys, taus):
+    @pytest.mark.parametrize(
+        "taus, message",
+        [("0.05,0.1", "strictly decreasing"), ("0.1,0.1", "strictly decreasing"),
+         ("", "must not be empty")],
+        ids=["increasing", "duplicate", "empty"],
+    )
+    def test_limit_sweep_rejects_taus_the_config_rejects(self, tmp_path, capsys, taus, message):
         # one rule for sweep.tau_list and --tau: a duplicate tau would write
         # two members into the same tau_<value>/ folder
         doc = sine_doc(T=0.02)
-        doc["sweep"] = {"tau_list": [float(t) for t in taus.split(",")]}
+        doc["sweep"] = {"tau_list": [float(t) for t in taus.split(",") if t]}
         with pytest.raises(ValidationError) as err:
             load_config(json.dumps(doc))
-        assert "strictly decreasing" in str(err.value)
+        assert message in str(err.value)
         cfg = write_config(tmp_path, sine_doc(T=0.02))
         assert main(["limit-sweep", "--config", cfg, "--out", str(tmp_path),
                      "--tau", taus, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "strictly decreasing" in err
+        assert message in err
         assert not (tmp_path / "tau_0").exists()  # rejected before any run
 
     def test_sweep_without_taus_is_config_error(self, tmp_path, capsys):

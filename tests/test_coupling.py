@@ -11,8 +11,10 @@ from thermoacoustic import coupling as coupling_mod
 from thermoacoustic import grid as grid_mod
 from thermoacoustic import heat as heat_mod
 from thermoacoustic.acoustics import (
+    AcousticState,
     Degenerate,
     assemble_coefficients,
+    westervelt_linear_step,
 )
 from thermoacoustic.cli import snapshot_csv, timeseries_csv
 from thermoacoustic.config import InitialData, TimeConfig, initial_fields, make_grid
@@ -123,6 +125,28 @@ class TestCoupledStep:
         assert np.all(new.acoustic.p.values == 0.0)
         assert np.all(new.thermal.theta.values == 0.0)
         assert new.alpha_min_last == 1.0
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"dt": 0.0}, "dt must be positive"), ({"dt": -1e-3}, "dt must be positive"),
+         ({"picard_tol": 0.0}, "picard_tol must be positive"),
+         ({"max_iter": 0}, "max_iter must be at least 1")],
+        ids=["dt_zero", "dt_negative", "tol_zero", "max_iter_zero"],
+    )
+    def test_bad_step_arguments_rejected(self, change, message):
+        grid = Grid1D(1.0, 16)
+        z = grid.zero_node_field()
+        state = CoupledState.initial(z, z, z, grid.zero_face_field())
+        args = {"dt": 1e-3, "picard_tol": 1e-10, "max_iter": 25, "gamma_bar": 0.5,
+                "params": unit_params(tau=0.05), "model": UNIT_MODEL}
+        with pytest.raises(ValueError, match=message):
+            coupled_step(state, **(args | change))
+
+    def test_state_on_two_grids_rejected(self):
+        a, b = Grid1D(1.0, 16), Grid1D(2.0, 16)
+        z = a.zero_node_field()
+        with pytest.raises(ValueError, match="share the grid"):
+            CoupledState.initial(z, z, b.zero_node_field(), b.zero_face_field())
 
     def test_degenerate_iterate_aborts_with_location(self):
         grid = Grid1D(1.0, 32)
@@ -290,6 +314,12 @@ class TestSimulate:
         assert q_left.shape == (grid.N,)
         assert np.array_equal(q_left, _initial_flux(config, grid)[:-1])
 
+    def test_invalid_medium_rejected_before_any_step(self):
+        config = canonical_config(T=0.01)
+        config = replace(config, params=replace(config.params, W=-1.0))
+        with pytest.raises(ValueError, match="^invalid physical configuration: W must be "):
+            simulate(config)
+
     def test_degenerate_initial_data_aborts_at_step_zero(self):
         config = canonical_config(amplitude_p=0.75, T=0.1)
         with pytest.raises(Degenerate) as err:
@@ -362,6 +392,36 @@ class TestSweep:
 def _state_bytes(state) -> bytes:
     fields = (state.acoustic.p, state.acoustic.v, state.thermal.theta, state.thermal.q)
     return b"".join(f.values.tobytes() for f in fields)
+
+
+def _bad_calls():
+    """Public stepper calls with a step size or tau out of range, by name,
+    with the message each must raise."""
+    grid = Grid1D(1.0, 16)
+    z = grid.zero_node_field()
+    params = unit_params(tau=0.1)
+    coeffs = assemble_coefficients(z, z, z, UNIT_MODEL, params)
+    thermal = ThermalState.initial(z, grid.zero_face_field())
+    dt_message, tau_message = "dt must be positive", "tau must be nonnegative"
+    return {
+        "fourier_step_dt_zero": (lambda: fourier_step(z, z, 0.0, params), dt_message),
+        "cattaneo_step_dt_negative": (lambda: cattaneo_step(thermal, z, -1e-3, params),
+                                      dt_message),
+        "cattaneo_step_tau_negative": (
+            lambda: cattaneo_step(thermal, z, 1e-3, replace(params, tau=-0.1)), tau_message),
+        "westervelt_linear_step_dt_zero": (
+            lambda: westervelt_linear_step(AcousticState.initial(z, z), coeffs, 0.0, params),
+            dt_message),
+        "coefficient_diagnostics_dt_negative": (
+            lambda: coefficient_diagnostics(coeffs, coeffs, -1e-3), dt_message),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_calls()))
+def test_public_steppers_reject_bad_step_size_or_tau(case):
+    call, message = _bad_calls()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_copied_or_hand_stepped_state_matches_simulate():

@@ -306,6 +306,10 @@ class TestGronwall:
         out = gronwall_bound(u0, np.full_like(t, a), np.full_like(t, c), t)
         assert np.max(np.abs(out - exact)) <= 1e-6
 
+    @pytest.mark.parametrize("t", [[], [0.0]], ids=["no_time", "one_time"])
+    def test_fewer_than_two_times_give_u0(self, t):
+        assert gronwall_bound(1.5, 0.3, 0.2, t).tolist() == [1.5] * len(t)
+
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 0.1, 0.3])
         with pytest.raises(ValueError):

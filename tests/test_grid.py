@@ -64,6 +64,16 @@ class TestGridBasics:
         with pytest.raises(ValueError, match=r"dx\*dx"):
             Grid1D(L, 2)
 
+    @pytest.mark.parametrize(
+        "L, N, match",
+        [(0.0, 2, "positive"), (-1.0, 2, "positive"), (math.nan, 2, "positive"),
+         (1.0, 10**400, r"dx\*dx")],
+        ids=["zero_L", "negative_L", "nan_L", "N_beyond_float"],
+    )
+    def test_unusable_length_or_size_rejected(self, L, N, match):
+        with pytest.raises(ValueError, match=match):
+            Grid1D(L, N)
+
     def test_spacing_at_the_ends_of_the_normal_range_accepted(self):
         tiny, huge = 2.0 ** -511 * 3, 2.0 ** 511 * 3
         for L in (tiny, huge):
@@ -304,6 +314,17 @@ class TestTridiagonal:
         off = np.ones(n - 1)
         with pytest.raises(SingularSystem, match="row 0"):
             _thomas(np.array([0.0] + [4.0] * (n - 1)), off, off, np.ones(n))
+
+
+@pytest.mark.parametrize(
+    "n_diag, n_lower, n_upper",
+    [(63, 63, 63), (64, 64, 63), (64, 63, 62)],
+    ids=["short_diag", "long_lower", "short_upper"],
+)
+def test_solve_tridiagonal_rejects_band_lengths(grid64, n_diag, n_lower, n_upper):
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        solve_tridiagonal(np.ones(n_diag), np.zeros(n_lower), np.zeros(n_upper),
+                          grid64.zero_node_field())
 
 
 class TestTridiagonalLoop(TestTridiagonal):

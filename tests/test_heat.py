@@ -269,6 +269,21 @@ class TestTimeDerivatives:
             state.advanced(a, b, 0.3)
 
     @RING_CLASSES
+    def test_nonincreasing_stamps_rejected(self, cls):
+        a, b = zero_level(cls, Grid1D(1.0, 16))
+        state = cls.initial(a, b, t=0.1)
+        for t in (0.1, 0.05):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                state.advanced(a, b, t)
+
+    @RING_CLASSES
+    def test_level_on_two_grids_rejected(self, cls):
+        a, _ = zero_level(cls, Grid1D(1.0, 16))
+        _, b = zero_level(cls, Grid1D(2.0, 16))
+        with pytest.raises(ValueError, match="share the grid"):
+            cls.initial(a, b)
+
+    @RING_CLASSES
     def test_depth_capped_at_three(self, cls):
         grid = Grid1D(1.0, 16)
         a, b = zero_level(cls, grid)
