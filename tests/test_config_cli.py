@@ -11,7 +11,7 @@ import pytest
 
 import thermoacoustic
 from thermoacoustic import coupling as coupling_mod
-from thermoacoustic.cli import main
+from thermoacoustic.cli import _LINE_BREAKS, main
 from thermoacoustic.config import (
     ParseError,
     UnknownKey,
@@ -333,7 +333,7 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("configuration error: ") and cause in err
 
-    @pytest.mark.parametrize("sep", ["\n", "\r\n", " "], ids=["lf", "crlf", "u2028"])
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\u2028"], ids=["lf", "crlf", "u2028"])
     def test_unknown_key_with_a_line_break_is_one_stderr_line(self, tmp_path, capsys, sep):
         doc = minimal_doc()
         doc["grid"][f"x{sep}y"] = 1
@@ -343,8 +343,6 @@ class TestCli:
         assert lines[0].startswith("configuration error: unknown configuration key: grid.x")
 
     def test_failure_lines_escape_what_splitlines_breaks_at(self):
-        from thermoacoustic.cli import _LINE_BREAKS
-
         breaks = {i for i in range(sys.maxunicode + 1) if len(f"a{chr(i)}b".splitlines()) > 1}
         assert set(_LINE_BREAKS) == breaks
         assert all(len(escape.splitlines()) == 1 for escape in _LINE_BREAKS.values())
