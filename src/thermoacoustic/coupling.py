@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import config as config_mod  # attributes looked up per call, so wrappers apply
 from .acoustics import (
     AcousticState,
     Degenerate,
@@ -173,14 +174,15 @@ def compatibility_data(
 
 
 class _Workspace:
-    """What the steps of one run share: the dgtsv buffer of the acoustic
-    solves and the heat operator of _heat_matrix, factored here once.  Both
-    are fixed by the grid, dt, params and thermal path it was built for;
-    simulate builds one per run and passes it to every coupled_step."""
+    """What the steps of one run share: the thermal path, the dgtsv buffer
+    of the acoustic solves and the heat operator of _heat_matrix, factored
+    here once.  All are fixed by the grid, dt, params and path it was built
+    for; simulate builds one per run and passes it to every coupled_step."""
 
-    def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, use_fourier: bool):
+    def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, fourier: bool):
+        self.fourier = fourier
         self.gtsv = _LapackBuffer(4, grid.N)
-        if use_fourier:
+        if fourier:
             self.w, self.eta = 0.0, params.kappa_a
         else:
             self.w, self.eta = _cattaneo_weights(params, dt)
@@ -245,13 +247,13 @@ def coupled_step(
     gamma_bar: float,
     params: PhysicalParams,
     model: SpeedOfSoundModel,
-    use_fourier: bool = False,
     workspace: _Workspace | None = None,
 ) -> CoupledState:
     """Advance the coupled system one step by frozen-coefficient iteration.
 
     workspace is the _Workspace that simulate builds once for a run's grid,
-    dt, params and thermal path; without it the step builds its own.
+    dt, params and thermal path; without it the step builds its own, on the
+    Fourier path when params.tau is 0 and the Cattaneo path otherwise.
 
     The iteration runs on raw arrays.  Only scalar guards run inside it: the
     alpha_min threshold, and finiteness of the acoustic system (through one
@@ -270,7 +272,7 @@ def coupled_step(
     grid, dx = state.grid, state.grid.dx
     step_index = state.n + 1
     step_time = state.t + dt
-    ws = workspace or _Workspace(grid, dt, params, use_fourier)
+    ws = workspace or _Workspace(grid, dt, params, params.tau == 0.0)
     ac, th = state.acoustic, state.thermal
     p_n, v_n, q_n = ac.p.values, ac.v.values, th.q.values
     # per time level: Lap_h p^n, (m/dt) theta^n and w div q^n
@@ -280,32 +282,32 @@ def coupled_step(
     w_div_q = ws.w * _difference_quotient(q_n, dx) if ws.w != 0.0 else None
 
     def flux(theta_new):
-        if use_fourier:
+        if ws.fourier:
             return _fourier_flux(theta_new, params, dx)
         return _cattaneo_flux(theta_new, q_n, ws.w, ws.eta, dx)
 
     p_star, v_star, theta_star = p_n, v_n, th.theta.values
     distances: list[float] = []
     try:
-        if state.coeffs_last is None:
-            alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
-        else:
-            c = state.coeffs_last
-            alpha, r, g = c.alpha.values, c.r.values, c.g.values
         threshold = _degeneracy_threshold(gamma_bar)
-        for _ in range(max_iter):
-            coeff_arrays = (("NodeField", alpha), ("NodeField", r), ("NodeField", g))
+        for i in range(max_iter):
+            if i or state.coeffs_last is None:
+                alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
+            else:
+                c = state.coeffs_last
+                alpha, r, g = c.alpha.values, c.r.values, c.g.values
             alpha_min = float(alpha.min())
             if alpha_min < threshold:
-                _check_arrays(coeff_arrays)
+                _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g)))
                 raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
             system = _westervelt_system(alpha, r, g, v_n, lap_p_n, dt, params, dx)
             if not math.isfinite(np.dot(system[0], system[3])):
-                _check_arrays(coeff_arrays + (("FaceField", grad_p_n), ("NodeField", lap_p_n)))
+                _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g),
+                               ("FaceField", grad_p_n), ("NodeField", lap_p_n)))
             v_new = _thomas(*system, ws.gtsv)
             p_new = p_n + dt * v_new
             f_next = _absorbed_power(params, v_new)
-            if use_fourier:
+            if ws.fourier:
                 theta_new = _fourier_update(f_next, m_theta, ws.solve_heat)
             else:
                 theta_new = _cattaneo_update(f_next, m_theta, w_div_q, ws.solve_heat)
@@ -321,20 +323,15 @@ def coupled_step(
                 ))
             distances.append(d)
             p_star, v_star, theta_star = p_new, v_new, theta_new
-            converged = d <= picard_tol * (1.0 + scale)
-            if not converged and len(distances) == max_iter:
-                raise PicardDiverged(step_index, step_time, len(distances), distances)
-            if converged:
-                acoustic = ac.advanced(
-                    NodeField(grid, p_new), NodeField(grid, v_new), step_time
-                )
-                thermal = th.advanced(
-                    NodeField(grid, theta_new), FaceField(grid, flux(theta_new)), th.t + dt
-                )
-            alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
-            if converged:
-                coeffs = _frozen(grid, alpha, r, g)
+            if d <= picard_tol * (1.0 + scale):
                 break
+        else:
+            raise PicardDiverged(step_index, step_time, len(distances), distances)
+        acoustic = ac.advanced(NodeField(grid, p_new), NodeField(grid, v_new), step_time)
+        thermal = th.advanced(
+            NodeField(grid, theta_new), FaceField(grid, flux(theta_new)), th.t + dt
+        )
+        coeffs = _frozen(grid, *_coefficients(theta_new, p_new, v_new, model, params))
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
 
@@ -388,29 +385,25 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     floating-point warnings are silenced; a non-finite field or report
     value still raises the located NonFinite.
     """
-    # looked up at call time, so wrappers set on config (perfbench/probes.py) apply
-    from .config import initial_fields, make_grid  # deferred for perfbench/probes.py
-
     params, model = config.params, config.speed_model
     problems = validate_params(params, model)
     if problems:
         raise ValueError("invalid physical configuration: " + "; ".join(problems))
-    use_fourier = params.tau == 0.0 and not force_cattaneo
 
-    grid = make_grid(config)
+    grid = config_mod.make_grid(config)
     dt = config.time.dt
     n_steps = int(round(config.time.T / dt))
     stride = config.time.output_stride
     snapshot_steps = {int(round(s / dt)) for s in config.time.snapshot_times}
 
     try:  # setup counts as step 0
-        p0, p1, theta0, q0 = initial_fields(config, grid)
+        p0, p1, theta0, q0 = config_mod.initial_fields(config, grid)
         coeffs = assemble_coefficients(theta0, p0, p1, model, params)
         check_nondegeneracy(coeffs, config.picard.gamma_bar)
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(0, 0.0) from None
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
-    workspace = _Workspace(grid, dt, params, use_fourier)
+    workspace = _Workspace(grid, dt, params, params.tau == 0.0 and not force_cattaneo)
 
     xacc = XNormAccumulator(dt)
     reports, theta_series, p_series, v_series, snapshots = [], [], [], [], []
@@ -456,8 +449,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
             try:
                 state = coupled_step(
                     state, dt, config.picard.tol, config.picard.max_iter,
-                    config.picard.gamma_bar, params, model, use_fourier=use_fourier,
-                    workspace=workspace,
+                    config.picard.gamma_bar, params, model, workspace=workspace,
                 )
             except Exception:
                 if chunk:  # an error in an earlier step's diagnostics wins

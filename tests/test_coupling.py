@@ -434,14 +434,13 @@ def test_copied_or_hand_stepped_state_matches_simulate():
         run = simulate(config)
         args = (config.time.dt, config.picard.tol, config.picard.max_iter,
                 config.picard.gamma_bar, config.params, config.speed_model)
-        kw = {"use_fourier": tau == 0.0}
-        stepped = _state_bytes(coupled_step(run.final_state, *args, **kw))
+        stepped = _state_bytes(coupled_step(run.final_state, *args))
         for twin in (pickle.loads(pickle.dumps(run.final_state)), copy.deepcopy(run.final_state)):
-            assert _state_bytes(coupled_step(twin, *args, **kw)) == stepped
+            assert _state_bytes(coupled_step(twin, *args)) == stepped
         state = CoupledState.initial(*initial_fields(config, make_grid(config)))
         distances = []
         for _ in range(5):
-            state = coupled_step(state, *args, **kw)
+            state = coupled_step(state, *args)
             distances.append(state.picard_distances_last)
         assert (state.n, state.t) == (run.final_state.n, run.final_state.t)
         assert _state_bytes(state) == _state_bytes(run.final_state)

@@ -59,21 +59,15 @@ def test_every_import_is_used_or_exported(module_name):
     assert dead == []
 
 
-_DEFERRED = "deferred for perfbench/probes.py"
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_import_inside_a_function(path):
-    # An import inside a function hides a dependency, an import cycle
-    # included.  The exception is an import deferred so that the benchmark's
-    # wrappers on the imported module apply, marked on its line.
+    # An import inside a function hides a dependency, an import cycle included.
     source = path.read_text(encoding="utf-8")
-    lines = source.splitlines()
     inner = {
         node.lineno
         for function in ast.walk(ast.parse(source))
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(function)
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and _DEFERRED not in lines[node.lineno - 1]
+        if isinstance(node, (ast.Import, ast.ImportFrom))
     }
     assert sorted(inner) == []
