@@ -16,8 +16,8 @@ Three families:
                          degeneration of the tau = 0 path, failure
                          semantics, and the integral-inequality checker.
 
-Heavy runs are cached per process so the CLI and a test session pay for
-each configuration once.
+Every study runs at fixed settings, and each configuration is one run
+cached per process, so the CLI and a test session pay for it once.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .config import (
     SimConfig,
     TimeConfig,
 )
-from .coupling import SweepResult, simulate, tau_sweep
+from .coupling import SimulationResult, SweepResult, simulate, tau_sweep
 from .energy import gronwall_bound, heat_balance_residual, heat_energy
 from .grid import (
     FaceField,
@@ -142,8 +142,12 @@ def canonical_config(
 # ---------------------------------------------------------------- operators
 
 
-def sbp_adjointness_check(seed: int = 0, n_pairs: int = 100, N: int = 64) -> CheckResult:
-    """|<div w, v> + <w, grad v>| <= 1e-12 ||w|| ||v|| over random pairs."""
+_OPERATOR_N = 64  # the grid of the operator checks
+
+
+def sbp_adjointness_check(seed: int = 0) -> CheckResult:
+    """|<div w, v> + <w, grad v>| <= 1e-12 ||w|| ||v|| over 100 random pairs."""
+    N, n_pairs = _OPERATOR_N, 100
     grid = Grid1D(1.0, N)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -158,9 +162,9 @@ def sbp_adjointness_check(seed: int = 0, n_pairs: int = 100, N: int = 64) -> Che
                   f"{n_pairs} random pairs at N={N}")
 
 
-def laplacian_quadratic_check(N: int = 64) -> CheckResult:
+def laplacian_quadratic_check() -> CheckResult:
     """Second difference of x(1-x) is exactly -2 (zero truncation error)."""
-    grid = Grid1D(1.0, N)
+    grid = Grid1D(1.0, _OPERATOR_N)
     x = grid.nodes()
     u = NodeField(grid, x * (1.0 - x))
     dev = float(np.max(np.abs(laplacian_dirichlet(u).values + 2.0)))
@@ -168,19 +172,19 @@ def laplacian_quadratic_check(N: int = 64) -> CheckResult:
                   "roundoff-only deviation from -2")
 
 
-def laplacian_composition_check(N: int = 64, seed: int = 0) -> CheckResult:
+def laplacian_composition_check(seed: int = 0) -> CheckResult:
     """laplacian_dirichlet must equal divergence(gradient(.)) bit for bit."""
-    grid = Grid1D(1.0, N)
+    grid = Grid1D(1.0, _OPERATOR_N)
     rng = np.random.default_rng(seed)
-    u = NodeField(grid, rng.standard_normal(N))
+    u = NodeField(grid, rng.standard_normal(_OPERATOR_N))
     lhs = laplacian_dirichlet(u).values.tobytes()
     rhs = divergence_from_faces(gradient_to_faces(u)).values.tobytes()
     return _flag("operator_laplacian_composition", lhs == rhs, "bitwise comparison")
 
 
-def parseval_checks(N: int = 64) -> list[CheckResult]:
+def parseval_checks() -> list[CheckResult]:
     """Discrete sine/cosine norms are exactly L/2."""
-    grid = Grid1D(1.0, N)
+    grid = Grid1D(1.0, _OPERATOR_N)
     s = NodeField(grid, np.sin(np.pi * grid.nodes()))
     c = FaceField(grid, np.cos(np.pi * grid.faces()))
     return [
@@ -238,8 +242,9 @@ class ModeStudy:
 
 
 @lru_cache(maxsize=None)
-def mode_study(dt: float, tau: float = 0.1, N: int = 128, T: float = 1.0) -> ModeStudy:
-    """Run theta0 = sin(pi x), q0 = 0, f = 0 and collect every modal metric.
+def mode_study(dt: float) -> ModeStudy:
+    """Run theta0 = sin(pi x), q0 = 0, f = 0 at tau = 0.1, N = 128 to T = 1
+    and collect every modal metric.
 
     The discrete update preserves the (sin at nodes, cos at faces) pair, so
     the run reduces exactly to a 2x2 recurrence whose telegraph ODE has the
@@ -252,8 +257,9 @@ def mode_study(dt: float, tau: float = 0.1, N: int = 128, T: float = 1.0) -> Mod
         E0(t_n) <= E0(0) (1 + 2 c dt)^{-n}, c = min(ell/m, 2/tau);
       - worst monotonicity violation of E0.
     """
+    tau, T = 0.1, 1.0
     params = unit_params(tau=tau)
-    grid = Grid1D(1.0, N)
+    grid = Grid1D(1.0, 128)
     sin_field = NodeField(grid, np.sin(np.pi * grid.nodes()))
     cos_field = FaceField(grid, np.cos(np.pi * grid.faces()))
     zero_f = grid.zero_node_field()
@@ -340,30 +346,32 @@ def manufactured_error(N: int, dt: float, T: float, b: float = 1.0) -> float:
     return float(np.sqrt(grid.dx * np.sum((state.p.values - exact) ** 2)))
 
 
-def manufactured_spatial_orders(
-    Ns=(32, 64, 128), dt: float = 1e-5, T: float = 0.1, b: float = 1.0
-) -> tuple[float, ...]:
-    errors = [manufactured_error(N, dt, T, b) for N in Ns]
-    return tuple(
-        math.log2(a / b_) for a, b_ in zip(errors, errors[1:])
-    )
+def _log2_ratios(errors) -> tuple[float, ...]:
+    return tuple(math.log2(a / b) for a, b in zip(errors, errors[1:]))
 
 
-def manufactured_temporal_orders(
-    dts=(4e-3, 2e-3, 1e-3), N: int = 256, T: float = 1.0
-) -> tuple[float, ...]:
-    errors = [manufactured_error(N, dt, T) for dt in dts]
-    return tuple(
-        math.log2(a / b) for a, b in zip(errors, errors[1:])
-    )
+def manufactured_spatial_orders(b: float = 1.0) -> tuple[float, ...]:
+    """Orders over N = 32, 64, 128 at dt = 1e-5 and T = 0.1."""
+    return _log2_ratios([manufactured_error(N, 1e-5, 0.1, b) for N in (32, 64, 128)])
+
+
+def manufactured_temporal_orders() -> tuple[float, ...]:
+    """Orders over dt = 4e-3, 2e-3, 1e-3 at N = 256 and T = 1."""
+    return _log2_ratios([manufactured_error(256, dt, 1.0) for dt in (4e-3, 2e-3, 1e-3)])
 
 
 # ------------------------------------------------------------- coupled runs
 
 
+def canonical_run(dt: float = 1e-3) -> SimulationResult:
+    """simulate(canonical_config(dt=dt)), run once per step size, however
+    the call is written."""
+    return _canonical_run(dt)
+
+
 @lru_cache(maxsize=None)
-def canonical_run(dt: float = 1e-3, T: float = 1.0):
-    return simulate(canonical_config(dt=dt, T=T))
+def _canonical_run(dt: float) -> SimulationResult:
+    return simulate(canonical_config(dt=dt))
 
 
 @lru_cache(maxsize=None)
@@ -404,25 +412,21 @@ def contraction_metrics(result) -> tuple[float, int, float]:
     )
 
 
-def residual_refinement_ratio(column: str = "heat_residual", t_min: float = 0.05) -> float:
-    """Max-in-time balance residual ratio between the dt and dt/2 canonical runs."""
-    coarse = canonical_run(1e-3)
-    fine = canonical_run(5e-4)
+def residual_refinement_ratio(column: str = "heat_residual") -> float:
+    """Max over t >= 0.05 of a balance residual, as the ratio between the
+    dt and dt/2 canonical runs."""
 
     def peak(run):
-        return max(
-            getattr(r, column) for r in run.reports if r.t >= t_min
-        )
+        return max(getattr(r, column) for r in run.reports if r.t >= 0.05)
 
-    return peak(coarse) / peak(fine)
+    return peak(canonical_run(1e-3)) / peak(canonical_run(5e-4))
 
 
 @lru_cache(maxsize=None)
-def tau_zero_bit_identity(T: float = 0.25) -> bool:
-    """The Cattaneo code path at tau = 0 must reproduce the Fourier path bitwise."""
-    config = replace(
-        canonical_config(T=T), params=replace(canonical_config().params, tau=0.0)
-    )
+def tau_zero_bit_identity() -> bool:
+    """The Cattaneo code path at tau = 0 must reproduce the Fourier path
+    bitwise, on the canonical configuration to T = 0.25."""
+    config = canonical_config(tau=0.0, T=0.25)
     via_cattaneo = simulate(config, force_cattaneo=True)
     via_fourier = simulate(config)
 
@@ -450,9 +454,10 @@ def degeneracy_semantics() -> tuple[bool, str]:
     return False, "run unexpectedly completed"
 
 
-def gronwall_cases(dt: float = 1e-3, T: float = 1.0) -> float:
-    """Max error of the bound checker over the three closed-form cases."""
-    t = np.arange(0.0, T + dt / 2, dt)
+def gronwall_cases() -> float:
+    """Max error of the bound checker over the three closed-form cases, on
+    [0, 1] at spacing 1e-3."""
+    t = np.arange(0.0, 1.0 + 1e-3 / 2, 1e-3)
     u0 = 2.0
     worst = 0.0
     flat = gronwall_bound(u0, np.zeros_like(t), np.zeros_like(t), t)
