@@ -431,9 +431,9 @@ class _FactoredTridiagonal:
     of _thomas_loop (w = l/d, d - w*u, b - w*y, (y - u*x)/d), plus dgtsv's
     0.0 * x[i+2] term.  ``factored`` says whether the routines exist and the
     factorization interchanged no row and passes the loop's pivot test,
-    checked once here; solve goes through _thomas when it is false.  Each
-    dgttrs solution is still kept only when finite and nonzero, and the loop
-    solves when it is not.
+    checked once here.  The loop is the one fallback: it solves every rhs
+    when ``factored`` is false (dgtsv would make the pivot decisions just
+    rejected), and each dgttrs solution that is not finite and nonzero.
     """
 
     def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
@@ -453,14 +453,13 @@ class _FactoredTridiagonal:
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for rhs as a fresh array, with _thomas when not ``factored``."""
-        if not self.factored:
-            return _thomas(*self.bands, rhs)
-        lu = self.lu
-        lu.buf[4] = rhs
-        _GTTRS(b"N", lu.size, _ONE, *self.ptrs, lu.size, lu.info, 1)
-        if lu.info.value == 0 and _finite_nonzero(lu.buf[4]):
-            return lu.buf[4].copy()
+        """The solution for rhs as a fresh array."""
+        if self.factored:
+            lu = self.lu
+            lu.buf[4] = rhs
+            _GTTRS(b"N", lu.size, _ONE, *self.ptrs, lu.size, lu.info, 1)
+            if lu.info.value == 0 and _finite_nonzero(lu.buf[4]):
+                return lu.buf[4].copy()
         return _loop(*self.bands, rhs)
 
 
