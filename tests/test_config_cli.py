@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from thermoacoustic.config import (
 from thermoacoustic.coupling import PicardDiverged
 from thermoacoustic.energy import TIMESERIES_COLUMNS
 from thermoacoustic.heat import fourier_thermal_step
+from thermoacoustic.verification import CheckResult
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -271,6 +273,15 @@ class TestCli:
                 if name in ("t", "alpha_min", "picard_iters"):
                     continue
                 assert float(text) == 0.0
+
+    def test_simulate_reports_what_it_wrote(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sine_doc(T=0.01, snapshot_times=[0.01]))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {tmp_path / 'timeseries.csv'}\n"
+            f"wrote {tmp_path / 'snapshot_0.csv'}\n"
+            "simulate: 11 report rows, final t=0.01\n"
+        )
 
     def test_byte_determinism(self, tmp_path):
         cfg = write_config(tmp_path, sine_doc())
@@ -778,6 +789,15 @@ class TestModuleEntryPoint:
         assert done.stdout == (f"wrote {tmp_path / 'modes.csv'}\n"
                                "modes: max |numeric - oracle| = 3.694e-03\n")
 
+    def test_module_runs_in_process(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["thermoacoustic", "modes", "--config",
+                                          str(CONFIG_DIR / "modes.json"), "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("thermoacoustic", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out == (f"wrote {tmp_path / 'modes.csv'}\n"
+                                           "modes: max |numeric - oracle| = 3.694e-03\n")
+
     def test_bad_tau_is_one_configuration_error(self, tmp_path):
         doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
         doc["time"]["T"] = 0.02
@@ -908,4 +928,16 @@ class TestVerifySubcommand:
         }
         assert sha256_of(tmp_path / "verify.csv") == (
             "3d8fe4051cc90c41c993fd139cf6a2b19facd4134b63e15bbd403b4dce4a3f68"
+        )
+
+    def test_verify_exits_0_when_every_check_passes(self, tmp_path, monkeypatch, capsys):
+        checks = [CheckResult("a", True, 0.0, 1.0), CheckResult("b", True, 2.0, 3.0)]
+        monkeypatch.setattr("thermoacoustic.cli.run_all_checks", lambda seed: checks)
+        code = main(["verify", "--config", str(CONFIG_DIR / "canonical.json"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"wrote {tmp_path / 'verify.csv'}\n"
+            "pass  a: measured=0.000e+00 threshold=1.000e+00\n"
+            "pass  b: measured=2.000e+00 threshold=3.000e+00\n"
         )

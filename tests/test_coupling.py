@@ -10,6 +10,7 @@ import pytest
 from thermoacoustic import coupling as coupling_mod
 from thermoacoustic import grid as grid_mod
 from thermoacoustic import heat as heat_mod
+from thermoacoustic import verification as verification_mod
 from thermoacoustic.acoustics import (
     AcousticState,
     Degenerate,
@@ -49,6 +50,7 @@ from thermoacoustic.model import FloorViolated, SpeedOfSoundModel, q_source
 from thermoacoustic.verification import (
     canonical_config,
     canonical_run,
+    degeneracy_semantics,
     lensing_config,
     lensing_sweep,
     unit_params,
@@ -239,6 +241,16 @@ class TestCoupledStep:
                          config.speed_model)
         assert err.value.step == 1
         assert err.value.iterations == 1
+
+    @pytest.mark.parametrize("distances,trend", [
+        ((1.0, 2.0), "non-decreasing differences (left the contraction regime)"),
+        ((2.0, 2.0), "non-decreasing differences (left the contraction regime)"),
+        ((2.0, 1.0), "still decreasing but tolerance not reached"),
+        ((1.0,), "still decreasing but tolerance not reached"),
+    ])
+    def test_divergence_message_names_the_trend(self, distances, trend):
+        err = PicardDiverged(3, 0.003, len(distances), distances)
+        assert str(err).endswith(f"last d={distances[-1]:.3e}: {trend}")
 
     def test_fixed_point_consistency(self):
         # the accepted step satisfies the nonlinear discrete system with
@@ -610,6 +622,15 @@ def _run_digests(run) -> dict[str, str]:
         "picard_distances_per_step": _sha256(repr(run.picard_distances_per_step)),
         "final_fields": hashlib.sha256(b"".join(f.values.tobytes() for f in fields)).hexdigest(),
     }
+
+
+def test_canonical_run_is_one_cached_run_per_step_size():
+    assert canonical_run() is canonical_run(1e-3) is canonical_run(dt=1e-3)
+
+
+def test_degeneracy_semantics_reports_a_run_that_completes(monkeypatch):
+    monkeypatch.setattr(verification_mod, "simulate", lambda config: None)
+    assert degeneracy_semantics() == (False, "run unexpectedly completed")
 
 
 def test_golden_outputs_bitwise():

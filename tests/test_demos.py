@@ -1,6 +1,7 @@
 """Smoke test of the demo scripts: each runs to completion in-process.
 
-Demos 05 and 06 repeat runs of the acceptance suite and are left out.
+Demos 05 and 06 call the cached studies of the acceptance suite with the
+same arguments, so in one session they reuse its runs.
 """
 
 import runpy
@@ -14,6 +15,8 @@ DEMOS = (
     "02_single_mode_relaxation",
     "03_energy_decay",
     "04_coupled_small_data",
+    "05_relaxation_limit",
+    "06_manufactured_orders",
 )
 
 

@@ -98,6 +98,10 @@ class TestGridBasics:
             "FaceField contains non-finite entries (first at index 7) at step 4, t=0.25"
         )
 
+    def test_repr_names_class_size_and_values(self):
+        field = NodeField(Grid1D(1.0, 2), [1.0, 2.0])
+        assert repr(field) == "NodeField(N=2, values=array([1., 2.]))"
+
     def test_wrong_length_rejected(self, grid64):
         with pytest.raises(ValueError):
             NodeField(grid64, np.zeros(65))
@@ -389,6 +393,10 @@ def _count_fallbacks(monkeypatch):
 needs_lapack = pytest.mark.skipif(
     grid_mod._GTSV is None, reason="numpy ships no bundled OpenBLAS here"
 )
+
+
+def test_missing_lapack_symbol_is_none():
+    assert grid_mod._lapack("no_such_routine_64_", []) is None
 
 
 class TestLapackPath:

@@ -327,6 +327,7 @@ class TestTelegraphOracle:
             (0.1, math.pi**2),   # complex roots: 1.21 - 0.4(1+pi^2) < 0
             (0.1, 0.0),          # real distinct roots: 1.21 - 0.4 > 0
             (0.5, 3.0),
+            (1.0, 0.0),          # repeated root: (1 + 1)^2 - 4 = 0 exactly
         ],
     )
     def test_against_adaptive_integrator(self, tau, lam):
@@ -347,3 +348,7 @@ class TestTelegraphOracle:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(InvalidMode):
             telegraph_mode_oracle(unit_params(0.1), -1.0, 1.0, 0.0, 0.5)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            telegraph_mode_oracle(unit_params(0.1), 1.0, 1.0, 0.0, -0.5)
