@@ -17,7 +17,7 @@ Three families:
                          semantics, and the integral-inequality checker.
 
 Every study runs at fixed settings, and each configuration is one run
-cached per process, so the CLI and a test session pay for it once.
+cached per process, so the CLI and a pytest run pay for it once.
 """
 
 from __future__ import annotations

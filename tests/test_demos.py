@@ -1,7 +1,7 @@
 """Smoke test of the demo scripts: each runs to completion in-process.
 
 Demos 05 and 06 call the cached studies of the acceptance suite with the
-same arguments, so in one session they reuse its runs.
+same arguments, so in one pytest run they reuse its runs.
 """
 
 import runpy
