@@ -3,10 +3,11 @@
 The section dataclasses are the schema: a section holds the fields of its
 dataclass under their names, each read by its annotation (float, int, str
 or an array of numbers), and a field is optional exactly when it has a
-default.  Unknown keys are rejected outright because physics configs die
-silently otherwise (a typoed parameter name must not fall back to a
-default); load_config adds the rules that relate values.  JSON is used for
-its unambiguous typing of numeric arrays.
+default.  Each section checks its own values when it is built, in Python or
+by load_config, which adds the rules that relate sections.  Unknown keys are
+rejected outright because physics configs die silently otherwise (a typoed
+parameter name must not fall back to a default).  JSON is used for its
+unambiguous typing of numeric arrays.
 """
 
 from __future__ import annotations
@@ -61,10 +62,38 @@ class UnknownKey(ConfigError):
         super().__init__(f"unknown configuration key: {path}")
 
 
+def _reject(key: str, reason) -> None:
+    """Raise ValidationError(key, reason) unless reason is falsy; the rules
+    pass `violated and reason`."""
+    if reason:
+        raise ValidationError(key, reason)
+
+
+def _step_count(value: float, dt: float, key: str) -> int:
+    """value / dt, which must be an integer to within 1e-9 relative."""
+    steps = value / dt
+    if not math.isfinite(steps) or abs(value - round(steps) * dt) > 1e-9 * abs(value):
+        raise ValidationError(key, "must be an integer multiple of time.dt")
+    return round(steps)
+
+
+# A run holds about 800 bytes per node (some 100 arrays of N floats in a step
+# and its diagnostics pass, measured at N = 2e4 .. 1e5), plus 24 bytes per
+# node for each output row; 1e6 nodes is about 0.8 GB before the first row.
+_MAX_GRID_N = 10**6
+
+
 @dataclass(frozen=True)
 class GridConfig:
     L: float
     N: int
+
+    def __post_init__(self) -> None:
+        _reject("grid.N", self.N < 2 and "must be at least 2")
+        _reject("grid.N", self.N > _MAX_GRID_N and f"must be at most {_MAX_GRID_N}")
+        _reject("grid.L", not self.L > 0 and "must be positive")
+        _reject("grid.L", not _normal_spacing(self.L, self.N)
+                and "too small or too large for grid.N: (L/(N+1))**2 must be a normal float")
 
 
 @dataclass(frozen=True)
@@ -80,6 +109,14 @@ class InitialData:
     theta0: tuple[float, ...] | None = None
     q0: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        for key in ("p0", "p1", "theta0", "q0"):
+            _reject(f"initial_data.{key}", self.preset == "raw" and getattr(self, key) is None
+                    and "required for the raw preset")
+        _reject("initial_data.width", self.preset == "gaussian" and self.width is not None
+                and not self.width > 0 and "must be positive")
+        _reject("initial_data.mode_k", self.mode_k < 1 and "must be at least 1")
+
 
 @dataclass(frozen=True)
 class TimeConfig:
@@ -88,12 +125,33 @@ class TimeConfig:
     output_stride: int = 1
     snapshot_times: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        dt = self.dt
+        _reject("time.T", not self.T >= 0 and "must be nonnegative")
+        _reject("time.dt", not dt > 0 and "must be positive")
+        # the second time difference of the energies divides by dt**2
+        _reject("time.dt", dt * dt == math.inf and "too large: time.dt**2 must be a finite float")
+        _reject("time.output_stride", self.output_stride < 1 and "must be at least 1")
+        n_steps = _step_count(self.T, dt, "time.T")
+        snap_steps = set()
+        for i, s in enumerate(self.snapshot_times):
+            key = f"time.snapshot_times[{i}]"
+            step = _step_count(s, dt, key)
+            _reject(key, not 0 <= step <= n_steps and "must lie in [0, time.T]")
+            _reject(key, step in snap_steps and f"falls on step {step} like an earlier entry")
+            snap_steps.add(step)
+
 
 @dataclass(frozen=True)
 class PicardConfig:
     tol: float = 1e-10
     max_iter: int = 25
     gamma_bar: float = 0.5
+
+    def __post_init__(self) -> None:
+        _reject("picard.tol", not self.tol > 0 and "must be positive")
+        _reject("picard.max_iter", self.max_iter < 1 and "must be at least 1")
+        _reject("picard.gamma_bar", not 0.0 < self.gamma_bar < 1.0 and "must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -197,25 +255,10 @@ def _ladder_problem(taus, params: PhysicalParams, model: SpeedOfSoundModel):
     return None, ""
 
 
-def _step_count(value: float, dt: float, key: str) -> int:
-    """value / dt, which must be an integer to within 1e-9 relative."""
-    steps = value / dt
-    if not math.isfinite(steps) or abs(value - round(steps) * dt) > 1e-9 * abs(value):
-        raise ValidationError(key, "must be an integer multiple of time.dt")
-    return round(steps)
-
-
 def _reject_unknown(section: dict, path: str) -> None:
     if section:
         key = sorted(section)[0]
         raise UnknownKey(f"{path}.{key}" if path else key)
-
-
-def _reject(key: str, reason) -> None:
-    """Raise ValidationError(key, reason) unless reason is falsy; the rules
-    pass `violated and reason`."""
-    if reason:
-        raise ValidationError(key, reason)
 
 
 def _length(n: int):
@@ -223,14 +266,11 @@ def _length(n: int):
 
 
 _PRESETS = ("zero", "sine", "gaussian", "raw")
-# A run holds about 800 bytes per node (some 100 arrays of N floats in a step
-# and its diagnostics pass, measured at N = 2e4 .. 1e5), plus 24 bytes per
-# node for each output row; 1e6 nodes is about 0.8 GB before the first row.
-_MAX_GRID_N = 10**6
 
 
 def load_config(text: str) -> SimConfig:
-    """Parse and fully validate a configuration document."""
+    """Parse and fully validate a configuration document; the sections check
+    their own values, and this adds the rules that relate sections."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -241,13 +281,6 @@ def load_config(text: str) -> SimConfig:
         raise ParseError("top-level value must be an object")
 
     grid = _section(doc, "grid", GridConfig)
-    N = grid.N
-    _reject("grid.N", N < 2 and "must be at least 2")
-    _reject("grid.N", N > _MAX_GRID_N and f"must be at most {_MAX_GRID_N}")
-    _reject("grid.L", grid.L <= 0 and "must be positive")
-    _reject("grid.L", not _normal_spacing(grid.L, N)
-            and "too small or too large for grid.N: (L/(N+1))**2 must be a normal float")
-
     params = _section(doc, "params", PhysicalParams)
     model = _section(
         doc, "speed_model", SpeedOfSoundModel,
@@ -259,37 +292,13 @@ def load_config(text: str) -> SimConfig:
     init = _section(
         doc, "initial_data", InitialData,
         preset=lambda name: name not in _PRESETS and f"must be one of {', '.join(_PRESETS)}",
-        p0=_length(N), p1=_length(N), theta0=_length(N), q0=_length(N + 1),
+        p0=_length(grid.N), p1=_length(grid.N), theta0=_length(grid.N), q0=_length(grid.N + 1),
     )
-    for key in ("p0", "p1", "theta0", "q0"):
-        _reject(f"initial_data.{key}", init.preset == "raw" and getattr(init, key) is None
-                and "required for the raw preset")
-    _reject("initial_data.width", init.preset == "gaussian" and init.width is not None
-            and init.width <= 0 and "must be positive")
-    _reject("initial_data.mode_k", init.mode_k < 1 and "must be at least 1")
     # sin(k pi x / L) with k > N is zero to rounding at every node
-    _reject("initial_data.mode_k", init.mode_k > N and "must be at most grid.N")
+    _reject("initial_data.mode_k", init.mode_k > grid.N and "must be at most grid.N")
 
     time_cfg = _section(doc, "time", TimeConfig)
-    dt = time_cfg.dt
-    _reject("time.T", time_cfg.T < 0 and "must be nonnegative")
-    _reject("time.dt", dt <= 0 and "must be positive")
-    # the second time difference of the energies divides by dt**2
-    _reject("time.dt", dt * dt == math.inf and "too large: time.dt**2 must be a finite float")
-    _reject("time.output_stride", time_cfg.output_stride < 1 and "must be at least 1")
-    n_steps = _step_count(time_cfg.T, dt, "time.T")
-    snap_steps = set()
-    for i, s in enumerate(time_cfg.snapshot_times):
-        key = f"time.snapshot_times[{i}]"
-        step = _step_count(s, dt, key)
-        _reject(key, not 0 <= step <= n_steps and "must lie in [0, time.T]")
-        _reject(key, step in snap_steps and f"falls on step {step} like an earlier entry")
-        snap_steps.add(step)
-
     picard = _section(doc, "picard", PicardConfig)
-    _reject("picard.tol", picard.tol <= 0 and "must be positive")
-    _reject("picard.max_iter", picard.max_iter < 1 and "must be at least 1")
-    _reject("picard.gamma_bar", not 0.0 < picard.gamma_bar < 1.0 and "must lie in (0, 1)")
 
     sweep = _take(doc, "sweep", _object, None)
     sweep_taus = None

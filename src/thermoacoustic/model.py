@@ -117,19 +117,6 @@ class PhysicalParams:
             return self.ell / self.m
         return min(self.ell / self.m, 2.0 / self.tau)
 
-    def validate(self) -> list[str]:
-        errors = []
-        for name in ("rho_a", "C_a", "rho_b", "C_b", "kappa_a", "rho", "beta_acous"):
-            if not getattr(self, name) > 0.0:
-                errors.append(f"{name} must be strictly positive")
-        if self.W < 0.0:
-            errors.append("W must be nonnegative")
-        if not self.b > 0.0:
-            errors.append("b must be strictly positive")
-        if self.tau < 0.0:
-            errors.append("tau must be nonnegative")
-        return errors
-
 
 @dataclass(frozen=True)
 class SpeedOfSoundModel:
@@ -151,14 +138,6 @@ class SpeedOfSoundModel:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("speed-of-sound polynomial needs at least one coefficient")
-
-    def validate(self) -> list[str]:
-        errors = []
-        if not self.h_floor > 0.0:
-            errors.append("h_floor must be positive")
-        elif self.coeffs[0] < self.h_floor:
-            errors.append("coeffs[0] must respect the floor (h(0) >= h_floor)")
-        return errors
 
     def k1(self, params: PhysicalParams) -> float:
         """Uniform bound k1 = k(h_floor) on k(theta)."""
@@ -226,7 +205,19 @@ def _invalid_taus(taus) -> list:
 
 def validate_params(params: PhysicalParams, model: SpeedOfSoundModel) -> list[str]:
     """Collect every violated invariant by name; empty list means ok."""
-    errors = params.validate() + model.validate()
+    errors = [f"{name} must be strictly positive"
+              for name in ("rho_a", "C_a", "rho_b", "C_b", "kappa_a", "rho", "beta_acous")
+              if not getattr(params, name) > 0.0]
+    if params.W < 0.0:
+        errors.append("W must be nonnegative")
+    if not params.b > 0.0:
+        errors.append("b must be strictly positive")
+    if params.tau < 0.0:
+        errors.append("tau must be nonnegative")
+    if not model.h_floor > 0.0:
+        errors.append("h_floor must be positive")
+    elif model.coeffs[0] < model.h_floor:
+        errors.append("coeffs[0] must respect the floor (h(0) >= h_floor)")
     if errors:
         return errors
     # the derived constants the run divides by or multiplies with
