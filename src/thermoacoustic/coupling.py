@@ -374,6 +374,12 @@ class SimulationResult:
         return tuple(len(d) for d in self.picard_distances_per_step)
 
 
+def _check_medium(params, model) -> None:
+    problems = validate_params(params, model)
+    if problems:
+        raise ValueError("invalid physical configuration: " + "; ".join(problems))
+
+
 @np.errstate(all="ignore")
 def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     """Run the coupled integration described by a SimConfig.
@@ -386,9 +392,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     value still raises the located NonFinite.
     """
     params, model = config.params, config.speed_model
-    problems = validate_params(params, model)
-    if problems:
-        raise ValueError("invalid physical configuration: " + "; ".join(problems))
+    _check_medium(params, model)
 
     grid = config_mod.make_grid(config)
     dt = config.time.dt
@@ -519,7 +523,8 @@ def tau_sweep(base_config, tau_list=None) -> SweepResult:
     changes.  Runs execute sequentially (determinism for free), the
     reference first; results are sorted by tau descending regardless of the
     order given, and the member runs are kept in the same order (for file
-    emission).  An empty list or a tau that is not finite and positive
+    emission).  An empty list, a tau that is not finite and positive, or a
+    member whose medium fails validate_params (tau*m overflowing, say)
     raises ValueError before any run.
     """
     taus = tuple(tau_list) if tau_list is not None else tuple(base_config.sweep_tau_list or ())
@@ -529,11 +534,11 @@ def tau_sweep(base_config, tau_list=None) -> SweepResult:
     if bad:
         raise ValueError(f"sweep tau values must be finite and positive, got {bad}")
     taus_sorted = tuple(sorted(taus, reverse=True))
+    media = [replace(base_config.params, tau=tau) for tau in (0.0,) + taus_sorted]
+    for params in media:
+        _check_medium(params, base_config.speed_model)
 
-    reference, *members = (
-        simulate(replace(base_config, params=replace(base_config.params, tau=tau)))
-        for tau in (0.0,) + taus_sorted
-    )
+    reference, *members = (simulate(replace(base_config, params=p)) for p in media)
     dx = reference.grid.dx
     e_theta, e_p, e_pt = (
         tuple(_series_distance(getattr(m, s), getattr(reference, s), dx) for m in members)

@@ -382,14 +382,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             tau_sweep(config)
 
-    @pytest.mark.parametrize("bad", [0.0, float("nan")])
-    def test_bad_tau_rejected_before_any_run(self, monkeypatch, bad):
+    @pytest.mark.parametrize("rho_a, taus", [
+        pytest.param(1.0, (0.0,), id="0.0"),
+        pytest.param(1.0, (float("nan"),), id="nan"),
+        # tau*m = 1e308 * 10 overflows for the second member only
+        pytest.param(10.0, (0.1, 1e308), id="tau_m_overflows"),
+    ])
+    def test_bad_tau_rejected_before_any_run(self, monkeypatch, rho_a, taus):
         import thermoacoustic.coupling as coupling
 
         calls = []
         monkeypatch.setattr(coupling, "simulate", lambda *a, **k: calls.append(1))
+        config = canonical_config(T=0.02)
+        config = replace(config, params=replace(config.params, rho_a=rho_a))
         with pytest.raises(ValueError, match="finite and positive"):
-            tau_sweep(canonical_config(T=0.02), tau_list=(bad,))
+            tau_sweep(config, tau_list=taus)
         assert calls == []
 
     def test_degeneracy_scaling_over_run(self):
