@@ -510,7 +510,7 @@ class TestFactoredPath:
         ref = _loop_reference(diag, lower, upper, rhs)
         assert _factored_solve(diag, lower, upper, rhs).tobytes() == ref.tobytes()
 
-    def test_unfactored_solve_goes_through_thomas(self):
+    def test_unfactored_solve_gives_the_loop_bytes(self):
         # the row-interchange matrix above, solved by solve itself
         diag = np.array([1.0, 4.0, 4.0, 4.0])
         lower = np.array([3.0, 1.0, 1.0])
@@ -518,7 +518,7 @@ class TestFactoredPath:
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
         lu = grid_mod._FactoredTridiagonal(diag, lower, upper)
         assert not lu.factored
-        assert lu.solve(rhs).tobytes() == _thomas(diag, lower, upper, rhs).tobytes()
+        assert lu.solve(rhs).tobytes() == _loop_reference(diag, lower, upper, rhs).tobytes()
 
     def test_tiny_pivot_is_not_factored_and_stays_singular(self):
         diag = np.array([2.0, 0.5 + 2.0**-52])
@@ -528,7 +528,8 @@ class TestFactoredPath:
 
 
 class TestFactoredPathWithoutGttrs(TestFactoredPath):
-    """The same cases with dgttrf/dgttrs missing: every solve goes through _thomas."""
+    """The same cases with dgttrf/dgttrs missing: no matrix is factored, so
+    every _FactoredTridiagonal solve goes through the loop."""
 
     @pytest.fixture(autouse=True)
     def _no_gttrs(self, monkeypatch):
