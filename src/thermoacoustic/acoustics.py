@@ -48,6 +48,7 @@ __all__ = [
     "westervelt_linear_step",
 ]
 
+
 class Degenerate(ArithmeticError):
     """The leading coefficient 1 - 2 k(theta) p lost its positive margin.
 

@@ -529,7 +529,8 @@ def run_all_checks(seed: int = 0) -> list[CheckResult]:
                      "e_p on the canonical run; identically zero because h=const "
                      "decouples the pressure path from the temperature"),
         _ratio_check("sweep_p_ratio_lensing", lensing_sweep().e_p, "e_p with h = 1 + 0.2 theta"),
-        _flag("tau_zero_bitwise", tau_zero_bit_identity(), "Cattaneo path at tau=0 vs Fourier path"),
+        _flag("tau_zero_bitwise", tau_zero_bit_identity(),
+              "Cattaneo path at tau=0 vs Fourier path"),
         _flag("degeneracy_semantics", *degeneracy_semantics()),
         _bound("gronwall_closed_forms", gronwall_cases(), -inf, 1e-8),
     ]

@@ -1,5 +1,6 @@
 """Every exported name resolves, so ``import *`` cannot break on a pruned
-name, every imported name is used, and no function imports a module."""
+name, every imported name is used, no function imports a module, and no
+line of the package or its tests is longer than 100 characters."""
 
 import ast
 import importlib
@@ -71,3 +72,16 @@ def test_no_import_inside_a_function(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     }
     assert sorted(inner) == []
+
+
+MAX_LINE = 100
+TESTS = Path(__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_line_longer_than_100_characters(path):
+    # No linter is a dependency, so this is the one line-length check.
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [(i, len(line)) for i, line in enumerate(lines, 1) if len(line) > MAX_LINE]
+    assert long == []
