@@ -14,7 +14,11 @@ import thermoacoustic
 from thermoacoustic import coupling as coupling_mod
 from thermoacoustic.cli import _LINE_BREAKS, main
 from thermoacoustic.config import (
+    GridConfig,
+    InitialData,
     ParseError,
+    PicardConfig,
+    TimeConfig,
     UnknownKey,
     ValidationError,
     initial_fields,
@@ -156,6 +160,42 @@ class TestLoadConfig:
         doc[section].update(fields)
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             load_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("cls, section, values, message", [
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": -1e-3},
+                     "time.dt: must be positive", id="dt_negative"),
+        pytest.param(TimeConfig, "time", {"T": -0.01, "dt": 1e-3},
+                     "time.T: must be nonnegative", id="T_negative"),
+        pytest.param(TimeConfig, "time", {"T": 0.0105, "dt": 1e-3},
+                     "time.T: must be an integer multiple of time.dt", id="T_off_grid"),
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 1e-3, "snapshot_times": (0.5,)},
+                     "time.snapshot_times[0]: must lie in [0, time.T]", id="snapshot_past_T"),
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 1e-3, "output_stride": 0},
+                     "time.output_stride: must be at least 1", id="output_stride_zero"),
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 0.0},
+                     "time.dt: must be positive", id="dt_zero"),
+        pytest.param(PicardConfig, "picard", {"tol": 0.0},
+                     "picard.tol: must be positive", id="tol_zero"),
+        pytest.param(PicardConfig, "picard", {"max_iter": 0},
+                     "picard.max_iter: must be at least 1", id="max_iter_zero"),
+        pytest.param(PicardConfig, "picard", {"gamma_bar": 1.5},
+                     "picard.gamma_bar: must lie in (0, 1)", id="gamma_bar_above_1"),
+        pytest.param(GridConfig, "grid", {"L": 1.0, "N": 1},
+                     "grid.N: must be at least 2", id="N_one"),
+        pytest.param(InitialData, "initial_data", {"preset": "sine", "mode_k": 0},
+                     "initial_data.mode_k: must be at least 1", id="mode_k_zero"),
+        pytest.param(InitialData, "initial_data", {"preset": "raw"},
+                     "initial_data.p0: required for the raw preset", id="raw_without_arrays"),
+    ])
+    def test_section_built_in_python_is_checked_like_a_loaded_one(
+        self, cls, section, values, message
+    ):
+        # the bad value fails where the section is built, so simulate never sees it
+        with pytest.raises(ValidationError) as built:
+            cls(**values)
+        with pytest.raises(ValidationError) as loaded:
+            load_config(json.dumps(minimal_doc(**{section: values})))
+        assert str(built.value) == str(loaded.value) == message
 
     def test_sweep_must_decrease_strictly(self):
         doc = minimal_doc(sweep={"tau_list": [0.1, 0.1]})
