@@ -1,26 +1,23 @@
 """Every exported name resolves, so ``import *`` cannot break on a pruned
-name, every imported name is used, no function imports a module, and no
-line of the package or its tests is longer than 100 characters."""
+name, each library module's ``__all__`` is its public API and the package
+re-publishes exactly those, every imported name is used, no function imports
+a module, and no line of the package or its tests is longer than 100
+characters."""
 
 import ast
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
-MODULES = (
-    "thermoacoustic",
-    "thermoacoustic.acoustics",
-    "thermoacoustic.cli",
-    "thermoacoustic.config",
-    "thermoacoustic.coupling",
-    "thermoacoustic.energy",
-    "thermoacoustic.grid",
-    "thermoacoustic.heat",
-    "thermoacoustic.model",
-    "thermoacoustic.verification",
-)
 SRC = Path(importlib.import_module("thermoacoustic").__file__).parent
+MODULES = ("thermoacoustic",) + tuple(
+    f"thermoacoustic.{path.stem}" for path in sorted(SRC.glob("*.py"))
+    if path.stem not in ("__init__", "__main__"))
+# the application layers; the package re-publishes the __all__ of every other module
+APPLICATIONS = ("thermoacoustic.cli", "thermoacoustic.verification")
+LIBRARY = [name for name in MODULES[1:] if name not in APPLICATIONS]
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -30,6 +27,34 @@ def test_exported_names_resolve(module_name):
     exec(f"from {module_name} import *", namespace)
     exported = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
     assert [name for name in exported if name not in namespace] == []
+
+
+def _public_definitions(module) -> set:
+    """Names of the module's top-level functions, classes and assignments
+    that do not start with an underscore."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_package_republishes_each_library_all():
+    # Each library module's __all__ is the one list of its public names: it
+    # holds exactly what the module defines in public, no name is in two
+    # lists, and the package exports their union and nothing else.
+    lists = {name: importlib.import_module(name).__all__ for name in LIBRARY}
+    for name, exported in lists.items():
+        assert set(exported) == _public_definitions(importlib.import_module(name)), name
+    union = [n for exported in lists.values() for n in exported]
+    assert sorted(n for n in set(union) if union.count(n) > 1) == []
+    package = importlib.import_module("thermoacoustic")
+    public = {n for n, v in vars(package).items()
+              if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert public == set(union)
 
 
 _PROBED = "perfbench/probes.py wraps it"
