@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -131,6 +132,8 @@ class TimeConfig:
         _reject("time.dt", not dt > 0 and "must be positive")
         # the second time difference of the energies divides by dt**2
         _reject("time.dt", dt * dt == math.inf and "too large: time.dt**2 must be a finite float")
+        _reject("time.dt", not dt * dt >= sys.float_info.min
+                and "too small: time.dt**2 must be a normal float")
         _reject("time.output_stride", self.output_stride < 1 and "must be at least 1")
         n_steps = _step_count(self.T, dt, "time.T")
         snap_steps = set()

@@ -174,6 +174,8 @@ class TestLoadConfig:
                      "time.output_stride: must be at least 1", id="output_stride_zero"),
         pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 0.0},
                      "time.dt: must be positive", id="dt_zero"),
+        pytest.param(TimeConfig, "time", {"T": 5e-170, "dt": 1e-170},
+                     "time.dt: too small: time.dt**2 must be a normal float", id="dt_tiny"),
         pytest.param(PicardConfig, "picard", {"tol": 0.0},
                      "picard.tol: must be positive", id="tol_zero"),
         pytest.param(PicardConfig, "picard", {"max_iter": 0},
@@ -885,6 +887,21 @@ class TestExtremeInputs:
         doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
         doc["time"].update(T=2.6e154, dt=1.3e154)
         assert load_config(json.dumps(doc)).time.dt == 1.3e154
+
+    @pytest.mark.parametrize("command", ["simulate", "modes"])
+    @pytest.mark.parametrize("dt", [1e-170, 1e-155])
+    def test_dt_whose_square_underflows_exits_2(self, tmp_path, capsys, recwarn, dt, command):
+        # the second time difference divides by dt**2; a subnormal or zero
+        # square once ended simulate in exit 8 and let modes exit 0
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"].update(T=2 * dt, dt=dt)
+        assert self._run(tmp_path, capsys, recwarn, command, doc) == (2, (
+            "configuration error: time.dt: too small: time.dt**2 must be a normal float\n"))
+
+    def test_smallest_dt_with_a_normal_square_is_accepted(self):
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["time"].update(T=3e-154, dt=1.5e-154)  # dt**2 = 2.25e-308
+        assert load_config(json.dumps(doc)).time.dt == 1.5e-154
 
     def test_sweep_member_whose_constants_break_exits_2(self, tmp_path, capsys, recwarn):
         # tau*m = 1e310 at the first member, though the base tau*m is finite
