@@ -4,10 +4,11 @@ The section dataclasses are the schema: a section holds the fields of its
 dataclass under their names, each read by its annotation (float, int, str
 or an array of numbers), and a field is optional exactly when it has a
 default.  Each section checks its own values when it is built, in Python or
-by load_config, which adds the rules that relate sections.  Unknown keys are
-rejected outright because physics configs die silently otherwise (a typoed
-parameter name must not fall back to a default).  JSON is used for its
-unambiguous typing of numeric arrays.
+by load_config, and SimConfig checks initial_data against grid; load_config
+runs those rules as it reads each value and adds the medium and the sweep
+ladder.  Unknown keys are rejected outright because physics configs die
+silently otherwise (a typoed parameter name must not fall back to a
+default).  JSON is used for its unambiguous typing of numeric arrays.
 """
 
 from __future__ import annotations
@@ -97,6 +98,27 @@ class GridConfig:
                 and "too small or too large for grid.N: (L/(N+1))**2 must be a normal float")
 
 
+_PRESETS = ("zero", "sine", "gaussian", "raw")
+
+
+def _known_preset(name: str):
+    return name not in _PRESETS and f"must be one of {', '.join(_PRESETS)}"
+
+
+def _length(n: int):
+    return lambda values: len(values) != n and f"must have length {n}"
+
+
+def _raw_lengths(n: int) -> dict:
+    """The length rule of each raw array on a grid of n interior nodes."""
+    return {"p0": _length(n), "p1": _length(n), "theta0": _length(n), "q0": _length(n + 1)}
+
+
+def _mode_fits(mode_k: int, n: int):
+    # sin(k pi x / L) with k > N is zero to rounding at every node
+    return mode_k > n and "must be at most grid.N"
+
+
 @dataclass(frozen=True)
 class InitialData:
     preset: str
@@ -111,6 +133,7 @@ class InitialData:
     q0: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        _reject("initial_data.preset", _known_preset(self.preset))
         for key in ("p0", "p1", "theta0", "q0"):
             _reject(f"initial_data.{key}", self.preset == "raw" and getattr(self, key) is None
                     and "required for the raw preset")
@@ -167,6 +190,15 @@ class SimConfig:
     picard: PicardConfig
     sweep_tau_list: tuple[float, ...] | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # the rules that relate initial_data to grid, in load_config's order;
+        # the medium is checked by simulate and tau_sweep
+        n = self.grid.N
+        for key, rule in _raw_lengths(n).items():
+            values = getattr(self.initial_data, key)
+            _reject(f"initial_data.{key}", values is not None and rule(values))
+        _reject("initial_data.mode_k", _mode_fits(self.initial_data.mode_k, n))
 
 
 def _of_type(kind, what: str):
@@ -264,13 +296,6 @@ def _reject_unknown(section: dict, path: str) -> None:
         raise UnknownKey(f"{path}.{key}" if path else key)
 
 
-def _length(n: int):
-    return lambda values: len(values) != n and f"must have length {n}"
-
-
-_PRESETS = ("zero", "sine", "gaussian", "raw")
-
-
 def load_config(text: str) -> SimConfig:
     """Parse and fully validate a configuration document; the sections check
     their own values, and this adds the rules that relate sections."""
@@ -292,13 +317,9 @@ def load_config(text: str) -> SimConfig:
     )
     _reject("params", "; ".join(validate_params(params, model)))
 
-    init = _section(
-        doc, "initial_data", InitialData,
-        preset=lambda name: name not in _PRESETS and f"must be one of {', '.join(_PRESETS)}",
-        p0=_length(grid.N), p1=_length(grid.N), theta0=_length(grid.N), q0=_length(grid.N + 1),
-    )
-    # sin(k pi x / L) with k > N is zero to rounding at every node
-    _reject("initial_data.mode_k", init.mode_k > grid.N and "must be at most grid.N")
+    init = _section(doc, "initial_data", InitialData,
+                    preset=_known_preset, **_raw_lengths(grid.N))
+    _reject("initial_data.mode_k", _mode_fits(init.mode_k, grid.N))
 
     time_cfg = _section(doc, "time", TimeConfig)
     picard = _section(doc, "picard", PicardConfig)

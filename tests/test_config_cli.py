@@ -5,6 +5,7 @@ import re
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from thermoacoustic.config import (
 from thermoacoustic.coupling import PicardDiverged
 from thermoacoustic.energy import TIMESERIES_COLUMNS
 from thermoacoustic.heat import fourier_thermal_step
-from thermoacoustic.verification import CheckResult
+from thermoacoustic.verification import CheckResult, canonical_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -188,6 +189,9 @@ class TestLoadConfig:
                      "initial_data.mode_k: must be at least 1", id="mode_k_zero"),
         pytest.param(InitialData, "initial_data", {"preset": "raw"},
                      "initial_data.p0: required for the raw preset", id="raw_without_arrays"),
+        pytest.param(InitialData, "initial_data", {"preset": "sawtooth"},
+                     "initial_data.preset: must be one of zero, sine, gaussian, raw",
+                     id="unknown_preset"),
     ])
     def test_section_built_in_python_is_checked_like_a_loaded_one(
         self, cls, section, values, message
@@ -197,6 +201,23 @@ class TestLoadConfig:
             cls(**values)
         with pytest.raises(ValidationError) as loaded:
             load_config(json.dumps(minimal_doc(**{section: values})))
+        assert str(built.value) == str(loaded.value) == message
+
+    @pytest.mark.parametrize("values, message", [
+        pytest.param({"preset": "sine", "mode_k": 129},
+                     "initial_data.mode_k: must be at most grid.N", id="mode_k_above_N"),
+        pytest.param({"preset": "raw", "p0": (0.0,) * 127, "p1": (0.0,) * 128,
+                      "theta0": (0.0,) * 128, "q0": (0.0,) * 129},
+                     "initial_data.p0: must have length 128", id="raw_p0_short"),
+    ])
+    def test_simconfig_built_in_python_checks_initial_data_against_grid(self, values, message):
+        # N = 128 in both; the Python-built config fails before simulate sees it
+        with pytest.raises(ValidationError) as built:
+            replace(canonical_config(T=0.01), initial_data=InitialData(**values))
+        doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
+        doc["initial_data"] = values
+        with pytest.raises(ValidationError) as loaded:
+            load_config(json.dumps(doc))
         assert str(built.value) == str(loaded.value) == message
 
     def test_sweep_must_decrease_strictly(self):
