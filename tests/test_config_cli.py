@@ -912,8 +912,8 @@ class TestExtremeInputs:
     @pytest.mark.parametrize("command", ["simulate", "modes"])
     @pytest.mark.parametrize("dt", [1e-170, 1e-155])
     def test_dt_whose_square_underflows_exits_2(self, tmp_path, capsys, recwarn, dt, command):
-        # the second time difference divides by dt**2; a subnormal or zero
-        # square once ended simulate in exit 8 and let modes exit 0
+        # the second time difference divides by dt**2, which is subnormal at
+        # 1e-155 and zero at 1e-170; modes is held to the same rule
         doc = json.loads((CONFIG_DIR / "canonical.json").read_text())
         doc["time"].update(T=2 * dt, dt=dt)
         assert self._run(tmp_path, capsys, recwarn, command, doc) == (2, (
