@@ -13,6 +13,7 @@ from thermoacoustic.energy import acoustic_identity_residual
 from thermoacoustic.grid import (
     Grid1D,
     NodeField,
+    NonFinite,
     gradient_to_faces,
     l2_inner,
     l2_norm,
@@ -226,6 +227,20 @@ class TestWesterveltStep:
             now = e1(state)
             assert now <= prev + 1e-14
             prev = now
+
+    @pytest.mark.parametrize("length, p4, kind, index",
+                             [(34.0, -1e308, "FaceField", 4), (17.0, 0.0, "NodeField", 3)])
+    def test_overflowing_difference_of_finite_pressure_is_located(self, length, p4, kind, index):
+        # 1e308 on node 3: with -1e308 on node 4 and dx = 2 the gradient
+        # overflows on face 4; alone at dx = 1 the gradient is finite and
+        # the Laplacian overflows on node 3
+        grid = Grid1D(length, 16)
+        p = np.zeros(16)
+        p[3], p[4] = 1e308, p4
+        state = AcousticState.initial(NodeField(grid, p), grid.zero_node_field())
+        with np.errstate(all="ignore"), pytest.raises(NonFinite) as err:
+            westervelt_linear_step(state, constant_coeffs(grid), 0.01, unit_params())
+        assert (err.value.what, err.value.index) == (kind, index)
 
 
 class TestIdentityResidual:
