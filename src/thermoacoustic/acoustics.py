@@ -25,17 +25,24 @@ Eliminating p' gives a single tridiagonal solve per step,
 
 with r frozen per node row.  The strong damping -b Lap p_t makes the
 equation parabolic in character, which is exactly what the L-stable
-one-step method exploits.  Strict diagonal dominance holds whenever
-alpha > 0 and b > 0.
+one-step method exploits.  Row i of the matrix reads -s_i, a_i + 2 s_i,
+-s_i with a = alpha/dt and s = (dt r + b)/dx^2.  alpha > 0 makes each row
+strictly dominant, yet dgtsv still swaps rows i and i+1 where a steep s
+lifts s_{i+1} above the pivot.  With s >= 0 every exact pivot exceeds
+a_i + s_i, so the certificate a_min > (s_max - s_min) + eps s_max, tested
+on the float bands, proves that no row is swapped and that every pivot
+passes the loop's test.  eps = 2**-48 covers the 9 or so unit roundoffs of
+s_max that the pivot recursion and the test itself can lose.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import NodeField, _thomas, laplacian_dirichlet
+from .grid import NodeField, _check_arrays, _difference_quotient, _dirichlet_gradient, _thomas
 from .heat import _time_difference, _TimeLevels
 from .model import PhysicalParams, SpeedOfSoundModel, _k_of_h, h_eval
 
@@ -165,17 +172,13 @@ def westervelt_linear_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid = state.grid
-    lap_p = laplacian_dirichlet(state.p).values
-    system = _westervelt_system(
-        coeffs.alpha.values, coeffs.r.values, coeffs.g.values, state.v.values, lap_p,
-        dt, params, grid.dx,
+    grid, p = state.grid, state.p.values
+    grad_p = _dirichlet_gradient(p, grid.dx)
+    v_new = _westervelt_solve(
+        coeffs.alpha.values, coeffs.alpha_min, coeffs.r.values, coeffs.g.values,
+        state.v.values, grad_p, _difference_quotient(grad_p, grid.dx), dt, params, grid.dx,
     )
-    v_new = _thomas(*system)
-    p_new = state.p.values + dt * v_new
-    return state.advanced(
-        NodeField(grid, p_new), NodeField(grid, v_new), state.t + dt
-    )
+    return state.advanced(NodeField(grid, p + dt * v_new), NodeField(grid, v_new), state.t + dt)
 
 
 def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx):
@@ -184,3 +187,17 @@ def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx):
     diag = alpha / dt + 2.0 * stencil
     rhs = alpha * v / dt + r * lap_p + g
     return diag, -stencil[1:], -stencil[:-1], rhs
+
+
+def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None):
+    """v' of a step on raw arrays, lap_p being the divergence of grad_p.  If
+    the system is not finite, the inputs are checked in the order fields
+    would be built, so NonFinite names the same field and index."""
+    diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx)
+    if not math.isfinite(np.dot(diag, rhs)):
+        _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g),
+                       ("FaceField", grad_p), ("NodeField", lap_p)))
+    last = float(lower[-1])  # -s_{n-1}; upper holds -s_0 .. -s_{n-2}
+    s_min, s_max = -max(float(upper.max()), last), -min(float(upper.min()), last)
+    dominant = 0.0 <= s_min and alpha_min / dt > s_max - s_min + 2.0**-48 * s_max
+    return _thomas(diag, lower, upper, rhs, work, dominant)

@@ -38,7 +38,7 @@ from .acoustics import (
     _coefficients,
     _degeneracy_threshold,
     _frozen,
-    _westervelt_system,
+    _westervelt_solve,
     assemble_coefficients,
     check_nondegeneracy,
     westervelt_linear_step,  # not called here; perfbench/probes.py wraps it
@@ -55,7 +55,6 @@ from .grid import (
     _FactoredTridiagonal,
     _LapackBuffer,
     _l2,
-    _thomas,
     gradient_to_faces,
     l2_norm,  # not called here; perfbench/probes.py wraps it
     laplacian_dirichlet,
@@ -300,11 +299,9 @@ def coupled_step(
             if alpha_min < threshold:
                 _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g)))
                 raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
-            system = _westervelt_system(alpha, r, g, v_n, lap_p_n, dt, params, dx)
-            if not math.isfinite(np.dot(system[0], system[3])):
-                _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g),
-                               ("FaceField", grad_p_n), ("NodeField", lap_p_n)))
-            v_new = _thomas(*system, ws.gtsv)
+            v_new = _westervelt_solve(
+                alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv
+            )
             p_new = p_n + dt * v_new
             f_next = _absorbed_power(params, v_new)
             if ws.fourier:

@@ -351,29 +351,25 @@ class _LapackBuffer:
         self.size = ctypes.c_int64(n)
         self.info = ctypes.c_int64(0)
 
-    def load_bands(self, diag, lower, upper) -> np.ndarray:
-        """Copy the bands in; returns their absolute values."""
+    def load_bands(self, diag, lower, upper) -> None:
         self.buf[0, :-1] = lower
         self.buf[1] = diag
         self.buf[2, :-1] = upper
-        return np.abs(self.buf[:3])
 
 
-def _eliminated_like_loop(u_diag: np.ndarray, abs_bands: np.ndarray) -> bool:
-    """Whether an LU elimination interchanged no row and left a U diagonal
-    u_diag that passes the loop's _PIVOT_RTOL row test.  abs_bands is the
-    (consumed) result of _LapackBuffer.load_bands for the matrix."""
+def _eliminated_like_loop(u_diag: np.ndarray, diag, lower, upper) -> bool:
+    """Whether an LU elimination of the matrix with these bands interchanged
+    no row and left a U diagonal u_diag that passes the loop's _PIVOT_RTOL
+    row test."""
     n = u_diag.shape[0]
     piv = np.abs(u_diag)
-    abs_lower = abs_bands[0, :-1]
+    abs_lower = np.abs(lower)
     if np.count_nonzero(piv[:-1] > abs_lower) != n - 1:  # a row interchange
         return False
-    # the loop's row scales (the views above and below scale in place);
-    # addition commutes, so the order matches
-    abs_bands *= _PIVOT_RTOL
-    scale = abs_bands[1]
-    scale[1:] += abs_lower
-    scale[:-1] += abs_bands[2, :-1]
+    # the loop's row scales; addition commutes, so the order matches
+    scale = _PIVOT_RTOL * np.abs(diag)
+    scale[1:] += _PIVOT_RTOL * abs_lower
+    scale[:-1] += _PIVOT_RTOL * np.abs(upper)
     return np.count_nonzero(piv >= scale) == n
 
 
@@ -392,6 +388,7 @@ def _thomas(
     upper: np.ndarray,
     rhs: np.ndarray,
     work: _LapackBuffer | None = None,
+    dominant: bool = False,
 ) -> np.ndarray:
     """Solve the tridiagonal system (lower[i] on row i+1) into a fresh array.
 
@@ -401,23 +398,24 @@ def _thomas(
     into nan.  So its result is returned only when info is 0, no row was
     interchanged, every pivot passes the loop's _PIVOT_RTOL row test and
     every entry is finite and nonzero; it then equals the loop's bit for
-    bit.  Otherwise, and without the library, the loop runs and returns
-    its result or raises SingularSystem.  work, a _LapackBuffer(4, n), saves
-    the allocations of a call.
+    bit.  dominant=True, from the Westervelt certificate of acoustics, skips
+    checking the middle two.  Otherwise, and without the library, the loop
+    runs and returns its result or raises SingularSystem.  work, a
+    _LapackBuffer(4, n), saves the allocations of a call.
     """
     if _GTSV is not None:
         n = diag.shape[0]
         fresh = work is None
         if fresh:
             work = _LapackBuffer(4, n)
-        abs_bands = work.load_bands(diag, lower, upper)
+        work.load_bands(diag, lower, upper)
         work.buf[3] = rhs  # -> solution
         at, row = work.at, 8 * n
         _GTSV(work.size, _ONE, at, at + row, at + 2 * row, at + 3 * row, work.size, work.info)
         x = work.buf[3]
         if (
             work.info.value == 0
-            and _eliminated_like_loop(work.buf[1], abs_bands)
+            and (dominant or _eliminated_like_loop(work.buf[1], diag, lower, upper))
             and _finite_nonzero(x)
         ):
             return x if fresh else x.copy()
@@ -444,12 +442,12 @@ class _FactoredTridiagonal:
         at, row = self.lu.at, 8 * n
         # DL, D, DU, DU2, IPIV, B
         self.ptrs = (at, at + row, at + 2 * row, at + 3 * row, self.ipiv.ctypes.data, at + 4 * row)
-        abs_bands = self.lu.load_bands(diag, lower, upper)
+        self.lu.load_bands(diag, lower, upper)
         self.factored = _GTTRF is not None and _GTTRS is not None
         if self.factored:
             _GTTRF(self.lu.size, *self.ptrs[:5], self.lu.info)
             self.factored = self.lu.info.value == 0 and _eliminated_like_loop(
-                self.lu.buf[1], abs_bands
+                self.lu.buf[1], *self.bands
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

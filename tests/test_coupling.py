@@ -495,6 +495,32 @@ def test_only_a_run_factors_the_heat_operator(monkeypatch):
     assert len(calls) == 4
 
 
+
+def test_acoustic_solves_of_the_benchmark_runs_are_certified(monkeypatch):
+    # Every Westervelt matrix of these runs passes the certificate of
+    # acoustics, so the full elimination check runs only where a run
+    # factors its heat operator: once per simulate, never in the
+    # manufactured-solution studies.
+    if grid_mod._GTSV is None or grid_mod._GTTRF is None:
+        pytest.skip("numpy ships no bundled OpenBLAS here")
+    calls = []
+    check = grid_mod._eliminated_like_loop
+
+    def spy(*args):
+        calls.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(grid_mod, "_eliminated_like_loop", spy)
+    short = TimeConfig(T=0.1, dt=1e-3, output_stride=10)
+    for config in (canonical_config(T=0.1), replace(lensing_config(), time=short)):
+        calls.clear()
+        simulate(config)
+        assert len(calls) == 1
+    calls.clear()
+    for case in ((32, 1e-5, 0.1, 2.0), (256, 4e-3, 1.0, 1.0)):
+        verification_mod.manufactured_error.__wrapped__(*case)  # past the cache
+    assert calls == []
+
 _THERMAL_UPDATES = ("_fourier_update", "_fourier_flux", "_cattaneo_update", "_cattaneo_flux")
 
 

@@ -4,12 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from thermoacoustic import acoustics as acoustics_mod
 from thermoacoustic import grid as grid_mod
-from thermoacoustic.acoustics import _westervelt_system
+from thermoacoustic.acoustics import _westervelt_solve, _westervelt_system
 from thermoacoustic.grid import (
     FaceField,
     Grid1D,
@@ -608,6 +609,103 @@ def test_bands_near_the_float_maximum_meet_no_vanishing_pivot(system):
     ref = _loop_reference(*system).tobytes()
     assert _thomas(*system).tobytes() == ref
     assert grid_mod._FactoredTridiagonal(*system[:3]).solve(system[3]).tobytes() == ref
+
+
+def _with_full_check(solve, *args):
+    """solve(*args), and the verdicts of the full checks
+    (_eliminated_like_loop) it ran."""
+    verdicts = []
+    check = grid_mod._eliminated_like_loop
+
+    def spy(*bands):
+        verdicts.append(check(*bands))
+        return verdicts[-1]
+
+    with mock.patch.object(grid_mod, "_eliminated_like_loop", spy):
+        return solve(*args), verdicts
+
+
+def _certified_system(alpha, r, g, v, lap_p, dt, dx, b):
+    """(bands, the certificate's verdict) that _westervelt_solve hands to
+    _thomas for these inputs."""
+    calls = []
+    with mock.patch.object(acoustics_mod, "_thomas", lambda *bands: calls.append(bands)):
+        _westervelt_solve(alpha, float(alpha.min()), r, g, v, np.zeros(len(r) + 1), lap_p,
+                          dt, unit_params(b=b), dx)
+    (*system, _, dominant), = calls
+    return system, dominant
+
+
+@st.composite
+def westervelt_inputs(draw):
+    """Raw inputs of a Westervelt solve over the whole float range.  dt, dx,
+    b and the scale of r run from subnormal to near the float maximum; r
+    varies by up to 16 decades across the nodes, may drop to (nearly) zero
+    on a block, so s jumps, and is negative in half of the draws.  alpha's
+    minimum sits on a node before the largest rise of s or anywhere, and
+    a/dt lies within 64 ulps of the certificate's threshold or anywhere."""
+    with np.errstate(all="ignore"):
+        magnitude = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+        n = draw(st.integers(2, 64))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        dt, dx = draw(magnitude), draw(magnitude)
+        b = draw(st.one_of(st.just(0.0), magnitude))
+        scale = draw(magnitude) * draw(st.sampled_from([1.0, -1.0]))
+        r = scale * 10.0 ** rng.uniform(-draw(st.integers(0, 16)), 0.0, n)
+        if draw(st.booleans()):
+            lo, hi = sorted(rng.integers(0, n + 1, 2))
+            r[lo:hi] *= draw(st.sampled_from([0.0, 2.0**-60, 1e-300]))
+        s = (dt * r + b) / (dx * dx)
+        assume(np.isfinite(s).all())
+        if draw(st.booleans()):
+            threshold = s.max() - s.min() + 2.0**-48 * s.max()
+            a_min = threshold * (1.0 + draw(st.integers(-64, 64)) * 2.0**-52)
+        else:
+            a_min = draw(magnitude)
+        alpha = a_min * dt * 10.0 ** rng.uniform(0.0, draw(st.integers(0, 8)), n)
+        node = int(np.argmax(np.diff(s))) if draw(st.booleans()) else int(rng.integers(n))
+        alpha[node] = a_min * dt
+        assume(np.isfinite(alpha).all() and alpha.min() > 0.0)
+        g, v, lap_p = (rng.standard_normal(n) * draw(magnitude) for _ in range(3))
+        assume(np.isfinite(np.concatenate((g, v, lap_p))).all())
+    return alpha, r, g, v, lap_p, dt, dx, b
+
+
+@needs_lapack
+@given(westervelt_inputs())
+@settings(max_examples=300, deadline=None)
+def test_certified_westervelt_systems_are_eliminated_like_the_loop(inputs):
+    # Whenever the certificate holds, dgtsv swaps no row and every pivot
+    # passes the loop's test (the full check agrees), so a finite nonzero
+    # dgtsv result is the loop's to the byte and the loop meets no
+    # vanishing pivot.
+    with np.errstate(all="ignore"):
+        system, dominant = _certified_system(*inputs)
+        if dominant:
+            x, verdicts = _with_full_check(_thomas, *system, None, True)
+            assert verdicts == []
+            assert _with_full_check(_thomas, *system)[1] == [True]
+            assert x.tobytes() == _loop_reference(*system).tobytes()
+
+
+@needs_lapack
+@pytest.mark.parametrize(
+    "alpha, r, swapped",
+    [(1.0, [1.0, 1e6, 1.0, 1.0], True), (1e-20, [1.0] * 4, False)],
+    ids=["steep_r", "tiny_a"],
+)
+def test_uncertified_westervelt_systems_get_the_full_check(alpha, r, swapped):
+    # A steep r fails the certificate and makes dgtsv swap rows 0 and 1;
+    # a tiny a fails it on the rounding margin alone, and dgtsv swaps none.
+    # Either way the full check decides, and the loop's bytes come back.
+    rhs = np.array([1.0, -2.0, 3.0, -4.0])
+    system, dominant = _certified_system(
+        np.full(4, alpha), np.array(r), rhs, np.zeros(4), np.zeros(4), 1.0, 1.0, 0.0
+    )
+    assert not dominant
+    x, verdicts = _with_full_check(_thomas, *system)
+    assert verdicts == [not swapped]
+    assert x.tobytes() == _loop_reference(*system).tobytes()
 
 
 # Finite values up to 1e300 in magnitude, with signed zeros and subnormals.
