@@ -170,7 +170,7 @@ def westervelt_linear_step(
     residual at the 1e-9 * field-scale level (rounding of the tridiagonal
     solve; there is no consistency defect in the plugged-back equations).
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     grid, p = state.grid, state.p.values
     grad_p = _dirichlet_gradient(p, grid.dx)

@@ -261,9 +261,9 @@ def coupled_step(
     been built, so the error raised names the same field, index, step and
     time.  Fields are built for the accepted state only.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if picard_tol <= 0.0:
+    if not picard_tol > 0.0:
         raise ValueError("picard_tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

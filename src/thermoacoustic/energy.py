@@ -373,7 +373,7 @@ def coefficient_diagnostics(
     coeffs_prev: FrozenCoefficients, coeffs_next: FrozenCoefficients, dt: float
 ) -> tuple[float, float]:
     """(Lambda, F) from two consecutive coefficient levels."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     return _Row(_Rows(coeffs=[coeffs_next], prevs=[coeffs_prev], dts=[dt]), 0).coefficients()
 

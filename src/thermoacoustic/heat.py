@@ -213,7 +213,7 @@ def fourier_step(
     eigenmode with eigenvalue lambda_h and f = 0 the update is exactly
     theta^{n+1} = theta^n / (1 + dt (ell + kappa_a lambda_h)/m).
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     solve = partial(_thomas, *_heat_matrix(theta.grid, params, dt, params.kappa_a))
     new_vals = _fourier_update(f_next.values, (params.m / dt) * theta.values, solve)
@@ -249,7 +249,7 @@ def cattaneo_step(
     residuals at rounding level.  At tau = 0 the update is bit-identical
     to fourier_step followed by the Fourier flux law.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     w, eta = _cattaneo_weights(params, dt)
     grid = state.grid

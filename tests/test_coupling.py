@@ -414,25 +414,39 @@ def _state_bytes(state) -> bytes:
 
 
 def _bad_calls():
-    """Public stepper calls with a step size or tau out of range, by name,
-    with the message each must raise."""
+    """Public stepper calls with a step size, tau or Picard tolerance out of
+    range (nan included), by name, with the message each must raise."""
     grid = Grid1D(1.0, 16)
     z = grid.zero_node_field()
     params = unit_params(tau=0.1)
     coeffs = assemble_coefficients(z, z, z, UNIT_MODEL, params)
     thermal = ThermalState.initial(z, grid.zero_face_field())
+    acoustic = AcousticState.initial(z, z)
+    coupled = CoupledState.initial(z, z, z, grid.zero_face_field())
+    nan = float("nan")
     dt_message, tau_message = "dt must be positive", "tau must be nonnegative"
+
+    def step(dt, tol):
+        return coupled_step(coupled, dt, tol, 25, 0.5, params, UNIT_MODEL)
+
     return {
         "fourier_step_dt_zero": (lambda: fourier_step(z, z, 0.0, params), dt_message),
+        "fourier_step_dt_nan": (lambda: fourier_step(z, z, nan, params), dt_message),
         "cattaneo_step_dt_negative": (lambda: cattaneo_step(thermal, z, -1e-3, params),
                                       dt_message),
+        "cattaneo_step_dt_nan": (lambda: cattaneo_step(thermal, z, nan, params), dt_message),
         "cattaneo_step_tau_negative": (
             lambda: cattaneo_step(thermal, z, 1e-3, replace(params, tau=-0.1)), tau_message),
         "westervelt_linear_step_dt_zero": (
-            lambda: westervelt_linear_step(AcousticState.initial(z, z), coeffs, 0.0, params),
-            dt_message),
+            lambda: westervelt_linear_step(acoustic, coeffs, 0.0, params), dt_message),
+        "westervelt_linear_step_dt_nan": (
+            lambda: westervelt_linear_step(acoustic, coeffs, nan, params), dt_message),
+        "coupled_step_dt_nan": (lambda: step(nan, 1e-10), dt_message),
+        "coupled_step_picard_tol_nan": (lambda: step(1e-3, nan), "picard_tol must be positive"),
         "coefficient_diagnostics_dt_negative": (
             lambda: coefficient_diagnostics(coeffs, coeffs, -1e-3), dt_message),
+        "coefficient_diagnostics_dt_nan": (
+            lambda: coefficient_diagnostics(coeffs, coeffs, nan), dt_message),
     }
 
 
