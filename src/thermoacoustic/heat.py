@@ -84,7 +84,7 @@ class _TimeLevels:
     def __post_init__(self) -> None:
         stamps = [h[0] for h in self.history]
         steps = [b - a for a, b in zip(stamps, stamps[1:])]
-        if steps and steps[-1] <= 0.0:
+        if steps and not steps[-1] > 0.0:
             raise ValueError("history time stamps must be strictly increasing")
         for s in steps:
             if abs(s - steps[-1]) > 1e-9 * abs(steps[-1]):
@@ -166,7 +166,7 @@ def _heat_matrix(grid: Grid1D, params: PhysicalParams, dt: float, eta: float):
 def _cattaneo_weights(params: PhysicalParams, dt: float) -> tuple[float, float]:
     """(w, eta) of the flux elimination q' = w q - eta grad theta'."""
     tau = params.tau
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError("tau must be nonnegative")
     return tau / (tau + dt), params.kappa_a * (dt / (tau + dt))
 

@@ -437,6 +437,8 @@ def _bad_calls():
         "cattaneo_step_dt_nan": (lambda: cattaneo_step(thermal, z, nan, params), dt_message),
         "cattaneo_step_tau_negative": (
             lambda: cattaneo_step(thermal, z, 1e-3, replace(params, tau=-0.1)), tau_message),
+        "cattaneo_step_tau_nan": (
+            lambda: cattaneo_step(thermal, z, 1e-3, replace(params, tau=nan)), tau_message),
         "westervelt_linear_step_dt_zero": (
             lambda: westervelt_linear_step(acoustic, coeffs, 0.0, params), dt_message),
         "westervelt_linear_step_dt_nan": (

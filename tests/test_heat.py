@@ -272,7 +272,7 @@ class TestTimeDerivatives:
     def test_nonincreasing_stamps_rejected(self, cls):
         a, b = zero_level(cls, Grid1D(1.0, 16))
         state = cls.initial(a, b, t=0.1)
-        for t in (0.1, 0.05):
+        for t in (0.1, 0.05, float("nan")):
             with pytest.raises(ValueError, match="strictly increasing"):
                 state.advanced(a, b, t)
 
