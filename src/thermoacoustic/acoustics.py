@@ -172,10 +172,10 @@ def westervelt_linear_step(
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    grid, p = state.grid, state.p.values
+    grid, p, alpha = state.grid, state.p.values, coeffs.alpha.values
     grad_p = _dirichlet_gradient(p, grid.dx)
-    v_new = _westervelt_solve(
-        coeffs.alpha.values, coeffs.alpha_min, coeffs.r.values, coeffs.g.values,
+    v_new = _westervelt_solve(  # the certificate takes alpha's minimum, not coeffs.alpha_min
+        alpha, float(alpha.min()), coeffs.r.values, coeffs.g.values,
         state.v.values, grad_p, _difference_quotient(grad_p, grid.dx), dt, params, grid.dx,
     )
     return state.advanced(NodeField(grid, p + dt * v_new), NodeField(grid, v_new), state.t + dt)

@@ -243,6 +243,23 @@ class TestWesterveltStep:
         assert (err.value.what, err.value.index) == (kind, index)
 
 
+    def test_stale_alpha_min_leaves_the_solve_unchanged(self):
+        # alpha_min is a cache the caller may build by hand; a wrong one must
+        # not let a steep r pass the dominance certificate, which would
+        # return dgtsv's row-swapped bytes instead of the loop's.
+        grid = Grid1D(9.0, 8)
+        rng = np.random.default_rng(1)
+        alpha = NodeField(grid, 10.0 ** rng.uniform(-3.0, 0.0, 8))
+        r = NodeField(grid, 10.0 ** rng.uniform(0.0, 6.0, 8))
+        v = NodeField(grid, rng.standard_normal(8))
+        state = AcousticState.initial(grid.zero_node_field(), v)
+        steps = [
+            westervelt_linear_step(state, FrozenCoefficients(alpha, r, grid.zero_node_field(), a),
+                                   1.0, unit_params(b=0.0)).v.values.tobytes()
+            for a in (float(alpha.values.min()), 1e300)
+        ]
+        assert steps[0] == steps[1]
+
 class TestIdentityResidual:
     def test_zero_run(self):
         grid = Grid1D(1.0, 16)
