@@ -174,7 +174,7 @@ def westervelt_linear_step(
         raise ValueError("dt must be positive")
     grid, p, alpha = state.grid, state.p.values, coeffs.alpha.values
     grad_p = _dirichlet_gradient(p, grid.dx)
-    v_new = _westervelt_solve(  # the certificate takes alpha's minimum, not coeffs.alpha_min
+    v_new = _westervelt_solve(  # alpha's own minimum: a caller may build coeffs by hand
         alpha, float(alpha.min()), coeffs.r.values, coeffs.g.values,
         state.v.values, grad_p, _difference_quotient(grad_p, grid.dx), dt, params, grid.dx,
     )
@@ -190,9 +190,9 @@ def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx):
 
 
 def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None):
-    """v' of a step on raw arrays, lap_p being the divergence of grad_p.  If
-    the system is not finite, the inputs are checked in the order fields
-    would be built, so NonFinite names the same field and index."""
+    """v' of a step on raw arrays; alpha_min is alpha's minimum and lap_p the
+    divergence of grad_p.  If the system is not finite, the inputs are checked
+    in the order fields would be built, so NonFinite names field and index."""
     diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx)
     if not math.isfinite(np.dot(diag, rhs)):
         _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g),
