@@ -150,12 +150,14 @@ def check_nondegeneracy(coeffs: FrozenCoefficients, gamma_bar: float) -> None:
 
     gamma_bar in (0, 1) is the admissible fraction of the leading
     coefficient that the pressure term may consume (the smallness margin
-    gamma < 1/(2 k1) expressed through alpha).
+    gamma < 1/(2 k1) expressed through alpha).  The minimum and its node
+    come from alpha itself, not from the alpha_min a caller may set by hand.
     """
     threshold = _degeneracy_threshold(gamma_bar)
-    if coeffs.alpha_min < threshold:
-        node = int(np.argmin(coeffs.alpha.values))
-        raise Degenerate(coeffs.alpha_min, node, threshold)
+    alpha = coeffs.alpha.values
+    alpha_min = float(alpha.min())
+    if alpha_min < threshold:
+        raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
 
 
 def westervelt_linear_step(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,22 @@ class TestNondegeneracyGuard:
             check_nondegeneracy(coeffs, 0.5)
         assert err.value.alpha_min == pytest.approx(-0.2)
         assert err.value.node_index == 5
+
+    def test_hand_built_alpha_min_is_not_trusted(self):
+        # FrozenCoefficients is public and its alpha_min a caller's claim:
+        # the guard reads the minimum and its node from alpha itself.
+        grid = Grid1D(1.0, 8)
+        alpha = np.ones(8)
+        alpha[5] = -0.2
+        coeffs = FrozenCoefficients(
+            alpha=NodeField(grid, alpha), r=NodeField(grid, np.ones(8)),
+            g=grid.zero_node_field(), alpha_min=1.0,
+        )
+        with pytest.raises(Degenerate) as err:
+            check_nondegeneracy(coeffs, 0.5)
+        assert (err.value.alpha_min, err.value.node_index) == (-0.2, 5)
+        # and a low claim on a healthy alpha raises nothing
+        check_nondegeneracy(replace(constant_coeffs(grid), alpha_min=-1.0), 0.5)
 
     def test_unit_alpha_passes_any_margin(self):
         grid = Grid1D(1.0, 8)
