@@ -124,10 +124,8 @@ def assemble_coefficients(
 def _coefficients(theta, p, p_t, model, params):
     """Raw (alpha, r, g) arrays of assemble_coefficients."""
     h_vals = h_eval(model, theta)
-    k_vals = _k_of_h(params, h_vals)
-    alpha = 1.0 - 2.0 * k_vals * p
-    g = 2.0 * k_vals * p_t * p_t
-    return alpha, h_vals, g
+    k2 = 2.0 * _k_of_h(params, h_vals)
+    return 1.0 - k2 * p, h_vals, k2 * p_t * p_t
 
 
 def _frozen(grid, alpha, r, g) -> FrozenCoefficients:
@@ -185,10 +183,10 @@ def westervelt_linear_step(
 
 def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx):
     """(diag, lower, upper, rhs) of the step's tridiagonal system for v'."""
-    stencil = (dt * r + params.b) / (dx * dx)  # per-row off-diagonal magnitude
-    diag = alpha / dt + 2.0 * stencil
+    off = (dt * r + params.b) / -(dx * dx)  # -s to the bit: IEEE division is sign-symmetric
+    diag = alpha / dt - 2.0 * off  # a + 2 s to the bit
     rhs = alpha * v / dt + r * lap_p + g
-    return diag, -stencil[1:], -stencil[:-1], rhs
+    return diag, off[1:], off[:-1], rhs
 
 
 def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None):

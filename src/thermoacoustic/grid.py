@@ -256,7 +256,7 @@ def _quadrature_dot(a: np.ndarray, b: np.ndarray, dx: float) -> float:
 
 
 def _l2(values: np.ndarray, dx: float) -> float:
-    return math.sqrt(_quadrature_dot(values, values, dx))
+    return math.sqrt(dx * float(np.dot(values, values)))
 
 
 def l2_inner(u: _Field, v: _Field) -> float:
@@ -340,14 +340,16 @@ _ONE = ctypes.c_int64(1)  # NRHS; read, never written, by LAPACK
 
 class _LapackBuffer:
     """A (rows, n) LAPACK buffer whose first rows hold the bands lower, diag,
-    upper (the last entry of lower and upper stays 0), with its address and
-    int64 N and INFO; reused across solves of one size."""
+    upper (the last entry of lower and upper stays 0), with int64 N and INFO
+    and a prebuilt c_void_p to each row, so a call converts no Python int;
+    reused across solves of one size."""
 
-    __slots__ = ("buf", "at", "size", "info")
+    __slots__ = ("buf", "rows", "size", "info")
 
     def __init__(self, rows: int, n: int) -> None:
         self.buf = np.zeros((rows, n))
-        self.at = self.buf.ctypes.data  # row k starts at at + 8 * n * k
+        at = self.buf.ctypes.data
+        self.rows = tuple(ctypes.c_void_p(at + 8 * n * k) for k in range(rows))
         self.size = ctypes.c_int64(n)
         self.info = ctypes.c_int64(0)
 
@@ -410,8 +412,7 @@ def _thomas(
             work = _LapackBuffer(4, n)
         work.load_bands(diag, lower, upper)
         work.buf[3] = rhs  # -> solution
-        at, row = work.at, 8 * n
-        _GTSV(work.size, _ONE, at, at + row, at + 2 * row, at + 3 * row, work.size, work.info)
+        _GTSV(work.size, _ONE, *work.rows, work.size, work.info)
         x = work.buf[3]
         if (
             work.info.value == 0
@@ -439,9 +440,8 @@ class _FactoredTridiagonal:
         self.bands = (diag, lower, upper)
         self.lu = _LapackBuffer(5, n)  # rows: DL, D, DU, DU2, B
         self.ipiv = np.zeros(n, dtype=np.int64)
-        at, row = self.lu.at, 8 * n
         # DL, D, DU, DU2, IPIV, B
-        self.ptrs = (at, at + row, at + 2 * row, at + 3 * row, self.ipiv.ctypes.data, at + 4 * row)
+        self.ptrs = (*self.lu.rows[:4], ctypes.c_void_p(self.ipiv.ctypes.data), self.lu.rows[4])
         self.lu.load_bands(diag, lower, upper)
         self.factored = _GTTRF is not None and _GTTRS is not None
         if self.factored:

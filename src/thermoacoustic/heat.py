@@ -82,12 +82,11 @@ class _TimeLevels:
     history: tuple[tuple[float, _Field, _Field], ...]
 
     def __post_init__(self) -> None:
-        stamps = [h[0] for h in self.history]
-        steps = [b - a for a, b in zip(stamps, stamps[1:])]
-        if steps and not steps[-1] > 0.0:
+        h = self.history
+        if len(h) > 1 and not (last := h[-1][0] - h[-2][0]) > 0.0:
             raise ValueError("history time stamps must be strictly increasing")
-        for s in steps:
-            if abs(s - steps[-1]) > 1e-9 * abs(steps[-1]):
+        for i in range(len(h) - 2):  # the steps before the last one
+            if abs(h[i + 1][0] - h[i][0] - last) > 1e-9 * abs(last):
                 raise ValueError("history time stamps must have constant spacing")
 
     @classmethod

@@ -145,10 +145,11 @@ class SpeedOfSoundModel:
 
 
 def _polyval(coeffs: tuple[float, ...], theta):
-    # Horner, low-to-high coefficient order.
-    result = np.zeros_like(np.asarray(theta, dtype=float))
+    # Horner, low-to-high coefficient order, in place.
+    result = np.zeros(np.shape(theta))
     for c in reversed(coeffs):
-        result = result * theta + c
+        result *= theta
+        result += c
     return result
 
 

@@ -708,6 +708,22 @@ def test_uncertified_westervelt_systems_get_the_full_check(alpha, r, swapped):
     assert x.tobytes() == _loop_reference(*system).tobytes()
 
 
+@given(westervelt_inputs())
+@settings(max_examples=200, deadline=None)
+def test_westervelt_bands_equal_the_stencil_formula(inputs):
+    # The bands divide by -(dx*dx) once instead of negating the stencil
+    # (dt r + b)/dx^2 twice; IEEE division and subtraction are symmetric in
+    # sign, so the bytes equal the formula's.
+    alpha, r, g, v, lap_p, dt, dx, b = inputs
+    with np.errstate(all="ignore"):
+        stencil = (dt * r + b) / (dx * dx)
+        expected = (alpha / dt + 2.0 * stencil, -stencil[1:], -stencil[:-1],
+                    alpha * v / dt + r * lap_p + g)
+        system = _westervelt_system(alpha, r, g, v, lap_p, dt, unit_params(b=b), dx)
+    for band, oracle in zip(system, expected, strict=True):
+        assert band.tobytes() == oracle.tobytes()
+
+
 # Finite values up to 1e300 in magnitude, with signed zeros and subnormals.
 _stencil_values = st.one_of(
     st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324]),
