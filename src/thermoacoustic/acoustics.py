@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import NodeField, _check_arrays, _difference_quotient, _dirichlet_gradient, _thomas
-from .heat import _time_difference, _TimeLevels
+from .heat import _Stacked, _TimeLevels
 from .model import PhysicalParams, SpeedOfSoundModel, _k_of_h, h_eval
 
 __all__ = [
@@ -94,7 +94,7 @@ class AcousticState(_TimeLevels):
 
     def second_derivative(self) -> NodeField:
         """p_tt by second differences over the stored levels."""
-        return NodeField(self.grid, _time_difference([self], 1, 2)[0])
+        return NodeField(self.grid, _Stacked([self]).difference(1, 2)[0])
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ from .grid import (
     _dirichlet_gradient,
     _face_extend,
 )
-from .heat import InsufficientHistory, ThermalState, _levels, _time_difference
+from .heat import InsufficientHistory, ThermalState, _Stacked
 from .model import PhysicalParams
 
 __all__ = [
@@ -110,6 +110,7 @@ _ARRAYS = {
     "v_tt": (0, 2, 2, 0), "theta": (1, 1, 0, 2), "theta_t": (1, 1, 1, 1), "theta_tt": (1, 1, 2, 0),
 }
 _KEPT = ("q", "theta", "v", "grad_p", "p_tt", "grad_v")  # read again by the report's dots
+_ON_ALL_ROWS = ("v", "p_tt", "v_tt", "q_t", "q_tt")  # feed the x-norm sums; the rest only reports
 # (x-norm sum, array, ring, stored levels needed); the first three arrays'
 # norms are read by the sums alone
 _SUMS = (("grad_lap_pt", "grad_lap_v", 0, 2), ("lap_ptt", "lap_p_tt", 0, 3), ("pttt", "v_tt", 0, 3),
@@ -123,12 +124,13 @@ _SUM_FIELDS = (("v", 3, None), ("p_tt", 2, None), ("v_tt", 0, None), ("theta_t",
                ("theta_tt", 0, "q_tt"))
 
 
-def _formed(name: str, acs, ths) -> np.ndarray | None:
-    """Array ``name`` of _ARRAYS for some rings, as rows; None below its depth."""
+def _formed(name: str, levels) -> np.ndarray | None:
+    """Array ``name`` of _ARRAYS from the _Stacked levels of some acoustic and
+    thermal rings, as rows; None below its depth."""
     which, slot, k, _ = _ARRAYS[name]
-    rings = (acs, ths)[which]
-    if rings and rings[0].depth > abs(k):
-        return _time_difference(rings, slot, k) if k > 0 else _levels(rings, slot, -k)
+    stacked = levels[which]
+    if stacked.rings and stacked.rings[0].depth > abs(k):
+        return stacked.difference(slot, k) if k > 0 else stacked[slot, -k]
     return None
 
 
@@ -137,14 +139,22 @@ def _stacked(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.array([getattr(c, k).values for c in coeffs]) for k in ("alpha", "r", "g"))
 
 
+def _roots(sq: dict, dx: float) -> dict:
+    """The norms sqrt(dx * s) of the squared sums ``sq``, as lists of floats."""
+    return dict(zip(sq, np.sqrt(dx * np.array(list(sq.values()))).tolist()))
+
+
 class _Rows:
     """K rows (time levels) in one pass: each time difference or stencil is
-    one (K, n) array, each norm one np.vecdot, which sums a row in
-    np.dot's order.  acs and ths are the rows' rings (either may be empty;
-    those of a list have one depth, >= ``levels``).  The rows ``sel`` (all
-    by default) get the inner products ``d`` with their coefficients, those
-    of the previous report row ``prevs`` (over the rings' spacing or ``dts``)
-    and the sources ``f``."""
+    one array of rows, each norm one np.vecdot, which sums a row in np.dot's
+    order.  acs and ths are the rows' rings (either may be empty; those of a
+    list have one depth, >= ``levels``); each ring level is stacked once.
+    The arrays _ON_ALL_ROWS feed the x-norm sums, so they and their norms
+    (``norms``) cover all K rows; the others are formed for the report rows
+    ``sel`` (all by default) alone, with norms ``sel_norms``.  Rows sel also
+    get the inner products ``d`` with their coefficients, those of the
+    previous report row ``prevs`` (over the rings' spacing or ``dts``) and
+    the sources ``f``."""
 
     def __init__(self, acs=(), ths=(), levels=1, sel=None, coeffs=(), prevs=(), f=None, dts=()):
         rings = acs or ths
@@ -153,38 +163,42 @@ class _Rows:
         self.acs, self.ths, self.f = acs, ths, f
         self.dx = dx = (rings[0].grid if rings else coeffs[0].alpha.grid).dx
         self.sel = list(range(len(rings) or len(coeffs))) if sel is None else sel
-        a, sq = {}, {}  # the _KEPT arrays, the squared norms
+        every = sel is None or len(self.sel) == len(rings)
+        on_all = (_Stacked(acs), _Stacked(ths))
+        on_sel = on_all if every else tuple(_Stacked([r[i] for i in self.sel]) for r in (acs, ths))
+        a, sq, sel_sq = {}, {}, {}  # the _KEPT arrays of rows sel, the squared norms
         for name, (_, _, _, read) in _ARRAYS.items():
-            if (u := _formed(name, acs, ths)) is not None:
+            every_row = name in _ON_ALL_ROWS
+            if (u := _formed(name, on_all if every_row else on_sel)) is not None:
                 for key, values in zip((name, "grad_" + name, "lap_" + name, "grad_lap_" + name),
                                        (u, *_stencils(u, dx, read))):
-                    sq[key] = np.vecdot(values, values)
+                    (sq if every_row else sel_sq)[key] = np.vecdot(values, values)
                     if key in _KEPT:
-                        a[key] = values
-        self.norms = dict(zip(sq, np.sqrt(dx * np.array(list(sq.values()))).tolist()))
+                        a[key] = values[self.sel] if every_row and not every else values
+        self.norms, self.sel_norms = _roots(sq, dx), _roots(sel_sq, dx)
+        d = self.d = {}
+        if not self.sel:  # no report row: the sums alone read this pass
+            return
 
         def dot(x, y):
             return np.vecdot(x, y).tolist()
 
-        every = sel is None or len(self.sel) == len(rings)
-        b = a if every else {k: u[self.sel] for k, u in a.items()}
-        d = self.d = {}
         if ths:
-            div_q = _difference_quotient(b["q"], dx)
+            div_q = _difference_quotient(a["q"], dx)
             d["div_q"] = dot(div_q, div_q)
         if f is not None:
-            d["f_theta"] = dot(f, b["theta"])
+            d["f_theta"] = dot(f, a["theta"])
         alpha, r, g = _stacked(coeffs)
         if coeffs and acs:
-            v, grad_p, r_faces = b["v"], b["grad_p"], _face_extend(r)
+            v, grad_p, r_faces = a["v"], a["grad_p"], _face_extend(r)
             d["alpha_v"], d["r_grad_p"] = dot(alpha * v, v), dot(r_faces * grad_p, grad_p)
-            if "p_tt" in b:
-                p_tt, grad_v = b["p_tt"], b["grad_v"]
+            if "p_tt" in a:
+                p_tt, grad_v = a["p_tt"], a["grad_v"]
                 d["alpha_p_tt"] = dot(alpha * p_tt, p_tt)
                 d["r_grad_v"] = dot(r_faces * grad_v, grad_v)
         if prevs:
             alpha0, r0, g0 = _stacked(prevs)
-            dt = np.array(dts or [rings[i].dt for i in self.sel])[:, None]
+            dt = np.array(dts)[:, None] if dts else on_sel[0 if acs else 1][0, 1]
             alpha_t, r_t, g_t = (alpha - alpha0) / dt, (r - r0) / dt, (g - g0) / dt
             grad_r, grad_g = _difference_quotient(r, dx), _dirichlet_gradient(g, dx)
             for name, u in (("alpha_t", alpha_t), ("r_t", r_t), ("grad_r", grad_r),
@@ -195,7 +209,7 @@ class _Rows:
                             ("grad_alpha", _difference_quotient(alpha, dx))):
                 d["cube_" + name] = [float(np.add.reduce(row)) for row in np.abs(u) ** 3]
         if prevs and acs:
-            p0, v0 = (_levels([acs[i] for i in self.sel], slot, 1) for slot in (1, 2))
+            p0, v0 = on_sel[0][1, 1], on_sel[0][2, 1]
             grad_p0 = _dirichlet_gradient(p0, dx)
             d["alpha0_v0"] = dot(alpha0 * v0, v0)
             d["r0_grad_p0"] = dot(_face_extend(r0) * grad_p0, grad_p0)
@@ -207,9 +221,9 @@ class _Rows:
         """(kind, values) of u, flux and order stencils of u for the chains
         (u, order, flux) of row i's arrays in table, formed again from the
         row's rings (the same operations give the same bits), then of extra."""
-        rings = (self.acs[i:i + 1], self.ths[i:i + 1])
-        chains = [(u[0], order, flux and _formed(flux, *rings)[0])
-                  for name, order, flux in table if (u := _formed(name, *rings)) is not None]
+        levels = (_Stacked(self.acs[i:i + 1]), _Stacked(self.ths[i:i + 1]))
+        chains = [(u[0], order, flux and _formed(flux, levels)[0])
+                  for name, order, flux in table if (u := _formed(name, levels)) is not None]
         for u, order, flux in chains + list(extra):
             yield "NodeField", u
             if flux is not None:
@@ -230,6 +244,7 @@ class _Row:
         self.ac, self.th = (ring[i] if ring else None for ring in (rows.acs, rows.ths))
         self.f = None if rows.f is None else rows.f[j]
         self.n = {k: col[i] for k, col in rows.norms.items() if k not in _SUMS_ONLY}
+        self.n.update((k, col[j]) for k, col in rows.sel_norms.items())
         self.d = {k: col[j] for k, col in rows.d.items()}
 
     def fields(self, *extra):

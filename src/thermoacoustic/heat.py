@@ -117,24 +117,33 @@ class _TimeLevels:
         return type(self)((self.history + ((t, a, b),))[-_HISTORY_DEPTH:])
 
 
-def _levels(rings, slot: int, back: int = 0) -> np.ndarray:
-    """Field ``slot`` of each ring, ``back`` levels before its newest, as rows."""
-    return np.array([ring.history[-1 - back][slot].values for ring in rings])
+class _Stacked(dict):
+    """The levels of some rings of equal depth, as rows, each stacked once on
+    first use: [slot, back] is field a (slot 1) or b (slot 2) of each ring,
+    ``back`` levels before its newest, and [0, k] the column of each ring's
+    last spacing to the power k (a Python float)."""
 
+    def __init__(self, rings) -> None:
+        super().__init__()
+        self.rings = rings
 
-def _time_difference(rings, slot: int, k: int) -> np.ndarray:
-    """Order-k (1 or 2) backward difference of field a (slot 1) or b (slot 2)
-    of each of some rings of equal depth, as rows; each row divides by its
-    own ring's last spacing (dt**2 a Python float)."""
-    if rings[0].depth < k + 1:
-        raise InsufficientHistory(
-            f"time derivative of order {k} needs {k + 1} levels, have {rings[0].depth}"
-        )
-    dts = [ring.dt for ring in rings]
-    new, old = _levels(rings, slot), _levels(rings, slot, 1)
-    if k == 1:
-        return (new - old) / np.array(dts)[:, None]
-    return (new - 2.0 * old + _levels(rings, slot, 2)) / np.array([dt**2 for dt in dts])[:, None]
+    def __missing__(self, key):
+        slot, back = key
+        self[key] = (np.array([ring.history[-1 - back][slot].values for ring in self.rings])
+                     if slot else np.array([ring.dt**back for ring in self.rings])[:, None])
+        return self[key]
+
+    def difference(self, slot: int, k: int) -> np.ndarray:
+        """Order-k (1 or 2) backward difference of field ``slot``, as rows;
+        each row divides by its own ring's spacing."""
+        if self.rings[0].depth < k + 1:
+            raise InsufficientHistory(
+                f"time derivative of order {k} needs {k + 1} levels, have {self.rings[0].depth}"
+            )
+        new, old = self[slot, 0], self[slot, 1]
+        if k == 1:
+            return (new - old) / self[0, 1]
+        return (new - 2.0 * old + self[slot, 2]) / self[0, 2]
 
 
 class ThermalState(_TimeLevels):
@@ -275,9 +284,10 @@ def reconstruct_time_derivatives(
     """
     if k not in (1, 2):
         raise ValueError("derivative order k must be 1 or 2")
+    levels = _Stacked([state])
     return (
-        NodeField(state.grid, _time_difference([state], 1, k)[0]),
-        FaceField(state.grid, _time_difference([state], 2, k)[0]),
+        NodeField(state.grid, levels.difference(1, k)[0]),
+        FaceField(state.grid, levels.difference(2, k)[0]),
     )
 
 
