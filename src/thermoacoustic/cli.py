@@ -43,6 +43,8 @@ EXIT_NONFINITE = 8
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # the common case; prints what format(value, ".17g") does
+        return "%.17g" % (value + 0.0)  # +0.0 normalizes -0.0
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -62,8 +64,7 @@ def timeseries_csv(result: SimulationResult) -> str:
 
 
 def snapshot_csv(snapshot) -> str:
-    _, x, p, v, theta, q_left = snapshot
-    rows = zip(x, p, v, theta, q_left)
+    rows = zip(*(column.tolist() for column in snapshot[1:]))
     return _csv_text(("x", "p", "p_t", "theta", "q_at_left_face"), rows)
 
 

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import thermoacoustic
 from thermoacoustic import coupling as coupling_mod
-from thermoacoustic.cli import _LINE_BREAKS, main
+from thermoacoustic.cli import _LINE_BREAKS, _fmt, main
 from thermoacoustic.config import (
     GridConfig,
     InitialData,
@@ -363,6 +365,25 @@ class TestCli:
         assert any(v != 0.0 for v in values)
         for t, v in zip(texts, values):
             assert format(v + 0.0, ".17g") == t  # 17 significant digits round-trip
+
+    @given(st.one_of(
+        st.floats(), st.floats().map(np.float64), st.integers(),
+        st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+        st.booleans(), st.text(),
+    ))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-sys.float_info.max)
+    def test_fmt_equals_the_general_formatting(self, value):
+        # _fmt's fast branch for Python floats prints what the general
+        # branch printed for them; every other type keeps its branch.
+        if isinstance(value, str):
+            expected = value
+        elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            expected = str(int(value))
+        else:
+            expected = format(float(value) + 0.0, ".17g")
+        assert _fmt(value) == expected
 
     def test_snapshot_schema(self, tmp_path):
         doc = sine_doc(T=0.01, snapshot_times=[0.0, 0.01])
