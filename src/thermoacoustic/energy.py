@@ -42,12 +42,16 @@ Lambda and E3 are reported as diagnostics, never asserted against a priori
 bounds, whose hidden constants are not computable.
 
 simulate defers the diagnostics of up to K = max(1, 4096 // N) accepted
-steps and runs them as one chunk pass (_Rows): each time difference and
-stencil is formed once for all K rows as a (K, N) array, and each L2 norm
-or inner product is one np.vecdot, which sums each row in np.dot's order.
-Then, row by row in step order, the x-norm sums, sample_output and the
-report read the row's Python floats (_Row), and the scalar formulas and
-Python powers run per row; the public functions are one-row passes.  No
+steps and runs them as one chunk pass (_Rows).  Each ring level is stacked
+once per pass (heat._Stacked), each time difference and stencil is one
+array of rows, and each L2 norm or inner product is one np.vecdot, which
+sums each row in np.dot's order, so a row's bits do not depend on the other
+rows of its array.  The five arrays the per-step x-norm sums read (v, p_tt,
+v_tt, q_t, q_tt) are formed on all K rows; the arrays only the report reads
+are formed on the report rows alone (every row at output stride 1).  Then,
+row by row in step order, the x-norm sums, sample_output and the report
+read the row's Python floats (_Row), and the scalar formulas and Python
+powers run per row; the public functions are one-row passes.  No
 field is validated on the way: a non-finite norm or report column re-checks
 the row's arrays in the order the field-based diagnostics built them
 (x-norm samples, Q(v), grad g, grad p of the previous level), so the same
@@ -145,16 +149,15 @@ def _roots(sq: dict, dx: float) -> dict:
 
 
 class _Rows:
-    """K rows (time levels) in one pass: each time difference or stencil is
-    one array of rows, each norm one np.vecdot, which sums a row in np.dot's
-    order.  acs and ths are the rows' rings (either may be empty; those of a
-    list have one depth, >= ``levels``); each ring level is stacked once.
-    The arrays _ON_ALL_ROWS feed the x-norm sums, so they and their norms
-    (``norms``) cover all K rows; the others are formed for the report rows
-    ``sel`` (all by default) alone, with norms ``sel_norms``.  Rows sel also
-    get the inner products ``d`` with their coefficients, those of the
-    previous report row ``prevs`` (over the rings' spacing or ``dts``) and
-    the sources ``f``."""
+    """K rows (time levels) in one pass: each ring level is stacked once,
+    each time difference or stencil is one array of rows, each norm one
+    np.vecdot, which sums a row in np.dot's order.  acs and ths are the
+    rows' rings (either may be empty; those of a list have one depth, >=
+    ``levels``).  _ON_ALL_ROWS and their ``norms`` span all K rows; the
+    other arrays and their ``sel_norms`` span the report rows ``sel`` (all
+    by default) alone, which also get the inner products ``d`` with their
+    coefficients, those of the previous report row ``prevs`` (over the
+    rings' spacing or ``dts``) and the sources ``f``."""
 
     def __init__(self, acs=(), ths=(), levels=1, sel=None, coeffs=(), prevs=(), f=None, dts=()):
         rings = acs or ths

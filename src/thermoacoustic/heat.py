@@ -284,10 +284,9 @@ def reconstruct_time_derivatives(
     """
     if k not in (1, 2):
         raise ValueError("derivative order k must be 1 or 2")
-    levels = _Stacked([state])
     return (
-        NodeField(state.grid, levels.difference(1, k)[0]),
-        FaceField(state.grid, levels.difference(2, k)[0]),
+        NodeField(state.grid, _Stacked([state]).difference(1, k)[0]),
+        FaceField(state.grid, _Stacked([state]).difference(2, k)[0]),
     )
 
 
