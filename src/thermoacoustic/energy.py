@@ -169,15 +169,15 @@ class _Rows:
         every = sel is None or len(self.sel) == len(rings)
         on_all = (_Stacked(acs), _Stacked(ths))
         on_sel = on_all if every else tuple(_Stacked([r[i] for i in self.sel]) for r in (acs, ths))
-        a, sq, sel_sq = {}, {}, {}  # the _KEPT arrays of rows sel, the squared norms
+        a, sq, sel_sq = {}, {}, {}  # the _KEPT arrays of rows sel; squared norms of K rows, of sel
         for name, (_, _, _, read) in _ARRAYS.items():
-            every_row = name in _ON_ALL_ROWS
-            if (u := _formed(name, on_all if every_row else on_sel)) is not None:
+            summed = name in _ON_ALL_ROWS
+            if (u := _formed(name, on_all if summed else on_sel)) is not None:
                 for key, values in zip((name, "grad_" + name, "lap_" + name, "grad_lap_" + name),
                                        (u, *_stencils(u, dx, read))):
-                    (sq if every_row else sel_sq)[key] = np.vecdot(values, values)
+                    (sq if summed else sel_sq)[key] = np.vecdot(values, values)
                     if key in _KEPT:
-                        a[key] = values[self.sel] if every_row and not every else values
+                        a[key] = values[self.sel] if summed and not every else values
         self.norms, self.sel_norms = _roots(sq, dx), _roots(sel_sq, dx)
         d = self.d = {}
         if not self.sel:  # no report row: the sums alone read this pass
