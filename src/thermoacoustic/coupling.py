@@ -8,6 +8,8 @@ the freshly updated v into the heat source Q(v) (Gauss-Seidel ordering,
 which matches the information flow of the decoupled system and accelerates
 contraction), take one implicit thermal step, and repeat until the L2
 distance between successive iterates drops below tol * (1 + field scale).
+_picard runs these iterates on raw arrays, with scalar guards only;
+coupled_step owns the fields and locates errors at the step.
 
 The iteration is applied per time step: the window-global map used by the
 existence theory is a compactness device, and per-step iteration is its
@@ -173,13 +175,13 @@ def compatibility_data(
 
 
 class _Workspace:
-    """What the steps of one run share: the thermal path, the dgtsv buffer
+    """What the steps of one run share: dx, the thermal path, the dgtsv buffer
     of the acoustic solves and the heat operator of _heat_matrix, factored
     here once.  All are fixed by the grid, dt, params and path it was built
     for; simulate builds one per run and passes it to every coupled_step."""
 
     def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, fourier: bool):
-        self.fourier = fourier
+        self.fourier, self.dx = fourier, grid.dx
         self.gtsv = _LapackBuffer(4, grid.N)
         if fourier:
             self.w, self.eta = 0.0, params.kappa_a
@@ -254,12 +256,9 @@ def coupled_step(
     dt, params and thermal path; without it the step builds its own, on the
     Fourier path when params.tau is 0 and the Cattaneo path otherwise.
 
-    The iteration runs on raw arrays.  Only scalar guards run inside it: the
-    alpha_min threshold, and finiteness of the acoustic system (through one
-    dot product) and of the Picard distance and scale.  When one trips, the
-    arrays are checked in the order in which validated fields would have
-    been built, so the error raised names the same field, index, step and
-    time.  Fields are built for the accepted state only.
+    The field boundary of the step: _picard iterates on raw arrays, and this
+    picks the first iterate's coefficients, builds the accepted state's
+    fields and locates every error at the step.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -268,77 +267,82 @@ def coupled_step(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    grid, dx = state.grid, state.grid.dx
-    step_index = state.n + 1
-    step_time = state.t + dt
+    grid = state.grid
+    step_index, step_time = state.n + 1, state.t + dt
     ws = workspace or _Workspace(grid, dt, params, params.tau == 0.0)
+    threshold = _degeneracy_threshold(gamma_bar)
     ac, th = state.acoustic, state.thermal
-    p_n, v_n, q_n = ac.p.values, ac.v.values, th.q.values
-    # per time level: Lap_h p^n, (m/dt) theta^n and w div q^n
-    grad_p_n = _dirichlet_gradient(p_n, dx)
-    lap_p_n = _difference_quotient(grad_p_n, dx)
-    m_theta = (params.m / dt) * th.theta.values
-    w_div_q = ws.w * _difference_quotient(q_n, dx) if ws.w != 0.0 else None
-
-    def flux(theta_new):
-        if ws.fourier:
-            return _fourier_flux(theta_new, params, dx)
-        return _cattaneo_flux(theta_new, q_n, ws.w, ws.eta, dx)
-
-    p_star, v_star, theta_star = p_n, v_n, th.theta.values
-    distances: list[float] = []
     try:
-        threshold = _degeneracy_threshold(gamma_bar)
-        for i in range(max_iter):
-            if i or state.coeffs_last is None:
-                alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
-            else:
-                c = state.coeffs_last
-                alpha, r, g = c.alpha.values, c.r.values, c.g.values
-            alpha_min = float(alpha.min())
-            if alpha_min < threshold:
-                _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g)))
-                raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
-            v_new = _westervelt_solve(
-                alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv
-            )
-            p_new = p_n + dt * v_new
-            f_next = _absorbed_power(params, v_new)
-            if ws.fourier:
-                theta_new = _fourier_update(f_next, m_theta, ws.solve_heat)
-            else:
-                theta_new = _cattaneo_update(f_next, m_theta, w_div_q, ws.solve_heat)
-
-            diffs = (p_new - p_star, v_new - v_star, theta_new - theta_star)
-            d = _l2(diffs[0], dx) + _l2(diffs[1], dx) + _l2(diffs[2], dx)
-            scale = _l2(p_new, dx) + _l2(v_new, dx) + _l2(theta_new, dx)
-            if not (math.isfinite(d) and math.isfinite(scale)):
-                _check_arrays((
-                    ("NodeField", p_new), ("NodeField", v_new), ("NodeField", f_next),
-                    ("NodeField", theta_new), ("FaceField", flux(theta_new)),
-                    *(("NodeField", diff) for diff in diffs),
-                ))
-            distances.append(d)
-            p_star, v_star, theta_star = p_new, v_new, theta_new
-            if d <= picard_tol * (1.0 + scale):
-                break
-        else:
+        c = state.coeffs_last or assemble_coefficients(th.theta, ac.p, ac.v, model, params)
+        level = ac.p.values, ac.v.values, th.theta.values, th.q.values
+        accepted, distances = _picard(level, (c.alpha.values, c.r.values, c.g.values), dt,
+                                      picard_tol, max_iter, threshold, params, model, ws)
+        if accepted is None:
             raise PicardDiverged(step_index, step_time, len(distances), distances)
-        acoustic = ac.advanced(NodeField(grid, p_new), NodeField(grid, v_new), step_time)
-        thermal = th.advanced(
-            NodeField(grid, theta_new), FaceField(grid, flux(theta_new)), th.t + dt
-        )
-        coeffs = _frozen(grid, *_coefficients(theta_new, p_new, v_new, model, params))
+        p, v, theta, q = accepted
+        acoustic = ac.advanced(NodeField(grid, p), NodeField(grid, v), step_time)
+        thermal = th.advanced(NodeField(grid, theta), FaceField(grid, q), th.t + dt)
+        coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params))
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
 
-    return CoupledState(
-        acoustic=acoustic,
-        thermal=thermal,
-        n=step_index,
-        coeffs_last=coeffs,
-        picard_distances_last=tuple(distances),
-    )
+    return CoupledState(acoustic=acoustic, thermal=thermal, n=step_index, coeffs_last=coeffs,
+                        picard_distances_last=tuple(distances))
+
+
+def _picard(level, first, dt, picard_tol, max_iter, threshold, params, model, ws):
+    """The Picard iterates of one step on raw arrays, from the time-n arrays
+    level = (p, v, theta, q) and the first iterate's (alpha, r, g).  Returns
+    the accepted (p, v, theta, q), or None when max_iter iterates did not
+    converge, and the distances.  Only scalar guards run inside: the
+    alpha_min threshold, and finiteness of the acoustic system (through one
+    dot product) and of the Picard distance and scale.  When one trips, the
+    arrays are checked in the order in which validated fields would have
+    been built, so the error raised names the same field and index."""
+    (p_n, v_n, theta_n, q_n), dx = level, ws.dx
+    # per time level: Lap_h p^n, (m/dt) theta^n and w div q^n
+    grad_p_n = _dirichlet_gradient(p_n, dx)
+    lap_p_n = _difference_quotient(grad_p_n, dx)
+    m_theta = (params.m / dt) * theta_n
+    w_div_q = ws.w * _difference_quotient(q_n, dx) if ws.w != 0.0 else None
+
+    def flux(theta_new):
+        return (_fourier_flux(theta_new, params, dx) if ws.fourier
+                else _cattaneo_flux(theta_new, q_n, ws.w, ws.eta, dx))
+    p_star, v_star, theta_star = p_n, v_n, theta_n
+    alpha, r, g = first
+    distances: list[float] = []
+    for i in range(max_iter):
+        if i:
+            alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
+        alpha_min = float(alpha.min())
+        if alpha_min < threshold:
+            _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g)))
+            raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
+        v_new = _westervelt_solve(
+            alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv
+        )
+        p_new = p_n + dt * v_new
+        f_next = _absorbed_power(params, v_new)
+        if ws.fourier:
+            theta_new = _fourier_update(f_next, m_theta, ws.solve_heat)
+        else:
+            theta_new = _cattaneo_update(f_next, m_theta, w_div_q, ws.solve_heat)
+
+        diffs = (p_new - p_star, v_new - v_star, theta_new - theta_star)
+        d = _l2(diffs[0], dx) + _l2(diffs[1], dx) + _l2(diffs[2], dx)
+        scale = _l2(p_new, dx) + _l2(v_new, dx) + _l2(theta_new, dx)
+        if not (math.isfinite(d) and math.isfinite(scale)):
+            _check_arrays((
+                ("NodeField", p_new), ("NodeField", v_new), ("NodeField", f_next),
+                ("NodeField", theta_new), ("FaceField", flux(theta_new)),
+                *(("NodeField", diff) for diff in diffs),
+            ))
+        distances.append(d)
+        p_star, v_star, theta_star = p_new, v_new, theta_new
+        if d <= picard_tol * (1.0 + scale):
+            return (p_new, v_new, theta_new, flux(theta_new)), distances
+    return None, distances
 
 
 @dataclass(frozen=True)
