@@ -251,10 +251,6 @@ def interior_gradient(u: NodeField) -> np.ndarray:
     return _difference_quotient(u.values, u.grid.dx)
 
 
-def _quadrature_dot(a: np.ndarray, b: np.ndarray, dx: float) -> float:
-    return dx * float(np.dot(a, b))
-
-
 def _l2(values: np.ndarray, dx: float) -> float:
     return math.sqrt(dx * float(np.dot(values, values)))
 
@@ -262,7 +258,7 @@ def _l2(values: np.ndarray, dx: float) -> float:
 def l2_inner(u: _Field, v: _Field) -> float:
     """dx-weighted Euclidean inner product of two same-kind, same-grid fields."""
     u._check_compatible(v)
-    return _quadrature_dot(u.values, v.values, u.grid.dx)
+    return u.grid.dx * float(np.dot(u.values, v.values))
 
 
 def l2_norm(u: _Field) -> float:
