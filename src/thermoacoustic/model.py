@@ -213,7 +213,7 @@ def validate_params(params: PhysicalParams, model: SpeedOfSoundModel) -> list[st
         errors.append("W must be nonnegative")
     if not params.b > 0.0:
         errors.append("b must be strictly positive")
-    if params.tau < 0.0:
+    if not params.tau >= 0.0:
         errors.append("tau must be nonnegative")
     if not model.h_floor > 0.0:
         errors.append("h_floor must be positive")

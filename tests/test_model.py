@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from thermoacoustic.coupling import simulate
 from thermoacoustic.grid import Grid1D, NodeField
 from thermoacoustic.model import (
     FloorViolated,
@@ -11,6 +14,7 @@ from thermoacoustic.model import (
     q_source,
     validate_params,
 )
+from thermoacoustic.verification import canonical_config, unit_params, unit_speed_model
 
 
 def make_params(**overrides):
@@ -125,6 +129,13 @@ class TestValidation:
     def test_negative_tau_flagged(self):
         model = SpeedOfSoundModel(coeffs=(1.0,), h_floor=0.5)
         assert any("tau" in e for e in validate_params(make_params(tau=-0.1), model))
+
+    def test_nan_tau_flagged_before_any_step(self):
+        nan_tau = replace(unit_params(tau=0.05), tau=float("nan"))
+        assert validate_params(nan_tau, unit_speed_model()) == ["tau must be nonnegative"]
+        config = canonical_config(T=0.01)
+        with pytest.raises(ValueError, match="invalid physical configuration: tau must be"):
+            simulate(replace(config, params=replace(config.params, tau=float("nan"))))
 
 
 class TestDerivedConstants:
