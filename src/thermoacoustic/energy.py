@@ -514,7 +514,7 @@ def gronwall_bound(
     if t.size < 2:
         return np.full_like(t, u0)
     steps = np.diff(t)
-    if steps.size and (steps.min() <= 0 or steps.max() - steps.min() > 1e-9 * steps[0]):
+    if steps.size and (not steps.min() > 0 or steps.max() - steps.min() > 1e-9 * steps[0]):
         raise ValueError("t_grid must be uniform and increasing")
 
     def cumtrapz(y):

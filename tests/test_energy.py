@@ -311,9 +311,9 @@ class TestGronwall:
         assert gronwall_bound(1.5, 0.3, 0.2, t).tolist() == [1.5] * len(t)
 
     def test_nonuniform_grid_rejected(self):
-        t = np.array([0.0, 0.1, 0.3])
-        with pytest.raises(ValueError):
-            gronwall_bound(1.0, np.zeros(3), np.zeros(3), t)
+        for t in (np.array([0.0, 0.1, 0.3]), np.array([0.0, np.nan, 2.0])):
+            with pytest.raises(ValueError):
+                gronwall_bound(1.0, np.zeros(3), np.zeros(3), t)
 
 
 def test_report_row_matches_schema():
