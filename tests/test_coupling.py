@@ -485,6 +485,28 @@ def test_copied_or_hand_stepped_state_matches_simulate():
         assert tuple(distances) == run.picard_distances_per_step
 
 
+def test_one_module_global_coupled_step_call_per_step(monkeypatch):
+    # perfbench's step timer and tracer wrap coupling.coupled_step, so every
+    # accepted step of simulate, and of each member of tau_sweep, must go
+    # through that one name exactly once.
+    config = canonical_config(T=0.05)
+    unwrapped = timeseries_csv(simulate(config))
+    calls = []
+    step = coupling_mod.coupled_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(coupling_mod, "coupled_step", counting)
+    assert timeseries_csv(simulate(config)) == unwrapped
+    assert len(calls) == 50
+    calls.clear()
+    sweep = tau_sweep(canonical_config(T=0.01))
+    assert len(sweep.members) == 4
+    assert len(calls) == 5 * 10
+
+
 def test_only_a_run_factors_the_heat_operator(monkeypatch):
     # A run factors its heat operator once and solves it at every Picard
     # iterate; a public stepper solves it once per call, where factoring
