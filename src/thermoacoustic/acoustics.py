@@ -151,11 +151,16 @@ def check_nondegeneracy(coeffs: FrozenCoefficients, gamma_bar: float) -> None:
     gamma < 1/(2 k1) expressed through alpha).  The minimum and its node
     come from alpha itself, not from the alpha_min a caller may set by hand.
     """
-    threshold = _degeneracy_threshold(gamma_bar)
-    alpha = coeffs.alpha.values
+    _guard_alpha(coeffs.alpha.values, _degeneracy_threshold(gamma_bar))
+
+
+def _guard_alpha(alpha, threshold, *others) -> float:
+    """alpha's minimum; below threshold, _check_arrays of alpha and others, then Degenerate."""
     alpha_min = float(alpha.min())
     if alpha_min < threshold:
+        _check_arrays((("NodeField", alpha), *others))
         raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
+    return alpha_min
 
 
 def westervelt_linear_step(

@@ -40,6 +40,7 @@ from .acoustics import (
     _coefficients,
     _degeneracy_threshold,
     _frozen,
+    _guard_alpha,
     _westervelt_solve,
     assemble_coefficients,
     check_nondegeneracy,
@@ -175,18 +176,15 @@ def compatibility_data(
 
 
 class _Workspace:
-    """What the steps of one run share: dx, the thermal path, the dgtsv buffer
-    of the acoustic solves and the heat operator of _heat_matrix, factored
-    here once.  All are fixed by the grid, dt, params and path it was built
-    for; simulate builds one per run and passes it to every coupled_step."""
+    """What the steps of one run share: dx, the thermal path (Fourier at tau = 0
+    unless force_cattaneo; both read _cattaneo_weights), the dgtsv buffer and the
+    heat operator of _heat_matrix, factored here once.  All are fixed by the grid,
+    dt and params; simulate builds one per run and passes it to every coupled_step."""
 
-    def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, fourier: bool):
-        self.fourier, self.dx = fourier, grid.dx
+    def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, force_cattaneo=False):
+        self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
         self.gtsv = _LapackBuffer(4, grid.N)
-        if fourier:
-            self.w, self.eta = 0.0, params.kappa_a
-        else:
-            self.w, self.eta = _cattaneo_weights(params, dt)
+        self.w, self.eta = _cattaneo_weights(params, dt)
         self.solve_heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta)).solve
 
 
@@ -254,7 +252,7 @@ def coupled_step(
 
     workspace is the _Workspace that simulate builds once for a run's grid,
     dt, params and thermal path; without it the step builds its own, on the
-    Fourier path when params.tau is 0 and the Cattaneo path otherwise.
+    path that _Workspace picks for params.tau.
 
     The field boundary of the step: _picard iterates on raw arrays, and this
     picks the first iterate's coefficients, builds the accepted state's
@@ -269,7 +267,7 @@ def coupled_step(
 
     grid = state.grid
     step_index, step_time = state.n + 1, state.t + dt
-    ws = workspace or _Workspace(grid, dt, params, params.tau == 0.0)
+    ws = workspace or _Workspace(grid, dt, params)
     threshold = _degeneracy_threshold(gamma_bar)
     ac, th = state.acoustic, state.thermal
     try:
@@ -315,10 +313,7 @@ def _picard(level, first, dt, picard_tol, max_iter, threshold, params, model, ws
     for i in range(max_iter):
         if i:
             alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
-        alpha_min = float(alpha.min())
-        if alpha_min < threshold:
-            _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g)))
-            raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
+        alpha_min = _guard_alpha(alpha, threshold, ("NodeField", r), ("NodeField", g))
         v_new = _westervelt_solve(
             alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv
         )
@@ -408,7 +403,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(0, 0.0) from None
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
-    workspace = _Workspace(grid, dt, params, params.tau == 0.0 and not force_cattaneo)
+    workspace = _Workspace(grid, dt, params, force_cattaneo)
 
     xacc = XNormAccumulator(dt)
     reports, theta_series, p_series, v_series, snapshots = [], [], [], [], []

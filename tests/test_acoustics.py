@@ -11,6 +11,7 @@ from thermoacoustic.acoustics import (
     check_nondegeneracy,
     westervelt_linear_step,
 )
+from thermoacoustic.coupling import CoupledState, coupled_step
 from thermoacoustic.energy import acoustic_identity_residual
 from thermoacoustic.grid import (
     Grid1D,
@@ -136,6 +137,35 @@ class TestNondegeneracyGuard:
         grid = Grid1D(1.0, 8)
         with pytest.raises(ValueError):
             check_nondegeneracy(constant_coeffs(grid), gamma)
+
+    @pytest.mark.parametrize("alpha_min, degenerate", [
+        (0.5, False), (np.nextafter(0.5, 0.0), True),
+    ], ids=["at_threshold", "just_below"])
+    def test_step_zero_and_iterates_share_one_boundary(self, alpha_min, degenerate):
+        # gamma_bar = 0.5: the threshold is 0.5 both for step 0 and for the
+        # first Picard iterate of a step, whose coefficients are coeffs_last
+        grid = Grid1D(1.0, 8)
+        alpha = np.ones(8)
+        alpha[5] = alpha_min
+        coeffs = replace(constant_coeffs(grid), alpha=NodeField(grid, alpha), alpha_min=alpha_min)
+        z = grid.zero_node_field()
+        state = replace(CoupledState.initial(z, z, z, grid.zero_face_field()), coeffs_last=coeffs)
+
+        def step():
+            return coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(), UNIT_MODEL)
+
+        if not degenerate:
+            check_nondegeneracy(coeffs, 0.5)
+            assert step().n == 1
+            return
+        errors = []
+        for run in (lambda: check_nondegeneracy(coeffs, 0.5), step):
+            with pytest.raises(Degenerate) as err:
+                run()
+            errors.append(err.value)
+        for e in errors:
+            assert (e.alpha_min, e.node_index, e.threshold) == (alpha_min, 5, 0.5)
+        assert (errors[0].step, errors[1].step) == (None, 1)
 
 
 class TestWesterveltStep:
