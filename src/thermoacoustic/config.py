@@ -192,13 +192,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # the rules that relate initial_data to grid, in load_config's order;
-        # the medium is checked by simulate and tau_sweep
+        # the rules that relate initial_data to grid, then the seed's, in
+        # load_config's order; the medium is checked by simulate and tau_sweep
         n = self.grid.N
         for key, rule in _raw_lengths(n).items():
             values = getattr(self.initial_data, key)
             _reject(f"initial_data.{key}", values is not None and rule(values))
         _reject("initial_data.mode_k", _mode_fits(self.initial_data.mode_k, n))
+        _reject("seed", self.seed < 0 and "must be nonnegative")
 
 
 def _of_type(kind, what: str):

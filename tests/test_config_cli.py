@@ -1040,3 +1040,19 @@ class TestVerifySubcommand:
             "pass  a: measured=0.000e+00 threshold=1.000e+00\n"
             "pass  b: measured=2.000e+00 threshold=3.000e+00\n"
         )
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)], ids=["minus_1", "minus_2_70"])
+    def test_negative_seed_exits_2_before_any_study(self, tmp_path, monkeypatch, capsys, seed):
+        # np.random.default_rng rejects a negative seed, but only after the
+        # slower studies of run_all_checks ran; the config fails before them
+        def no_checks(seed):
+            raise AssertionError("run_all_checks was called")
+
+        monkeypatch.setattr("thermoacoustic.cli.run_all_checks", no_checks)
+        cfg = write_config(tmp_path, minimal_doc(seed=seed))
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: seed: must be nonnegative\n"
+        with pytest.raises(ValidationError, match="^seed: must be nonnegative$"):
+            replace(canonical_config(T=0.01), seed=seed)
+        assert not (tmp_path / "out").exists()
