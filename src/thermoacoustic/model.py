@@ -215,6 +215,8 @@ def validate_params(params: PhysicalParams, model: SpeedOfSoundModel) -> list[st
         errors.append("b must be strictly positive")
     if not params.tau >= 0.0:
         errors.append("tau must be nonnegative")
+    if not all(map(math.isfinite, model.coeffs)):
+        errors.append("coeffs must be finite")
     if not model.h_floor > 0.0:
         errors.append("h_floor must be positive")
     elif model.coeffs[0] < model.h_floor:

@@ -137,6 +137,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="invalid physical configuration: tau must be"):
             simulate(replace(config, params=replace(config.params, tau=float("nan"))))
 
+    @pytest.mark.parametrize("coeffs", [(np.nan,), (1.0, np.nan), (np.inf,), (1.0, np.inf)],
+                             ids=["nan", "then_nan", "inf", "then_inf"])
+    def test_nonfinite_coeffs_flagged(self, coeffs):
+        model = SpeedOfSoundModel(coeffs=coeffs, h_floor=0.5)
+        assert validate_params(make_params(), model) == ["coeffs must be finite"]
+
+    def test_nonfinite_coeffs_rejected_before_any_step(self):
+        # without the rule the run reached step 0 and raised a NonFinite there
+        config = canonical_config(T=0.01)
+        model = replace(config.speed_model, coeffs=(1.0, np.nan))
+        with pytest.raises(ValueError, match="^invalid physical configuration: coeffs must be "
+                                             "finite$"):
+            simulate(replace(config, speed_model=model))
+
 
 class TestDerivedConstants:
     def test_m_and_ell(self):
