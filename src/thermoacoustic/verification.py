@@ -42,7 +42,7 @@ from .config import (
     TimeConfig,
 )
 from .coupling import SimulationResult, SweepResult, simulate, tau_sweep
-from .energy import gronwall_bound, heat_balance_residual, heat_energy
+from .energy import _Row, _Rows, gronwall_bound
 from .grid import (
     FaceField,
     Grid1D,
@@ -262,7 +262,7 @@ def mode_study(dt: float) -> ModeStudy:
     grid = Grid1D(1.0, 128)
     sin_field = NodeField(grid, np.sin(np.pi * grid.nodes()))
     cos_field = FaceField(grid, np.cos(np.pi * grid.faces()))
-    zero_f = grid.zero_node_field()
+    zero_f = np.zeros((1, grid.N))  # the source row of each step's balance pass
 
     lam = grid.laplacian_eigenvalue(1)
     mu = math.sqrt(lam)
@@ -282,27 +282,28 @@ def mode_study(dt: float) -> ModeStudy:
         return ell * kappa * T_amp**2 * s_sq + R_amp**2 * c_sq
 
     T_amp, R_amp = 1.0, 0.0
-    initial = ThermalState.initial(sin_field, grid.zero_face_field())
-    e0_first = e0_prev = heat_energy(initial, params, 0)
     max_amp_err = 0.0
     max_mismatch = 0.0
     decay_excess = -math.inf
     mono_excess = -math.inf
     run = mode_run(params, sin_field, 1.0, 1, dt, int(round(T / dt)))
     for n, (state, numeric_amp, oracle_amp) in enumerate(run, start=1):
+        row = _Row(_Rows(ths=[state], levels=2, f=zero_f), 0)  # E0 of both levels, the defect
+        if n == 1:
+            e0_first = e0_prev = row.heat(params, "prev")[0]
         T_new = ((m / dt) * T_amp + w * mu * R_amp) / denom
         R_new = w * R_amp - eta * mu * T_new
         defect_modal = abs(
             (modal_e0(T_new, R_new) - modal_e0(T_amp, R_amp)) / dt
             + modal_d0(T_new, R_new)
         )
-        defect_pde = heat_balance_residual(state, zero_f, params)
+        defect_pde = row.heat_residual(params)
         max_mismatch = max(max_mismatch, abs(defect_pde - defect_modal))
         T_amp, R_amp = T_new, R_new
 
         max_amp_err = max(max_amp_err, abs(numeric_amp - oracle_amp))
 
-        e0 = heat_energy(state, params, 0)
+        e0 = row.heat(params)[0]
         mono_excess = max(mono_excess, e0 - e0_prev)
         decay_excess = max(
             decay_excess, e0 - e0_first * (1.0 + 2.0 * c_rate * dt) ** (-n)
