@@ -109,9 +109,7 @@ def _cmd_limit_sweep(config, args) -> int:
     rows = zip(sweep.taus, sweep.e_theta, sweep.e_p, sweep.e_pt)
     header = ("tau", "e_theta", "e_p", "e_pt")
     _write(args.out / "sweep.csv", _csv_text(header, rows), args.quiet)
-    members = dict(zip(sweep.taus, sweep.members))
-    members[0.0] = sweep.reference
-    for tau, member in sorted(members.items(), reverse=True):
+    for tau, member in zip((*sweep.taus, 0.0), (*sweep.members, sweep.reference)):
         member_dir = args.out / _tau_dirname(tau)
         member_dir.mkdir(parents=True, exist_ok=True)
         _write(member_dir / "timeseries.csv", timeseries_csv(member), args.quiet)
