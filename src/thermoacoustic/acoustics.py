@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import NodeField, _check_arrays, _difference_quotient, _dirichlet_gradient, _thomas
+from .grid import (NodeField, _check_arrays, _difference_quotient, _dirichlet_gradient,
+                   _step_problem, _thomas)
 from .heat import _Stacked, _TimeLevels
 from .model import PhysicalParams, SpeedOfSoundModel, _k_of_h, h_eval
 
@@ -175,8 +176,8 @@ def westervelt_linear_step(
     residual at the 1e-9 * field-scale level (rounding of the tridiagonal
     solve; there is no consistency defect in the plugged-back equations).
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if problem := _step_problem(dt):
+        raise ValueError(f"dt {problem}")
     grid, p, alpha = state.grid, state.p.values, coeffs.alpha.values
     grad_p = _dirichlet_gradient(p, grid.dx)
     v_new = _westervelt_solve(  # alpha's own minimum: a caller may build coeffs by hand

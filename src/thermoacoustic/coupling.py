@@ -58,6 +58,7 @@ from .grid import (
     _FactoredTridiagonal,
     _LapackBuffer,
     _l2,
+    _step_problem,
     gradient_to_faces,
     l2_norm,  # not called here; perfbench/probes.py wraps it
     laplacian_dirichlet,
@@ -176,15 +177,23 @@ def compatibility_data(
 
 
 class _Workspace:
-    """What the steps of one run share: dx, the thermal path (Fourier at tau = 0
-    unless force_cattaneo; both read _cattaneo_weights), the dgtsv buffer and the
-    heat operator of _heat_matrix, factored here once.  All are fixed by the grid,
-    dt and params; simulate builds one per run and passes it to every coupled_step."""
+    """What the steps of one run share: the step settings dt, tol, max_iter and threshold
+    (of gamma_bar), checked here once, dx, the thermal path (Fourier at tau = 0 unless
+    force_cattaneo; both read _cattaneo_weights), the dgtsv buffer and the heat operator
+    of _heat_matrix, factored once.  simulate builds one per run for every coupled_step."""
 
-    def __init__(self, grid: Grid1D, dt: float, params: PhysicalParams, force_cattaneo=False):
+    def __init__(self, grid: Grid1D, dt, params, tol, max_iter, gamma_bar, force_cattaneo=False):
+        if problem := _step_problem(dt):
+            raise ValueError(f"dt {problem}")
+        if not tol > 0.0:
+            raise ValueError("picard_tol must be positive")
+        if max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        self.dt, self.tol, self.max_iter = dt, tol, max_iter
         self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
         self.gtsv = _LapackBuffer(4, grid.N)
         self.w, self.eta = _cattaneo_weights(params, dt)
+        self.threshold = _degeneracy_threshold(gamma_bar)
         self.solve_heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta)).solve
 
 
@@ -250,36 +259,28 @@ def coupled_step(
 ) -> CoupledState:
     """Advance the coupled system one step by frozen-coefficient iteration.
 
-    workspace is the _Workspace that simulate builds once for a run's grid,
-    dt, params and thermal path; without it the step builds its own, on the
-    path that _Workspace picks for params.tau.
+    workspace is the _Workspace that simulate builds once for a run, and the
+    step reads dt and the Picard settings from it; without it the step builds
+    its own, which checks those arguments and picks the path for params.tau.
 
     The field boundary of the step: _picard iterates on raw arrays, and this
     picks the first iterate's coefficients, builds the accepted state's
     fields and locates every error at the step.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not picard_tol > 0.0:
-        raise ValueError("picard_tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-
     grid = state.grid
-    step_index, step_time = state.n + 1, state.t + dt
-    ws = workspace or _Workspace(grid, dt, params)
-    threshold = _degeneracy_threshold(gamma_bar)
+    ws = workspace or _Workspace(grid, dt, params, picard_tol, max_iter, gamma_bar)
+    step_index, step_time = state.n + 1, state.t + ws.dt
     ac, th = state.acoustic, state.thermal
     try:
         c = state.coeffs_last or assemble_coefficients(th.theta, ac.p, ac.v, model, params)
         level = ac.p.values, ac.v.values, th.theta.values, th.q.values
-        accepted, distances = _picard(level, (c.alpha.values, c.r.values, c.g.values), dt,
-                                      picard_tol, max_iter, threshold, params, model, ws)
+        accepted, distances = _picard(level, (c.alpha.values, c.r.values, c.g.values),
+                                      params, model, ws)
         if accepted is None:
             raise PicardDiverged(step_index, step_time, len(distances), distances)
         p, v, theta, q = accepted
         acoustic = ac.advanced(NodeField(grid, p), NodeField(grid, v), step_time)
-        thermal = th.advanced(NodeField(grid, theta), FaceField(grid, q), th.t + dt)
+        thermal = th.advanced(NodeField(grid, theta), FaceField(grid, q), th.t + ws.dt)
         coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params))
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
@@ -288,16 +289,16 @@ def coupled_step(
                         picard_distances_last=tuple(distances))
 
 
-def _picard(level, first, dt, picard_tol, max_iter, threshold, params, model, ws):
+def _picard(level, first, params, model, ws):
     """The Picard iterates of one step on raw arrays, from the time-n arrays
-    level = (p, v, theta, q) and the first iterate's (alpha, r, g).  Returns
-    the accepted (p, v, theta, q), or None when max_iter iterates did not
-    converge, and the distances.  Only scalar guards run inside: the
-    alpha_min threshold, and finiteness of the acoustic system (through one
-    dot product) and of the Picard distance and scale.  When one trips, the
-    arrays are checked in the order in which validated fields would have
-    been built, so the error raised names the same field and index."""
-    (p_n, v_n, theta_n, q_n), dx = level, ws.dx
+    level = (p, v, theta, q), the first iterate's (alpha, r, g) and the step
+    settings of ws.  Returns the accepted (p, v, theta, q), or None when
+    ws.max_iter iterates did not converge, and the distances.  Only scalar
+    guards run inside: the alpha_min threshold, and finiteness of the acoustic
+    system (through one dot product) and of the Picard distance and scale.
+    When one trips, the arrays are checked in the order in which validated
+    fields would have been built, so the error raised names the same field and index."""
+    (p_n, v_n, theta_n, q_n), dx, dt = level, ws.dx, ws.dt
     # per time level: Lap_h p^n, (m/dt) theta^n and w div q^n
     grad_p_n = _dirichlet_gradient(p_n, dx)
     lap_p_n = _difference_quotient(grad_p_n, dx)
@@ -310,10 +311,10 @@ def _picard(level, first, dt, picard_tol, max_iter, threshold, params, model, ws
     p_star, v_star, theta_star = p_n, v_n, theta_n
     alpha, r, g = first
     distances: list[float] = []
-    for i in range(max_iter):
+    for i in range(ws.max_iter):
         if i:
             alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
-        alpha_min = _guard_alpha(alpha, threshold, ("NodeField", r), ("NodeField", g))
+        alpha_min = _guard_alpha(alpha, ws.threshold, ("NodeField", r), ("NodeField", g))
         v_new = _westervelt_solve(
             alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv
         )
@@ -335,7 +336,7 @@ def _picard(level, first, dt, picard_tol, max_iter, threshold, params, model, ws
             ))
         distances.append(d)
         p_star, v_star, theta_star = p_new, v_new, theta_new
-        if d <= picard_tol * (1.0 + scale):
+        if d <= ws.tol * (1.0 + scale):
             return (p_new, v_new, theta_new, flux(theta_new)), distances
     return None, distances
 
@@ -403,7 +404,9 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(0, 0.0) from None
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
-    workspace = _Workspace(grid, dt, params, force_cattaneo)
+    picard = config.picard
+    workspace = _Workspace(grid, dt, params, picard.tol, picard.max_iter, picard.gamma_bar,
+                           force_cattaneo)
 
     xacc = XNormAccumulator(dt)
     reports, theta_series, p_series, v_series, snapshots = [], [], [], [], []
@@ -447,10 +450,8 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     for n in range(n_steps + 1):
         if n >= 1:
             try:
-                state = coupled_step(
-                    state, dt, config.picard.tol, config.picard.max_iter,
-                    config.picard.gamma_bar, params, model, workspace=workspace,
-                )
+                state = coupled_step(state, dt, picard.tol, picard.max_iter, picard.gamma_bar,
+                                     params, model, workspace=workspace)
             except Exception:
                 if chunk:  # an error in an earlier step's diagnostics wins
                     flush()

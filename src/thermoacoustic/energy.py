@@ -74,6 +74,7 @@ from .grid import (
     _difference_quotient,
     _dirichlet_gradient,
     _face_extend,
+    _step_problem,
 )
 from .heat import InsufficientHistory, ThermalState, _Stacked
 from .model import PhysicalParams
@@ -391,8 +392,8 @@ def coefficient_diagnostics(
     coeffs_prev: FrozenCoefficients, coeffs_next: FrozenCoefficients, dt: float
 ) -> tuple[float, float]:
     """(Lambda, F) from two consecutive coefficient levels."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if problem := _step_problem(dt):
+        raise ValueError(f"dt {problem}")
     return _Row(_Rows(coeffs=[coeffs_next], prevs=[coeffs_prev], dts=[dt]), 0).coefficients()
 
 

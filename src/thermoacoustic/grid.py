@@ -89,6 +89,16 @@ def _normal_spacing(L: float, N: int) -> bool:
     return sys.float_info.min <= dx * dx < math.inf
 
 
+def _step_problem(dt: float, name: str = "dt") -> str:
+    """Why dt cannot be a time step, or '' when it can: the energy diagnostics
+    divide by dt*dt, so dt must be positive and dt*dt a finite normal float."""
+    if not dt > 0.0:
+        return "must be positive"
+    if dt * dt == math.inf:
+        return f"too large: {name}**2 must be a finite float"
+    return "" if dt * dt >= sys.float_info.min else f"too small: {name}**2 must be a normal float"
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform staggered grid on (0, L) with N interior nodes.

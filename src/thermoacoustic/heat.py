@@ -46,6 +46,7 @@ from .grid import (
     _difference_quotient,
     _dirichlet_gradient,
     _Field,
+    _step_problem,
     _thomas,
 )
 from .model import PhysicalParams
@@ -221,8 +222,8 @@ def fourier_step(
     eigenmode with eigenvalue lambda_h and f = 0 the update is exactly
     theta^{n+1} = theta^n / (1 + dt (ell + kappa_a lambda_h)/m).
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if problem := _step_problem(dt):
+        raise ValueError(f"dt {problem}")
     solve = partial(_thomas, *_heat_matrix(theta.grid, params, dt, params.kappa_a))
     new_vals = _fourier_update(f_next.values, (params.m / dt) * theta.values, solve)
     return NodeField(theta.grid, new_vals)
@@ -257,8 +258,8 @@ def cattaneo_step(
     residuals at rounding level.  At tau = 0 the update is bit-identical
     to fourier_step followed by the Fourier flux law.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if problem := _step_problem(dt):
+        raise ValueError(f"dt {problem}")
     w, eta = _cattaneo_weights(params, dt)
     grid = state.grid
     q = state.q.values

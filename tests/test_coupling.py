@@ -2,8 +2,11 @@ import copy
 import dataclasses
 import hashlib
 import pickle
+import re
+import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -135,8 +138,9 @@ class TestCoupledStep:
         "change, message",
         [({"dt": 0.0}, "dt must be positive"), ({"dt": -1e-3}, "dt must be positive"),
          ({"picard_tol": 0.0}, "picard_tol must be positive"),
-         ({"max_iter": 0}, "max_iter must be at least 1")],
-        ids=["dt_zero", "dt_negative", "tol_zero", "max_iter_zero"],
+         ({"max_iter": 0}, "max_iter must be at least 1"),
+         ({"dt": float("inf")}, "dt too large"), ({"dt": 5e-324}, "dt too small")],
+        ids=["dt_zero", "dt_negative", "tol_zero", "max_iter_zero", "dt_inf", "dt_5e-324"],
     )
     def test_bad_step_arguments_rejected(self, change, message):
         grid = Grid1D(1.0, 16)
@@ -429,10 +433,10 @@ def _bad_calls():
     nan = float("nan")
     dt_message, tau_message = "dt must be positive", "tau must be nonnegative"
 
-    def step(dt, tol):
-        return coupled_step(coupled, dt, tol, 25, 0.5, params, UNIT_MODEL)
+    def step(dt, tol, state=coupled):
+        return coupled_step(state, dt, tol, 25, 0.5, params, UNIT_MODEL)
 
-    return {
+    calls = {
         "fourier_step_dt_zero": (lambda: fourier_step(z, z, 0.0, params), dt_message),
         "fourier_step_dt_nan": (lambda: fourier_step(z, z, nan, params), dt_message),
         "cattaneo_step_dt_negative": (lambda: cattaneo_step(thermal, z, -1e-3, params),
@@ -453,6 +457,24 @@ def _bad_calls():
         "coefficient_diagnostics_dt_nan": (
             lambda: coefficient_diagnostics(coeffs, coeffs, nan), dt_message),
     }
+    # a positive dt whose square overflows or is not a normal float
+    large = re.escape("dt too large: dt**2 must be a finite float")
+    small = re.escape("dt too small: dt**2 must be a normal float")
+    stepped = step(1e-3, 1e-10)
+    by_dt = {
+        "fourier_step": lambda dt: fourier_step(z, z, dt, params),
+        "fourier_thermal_step": lambda dt: fourier_thermal_step(thermal, z, dt, params),
+        "cattaneo_step": lambda dt: cattaneo_step(thermal, z, dt, params),
+        "westervelt_linear_step": lambda dt: westervelt_linear_step(acoustic, coeffs, dt, params),
+        "coupled_step": lambda dt: step(dt, 1e-10),
+        "coupled_step_after_a_step": lambda dt: step(dt, 1e-10, stepped),
+        "coefficient_diagnostics": lambda dt: coefficient_diagnostics(coeffs, coeffs, dt),
+    }
+    for name, call in by_dt.items():
+        for label, dt, message in (("inf", float("inf"), large), ("1e300", 1e300, large),
+                                   ("5e-324", 5e-324, small)):
+            calls[f"{name}_dt_{label}"] = (partial(call, dt), message)
+    return calls
 
 
 @pytest.mark.parametrize("case", sorted(_bad_calls()))
@@ -505,6 +527,26 @@ def test_one_module_global_coupled_step_call_per_step(monkeypatch):
     sweep = tau_sweep(canonical_config(T=0.01))
     assert len(sweep.members) == 4
     assert len(calls) == 5 * 10
+
+
+def test_step_settings_are_checked_once_per_run(monkeypatch):
+    # dt, the Picard settings and gamma_bar are checked where a run starts,
+    # not at its steps: a run ten times longer asks the step-size rule as often
+    rule, calls = grid_mod._step_problem, []
+
+    def spy(*args):
+        calls.append(args)
+        return rule(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thermoacoustic") and getattr(module, "_step_problem", None) is rule:
+            monkeypatch.setattr(module, "_step_problem", spy)
+    counts = []
+    for T in (0.01, 0.1):
+        calls.clear()
+        simulate(canonical_config(T=T))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_only_a_run_factors_the_heat_operator(monkeypatch):
