@@ -439,6 +439,8 @@ class XNormAccumulator:
     """
 
     def __init__(self, dt: float) -> None:
+        if problem := _step_problem(dt):
+            raise ValueError(f"dt {problem}")
         self.dt = dt
         self._sup = dict.fromkeys(
             ("p_h3", "pt_h2", "ptt_grad", "theta_h2", "thetat_h1", "thetatt", "q_h1"), 0.0

@@ -456,6 +456,9 @@ def _bad_calls():
             lambda: coefficient_diagnostics(coeffs, coeffs, -1e-3), dt_message),
         "coefficient_diagnostics_dt_nan": (
             lambda: coefficient_diagnostics(coeffs, coeffs, nan), dt_message),
+        "XNormAccumulator_dt_zero": (lambda: XNormAccumulator(0.0), dt_message),
+        "XNormAccumulator_dt_negative": (lambda: XNormAccumulator(-1e-3), dt_message),
+        "XNormAccumulator_dt_nan": (lambda: XNormAccumulator(nan), dt_message),
     }
     # a positive dt whose square overflows or is not a normal float
     large = re.escape("dt too large: dt**2 must be a finite float")
@@ -469,6 +472,7 @@ def _bad_calls():
         "coupled_step": lambda dt: step(dt, 1e-10),
         "coupled_step_after_a_step": lambda dt: step(dt, 1e-10, stepped),
         "coefficient_diagnostics": lambda dt: coefficient_diagnostics(coeffs, coeffs, dt),
+        "XNormAccumulator": XNormAccumulator,
     }
     for name, call in by_dt.items():
         for label, dt, message in (("inf", float("inf"), large), ("1e300", 1e300, large),
