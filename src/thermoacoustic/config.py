@@ -1,14 +1,14 @@
 """Strict JSON run configuration.
 
 The section dataclasses are the schema: a section holds the fields of its
-dataclass under their names, each read by its annotation (float, int, str
-or an array of numbers), and a field is optional exactly when it has a
-default.  Each section checks its own values when it is built, in Python or
-by load_config, and SimConfig checks initial_data against grid; load_config
-runs those rules as it reads each value and adds the medium and the sweep
-ladder.  Unknown keys are rejected outright because physics configs die
-silently otherwise (a typoed parameter name must not fall back to a
-default).  JSON is used for its unambiguous typing of numeric arrays.
+dataclass under their names, each read by its annotation (float, int, str or an
+array of numbers), and a field is optional exactly when it has a default.  A
+section built in Python or by load_config reads its int and float fields with
+those readers and checks its values, and SimConfig checks initial_data against
+grid and the seed; load_config runs those rules as it reads each value and adds
+the medium and the sweep ladder.  Unknown keys are rejected outright because
+physics configs die silently otherwise (a typoed parameter name must not fall
+back to a default).  JSON is used for its unambiguous typing of numeric arrays.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ class GridConfig:
     N: int
 
     def __post_init__(self) -> None:
+        _read_numbers(self, "grid")
         _reject("grid.N", self.N < 2 and "must be at least 2")
         _reject("grid.N", self.N > _MAX_GRID_N and f"must be at most {_MAX_GRID_N}")
         _reject("grid.L", not self.L > 0 and "must be positive")
@@ -133,6 +134,7 @@ class InitialData:
 
     def __post_init__(self) -> None:
         _reject("initial_data.preset", _known_preset(self.preset))
+        _read_numbers(self, "initial_data")
         for key in ("p0", "p1", "theta0", "q0"):
             _reject(f"initial_data.{key}", self.preset == "raw" and getattr(self, key) is None
                     and "required for the raw preset")
@@ -149,6 +151,7 @@ class TimeConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        _read_numbers(self, "time")
         dt = self.dt
         _reject("time.T", not self.T >= 0 and "must be nonnegative")
         _reject("time.dt", _step_problem(dt, "time.dt"))
@@ -170,6 +173,7 @@ class PicardConfig:
     gamma_bar: float = 0.5
 
     def __post_init__(self) -> None:
+        _read_numbers(self, "picard")
         _reject("picard.tol", not self.tol > 0 and "must be positive")
         _reject("picard.max_iter", self.max_iter < 1 and "must be at least 1")
         _reject("picard.gamma_bar", not 0.0 < self.gamma_bar < 1.0 and "must lie in (0, 1)")
@@ -194,7 +198,7 @@ class SimConfig:
             values = getattr(self.initial_data, key)
             _reject(f"initial_data.{key}", values is not None and rule(values))
         _reject("initial_data.mode_k", _mode_fits(self.initial_data.mode_k, n))
-        _reject("seed", self.seed < 0 and "must be nonnegative")
+        _reject("seed", _integer(self.seed, "seed") < 0 and "must be nonnegative")
 
 
 def _of_type(kind, what: str):
@@ -229,6 +233,15 @@ def _numbers(value, key: str) -> tuple[float, ...]:
 # the reader of a field, by its annotation stripped of "| None" and "[...]"
 _READERS = {"float": _number, "int": _integer, "str": _of_type(str, "a string"),
             "tuple": _numbers}
+
+
+def _read_numbers(section, name: str) -> None:
+    """Read the int and float fields of a section built in Python as load_config
+    reads them, in declaration order; an optional field may hold None."""
+    for f in fields(section):
+        kind, value = f.type.removesuffix(" | None"), getattr(section, f.name)
+        if kind in ("int", "float") and (kind == f.type or value is not None):
+            _READERS[kind](value, f"{name}.{f.name}")
 
 
 def _take(section: dict, key: str, read, default=MISSING):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import runpy
@@ -194,6 +195,18 @@ class TestLoadConfig:
         pytest.param(InitialData, "initial_data", {"preset": "sawtooth"},
                      "initial_data.preset: must be one of zero, sine, gaussian, raw",
                      id="unknown_preset"),
+        pytest.param(GridConfig, "grid", {"L": 1.0, "N": 2.5},
+                     "grid.N: must be an integer", id="N_fractional"),
+        pytest.param(InitialData, "initial_data", {"preset": "sine", "mode_k": 2.5},
+                     "initial_data.mode_k: must be an integer", id="mode_k_fractional"),
+        pytest.param(TimeConfig, "time", {"T": 0.02, "dt": 1e-3, "output_stride": 2.5},
+                     "time.output_stride: must be an integer", id="output_stride_fractional"),
+        pytest.param(TimeConfig, "time", {"T": 0.02, "dt": 1e-3, "output_stride": True},
+                     "time.output_stride: must be an integer", id="output_stride_true"),
+        pytest.param(PicardConfig, "picard", {"max_iter": 2.5},
+                     "picard.max_iter: must be an integer", id="max_iter_fractional"),
+        pytest.param(PicardConfig, "picard", {"tol": math.inf},
+                     "picard.tol: must be finite", id="tol_inf"),
     ])
     def test_section_built_in_python_is_checked_like_a_loaded_one(
         self, cls, section, values, message
@@ -1056,3 +1069,11 @@ class TestVerifySubcommand:
         with pytest.raises(ValidationError, match="^seed: must be nonnegative$"):
             replace(canonical_config(T=0.01), seed=seed)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["one_and_a_half", "true"])
+    def test_non_integer_seed_is_rejected_built_or_loaded(self, seed):
+        with pytest.raises(ValidationError) as built:
+            replace(canonical_config(T=0.01), seed=seed)
+        with pytest.raises(ValidationError) as loaded:
+            load_config(json.dumps(minimal_doc(seed=seed)))
+        assert str(built.value) == str(loaded.value) == "seed: must be an integer"
