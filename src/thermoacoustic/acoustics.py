@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (NodeField, _check_arrays, _difference_quotient, _dirichlet_gradient,
-                   _step_problem, _thomas)
+                   _require, _step_problem, _thomas)
 from .heat import _Stacked, _TimeLevels
 from .model import PhysicalParams, SpeedOfSoundModel, _k_of_h, h_eval
 
@@ -138,9 +138,13 @@ def _frozen(grid, alpha, r, g) -> FrozenCoefficients:
     )
 
 
+def _margin_problem(gamma_bar: float) -> str:
+    """Why gamma_bar cannot be the non-degeneracy margin, or ''."""
+    return "" if 0.0 < gamma_bar < 1.0 else "must lie in (0, 1)"
+
+
 def _degeneracy_threshold(gamma_bar: float) -> float:
-    if not 0.0 < gamma_bar < 1.0:
-        raise ValueError(f"gamma_bar must lie in (0, 1), got {gamma_bar}")
+    _require("gamma_bar", _margin_problem(gamma_bar), f", got {gamma_bar}")
     return 1.0 - gamma_bar
 
 

@@ -19,7 +19,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .grid import FaceField, Grid1D, NodeField, _normal_spacing, _step_problem, gradient_to_faces
+from .acoustics import _margin_problem
+from .grid import (FaceField, Grid1D, NodeField, _count_problem, _length_problem, _step_problem,
+                   _tolerance_problem, gradient_to_faces)
 from .model import PhysicalParams, SpeedOfSoundModel, _invalid_taus, validate_params
 
 __all__ = [
@@ -91,11 +93,9 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         _read_numbers(self, "grid")
-        _reject("grid.N", self.N < 2 and "must be at least 2")
         _reject("grid.N", self.N > _MAX_GRID_N and f"must be at most {_MAX_GRID_N}")
-        _reject("grid.L", not self.L > 0 and "must be positive")
-        _reject("grid.L", not _normal_spacing(self.L, self.N)
-                and "too small or too large for grid.N: (L/(N+1))**2 must be a normal float")
+        _reject("grid.N", _count_problem(self.N, 2))
+        _reject("grid.L", _length_problem(self.L, self.N))
 
 
 _PRESETS = ("zero", "sine", "gaussian", "raw")
@@ -174,9 +174,9 @@ class PicardConfig:
 
     def __post_init__(self) -> None:
         _read_numbers(self, "picard")
-        _reject("picard.tol", not self.tol > 0 and "must be positive")
-        _reject("picard.max_iter", self.max_iter < 1 and "must be at least 1")
-        _reject("picard.gamma_bar", not 0.0 < self.gamma_bar < 1.0 and "must lie in (0, 1)")
+        _reject("picard.tol", _tolerance_problem(self.tol))
+        _reject("picard.max_iter", _count_problem(self.max_iter, 1))
+        _reject("picard.gamma_bar", _margin_problem(self.gamma_bar))
 
 
 @dataclass(frozen=True)

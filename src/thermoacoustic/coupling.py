@@ -58,7 +58,10 @@ from .grid import (
     _FactoredTridiagonal,
     _LapackBuffer,
     _l2,
+    _count_problem,
+    _require,
     _step_problem,
+    _tolerance_problem,
     gradient_to_faces,
     l2_norm,  # not called here; perfbench/probes.py wraps it
     laplacian_dirichlet,
@@ -183,12 +186,9 @@ class _Workspace:
     of _heat_matrix, factored once.  simulate builds one per run for every coupled_step."""
 
     def __init__(self, grid: Grid1D, dt, params, tol, max_iter, gamma_bar, force_cattaneo=False):
-        if problem := _step_problem(dt):
-            raise ValueError(f"dt {problem}")
-        if not tol > 0.0:
-            raise ValueError("picard_tol must be positive")
-        if max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _require("dt", _step_problem(dt))
+        _require("picard_tol", _tolerance_problem(tol))
+        _require("max_iter", _count_problem(max_iter, 1))
         self.dt, self.tol, self.max_iter = dt, tol, max_iter
         self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
         self.gtsv = _LapackBuffer(4, grid.N)

@@ -74,6 +74,7 @@ from .grid import (
     _difference_quotient,
     _dirichlet_gradient,
     _face_extend,
+    _require,
     _step_problem,
 )
 from .heat import InsufficientHistory, ThermalState, _Stacked
@@ -392,8 +393,7 @@ def coefficient_diagnostics(
     coeffs_prev: FrozenCoefficients, coeffs_next: FrozenCoefficients, dt: float
 ) -> tuple[float, float]:
     """(Lambda, F) from two consecutive coefficient levels."""
-    if problem := _step_problem(dt):
-        raise ValueError(f"dt {problem}")
+    _require("dt", _step_problem(dt))
     return _Row(_Rows(coeffs=[coeffs_next], prevs=[coeffs_prev], dts=[dt]), 0).coefficients()
 
 
@@ -439,8 +439,7 @@ class XNormAccumulator:
     """
 
     def __init__(self, dt: float) -> None:
-        if problem := _step_problem(dt):
-            raise ValueError(f"dt {problem}")
+        _require("dt", _step_problem(dt))
         self.dt = dt
         self._sup = dict.fromkeys(
             ("p_h3", "pt_h2", "ptt_grad", "theta_h2", "thetat_h1", "thetatt", "q_h1"), 0.0

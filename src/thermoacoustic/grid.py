@@ -80,13 +80,30 @@ class SingularSystem(ArithmeticError):
     """Tridiagonal elimination met a vanishing pivot."""
 
 
-def _normal_spacing(L: float, N: int) -> bool:
-    """Whether dx*dx is a normal float; the stencils divide by it."""
+def _require(name: str, why: str, got: str = "") -> None:
+    """Raise ValueError(f"{name} {why}{got}") unless why is ''; the rules below say why."""
+    if why:
+        raise ValueError(f"{name} {why}{got}")
+
+
+def _count_problem(n, least: int) -> str:
+    """Why n cannot be a count of at least `least`, or ''; a bool is not a count."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        return "must be an integer"
+    return "" if n >= least else f"must be at least {least}"
+
+
+def _length_problem(L: float, N: int) -> str:
+    """Why L cannot be the length of a grid of N nodes, or '': the stencils
+    divide by dx*dx, dx = L/(N+1), so it must be a normal float."""
+    if not L > 0.0:
+        return "must be positive"
     try:
         dx = L / (N + 1)
     except OverflowError:  # N beyond the float range
-        return False
-    return sys.float_info.min <= dx * dx < math.inf
+        dx = 0.0
+    normal = sys.float_info.min <= dx * dx < math.inf
+    return "" if normal else "must make dx*dx = (L/(N+1))**2 a normal float"
 
 
 def _step_problem(dt: float, name: str = "dt") -> str:
@@ -97,6 +114,11 @@ def _step_problem(dt: float, name: str = "dt") -> str:
     if dt * dt == math.inf:
         return f"too large: {name}**2 must be a finite float"
     return "" if dt * dt >= sys.float_info.min else f"too small: {name}**2 must be a normal float"
+
+
+def _tolerance_problem(tol: float) -> str:
+    """Why tol cannot be a Picard tolerance, or ''."""
+    return "must be finite" if tol == math.inf else "" if tol > 0.0 else "must be positive"
 
 
 @dataclass(frozen=True)
@@ -110,12 +132,8 @@ class Grid1D:
     N: int
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError(f"need at least 2 interior nodes, got N={self.N}")
-        if not self.L > 0.0:
-            raise ValueError(f"domain length must be positive, got L={self.L}")
-        if not _normal_spacing(self.L, self.N):
-            raise ValueError(f"dx*dx must be a normal float, got L={self.L}, N={self.N}")
+        _require("N", _count_problem(self.N, 2), f", got N={self.N}")
+        _require("L", _length_problem(self.L, self.N), f", got L={self.L}, N={self.N}")
 
     @property
     def dx(self) -> float:

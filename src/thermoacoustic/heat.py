@@ -46,10 +46,11 @@ from .grid import (
     _difference_quotient,
     _dirichlet_gradient,
     _Field,
+    _require,
     _step_problem,
     _thomas,
 )
-from .model import PhysicalParams
+from .model import PhysicalParams, _relaxation_problem
 
 __all__ = [
     "InsufficientHistory",
@@ -175,8 +176,7 @@ def _heat_matrix(grid: Grid1D, params: PhysicalParams, dt: float, eta: float):
 def _cattaneo_weights(params: PhysicalParams, dt: float) -> tuple[float, float]:
     """(w, eta) of the flux elimination q' = w q - eta grad theta'."""
     tau = params.tau
-    if not tau >= 0.0:
-        raise ValueError("tau must be nonnegative")
+    _require("tau", _relaxation_problem(tau))
     return tau / (tau + dt), params.kappa_a * (dt / (tau + dt))
 
 
@@ -222,8 +222,7 @@ def fourier_step(
     eigenmode with eigenvalue lambda_h and f = 0 the update is exactly
     theta^{n+1} = theta^n / (1 + dt (ell + kappa_a lambda_h)/m).
     """
-    if problem := _step_problem(dt):
-        raise ValueError(f"dt {problem}")
+    _require("dt", _step_problem(dt))
     solve = partial(_thomas, *_heat_matrix(theta.grid, params, dt, params.kappa_a))
     new_vals = _fourier_update(f_next.values, (params.m / dt) * theta.values, solve)
     return NodeField(theta.grid, new_vals)
@@ -258,8 +257,7 @@ def cattaneo_step(
     residuals at rounding level.  At tau = 0 the update is bit-identical
     to fourier_step followed by the Fourier flux law.
     """
-    if problem := _step_problem(dt):
-        raise ValueError(f"dt {problem}")
+    _require("dt", _step_problem(dt))
     w, eta = _cattaneo_weights(params, dt)
     grid = state.grid
     q = state.q.values

@@ -199,9 +199,14 @@ def _absorbed_power(params: PhysicalParams, p_t: np.ndarray) -> np.ndarray:
     return coeff * p_t * p_t
 
 
+def _relaxation_problem(tau: float) -> str:
+    """Why tau cannot be a relaxation time, or ''; tau = 0 is the Fourier model."""
+    return "must be finite" if tau == math.inf else "" if tau >= 0.0 else "must be nonnegative"
+
+
 def _invalid_taus(taus) -> list:
     """The entries of taus that are not finite and positive relaxation times."""
-    return [tau for tau in taus if not (np.isfinite(tau) and tau > 0.0)]
+    return [tau for tau in taus if _relaxation_problem(tau) or not tau > 0.0]
 
 
 def validate_params(params: PhysicalParams, model: SpeedOfSoundModel) -> list[str]:
@@ -213,8 +218,8 @@ def validate_params(params: PhysicalParams, model: SpeedOfSoundModel) -> list[st
         errors.append("W must be nonnegative")
     if not params.b > 0.0:
         errors.append("b must be strictly positive")
-    if not params.tau >= 0.0:
-        errors.append("tau must be nonnegative")
+    if why := _relaxation_problem(params.tau):
+        errors.append(f"tau {why}")
     if not all(map(math.isfinite, model.coeffs)):
         errors.append("coeffs must be finite")
     if not model.h_floor > 0.0:

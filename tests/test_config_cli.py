@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import thermoacoustic
 from thermoacoustic import coupling as coupling_mod
+from thermoacoustic.acoustics import assemble_coefficients, check_nondegeneracy
 from thermoacoustic.cli import _LINE_BREAKS, _fmt, main
 from thermoacoustic.config import (
     GridConfig,
@@ -29,10 +30,17 @@ from thermoacoustic.config import (
     load_config,
     make_grid,
 )
-from thermoacoustic.coupling import PicardDiverged
+from thermoacoustic.coupling import CoupledState, PicardDiverged, coupled_step
 from thermoacoustic.energy import TIMESERIES_COLUMNS
-from thermoacoustic.heat import fourier_thermal_step
-from thermoacoustic.verification import CheckResult, canonical_config
+from thermoacoustic.grid import Grid1D
+from thermoacoustic.heat import ThermalState, cattaneo_step, fourier_thermal_step
+from thermoacoustic.model import validate_params
+from thermoacoustic.verification import (
+    CheckResult,
+    canonical_config,
+    unit_params,
+    unit_speed_model,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -315,6 +323,78 @@ class TestLoadConfig:
         fields = initial_fields(config, make_grid(config))
         for field, key in zip(fields, ("p0", "p1", "theta0", "q0")):
             assert np.array_equal(field.values, np.asarray(arrays[key]))
+
+
+def _run_setting_paths():
+    """Each run setting's config path, Python path and Python name.  The config
+    path is the section built in Python, or load_config's rule on params for tau,
+    whose reasons name tau; the Python path is the public call that asks the rule."""
+    grid = Grid1D(1.0, 16)
+    z = grid.zero_node_field()
+    params, model = unit_params(tau=0.05), unit_speed_model()
+    state = CoupledState.initial(z, z, z, grid.zero_face_field())
+    thermal = ThermalState.initial(z, grid.zero_face_field())
+    coeffs = assemble_coefficients(z, z, z, model, params)
+
+    def medium(tau):
+        problems = validate_params(replace(params, tau=tau), model)
+        if problems:
+            raise ValidationError("params", "; ".join(problems))
+
+    return {
+        "grid.N": (lambda v: GridConfig(1.0, v), lambda v: Grid1D(1.0, v), "N"),
+        "grid.L": (lambda v: GridConfig(v, 16), lambda v: Grid1D(v, 16), "L"),
+        "picard.tol": (lambda v: PicardConfig(tol=v),
+                       lambda v: coupled_step(state, 1e-3, v, 25, 0.5, params, model),
+                       "picard_tol"),
+        "picard.max_iter": (lambda v: PicardConfig(max_iter=v),
+                            lambda v: coupled_step(state, 1e-3, 1e-10, v, 0.5, params, model),
+                            "max_iter"),
+        "picard.gamma_bar": (lambda v: PicardConfig(gamma_bar=v),
+                             lambda v: check_nondegeneracy(coeffs, v), "gamma_bar"),
+        "params.tau": (medium, lambda v: cattaneo_step(thermal, z, 1e-3, replace(params, tau=v)),
+                       "tau"),
+    }
+
+
+_COUNTS = ("grid.N", "picard.max_iter")
+_SETTING_VALUES = (0, -1, 0.5, 1, 1.5, 2, 2.5, 1e300, 1e-200, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("setting, value", [
+    (setting, value) for setting in _run_setting_paths()
+    for value in _SETTING_VALUES + ((10**400,) if setting in _COUNTS else ())
+])
+def test_config_and_python_paths_agree_on_a_run_setting(setting, value):
+    # Both paths ask one rule, so they reject the same values; where the
+    # config's reader takes the value (a finite number, an int for a count;
+    # validate_params has no reader), the Python message starts with its name
+    # and the config's reason.  Only the config caps N, at 1000000.
+    config_path, python_path, name = _run_setting_paths()[setting]
+    try:
+        config_path(value)
+        config_reason = None
+    except ValidationError as err:
+        config_reason = err.reason if err.key == "params" else f"{name} {err.reason}"
+    try:
+        python_path(value)
+        python_message = None
+    except ValueError as err:
+        python_message = str(err)
+    assert (config_reason is None) == (python_message is None)
+    capped = setting == "grid.N" and isinstance(value, int) and value > 10**6
+    read = isinstance(value, int) if setting in _COUNTS else (
+        setting == "params.tau" or math.isfinite(value))
+    if config_reason is not None and read and not capped:
+        assert python_message.startswith(config_reason)
+
+
+def test_library_takes_numpy_integer_counts():
+    # load_config's reader takes a JSON integer only, but the library takes
+    # numpy integers wherever it takes an int count
+    assert Grid1D(1.0, np.int64(16)) == Grid1D(1.0, 16)
+    config_path, python_path, _ = _run_setting_paths()["picard.max_iter"]
+    assert python_path(np.int64(25)).n == 1
 
 
 def sha256_of(path):

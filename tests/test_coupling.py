@@ -139,8 +139,11 @@ class TestCoupledStep:
         [({"dt": 0.0}, "dt must be positive"), ({"dt": -1e-3}, "dt must be positive"),
          ({"picard_tol": 0.0}, "picard_tol must be positive"),
          ({"max_iter": 0}, "max_iter must be at least 1"),
-         ({"dt": float("inf")}, "dt too large"), ({"dt": 5e-324}, "dt too small")],
-        ids=["dt_zero", "dt_negative", "tol_zero", "max_iter_zero", "dt_inf", "dt_5e-324"],
+         ({"dt": float("inf")}, "dt too large"), ({"dt": 5e-324}, "dt too small"),
+         ({"picard_tol": float("inf")}, "picard_tol must be finite"),
+         ({"max_iter": 2.5}, "max_iter must be an integer")],
+        ids=["dt_zero", "dt_negative", "tol_zero", "max_iter_zero", "dt_inf", "dt_5e-324",
+             "tol_inf", "max_iter_fractional"],
     )
     def test_bad_step_arguments_rejected(self, change, message):
         grid = Grid1D(1.0, 16)
@@ -421,8 +424,8 @@ def _state_bytes(state) -> bytes:
 
 
 def _bad_calls():
-    """Public stepper calls with a step size, tau or Picard tolerance out of
-    range (nan included), by name, with the message each must raise."""
+    """Public stepper calls with a step size, tau, Picard tolerance or iteration
+    count out of range (nan included), by name, with the message each must raise."""
     grid = Grid1D(1.0, 16)
     z = grid.zero_node_field()
     params = unit_params(tau=0.1)
@@ -452,6 +455,11 @@ def _bad_calls():
             lambda: westervelt_linear_step(acoustic, coeffs, nan, params), dt_message),
         "coupled_step_dt_nan": (lambda: step(nan, 1e-10), dt_message),
         "coupled_step_picard_tol_nan": (lambda: step(1e-3, nan), "picard_tol must be positive"),
+        "coupled_step_picard_tol_inf": (lambda: step(1e-3, float("inf")),
+                                        "picard_tol must be finite"),
+        "cattaneo_step_tau_inf": (
+            lambda: cattaneo_step(thermal, z, 1e-3, replace(params, tau=float("inf"))),
+            "tau must be finite"),
         "coefficient_diagnostics_dt_negative": (
             lambda: coefficient_diagnostics(coeffs, coeffs, -1e-3), dt_message),
         "coefficient_diagnostics_dt_nan": (
@@ -474,6 +482,10 @@ def _bad_calls():
         "coefficient_diagnostics": lambda dt: coefficient_diagnostics(coeffs, coeffs, dt),
         "XNormAccumulator": XNormAccumulator,
     }
+    for label, max_iter in (("2.5", 2.5), ("25.0", 25.0), ("True", True)):
+        calls[f"coupled_step_max_iter_{label}"] = (
+            partial(coupled_step, coupled, 1e-3, 1e-10, max_iter, 0.5, params, UNIT_MODEL),
+            "max_iter must be an integer")
     for name, call in by_dt.items():
         for label, dt, message in (("inf", float("inf"), large), ("1e300", 1e300, large),
                                    ("5e-324", 5e-324, small)):

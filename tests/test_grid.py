@@ -68,8 +68,10 @@ class TestGridBasics:
     @pytest.mark.parametrize(
         "L, N, match",
         [(0.0, 2, "positive"), (-1.0, 2, "positive"), (math.nan, 2, "positive"),
-         (1.0, 10**400, r"dx\*dx")],
-        ids=["zero_L", "negative_L", "nan_L", "N_beyond_float"],
+         (1.0, 10**400, r"dx\*dx"), (1.0, 2.5, "^N must be an integer"),
+         (1.0, 3.0, "^N must be an integer"), (1.0, True, "^N must be an integer")],
+        ids=["zero_L", "negative_L", "nan_L", "N_beyond_float", "fractional_N", "float_N",
+             "bool_N"],
     )
     def test_unusable_length_or_size_rejected(self, L, N, match):
         with pytest.raises(ValueError, match=match):
