@@ -3,12 +3,12 @@
 The section dataclasses are the schema: a section holds the fields of its
 dataclass under their names, each read by its annotation (float, int, str or an
 array of numbers), and a field is optional exactly when it has a default.  A
-section built in Python or by load_config reads its int and float fields with
-those readers and checks its values, and SimConfig checks initial_data against
-grid and the seed; load_config runs those rules as it reads each value and adds
-the medium and the sweep ladder.  Unknown keys are rejected outright because
-physics configs die silently otherwise (a typoed parameter name must not fall
-back to a default).  JSON is used for its unambiguous typing of numeric arrays.
+section built in Python or by load_config reads its numbers and number arrays
+with those readers and checks its values, and SimConfig checks initial_data
+against grid and the seed; load_config runs those rules as it reads each value
+and adds the medium and the sweep ladder.  Unknown keys are rejected outright
+because physics configs die silently otherwise (a typoed parameter name must not
+fall back to a default).  JSON is used for its unambiguous typing of numeric arrays.
 """
 
 from __future__ import annotations
@@ -236,12 +236,15 @@ _READERS = {"float": _number, "int": _integer, "str": _of_type(str, "a string"),
 
 
 def _read_numbers(section, name: str) -> None:
-    """Read the int and float fields of a section built in Python as load_config
-    reads them, in declaration order; an optional field may hold None."""
+    """Read the number fields of a section built in Python as load_config reads them,
+    in declaration order, an array into a tuple; an optional field may hold None."""
     for f in fields(section):
         kind, value = f.type.removesuffix(" | None"), getattr(section, f.name)
-        if kind in ("int", "float") and (kind == f.type or value is not None):
-            _READERS[kind](value, f"{name}.{f.name}")
+        key = f"{name}.{f.name}"
+        if kind.startswith("tuple") and value is not None:
+            object.__setattr__(section, f.name, _numbers(list(value), key))
+        elif kind in ("int", "float") and (kind == f.type or value is not None):
+            _READERS[kind](value, key)
 
 
 def _take(section: dict, key: str, read, default=MISSING):

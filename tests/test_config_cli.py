@@ -215,6 +215,15 @@ class TestLoadConfig:
                      "picard.max_iter: must be an integer", id="max_iter_fractional"),
         pytest.param(PicardConfig, "picard", {"tol": math.inf},
                      "picard.tol: must be finite", id="tol_inf"),
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 1e-3, "snapshot_times": (math.inf,)},
+                     "time.snapshot_times[0]: must be finite", id="snapshot_inf"),
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 1e-3, "snapshot_times": ("0.005",)},
+                     "time.snapshot_times[0]: must be a number", id="snapshot_string"),
+        pytest.param(InitialData, "initial_data",
+                     {"preset": "raw", "p0": (math.nan,) + (0.0,) * 15},
+                     "initial_data.p0[0]: must be finite", id="raw_p0_nan"),
+        pytest.param(InitialData, "initial_data", {"preset": "raw", "p0": ("x",) * 16},
+                     "initial_data.p0[0]: must be a number", id="raw_p0_string"),
     ])
     def test_section_built_in_python_is_checked_like_a_loaded_one(
         self, cls, section, values, message
