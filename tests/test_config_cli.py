@@ -402,7 +402,7 @@ def test_library_takes_numpy_integer_counts():
     # load_config's reader takes a JSON integer only, but the library takes
     # numpy integers wherever it takes an int count
     assert Grid1D(1.0, np.int64(16)) == Grid1D(1.0, 16)
-    config_path, python_path, _ = _run_setting_paths()["picard.max_iter"]
+    _, python_path, _ = _run_setting_paths()["picard.max_iter"]
     assert python_path(np.int64(25)).n == 1
 
 
