@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .acoustics import Degenerate
 from .config import ConfigError, ValidationError, _ladder_problem, load_config_file, make_grid
 from .coupling import PicardDiverged, SimulationResult, simulate, tau_sweep
-from .energy import TIMESERIES_COLUMNS
+from .energy import TIMESERIES_COLUMNS, EnergyReport
 from .grid import NodeField, NonFinite, l2_inner, l2_norm
 from .model import FloorViolated
 from .verification import mode_run, run_all_checks
@@ -43,8 +44,6 @@ EXIT_NONFINITE = 8
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # the common case; prints what format(value, ".17g") does
-        return "%.17g" % (value + 0.0)  # +0.0 normalizes -0.0
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -52,20 +51,23 @@ def _fmt(value) -> str:
     return format(float(value) + 0.0, ".17g")  # +0.0 normalizes -0.0
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(header, columns, kinds: str) -> str:
+    """The CSV text of a header and its columns, one % format per row: an
+    'f' column of kinds prints %.17g of its floats + 0.0 (which normalizes
+    -0.0), any other column what _fmt prints."""
+    cells = [(np.array(c, float) + 0.0).tolist() if k == "f" else list(map(_fmt, c))
+             for k, c in zip(kinds, columns)]
+    fmt = ",".join("%.17g" if k == "f" else "%s" for k in kinds)
+    return "\n".join([",".join(header), *(fmt % row for row in zip(*cells))]) + "\n"
 
 
 def timeseries_csv(result: SimulationResult) -> str:
-    return _csv_text(TIMESERIES_COLUMNS, (r.row() for r in result.reports))
+    kinds = "".join("f" if f.type == "float" else "s" for f in fields(EnergyReport))
+    return _csv_text(TIMESERIES_COLUMNS, zip(*(r.row() for r in result.reports)), kinds)
 
 
 def snapshot_csv(snapshot) -> str:
-    rows = zip(*(column.tolist() for column in snapshot[1:]))
-    return _csv_text(("x", "p", "p_t", "theta", "q_at_left_face"), rows)
+    return _csv_text(("x", "p", "p_t", "theta", "q_at_left_face"), snapshot[1:], "fffff")
 
 
 def _write(path: Path, text: str, quiet: bool) -> None:
@@ -106,9 +108,9 @@ def _cmd_limit_sweep(config, args) -> int:
     if not taus:
         raise ValidationError("sweep.tau_list", "required by limit-sweep unless --tau is given")
     sweep = tau_sweep(config, taus)
-    rows = zip(sweep.taus, sweep.e_theta, sweep.e_p, sweep.e_pt)
+    columns = (sweep.taus, sweep.e_theta, sweep.e_p, sweep.e_pt)
     header = ("tau", "e_theta", "e_p", "e_pt")
-    _write(args.out / "sweep.csv", _csv_text(header, rows), args.quiet)
+    _write(args.out / "sweep.csv", _csv_text(header, columns, "ffff"), args.quiet)
     for tau, member in zip((*sweep.taus, 0.0), (*sweep.members, sweep.reference)):
         member_dir = args.out / _tau_dirname(tau)
         member_dir.mkdir(parents=True, exist_ok=True)
@@ -120,7 +122,7 @@ def _cmd_verify(config, args) -> int:
     checks = run_all_checks(seed=config.seed)
     rows = ((c.name, int(c.passed), c.measured, c.threshold, c.detail) for c in checks)
     header = ("check", "passed", "measured", "threshold", "detail")
-    _write(args.out / "verify.csv", _csv_text(header, rows), args.quiet)
+    _write(args.out / "verify.csv", _csv_text(header, zip(*rows), "ssffs"), args.quiet)
     failed = [c for c in checks if not c.passed]
     for c in checks if not args.quiet else failed:
         status = "pass" if c.passed else "FAIL"
@@ -151,7 +153,7 @@ def _cmd_modes(config, args) -> int:
         if n % stride == 0 or n == n_steps:
             rows.append((state.t, numeric, oracle, abs(numeric - oracle)))
     header = ("t", "numeric", "oracle", "abs_err")
-    _write(args.out / "modes.csv", _csv_text(header, rows), args.quiet)
+    _write(args.out / "modes.csv", _csv_text(header, zip(*rows), "ffff"), args.quiet)
     if not args.quiet:
         worst = max(r[3] for r in rows)
         print(f"modes: max |numeric - oracle| = {worst:.3e}")

@@ -426,7 +426,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
         sources = np.array([chunk[i].acoustic.v.values for i in outs]) if later else None
         rows = _Rows(
             [s.acoustic for s in chunk], [s.thermal for s in chunk], sel=outs, coeffs=coeffs,
-            prevs=[coeffs_prev, *coeffs[:-1]] if later else (),
+            prev=coeffs_prev if later else None,
             f=_absorbed_power(params, sources) if later else None,
         )
         for i, s in enumerate(chunk):

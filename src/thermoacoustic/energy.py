@@ -156,16 +156,16 @@ class _Rows:
     np.vecdot, which sums a row in np.dot's order.  acs and ths are the
     rows' rings (either may be empty; those of a list have one depth, >=
     ``levels``).  _ON_ALL_ROWS and their ``norms`` span all K rows; the
-    other arrays and their ``sel_norms`` span the report rows ``sel`` (all
-    by default) alone, which also get the inner products ``d`` with their
-    coefficients, those of the previous report row ``prevs`` (over the
-    rings' spacing or ``dts``) and the sources ``f``."""
+    other arrays span the report rows ``sel`` (all by default) alone, which
+    get inner products with their coefficients, with the time differences
+    from the level ``prev`` on (over the rings' spacing or ``dts``) and with
+    the sources ``f``; ``cells[i]`` holds report row i's (f, norms, products)."""
 
-    def __init__(self, acs=(), ths=(), levels=1, sel=None, coeffs=(), prevs=(), f=None, dts=()):
+    def __init__(self, acs=(), ths=(), levels=1, sel=None, coeffs=(), prev=None, f=None, dts=()):
         rings = acs or ths
         if rings and rings[0].depth < levels:
             raise InsufficientHistory(f"need {levels} stored levels, have {rings[0].depth}")
-        self.acs, self.ths, self.f = acs, ths, f
+        self.acs, self.ths = acs, ths
         self.dx = dx = (rings[0].grid if rings else coeffs[0].alpha.grid).dx
         self.sel = list(range(len(rings) or len(coeffs))) if sel is None else sel
         every = sel is None or len(self.sel) == len(rings)
@@ -180,8 +180,8 @@ class _Rows:
                     (sq if summed else sel_sq)[key] = np.vecdot(values, values)
                     if key in _KEPT:
                         a[key] = values[self.sel] if summed and not every else values
-        self.norms, self.sel_norms = _roots(sq, dx), _roots(sel_sq, dx)
-        d = self.d = {}
+        self.norms, sel_norms = _roots(sq, dx), _roots(sel_sq, dx)
+        self.cells, d = {}, {}
         if not self.sel:  # no report row: the sums alone read this pass
             return
 
@@ -193,7 +193,8 @@ class _Rows:
             d["div_q"] = dot(div_q, div_q)
         if f is not None:
             d["f_theta"] = dot(f, a["theta"])
-        alpha, r, g = _stacked(coeffs)
+        stacked = _stacked(coeffs if prev is None else [prev, *coeffs])  # each level once
+        alpha, r, g = stacked if prev is None else (u[1:] for u in stacked)
         if coeffs and acs:
             v, grad_p, r_faces = a["v"], a["grad_p"], _face_extend(r)
             d["alpha_v"], d["r_grad_p"] = dot(alpha * v, v), dot(r_faces * grad_p, grad_p)
@@ -201,19 +202,19 @@ class _Rows:
                 p_tt, grad_v = a["p_tt"], a["grad_v"]
                 d["alpha_p_tt"] = dot(alpha * p_tt, p_tt)
                 d["r_grad_v"] = dot(r_faces * grad_v, grad_v)
-        if prevs:
-            alpha0, r0, g0 = _stacked(prevs)
+        if prev is not None:
+            alpha0, r0, g0 = (u[:-1] for u in stacked)
             dt = np.array(dts)[:, None] if dts else on_sel[0 if acs else 1][0, 1]
             alpha_t, r_t, g_t = (alpha - alpha0) / dt, (r - r0) / dt, (g - g0) / dt
             grad_r, grad_g = _difference_quotient(r, dx), _dirichlet_gradient(g, dx)
             for name, u in (("alpha_t", alpha_t), ("r_t", r_t), ("grad_r", grad_r),
                             ("grad_g", grad_g), ("g_t", g_t)):
                 d[name] = dot(u, u)
-            # L3 norms: each row summed alone, as np.sum sums a 1-D array
+            # L3 norms: a row-axis reduce sums each row as np.sum sums a 1-D array
             for name, u in (("r_t", r_t), ("alpha_t", alpha_t), ("grad_r", grad_r),
                             ("grad_alpha", _difference_quotient(alpha, dx))):
-                d["cube_" + name] = [float(np.add.reduce(row)) for row in np.abs(u) ** 3]
-        if prevs and acs:
+                d["cube_" + name] = np.add.reduce(np.abs(u) ** 3, axis=-1).tolist()
+        if prev is not None and acs:
             p0, v0 = on_sel[0][1, 1], on_sel[0][2, 1]
             grad_p0 = _dirichlet_gradient(p0, dx)
             d["alpha0_v0"] = dot(alpha0 * v0, v0)
@@ -221,6 +222,11 @@ class _Rows:
             d["g_v"], d["alpha_t_vv"] = dot(g, v), dot(alpha_t, v * v)
             d["grad_r_p_v"] = dot(grad_r * grad_p[:, 1:-1], _face_extend(v)[:, 1:-1])
             d["r_t_grad_p2"] = dot(_face_extend(r_t), grad_p * grad_p)
+        n = {k: col if every else [col[i] for i in self.sel]  # the norms of rows sel, by column
+             for k, col in self.norms.items() if k not in _SUMS_ONLY} | sel_norms
+        sources = [None] * len(self.sel) if f is None else f
+        for i, source, *row in zip(self.sel, sources, *n.values(), *d.values()):  # transposed
+            self.cells[i] = (source, dict(zip(n, row)), dict(zip(d, row[len(n):])))
 
     def fields(self, i: int, table, extra=()):
         """(kind, values) of u, flux and order stencils of u for the chains
@@ -244,13 +250,9 @@ class _Row:
     below (for dx > 1.5e-154), whose norm then overflows too."""
 
     def __init__(self, rows: _Rows, i: int) -> None:
-        j = rows.sel.index(i)
         self.rows, self.i, self.dx = rows, i, rows.dx
         self.ac, self.th = (ring[i] if ring else None for ring in (rows.acs, rows.ths))
-        self.f = None if rows.f is None else rows.f[j]
-        self.n = {k: col[i] for k, col in rows.norms.items() if k not in _SUMS_ONLY}
-        self.n.update((k, col[j]) for k, col in rows.sel_norms.items())
-        self.d = {k: col[j] for k, col in rows.d.items()}
+        self.f, self.n, self.d = rows.cells[i]
 
     def fields(self, *extra):
         """(kind, values) of the row's arrays, then of ``extra`` chains
@@ -275,9 +277,9 @@ class _Row:
         cal_d1 = ell * grad + kappa * grad_t + kappa * lap
         return cal_e0, cal_e1, cal_d0, cal_d1
 
-    def heat_residual(self, params: PhysicalParams) -> float:
+    def heat_residual(self, params: PhysicalParams, e_new: float, d_new: float) -> float:
+        """The balance defect of the last step, given (E_0, D_0) of the newest level."""
         e_old, _ = self.heat(params, "prev")
-        e_new, d_new = self.heat(params)
         work = params.kappa_a * (self.dx * self.d["f_theta"])
         return abs((e_new - e_old) / self.th.dt + d_new - work)
 
@@ -336,7 +338,7 @@ def _make_report(state, coeffs_prev: FrozenCoefficients | None, f_next: np.ndarr
         built = ((f_next, 0, None), (coeffs.g.values, 1, None), (ac.history[-2][1].values, 1, None))
         lam, frak_f = row.coefficients()
         ac_res = row.identity_residual(params, ac_e1)
-        heat_res = row.heat_residual(params)
+        heat_res = row.heat_residual(params, e[0], d[0])
     report = EnergyReport(
         t=state.t, E0=e[0], E1=e[1], E2=e[2], E_tau=e[0] + e[1] + e[2],
         D0=d[0], D1=d[1], D2=d[2], cal_E0=cal_e0, cal_E1=cal_e1,
@@ -344,10 +346,11 @@ def _make_report(state, coeffs_prev: FrozenCoefficients | None, f_next: np.ndarr
         alpha_min=coeffs.alpha_min, picard_iters=state.picard_iterations_last,
         heat_residual=heat_res, acoustic_residual=ac_res,
     )
-    for column, value in zip(TIMESERIES_COLUMNS, report.row()):
-        if not math.isfinite(value):
-            _check_arrays(row.fields(*built))
-            raise NonFinite(f"report column {column}")
+    if not math.isfinite(sum(values := report.row())):  # an overflowing sum finds no bad column
+        for column, value in zip(TIMESERIES_COLUMNS, values):
+            if not math.isfinite(value):
+                _check_arrays(row.fields(*built))
+                raise NonFinite(f"report column {column}")
     return report
 
 
@@ -379,7 +382,8 @@ def heat_balance_residual(
     smooth runs and matches the scalar modal defect exactly on single-mode
     runs.
     """
-    return _Row(_Rows(ths=[state], levels=2, f=f_next.values[None]), 0).heat_residual(params)
+    row = _Row(_Rows(ths=[state], levels=2, f=f_next.values[None]), 0)
+    return row.heat_residual(params, *row.heat(params))
 
 
 def acoustic_energy(
@@ -394,7 +398,7 @@ def coefficient_diagnostics(
 ) -> tuple[float, float]:
     """(Lambda, F) from two consecutive coefficient levels."""
     _require("dt", _step_problem(dt))
-    return _Row(_Rows(coeffs=[coeffs_next], prevs=[coeffs_prev], dts=[dt]), 0).coefficients()
+    return _Row(_Rows(coeffs=[coeffs_next], prev=coeffs_prev, dts=[dt]), 0).coefficients()
 
 
 def acoustic_identity_residual(
@@ -416,7 +420,7 @@ def acoustic_identity_residual(
     residual is the backward-Euler defect and vanishes at rate O(dt) on
     smooth runs; the spatial part cancels exactly by summation by parts.
     """
-    row = _Row(_Rows([state], levels=2, coeffs=[coeffs_next], prevs=[coeffs_prev]), 0)
+    row = _Row(_Rows([state], levels=2, coeffs=[coeffs_next], prev=coeffs_prev), 0)
     return row.identity_residual(params, row.acoustic(params)[0])
 
 
@@ -494,8 +498,11 @@ class XNormAccumulator:
 
 
 def _h_norm(*norms: float) -> float:
-    """sqrt of the sum of squares of a seminorm ladder ||u||, |u|_H1, ..."""
-    return math.sqrt(sum(n * n for n in norms))
+    """sqrt of the sum of squares of a seminorm ladder ||u||, |u|_H1, ..., left to right"""
+    total = 0.0
+    for n in norms:
+        total += n * n
+    return math.sqrt(total)
 
 
 def gronwall_bound(

@@ -297,7 +297,7 @@ def mode_study(dt: float) -> ModeStudy:
             (modal_e0(T_new, R_new) - modal_e0(T_amp, R_amp)) / dt
             + modal_d0(T_new, R_new)
         )
-        defect_pde = row.heat_residual(params)
+        defect_pde = row.heat_residual(params, *row.heat(params))
         max_mismatch = max(max_mismatch, abs(defect_pde - defect_modal))
         T_amp, R_amp = T_new, R_new
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import thermoacoustic
 from thermoacoustic import coupling as coupling_mod
 from thermoacoustic.acoustics import assemble_coefficients, check_nondegeneracy
-from thermoacoustic.cli import _LINE_BREAKS, _fmt, main
+from thermoacoustic.cli import _LINE_BREAKS, _csv_text, _fmt, main
 from thermoacoustic.config import (
     GridConfig,
     InitialData,
@@ -428,6 +428,16 @@ def sine_doc(amplitude_p=0.05, T=0.02, tau=0.05, **extra_time):
     return doc
 
 
+# cells of a CSV float column ('f': floats and numpy floats, nan, inf,
+# -0.0 and subnormals included) and of any other column ('s')
+CSV_CELLS = {
+    "f": st.one_of(st.floats(), st.floats().map(np.float64),
+                   st.floats(-1e-307, 1e-307)),
+    "s": st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                   st.integers(0, 255).map(np.uint8), st.booleans(), st.text(), st.floats()),
+}
+
+
 class TestCli:
     def test_simulate_zero_preset_zero_columns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_doc())
@@ -486,6 +496,20 @@ class TestCli:
         else:
             expected = format(float(value) + 0.0, ".17g")
         assert _fmt(value) == expected
+
+    @given(st.lists(st.sampled_from("fs"), min_size=1, max_size=6).flatmap(
+        lambda kinds: st.tuples(st.just("".join(kinds)), st.lists(
+            st.tuples(*(CSV_CELLS[k] for k in kinds)), max_size=5))))
+    @example(("ffs", [(-0.0, np.float64(-0.0), -0.0), (math.inf, -math.inf, math.nan),
+                      (-math.nan, 5e-324, -5e-324), (2.0**-1074 * 3, np.float64(1e-310), 7)]))
+    def test_csv_row_format_prints_what_fmt_prints(self, table):
+        # _csv_text prints a row with one % format: its float ('f') columns
+        # are normalized as one numpy array and printed %.17g, the others go
+        # through _fmt.  Every cell must read as _fmt prints it alone.
+        kinds, rows = table
+        header = [f"c{i}" for i in range(len(kinds))]
+        lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+        assert _csv_text(header, zip(*rows), kinds) == "\n".join(lines) + "\n"
 
     def test_snapshot_schema(self, tmp_path):
         doc = sine_doc(T=0.01, snapshot_times=[0.0, 0.01])

@@ -360,3 +360,19 @@ def test_vecdot_rows_equal_dot_bitwise(rows, n, step, trim, seed):
     dots = np.vecdot(a, b)
     for i in range(rows):
         assert dots[i].tobytes() == np.float64(np.dot(a[i], b[i])).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 64), n=st.integers(2, 4096), seed=st.integers(0, 2**32 - 1))
+def test_row_axis_reduce_equals_each_row_reduced_alone(rows, n, seed):
+    # The chunk pass sums the cubes of an L3 norm with one
+    # np.add.reduce(..., axis=-1) over a C-contiguous (K, n) array, and the
+    # recorded digests were made by reducing each row's 1-D array alone; they
+    # agree bit for bit only if both sum a row in the same (pairwise) order.
+    # Signed values and the nonnegative cubes are both checked.
+    u = _mixed_magnitudes(np.random.default_rng(seed), (rows, n))
+    for a in (u, np.abs(u * 1e-51) ** 3):
+        assert a.flags.c_contiguous
+        sums = np.add.reduce(a, axis=-1)
+        for i in range(rows):
+            assert sums[i].tobytes() == np.add.reduce(a[i]).tobytes()
