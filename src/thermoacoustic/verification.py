@@ -42,7 +42,7 @@ from .config import (
     TimeConfig,
 )
 from .coupling import SimulationResult, SweepResult, simulate, tau_sweep
-from .energy import _Row, _Rows, gronwall_bound
+from .energy import _CHUNK_ENTRIES, _Row, _Rows, gronwall_bound
 from .grid import (
     FaceField,
     Grid1D,
@@ -262,7 +262,20 @@ def mode_study(dt: float) -> ModeStudy:
     grid = Grid1D(1.0, 128)
     sin_field = NodeField(grid, np.sin(np.pi * grid.nodes()))
     cos_field = FaceField(grid, np.cos(np.pi * grid.faces()))
-    zero_f = np.zeros((1, grid.N))  # the source row of each step's balance pass
+    n_steps, size = int(round(T / dt)), max(1, _CHUNK_ENTRIES // grid.N)
+
+    def rows():
+        """(n, numeric, oracle, _Row) of each step; one _Rows pass with zero
+        sources reads up to ``size`` steps, step 1 (one level shallower) alone."""
+        chunk = []
+        for n, (state, numeric, oracle) in enumerate(
+                mode_run(params, sin_field, 1.0, 1, dt, n_steps), start=1):
+            chunk.append((n, state, numeric, oracle))
+            if n == 1 or len(chunk) == size or n == n_steps:
+                batch = _Rows(ths=[c[1] for c in chunk], levels=2, f=np.zeros((len(chunk), grid.N)))
+                for i, (k, _, numeric, oracle) in enumerate(chunk):
+                    yield k, numeric, oracle, _Row(batch, i)
+                chunk = []
 
     lam = grid.laplacian_eigenvalue(1)
     mu = math.sqrt(lam)
@@ -286,9 +299,8 @@ def mode_study(dt: float) -> ModeStudy:
     max_mismatch = 0.0
     decay_excess = -math.inf
     mono_excess = -math.inf
-    run = mode_run(params, sin_field, 1.0, 1, dt, int(round(T / dt)))
-    for n, (state, numeric_amp, oracle_amp) in enumerate(run, start=1):
-        row = _Row(_Rows(ths=[state], levels=2, f=zero_f), 0)  # E0 of both levels, the defect
+    for n, numeric_amp, oracle_amp, row in rows():
+        e0, d0 = row.heat(params)
         if n == 1:
             e0_first = e0_prev = row.heat(params, "prev")[0]
         T_new = ((m / dt) * T_amp + w * mu * R_amp) / denom
@@ -297,13 +309,12 @@ def mode_study(dt: float) -> ModeStudy:
             (modal_e0(T_new, R_new) - modal_e0(T_amp, R_amp)) / dt
             + modal_d0(T_new, R_new)
         )
-        defect_pde = row.heat_residual(params, *row.heat(params))
+        defect_pde = row.heat_residual(params, e0, d0)
         max_mismatch = max(max_mismatch, abs(defect_pde - defect_modal))
         T_amp, R_amp = T_new, R_new
 
         max_amp_err = max(max_amp_err, abs(numeric_amp - oracle_amp))
 
-        e0 = row.heat(params)[0]
         mono_excess = max(mono_excess, e0 - e0_prev)
         decay_excess = max(
             decay_excess, e0 - e0_first * (1.0 + 2.0 * c_rate * dt) ** (-n)
