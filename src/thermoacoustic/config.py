@@ -241,9 +241,12 @@ def _read_numbers(section, name: str) -> None:
     for f in fields(section):
         kind, value = f.type.removesuffix(" | None"), getattr(section, f.name)
         key = f"{name}.{f.name}"
-        if kind.startswith("tuple") and value is not None:
-            object.__setattr__(section, f.name, _numbers(list(value), key))
-        elif kind in ("int", "float") and (kind == f.type or value is not None):
+        if value is None and kind != f.type:
+            continue
+        if kind.startswith("tuple"):  # a tuple or numpy array reads as a JSON array
+            value = list(value) if isinstance(value, (tuple, np.ndarray)) else value
+            object.__setattr__(section, f.name, _numbers(value, key))
+        elif kind in ("int", "float"):
             _READERS[kind](value, key)
 
 

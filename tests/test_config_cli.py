@@ -224,6 +224,12 @@ class TestLoadConfig:
                      "initial_data.p0[0]: must be finite", id="raw_p0_nan"),
         pytest.param(InitialData, "initial_data", {"preset": "raw", "p0": ("x",) * 16},
                      "initial_data.p0[0]: must be a number", id="raw_p0_string"),
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 1e-3, "snapshot_times": 5},
+                     "time.snapshot_times: must be an array", id="snapshot_int"),
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 1e-3, "snapshot_times": 5.0},
+                     "time.snapshot_times: must be an array", id="snapshot_float"),
+        pytest.param(TimeConfig, "time", {"T": 0.01, "dt": 1e-3, "snapshot_times": None},
+                     "time.snapshot_times: must be an array", id="snapshot_none"),
     ])
     def test_section_built_in_python_is_checked_like_a_loaded_one(
         self, cls, section, values, message
