@@ -183,6 +183,9 @@ def westervelt_linear_step(
     if problem := _step_problem(dt):
         raise ValueError(f"dt {problem}")
     grid, p, alpha = state.grid, state.p.values, coeffs.alpha.values
+    if not coeffs.alpha.grid is coeffs.r.grid is coeffs.g.grid is grid:  # one grid: no comparison
+        for field in (coeffs.alpha, coeffs.r, coeffs.g):
+            state.p._check_compatible(field)
     grad_p = _dirichlet_gradient(p, grid.dx)
     v_new = _westervelt_solve(  # alpha's own minimum: a caller may build coeffs by hand
         alpha, float(alpha.min()), coeffs.r.values, coeffs.g.values,

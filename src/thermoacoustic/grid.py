@@ -196,7 +196,7 @@ class _Field:
             raise GridMismatch(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
-        if self.grid != other.grid:
+        if self.grid is not other.grid and self.grid != other.grid:
             raise GridMismatch("fields live on different grids")
 
     def __add__(self, other):

@@ -223,6 +223,7 @@ def fourier_step(
     theta^{n+1} = theta^n / (1 + dt (ell + kappa_a lambda_h)/m).
     """
     _require("dt", _step_problem(dt))
+    theta._check_compatible(f_next)
     solve = partial(_thomas, *_heat_matrix(theta.grid, params, dt, params.kappa_a))
     new_vals = _fourier_update(f_next.values, (params.m / dt) * theta.values, solve)
     return NodeField(theta.grid, new_vals)
@@ -258,6 +259,7 @@ def cattaneo_step(
     to fourier_step followed by the Fourier flux law.
     """
     _require("dt", _step_problem(dt))
+    state.theta._check_compatible(f_next)
     w, eta = _cattaneo_weights(params, dt)
     grid = state.grid
     q = state.q.values

@@ -46,6 +46,7 @@ from thermoacoustic.coupling import (
 from thermoacoustic.grid import (
     FaceField,
     Grid1D,
+    GridMismatch,
     NodeField,
     NonFinite,
     gradient_to_faces,
@@ -498,6 +499,31 @@ def test_public_steppers_reject_bad_step_size_or_tau(case):
     call, message = _bad_calls()[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _calls_across_grids(other_length):
+    """Public stepper calls whose source or coefficients live on a second
+    grid with the same N and length other_length, by name."""
+    grid, other = Grid1D(1.0, 16), Grid1D(other_length, 16)
+    z, z_other = grid.zero_node_field(), other.zero_node_field()
+    params = unit_params(tau=0.1)
+    thermal = ThermalState.initial(z, grid.zero_face_field())
+    coeffs = assemble_coefficients(z_other, z_other, z_other, UNIT_MODEL, params)
+    return {
+        "fourier_step": lambda: fourier_step(z, z_other, 1e-3, params),
+        "fourier_thermal_step": lambda: fourier_thermal_step(thermal, z_other, 1e-3, params),
+        "cattaneo_step": lambda: cattaneo_step(thermal, z_other, 1e-3, params),
+        "westervelt_linear_step": lambda: westervelt_linear_step(
+            AcousticState.initial(z, z), coeffs, 1e-3, params),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_calls_across_grids(2.0)))
+def test_public_steppers_reject_a_field_on_another_grid(case):
+    # as l2_inner does for the same mix of grids
+    with pytest.raises(GridMismatch, match="fields live on different grids"):
+        _calls_across_grids(2.0)[case]()
+    _calls_across_grids(1.0)[case]()  # an equal grid built apart is the same grid
 
 
 def test_copied_or_hand_stepped_state_matches_simulate():
