@@ -600,6 +600,8 @@ def near_max_systems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     diag, lower, upper, rhs = _dominant_system(rng, draw(st.integers(2, 64)), 0, 0.0)
     scale = draw(st.floats(0.5, 0.99)) * np.finfo(float).max / np.abs(diag).max()
+    # no rhs entry above the largest diagonal entry, so rhs * scale stays finite
+    rhs = rhs * min(1.0, np.abs(diag).max() / np.abs(rhs).max())
     return np.abs(diag) * scale, -np.abs(lower) * scale, -np.abs(upper) * scale, rhs * scale
 
 
