@@ -134,7 +134,7 @@ def _frozen(grid, alpha, r, g) -> FrozenCoefficients:
         alpha=NodeField(grid, alpha),
         r=NodeField(grid, r),
         g=NodeField(grid, g),
-        alpha_min=float(alpha.min()),
+        alpha_min=float(np.minimum.reduce(alpha)),
     )
 
 
@@ -161,10 +161,10 @@ def check_nondegeneracy(coeffs: FrozenCoefficients, gamma_bar: float) -> None:
 
 def _guard_alpha(alpha, threshold, *others) -> float:
     """alpha's minimum; below threshold, _check_arrays of alpha and others, then Degenerate."""
-    alpha_min = float(alpha.min())
+    alpha_min = float(np.minimum.reduce(alpha))  # ndarray.min minus its Python wrapper
     if alpha_min < threshold:
         _check_arrays((("NodeField", alpha), *others))
-        raise Degenerate(alpha_min, int(np.argmin(alpha)), threshold)
+        raise Degenerate(alpha_min, int(alpha.argmin()), threshold)
     return alpha_min
 
 
@@ -194,23 +194,35 @@ def westervelt_linear_step(
     return state.advanced(NodeField(grid, p + dt * v_new), NodeField(grid, v_new), state.t + dt)
 
 
-def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx):
-    """(diag, lower, upper, rhs) of the step's tridiagonal system for v'."""
-    off = (dt * r + params.b) / -(dx * dx)  # -s to the bit: IEEE division is sign-symmetric
-    diag = alpha / dt - 2.0 * off  # a + 2 s to the bit
-    rhs = alpha * v / dt + r * lap_p + g
-    return diag, off[1:], off[:-1], rhs
+def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out=None):
+    """(diag, lower, upper, rhs) of the step's system for v', built by the ufuncs' third
+    argument in out (rows DL, D, DU, B of a _LapackBuffer(4, n)) or in fresh arrays (None)."""
+    lo, d, up, b = out or (None,) * 4
+    # off = -s to the bit (IEEE division is sign-symmetric), diag = a + 2 s; DL is scratch
+    off = np.divide(np.add(np.multiply(dt, r, up), params.b, up), -(dx * dx), up)
+    diag = np.subtract(np.divide(alpha, dt, d), np.multiply(2.0, off, lo), d)
+    rhs = np.add(np.add(np.divide(np.multiply(alpha, v, b), dt, b), np.multiply(r, lap_p, lo), b),
+                 g, b)
+    if lo is None:
+        return diag, off[1:], off[:-1], rhs
+    lo[:-1] = off[1:]
+    return diag, lo[:-1], off[:-1], rhs
 
 
 def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None):
     """v' of a step on raw arrays; alpha_min is alpha's minimum and lap_p the
     divergence of grad_p.  If the system is not finite, the inputs are checked
-    in the order fields would be built, so NonFinite names field and index."""
-    diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx)
+    in the order fields would be built, so NonFinite names field and index.  With
+    work, the system is built in its rows, and afresh if _thomas returns None."""
+    args = alpha, r, g, v, lap_p, dt, params, dx
+    diag, lower, upper, rhs = _westervelt_system(*args, work and work.views)
     if not math.isfinite(np.dot(diag, rhs)):
         _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g),
                        ("FaceField", grad_p), ("NodeField", lap_p)))
-    last = float(lower[-1])  # -s_{n-1}; upper holds -s_0 .. -s_{n-2}
-    s_min, s_max = -max(float(upper.max()), last), -min(float(upper.min()), last)
+    last = float(lower[-1])  # -s_{n-1}; upper holds -s_0 .. -s_{n-2}; argmax stops at a nan
+    s_min, s_max = -max(upper.item(upper.argmax()), last), -min(upper.item(upper.argmin()), last)
     dominant = 0.0 <= s_min and alpha_min / dt > s_max - s_min + 2.0**-48 * s_max
-    return _thomas(diag, lower, upper, rhs, work, dominant)
+    x = _thomas(diag, lower, upper, rhs, work, dominant)
+    if x is None and work is not None:
+        x = _thomas(*_westervelt_system(*args), None, dominant)
+    return x

@@ -9,8 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 degeneracy abort,
 4 fixed-point divergence, 5 verification failure, 6 sound-speed floor
 violated, 7 cannot write outputs, 8 non-finite values (step and time on
-stderr).  Floats are printed with 17 significant digits so equal runs
-produce byte-identical files; negative zero is normalized on output.
+stderr), 9 out of memory.  Floats are printed with 17 significant digits so
+equal runs produce byte-identical files; negative zero is normalized on output.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ EXIT_VERIFY = 5
 EXIT_FLOOR = 6
 EXIT_OUTPUT = 7
 EXIT_NONFINITE = 8
+EXIT_MEMORY = 9
 
 
 def _fmt(value) -> str:
@@ -169,6 +170,7 @@ _FAILURES = (
     (FloorViolated, EXIT_FLOOR, "sound-speed floor violated"),
     (NonFinite, EXIT_NONFINITE, "non-finite values"),
     (OSError, EXIT_OUTPUT, "cannot write outputs"),  # --out or a file in it
+    (MemoryError, EXIT_MEMORY, "out of memory: lower grid.N or time.T or raise time.output_stride"),
 )
 # What str.splitlines() breaks at, printed as escapes so a failure stays one line.
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -204,7 +206,7 @@ def main(argv=None) -> int:
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         code, prefix = next((code, prefix) for kind, code, prefix in _FAILURES
                             if isinstance(exc, kind))
-        print(f"{prefix}: {exc}".translate(_LINE_BREAKS), file=sys.stderr)
+        print(": ".join(filter(None, (prefix, str(exc)))).translate(_LINE_BREAKS), file=sys.stderr)
         return code
 
 

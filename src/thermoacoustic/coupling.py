@@ -182,8 +182,10 @@ def compatibility_data(
 class _Workspace:
     """What the steps of one run share: the step settings dt, tol, max_iter and threshold
     (of gamma_bar), checked here once, dx, the thermal path (Fourier at tau = 0 unless
-    force_cattaneo; both read _cattaneo_weights), the dgtsv buffer and the heat operator
-    of _heat_matrix, factored once.  simulate builds one per run for every coupled_step."""
+    force_cattaneo; both read _cattaneo_weights), the heat operator of _heat_matrix,
+    factored once, and the LAPACK rows each iterate builds its systems in: gtsv for
+    _westervelt_system and heat_rhs, the operator's B row, for the thermal update (a
+    fallback gets a fresh build).  simulate builds one per run for every coupled_step."""
 
     def __init__(self, grid: Grid1D, dt, params, tol, max_iter, gamma_bar, force_cattaneo=False):
         _require("dt", _step_problem(dt))
@@ -191,10 +193,11 @@ class _Workspace:
         _require("max_iter", _count_problem(max_iter, 1))
         self.dt, self.tol, self.max_iter = dt, tol, max_iter
         self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
-        self.gtsv = _LapackBuffer(4, grid.N)
+        self.gtsv = _LapackBuffer(4, grid.N, views=True)
         self.w, self.eta = _cattaneo_weights(params, dt)
         self.threshold = _degeneracy_threshold(gamma_bar)
-        self.solve_heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta)).solve
+        heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta))
+        self.solve_heat, self.heat_rhs = heat.solve, heat.lu.buf[4]
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,9 @@ def coupled_step(
 
     The field boundary of the step: _picard iterates on raw arrays, and this
     picks the first iterate's coefficients, builds the accepted state's
-    fields and locates every error at the step.
+    fields and locates every error at the step.  p, v and theta skip the
+    fields' finiteness check: _picard proved them finite by a finite scale
+    or by _check_arrays.  q, alpha, r and g, which can overflow, keep it.
     """
     grid = state.grid
     ws = workspace or _Workspace(grid, dt, params, picard_tol, max_iter, gamma_bar)
@@ -279,8 +284,8 @@ def coupled_step(
         if accepted is None:
             raise PicardDiverged(step_index, step_time, len(distances), distances)
         p, v, theta, q = accepted
-        acoustic = ac.advanced(NodeField(grid, p), NodeField(grid, v), step_time)
-        thermal = th.advanced(NodeField(grid, theta), FaceField(grid, q), th.t + ws.dt)
+        acoustic = ac.advanced(NodeField._proven(grid, p), NodeField._proven(grid, v), step_time)
+        thermal = th.advanced(NodeField._proven(grid, theta), FaceField(grid, q), th.t + ws.dt)
         coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params))
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
@@ -321,9 +326,9 @@ def _picard(level, first, params, model, ws):
         p_new = p_n + dt * v_new
         f_next = _absorbed_power(params, v_new)
         if ws.fourier:
-            theta_new = _fourier_update(f_next, m_theta, ws.solve_heat)
+            theta_new = _fourier_update(f_next, m_theta, ws.solve_heat, ws.heat_rhs)
         else:
-            theta_new = _cattaneo_update(f_next, m_theta, w_div_q, ws.solve_heat)
+            theta_new = _cattaneo_update(f_next, m_theta, w_div_q, ws.solve_heat, ws.heat_rhs)
 
         diffs = (p_new - p_star, v_new - v_star, theta_new - theta_star)
         d = _l2(diffs[0], dx) + _l2(diffs[1], dx) + _l2(diffs[2], dx)

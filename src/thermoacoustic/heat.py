@@ -182,12 +182,14 @@ def _cattaneo_weights(params: PhysicalParams, dt: float) -> tuple[float, float]:
 
 # The raw updates below serve both the public steppers and the coupled
 # kernel.  m_theta = (m/dt) theta^n and w_div_q = w div q^n depend on the
-# time level only, so the kernel computes them once per step.
+# time level only, so the kernel computes them once per step.  It also gives
+# out, its operator's B row: the rhs is built there, or afresh if solve returns None.
 
 
-def _fourier_update(f: np.ndarray, m_theta: np.ndarray, solve) -> np.ndarray:
+def _fourier_update(f: np.ndarray, m_theta: np.ndarray, solve, out=None) -> np.ndarray:
     """theta^{n+1} of the Fourier step for the source f."""
-    return solve(f + m_theta)
+    x = solve(np.add(f, m_theta, out))
+    return x if x is not None else _fourier_update(f, m_theta, solve)
 
 
 def _fourier_flux(theta_new: np.ndarray, params: PhysicalParams, dx: float) -> np.ndarray:
@@ -195,12 +197,13 @@ def _fourier_flux(theta_new: np.ndarray, params: PhysicalParams, dx: float) -> n
     return -(params.kappa_a * _dirichlet_gradient(theta_new, dx))
 
 
-def _cattaneo_update(f: np.ndarray, m_theta: np.ndarray, w_div_q, solve) -> np.ndarray:
+def _cattaneo_update(f: np.ndarray, m_theta: np.ndarray, w_div_q, solve, out=None) -> np.ndarray:
     """theta^{n+1} of the Cattaneo step; w_div_q is None when w = 0."""
-    rhs = f + m_theta
+    rhs = np.add(f, m_theta, out)
     if w_div_q is not None:
-        rhs = rhs - w_div_q
-    return solve(rhs)
+        rhs = np.subtract(rhs, w_div_q, out)
+    x = solve(rhs)
+    return x if x is not None else _cattaneo_update(f, m_theta, w_div_q, solve)
 
 
 def _cattaneo_flux(

@@ -823,6 +823,25 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "time.snapshot_times[1]: falls on step 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, runner", [("simulate", "simulate"),
+                                                 ("limit-sweep", "tau_sweep")])
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.45 GiB for an array"],
+                             ids=["bare", "numpy"])
+    def test_memory_error_exits_9_naming_the_settings(
+        self, tmp_path, capsys, monkeypatch, command, runner, message
+    ):
+        # A run too large for memory ends in one stderr line naming the keys
+        # that size it, not in a traceback; nothing is allocated here.
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"thermoacoustic.cli.{runner}", out_of_memory)
+        code = main([command, "--config", str(CONFIG_DIR / "canonical.json"),
+                     "--out", str(tmp_path)])
+        assert code == 9
+        prefix = "out of memory: lower grid.N or time.T or raise time.output_stride"
+        assert capsys.readouterr().err == prefix + (f": {message}" if message else "") + "\n"
+
     def test_picard_divergence_exit_code(self, tmp_path, capsys):
         doc = sine_doc()
         doc["picard"] = {"tol": 1e-15, "max_iter": 1, "gamma_bar": 0.5}

@@ -672,6 +672,61 @@ def test_tau_zero_path_runs_its_own_update(monkeypatch, force_cattaneo):
     assert calls[f"{unused}_update"] == calls[f"{unused}_flux"] == 0
 
 
+def test_zero_run_solves_every_system_with_the_loop_on_its_own_bytes(monkeypatch):
+    # From the zero preset every solution is all zeros, so each acoustic and
+    # heat solve of the run (100 steps of 1 iterate) refuses LAPACK's result
+    # and runs the loop, which must get the bands and rhs that LAPACK
+    # overwrote built afresh.  The digests were recorded before the kernel
+    # built its systems in the LAPACK rows.
+    calls = []
+    loop = grid_mod._thomas_loop
+
+    def spy(*bands):
+        calls.append(len(bands[0]))
+        return loop(*bands)
+
+    monkeypatch.setattr(grid_mod, "_thomas_loop", spy)
+    run = simulate(replace(canonical_config(T=0.1), initial_data=InitialData(preset="zero")))
+    assert run.picard_iters_per_step == (1,) * 100
+    if grid_mod._GTSV is not None and grid_mod._GTTRF is not None:
+        assert calls == [128] * 200
+    assert _sha256(timeseries_csv(run)) == (
+        "0d7fde9bf29b6c290ccebbfe24c9b0e896dc8e98257fa86afb16922c8d18bffc"
+    )
+    digests = _run_digests(run)
+    assert digests["picard_distances_per_step"] == (
+        "1e3f9d150249e722ff4d48ff24018f38d86d0ff6b76f8b4f60354016489d4524"
+    )
+    assert digests["final_fields"] == (
+        "4f2cfec1c5dc3827cdeb42906713b37cae91e009aa0e2d211c376ccb9969b3ea"
+    )
+
+
+def test_accepted_p_v_theta_skip_the_field_check(monkeypatch):
+    # _picard has proven the accepted p, v and theta finite, so coupled_step
+    # builds them unchecked; each accepted step builds and checks only q
+    # (a FaceField) and the frozen alpha, r and g (NodeFields).
+    calls = Counter()
+    init = grid_mod._Field.__init__
+
+    def counting_init(self, grid, values):
+        calls[type(self).__name__] += 1
+        init(self, grid, values)
+
+    monkeypatch.setattr(grid_mod._Field, "__init__", counting_init)
+    config = canonical_config(T=0.01)
+    p0, p1, theta0, q0 = initial_fields(config, make_grid(config))
+    assemble_coefficients(theta0, p0, p1, config.speed_model, config.params)
+    setup = Counter(calls)
+    calls.clear()
+    run = simulate(config)
+    assert len(run.picard_iters_per_step) == 10
+    assert calls == setup + Counter(NodeField=3 * 10, FaceField=10)
+    state = run.final_state
+    assert all(type(f) is NodeField and f.grid is run.grid
+               for f in (state.acoustic.p, state.acoustic.v, state.thermal.theta))
+
+
 def _dense_lensing(T=0.05):
     return replace(lensing_config(), time=TimeConfig(T=T, dt=1e-3, output_stride=1))
 

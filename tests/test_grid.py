@@ -30,7 +30,7 @@ from thermoacoustic.grid import (
     laplacian_dirichlet,
     solve_tridiagonal,
 )
-from thermoacoustic.heat import _heat_matrix
+from thermoacoustic.heat import _cattaneo_update, _fourier_update, _heat_matrix
 from thermoacoustic.verification import unit_params
 
 
@@ -641,16 +641,17 @@ def _certified_system(alpha, r, g, v, lap_p, dt, dx, b):
 
 
 @st.composite
-def westervelt_inputs(draw):
+def westervelt_inputs(draw, n=None):
     """Raw inputs of a Westervelt solve over the whole float range.  dt, dx,
     b and the scale of r run from subnormal to near the float maximum; r
     varies by up to 16 decades across the nodes, may drop to (nearly) zero
     on a block, so s jumps, and is negative in half of the draws.  alpha's
     minimum sits on a node before the largest rise of s or anywhere, and
-    a/dt lies within 64 ulps of the certificate's threshold or anywhere."""
+    a/dt lies within 64 ulps of the certificate's threshold or anywhere.
+    n, when given, is the number of nodes."""
     with np.errstate(all="ignore"):
         magnitude = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
-        n = draw(st.integers(2, 64))
+        n = draw(st.integers(2, 64)) if n is None else n
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         dt, dx = draw(magnitude), draw(magnitude)
         b = draw(st.one_of(st.just(0.0), magnitude))
@@ -710,6 +711,98 @@ def test_uncertified_westervelt_systems_get_the_full_check(alpha, r, swapped):
     x, verdicts = _with_full_check(_thomas, *system)
     assert verdicts == [not swapped]
     assert x.tobytes() == _loop_reference(*system).tobytes()
+
+
+def _signed_zeros(draw, n):
+    """n entries of +0.0 or -0.0, as drawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), -0.0, 0.0)
+
+
+@st.composite
+def westervelt_pairs(draw):
+    """Two Westervelt inputs of one size, solved in a row.  Each keeps its
+    g, v and lap_p or, in about half the draws, replaces all three by one
+    pattern of signed zeros: the solution is then all zeros, whose signs
+    the loop takes from the bands, so dgtsv's result goes to the loop."""
+    n = draw(st.integers(2, 64))
+    pair = []
+    for _ in range(2):
+        alpha, r, g, v, lap_p, dt, dx, b = draw(westervelt_inputs(n))
+        if draw(st.booleans()):
+            g = v = lap_p = _signed_zeros(draw, n)
+        pair.append((alpha, r, g, v, lap_p, dt, dx, b))
+    return pair
+
+
+def _outcome(solve, *args):
+    """The bytes of solve(*args), or the message of its SingularSystem."""
+    try:
+        return solve(*args).tobytes()
+    except SingularSystem as exc:
+        return f"SingularSystem: {exc}"
+
+
+@given(westervelt_pairs())
+@settings(max_examples=300, deadline=None)
+def test_system_built_in_reused_rows_solves_like_a_fresh_one(pair):
+    # The kernel builds each system in the rows of one workspace buffer,
+    # which dgtsv overwrites; certified or not, and whether the loop takes
+    # over or not, each solve gives the bytes (or the SingularSystem) of
+    # _thomas on freshly built arrays, so nothing of a solve leaks into the
+    # next one and every fallback gets the untouched bands and rhs.
+    work = grid_mod._LapackBuffer(4, len(pair[0][0]), views=True)
+    with np.errstate(all="ignore"):
+        for alpha, r, g, v, lap_p, dt, dx, b in pair:
+            _, dominant = _certified_system(alpha, r, g, v, lap_p, dt, dx, b)
+            args = alpha, r, g, v, lap_p, dt, unit_params(b=b), dx
+            fresh = _outcome(lambda: _thomas(*_westervelt_system(*args), None, dominant))
+            reused = _outcome(_westervelt_solve, alpha, float(alpha.min()), r, g, v,
+                              np.zeros(len(r) + 1), lap_p, dt, unit_params(b=b), dx, work)
+            assert reused == fresh
+
+
+@st.composite
+def heat_rhs_pairs(draw):
+    """A heat operator and two (f, m_theta, w_div_q) of its size, solved in a
+    row; w_div_q is None (the Fourier update) in about half the draws, and
+    about half the right-hand sides are signed zeros, which the loop solves."""
+    n = draw(st.integers(2, 64))
+    magnitude = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+    params = replace(unit_params(), rho_a=draw(magnitude), W=draw(magnitude))
+    bands = _heat_matrix(Grid1D(draw(magnitude) * (n + 1), n), params, draw(magnitude),
+                         draw(magnitude))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            f = m_theta = _signed_zeros(draw, n)
+            w_div_q = None if draw(st.booleans()) else _signed_zeros(draw, n) * -1.0
+        else:
+            f, m_theta, w_div_q = (rng.standard_normal(n) * draw(magnitude) for _ in range(3))
+            w_div_q = None if draw(st.booleans()) else w_div_q
+        pair.append((f, m_theta, w_div_q))
+    return bands, pair
+
+
+@given(heat_rhs_pairs())
+@settings(max_examples=200, deadline=None)
+def test_heat_rhs_built_in_the_b_row_solves_like_a_fresh_one(case):
+    # The kernel's thermal update writes its rhs into the B row of the one
+    # factored operator of a run, which dgttrs overwrites; each solve gives
+    # the bytes of a fresh operator's solve of the same rhs, and a fallback
+    # gets that rhs untouched.
+    bands, pair = case
+    operator = grid_mod._FactoredTridiagonal(*bands)
+    for f, m_theta, w_div_q in pair:
+        fresh = grid_mod._FactoredTridiagonal(*bands).solve
+        if w_div_q is None:
+            reused = _fourier_update(f, m_theta, operator.solve, operator.lu.buf[4])
+            expected = fresh(f + m_theta)
+        else:
+            reused = _cattaneo_update(f, m_theta, w_div_q, operator.solve, operator.lu.buf[4])
+            expected = fresh(f + m_theta - w_div_q)
+        assert reused.tobytes() == expected.tobytes()
 
 
 @given(westervelt_inputs())
