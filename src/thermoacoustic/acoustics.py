@@ -195,34 +195,28 @@ def westervelt_linear_step(
 
 
 def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out=None):
-    """(diag, lower, upper, rhs) of the step's system for v', built by the ufuncs' third
-    argument in out (rows DL, D, DU, B of a _LapackBuffer(4, n)) or in fresh arrays (None)."""
-    lo, d, up, b = out or (None,) * 4
-    # off = -s to the bit (IEEE division is sign-symmetric), diag = a + 2 s; DL is scratch
+    """(diag, lower, upper, rhs) of the step's tridiagonal system for v', built by the
+    ufuncs' third argument in out (rows scratch, diag, off, rhs) or in fresh arrays (None)."""
+    tmp, d, up, b = out or (None,) * 4
+    # off = -s to the bit (IEEE division is sign-symmetric), diag = a + 2 s to the bit
     off = np.divide(np.add(np.multiply(dt, r, up), params.b, up), -(dx * dx), up)
-    diag = np.subtract(np.divide(alpha, dt, d), np.multiply(2.0, off, lo), d)
-    rhs = np.add(np.add(np.divide(np.multiply(alpha, v, b), dt, b), np.multiply(r, lap_p, lo), b),
+    diag = np.subtract(np.divide(alpha, dt, d), np.multiply(2.0, off, tmp), d)
+    rhs = np.add(np.add(np.divide(np.multiply(alpha, v, b), dt, b), np.multiply(r, lap_p, tmp), b),
                  g, b)
-    if lo is None:
-        return diag, off[1:], off[:-1], rhs
-    lo[:-1] = off[1:]
-    return diag, lo[:-1], off[:-1], rhs
+    return diag, off[1:], off[:-1], rhs
 
 
-def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None):
+def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None,
+                      out=None):
     """v' of a step on raw arrays; alpha_min is alpha's minimum and lap_p the
     divergence of grad_p.  If the system is not finite, the inputs are checked
-    in the order fields would be built, so NonFinite names field and index.  With
-    work, the system is built in its rows, and afresh if _thomas returns None."""
-    args = alpha, r, g, v, lap_p, dt, params, dx
-    diag, lower, upper, rhs = _westervelt_system(*args, work and work.views)
+    in the order fields would be built, so NonFinite names field and index.
+    work (a _LapackBuffer) and out (rows for _westervelt_system) save allocations."""
+    diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out)
     if not math.isfinite(np.dot(diag, rhs)):
         _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g),
                        ("FaceField", grad_p), ("NodeField", lap_p)))
     last = float(lower[-1])  # -s_{n-1}; upper holds -s_0 .. -s_{n-2}; argmax stops at a nan
     s_min, s_max = -max(upper.item(upper.argmax()), last), -min(upper.item(upper.argmin()), last)
     dominant = 0.0 <= s_min and alpha_min / dt > s_max - s_min + 2.0**-48 * s_max
-    x = _thomas(diag, lower, upper, rhs, work, dominant)
-    if x is None and work is not None:
-        x = _thomas(*_westervelt_system(*args), None, dominant)
-    return x
+    return _thomas(diag, lower, upper, rhs, work, dominant)

@@ -182,10 +182,10 @@ def compatibility_data(
 class _Workspace:
     """What the steps of one run share: the step settings dt, tol, max_iter and threshold
     (of gamma_bar), checked here once, dx, the thermal path (Fourier at tau = 0 unless
-    force_cattaneo; both read _cattaneo_weights), the heat operator of _heat_matrix,
-    factored once, and the LAPACK rows each iterate builds its systems in: gtsv for
-    _westervelt_system and heat_rhs, the operator's B row, for the thermal update (a
-    fallback gets a fresh build).  simulate builds one per run for every coupled_step."""
+    force_cattaneo; both read _cattaneo_weights), the dgtsv buffer, the heat operator of
+    _heat_matrix, factored once, and the scratch rows each iterate builds its systems in:
+    rows for _westervelt_system and heat_rhs for the thermal update.  The solves copy them
+    into LAPACK's rows, so a fallback reads them untouched.  simulate builds one per run."""
 
     def __init__(self, grid: Grid1D, dt, params, tol, max_iter, gamma_bar, force_cattaneo=False):
         _require("dt", _step_problem(dt))
@@ -193,11 +193,11 @@ class _Workspace:
         _require("max_iter", _count_problem(max_iter, 1))
         self.dt, self.tol, self.max_iter = dt, tol, max_iter
         self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
-        self.gtsv = _LapackBuffer(4, grid.N, views=True)
+        self.gtsv = _LapackBuffer(4, grid.N)
+        *self.rows, self.heat_rhs = np.empty((5, grid.N))
         self.w, self.eta = _cattaneo_weights(params, dt)
         self.threshold = _degeneracy_threshold(gamma_bar)
-        heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta))
-        self.solve_heat, self.heat_rhs = heat.solve, heat.lu.buf[4]
+        self.solve_heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta)).solve
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,7 @@ def _picard(level, first, params, model, ws):
             alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
         alpha_min = _guard_alpha(alpha, ws.threshold, ("NodeField", r), ("NodeField", g))
         v_new = _westervelt_solve(
-            alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv
+            alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv, ws.rows
         )
         p_new = p_n + dt * v_new
         f_next = _absorbed_power(params, v_new)

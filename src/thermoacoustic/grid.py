@@ -371,15 +371,14 @@ _ONE = ctypes.c_int64(1)  # NRHS; read, never written, by LAPACK
 
 class _LapackBuffer:
     """A (rows, n) LAPACK buffer whose first rows hold the bands lower, diag,
-    upper (LAPACK never reads the last entry of lower and upper), with int64 N
-    and INFO and a prebuilt c_void_p to each row, so a call converts no Python
-    int; reused across solves of one size; views=True keeps the rows as arrays."""
+    upper (the last entry of lower and upper stays 0), with int64 N and INFO
+    and a prebuilt c_void_p to each row, so a call converts no Python int;
+    reused across solves of one size."""
 
-    __slots__ = ("buf", "rows", "views", "size", "info")
+    __slots__ = ("buf", "rows", "size", "info")
 
-    def __init__(self, rows: int, n: int, views: bool = False) -> None:
+    def __init__(self, rows: int, n: int) -> None:
         self.buf = np.zeros((rows, n))
-        self.views = tuple(self.buf) if views else ()
         at = self.buf.ctypes.data
         self.rows = tuple(ctypes.c_void_p(at + 8 * n * k) for k in range(rows))
         self.size = ctypes.c_int64(n)
@@ -416,8 +415,14 @@ def _loop(diag, lower, upper, rhs) -> np.ndarray:
     return np.array(_thomas_loop(diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist()))
 
 
-def _thomas(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
-            work: _LapackBuffer | None = None, dominant: bool = False) -> np.ndarray | None:
+def _thomas(
+    diag: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    rhs: np.ndarray,
+    work: _LapackBuffer | None = None,
+    dominant: bool = False,
+) -> np.ndarray:
     """Solve the tridiagonal system (lower[i] on row i+1) into a fresh array.
 
     Without a row interchange dgtsv performs the IEEE operations of
@@ -429,29 +434,25 @@ def _thomas(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np.ndar
     bit.  dominant=True, from the Westervelt certificate of acoustics, skips
     checking the middle two.  Otherwise, and without the library, the loop
     runs and returns its result or raises SingularSystem.  work, a
-    _LapackBuffer(4, n), saves the allocations of a call.  If rhs is a row of
-    it, the system was built in its rows: nothing is copied, and since dgtsv
-    overwrites them, None comes back where the full check or the loop would
-    run, for the caller to solve a fresh build of the system.
+    _LapackBuffer(4, n), saves the allocations of a call.  The bands and rhs
+    are copied into its rows, which dgtsv overwrites, so the check and the
+    loop read the caller's arrays untouched, wherever they were built.
     """
     if _GTSV is not None:
+        n = diag.shape[0]
         fresh = work is None
         if fresh:
-            work = _LapackBuffer(4, diag.shape[0])
-        built = rhs.base is work.buf
-        if not built:
-            work.load_bands(diag, lower, upper)
-            work.buf[3] = rhs  # -> solution
+            work = _LapackBuffer(4, n)
+        work.load_bands(diag, lower, upper)
+        work.buf[3] = rhs  # -> solution
         _GTSV(work.size, _ONE, *work.rows, work.size, work.info)
         x = work.buf[3]
         if (
             work.info.value == 0
-            and (dominant or not built and _eliminated_like_loop(work.buf[1], diag, lower, upper))
+            and (dominant or _eliminated_like_loop(work.buf[1], diag, lower, upper))
             and _finite_nonzero(x)
         ):
             return x if fresh else x.copy()
-        if built:
-            return None
     return _loop(diag, lower, upper, rhs)
 
 
@@ -482,18 +483,14 @@ class _FactoredTridiagonal:
                 self.lu.buf[1], *self.bands
             )
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """The solution for rhs as a fresh array, or as _thomas None for rhs built in B."""
-        lu = self.lu
-        built = rhs.base is lu.buf
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution for rhs as a fresh array."""
         if self.factored:
-            if not built:
-                lu.buf[4] = rhs
+            lu = self.lu
+            lu.buf[4] = rhs
             _GTTRS(b"N", lu.size, _ONE, *self.ptrs, lu.size, lu.info, 1)
             if lu.info.value == 0 and _finite_nonzero(lu.buf[4]):
                 return lu.buf[4].copy()
-            if built:
-                return None
         return _loop(*self.bands, rhs)
 
 

@@ -182,14 +182,13 @@ def _cattaneo_weights(params: PhysicalParams, dt: float) -> tuple[float, float]:
 
 # The raw updates below serve both the public steppers and the coupled
 # kernel.  m_theta = (m/dt) theta^n and w_div_q = w div q^n depend on the
-# time level only, so the kernel computes them once per step.  It also gives
-# out, its operator's B row: the rhs is built there, or afresh if solve returns None.
+# time level only, so the kernel computes them once per step; it also gives
+# out, a scratch row of its workspace, which the rhs is built in.
 
 
 def _fourier_update(f: np.ndarray, m_theta: np.ndarray, solve, out=None) -> np.ndarray:
     """theta^{n+1} of the Fourier step for the source f."""
-    x = solve(np.add(f, m_theta, out))
-    return x if x is not None else _fourier_update(f, m_theta, solve)
+    return solve(np.add(f, m_theta, out))
 
 
 def _fourier_flux(theta_new: np.ndarray, params: PhysicalParams, dx: float) -> np.ndarray:
@@ -202,8 +201,7 @@ def _cattaneo_update(f: np.ndarray, m_theta: np.ndarray, w_div_q, solve, out=Non
     rhs = np.add(f, m_theta, out)
     if w_div_q is not None:
         rhs = np.subtract(rhs, w_div_q, out)
-    x = solve(rhs)
-    return x if x is not None else _cattaneo_update(f, m_theta, w_div_q, solve)
+    return solve(rhs)
 
 
 def _cattaneo_flux(

@@ -675,9 +675,10 @@ def test_tau_zero_path_runs_its_own_update(monkeypatch, force_cattaneo):
 def test_zero_run_solves_every_system_with_the_loop_on_its_own_bytes(monkeypatch):
     # From the zero preset every solution is all zeros, so each acoustic and
     # heat solve of the run (100 steps of 1 iterate) refuses LAPACK's result
-    # and runs the loop, which must get the bands and rhs that LAPACK
-    # overwrote built afresh.  The digests were recorded before the kernel
-    # built its systems in the LAPACK rows.
+    # and runs the loop, which must get the bands and rhs untouched: the
+    # kernel builds them in scratch rows, and LAPACK overwrites only its own
+    # copy.  The digests were recorded before the kernel built its systems
+    # in reused rows.
     calls = []
     loop = grid_mod._thomas_loop
 

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from thermoacoustic import acoustics as acoustics_mod
 from thermoacoustic import grid as grid_mod
 from thermoacoustic.acoustics import _westervelt_solve, _westervelt_system
+from thermoacoustic.coupling import _Workspace
 from thermoacoustic.grid import (
     FaceField,
     Grid1D,
@@ -746,61 +747,69 @@ def _outcome(solve, *args):
 @given(westervelt_pairs())
 @settings(max_examples=300, deadline=None)
 def test_system_built_in_reused_rows_solves_like_a_fresh_one(pair):
-    # The kernel builds each system in the rows of one workspace buffer,
-    # which dgtsv overwrites; certified or not, and whether the loop takes
-    # over or not, each solve gives the bytes (or the SingularSystem) of
-    # _thomas on freshly built arrays, so nothing of a solve leaks into the
-    # next one and every fallback gets the untouched bands and rhs.
-    work = grid_mod._LapackBuffer(4, len(pair[0][0]), views=True)
+    # The kernel builds each system in the scratch rows of its workspace and
+    # solves it through the workspace's dgtsv buffer, both reused by every
+    # iterate; certified or not, and whether the loop takes over or not, each
+    # solve gives the bytes (or the SingularSystem) of _thomas on freshly
+    # built arrays, so nothing of a solve leaks into the next one and every
+    # fallback gets the untouched bands and rhs.
+    n = len(pair[0][0])
+    ws = _Workspace(Grid1D(1.0, n), 1e-3, unit_params(), 1e-10, 25, 0.5)
     with np.errstate(all="ignore"):
         for alpha, r, g, v, lap_p, dt, dx, b in pair:
             _, dominant = _certified_system(alpha, r, g, v, lap_p, dt, dx, b)
             args = alpha, r, g, v, lap_p, dt, unit_params(b=b), dx
             fresh = _outcome(lambda: _thomas(*_westervelt_system(*args), None, dominant))
             reused = _outcome(_westervelt_solve, alpha, float(alpha.min()), r, g, v,
-                              np.zeros(len(r) + 1), lap_p, dt, unit_params(b=b), dx, work)
+                              np.zeros(n + 1), lap_p, dt, unit_params(b=b), dx, ws.gtsv, ws.rows)
             assert reused == fresh
 
 
 @st.composite
 def heat_rhs_pairs(draw):
-    """A heat operator and two (f, m_theta, w_div_q) of its size, solved in a
-    row; w_div_q is None (the Fourier update) in about half the draws, and
-    about half the right-hand sides are signed zeros, which the loop solves."""
+    """A kernel workspace, the bands of its heat operator and two (f, m_theta,
+    w_div_q) of its size, solved in a row; w_div_q is None (the Fourier
+    update) in about half the draws, and about half the right-hand sides are
+    signed zeros, which the loop solves; half of those get one spike in f,
+    up to 1e308, whose solution may overflow or decay to exact zeros, so the
+    loop solves a nonzero rhs."""
     n = draw(st.integers(2, 64))
     magnitude = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
-    params = replace(unit_params(), rho_a=draw(magnitude), W=draw(magnitude))
-    bands = _heat_matrix(Grid1D(draw(magnitude) * (n + 1), n), params, draw(magnitude),
-                         draw(magnitude))
+    params = replace(unit_params(tau=draw(magnitude)), rho_a=draw(magnitude), W=draw(magnitude))
+    grid, dt = Grid1D(draw(magnitude) * (n + 1), n), draw(magnitude)
+    ws = _Workspace(grid, dt, params, 1e-10, 25, 0.5)
+    bands = _heat_matrix(grid, params, dt, ws.eta)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pair = []
     for _ in range(2):
         if draw(st.booleans()):
             f = m_theta = _signed_zeros(draw, n)
             w_div_q = None if draw(st.booleans()) else _signed_zeros(draw, n) * -1.0
+            if draw(st.booleans()):
+                f = f.copy()
+                f[draw(st.integers(0, n - 1))] = draw(magnitude) * draw(st.sampled_from([1, 1e300]))
         else:
             f, m_theta, w_div_q = (rng.standard_normal(n) * draw(magnitude) for _ in range(3))
             w_div_q = None if draw(st.booleans()) else w_div_q
         pair.append((f, m_theta, w_div_q))
-    return bands, pair
+    return ws, bands, pair
 
 
 @given(heat_rhs_pairs())
 @settings(max_examples=200, deadline=None)
-def test_heat_rhs_built_in_the_b_row_solves_like_a_fresh_one(case):
-    # The kernel's thermal update writes its rhs into the B row of the one
-    # factored operator of a run, which dgttrs overwrites; each solve gives
-    # the bytes of a fresh operator's solve of the same rhs, and a fallback
-    # gets that rhs untouched.
-    bands, pair = case
-    operator = grid_mod._FactoredTridiagonal(*bands)
+def test_heat_rhs_built_in_a_reused_row_solves_like_a_fresh_one(case):
+    # The kernel's thermal update builds its rhs in one scratch row of the
+    # workspace, reused by every iterate, and solves it with the workspace's
+    # factored operator; each solve gives the bytes of a fresh operator's
+    # solve of a fresh rhs, and a fallback gets that rhs untouched.
+    ws, bands, pair = case
     for f, m_theta, w_div_q in pair:
         fresh = grid_mod._FactoredTridiagonal(*bands).solve
         if w_div_q is None:
-            reused = _fourier_update(f, m_theta, operator.solve, operator.lu.buf[4])
+            reused = _fourier_update(f, m_theta, ws.solve_heat, ws.heat_rhs)
             expected = fresh(f + m_theta)
         else:
-            reused = _cattaneo_update(f, m_theta, w_div_q, operator.solve, operator.lu.buf[4])
+            reused = _cattaneo_update(f, m_theta, w_div_q, ws.solve_heat, ws.heat_rhs)
             expected = fresh(f + m_theta - w_div_q)
         assert reused.tobytes() == expected.tobytes()
 
