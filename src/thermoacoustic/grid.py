@@ -370,24 +370,25 @@ _ONE = ctypes.c_int64(1)  # NRHS; read, never written, by LAPACK
 
 
 class _LapackBuffer:
-    """A (rows, n) LAPACK buffer whose first rows hold the bands lower, diag,
-    upper (the last entry of lower and upper stays 0), with int64 N and INFO
-    and a prebuilt c_void_p to each row, so a call converts no Python int;
-    reused across solves of one size."""
+    """A (rows, n) LAPACK buffer: bands lower, diag, upper in its first rows (the
+    last entry of lower and upper stays 0), rhs B in its last, kept as views dl,
+    d, du, b, with int64 N and INFO and a prebuilt c_void_p to each row, so a
+    call converts no Python int; reused across solves of one size."""
 
-    __slots__ = ("buf", "rows", "size", "info")
+    __slots__ = ("buf", "dl", "d", "du", "b", "rows", "size", "info")
 
     def __init__(self, rows: int, n: int) -> None:
-        self.buf = np.zeros((rows, n))
-        at = self.buf.ctypes.data
+        buf = self.buf = np.zeros((rows, n))
+        self.dl, self.d, self.du, self.b = buf[0, :-1], buf[1], buf[2, :-1], buf[-1]
+        at = buf.ctypes.data
         self.rows = tuple(ctypes.c_void_p(at + 8 * n * k) for k in range(rows))
         self.size = ctypes.c_int64(n)
         self.info = ctypes.c_int64(0)
 
     def load_bands(self, diag, lower, upper) -> None:
-        self.buf[0, :-1] = lower
-        self.buf[1] = diag
-        self.buf[2, :-1] = upper
+        self.dl[...] = lower  # kept views: indexing buf for each copy costs more than the copy
+        self.d[...] = diag
+        self.du[...] = upper
 
 
 def _eliminated_like_loop(u_diag: np.ndarray, diag, lower, upper) -> bool:
@@ -444,12 +445,12 @@ def _thomas(
         if fresh:
             work = _LapackBuffer(4, n)
         work.load_bands(diag, lower, upper)
-        work.buf[3] = rhs  # -> solution
+        work.b[...] = rhs  # -> solution
         _GTSV(work.size, _ONE, *work.rows, work.size, work.info)
-        x = work.buf[3]
+        x = work.b
         if (
             work.info.value == 0
-            and (dominant or _eliminated_like_loop(work.buf[1], diag, lower, upper))
+            and (dominant or _eliminated_like_loop(work.d, diag, lower, upper))
             and _finite_nonzero(x)
         ):
             return x if fresh else x.copy()
@@ -480,17 +481,17 @@ class _FactoredTridiagonal:
         if self.factored:
             _GTTRF(self.lu.size, *self.ptrs[:5], self.lu.info)
             self.factored = self.lu.info.value == 0 and _eliminated_like_loop(
-                self.lu.buf[1], *self.bands
+                self.lu.d, *self.bands
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution for rhs as a fresh array."""
         if self.factored:
             lu = self.lu
-            lu.buf[4] = rhs
+            lu.b[...] = rhs
             _GTTRS(b"N", lu.size, _ONE, *self.ptrs, lu.size, lu.info, 1)
-            if lu.info.value == 0 and _finite_nonzero(lu.buf[4]):
-                return lu.buf[4].copy()
+            if lu.info.value == 0 and _finite_nonzero(lu.b):
+                return lu.b.copy()
         return _loop(*self.bands, rhs)
 
 
