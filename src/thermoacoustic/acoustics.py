@@ -122,11 +122,15 @@ def assemble_coefficients(
     return _frozen(theta.grid, *_coefficients(theta.values, p.values, p_t.values, model, params))
 
 
-def _coefficients(theta, p, p_t, model, params):
-    """Raw (alpha, r, g) arrays of assemble_coefficients."""
-    h_vals = h_eval(model, theta)
-    k2 = 2.0 * _k_of_h(params, h_vals)
+def _coefficients(theta, p, p_t, model, params, run=None):
+    """Raw (alpha, r, g) arrays of assemble_coefficients; run, a constant h's (r, 2 k)."""
+    h_vals, k2 = run or _h_and_k2(theta, model, params)
     return 1.0 - k2 * p, h_vals, k2 * p_t * p_t
+
+
+def _h_and_k2(theta, model, params):
+    h_vals = h_eval(model, theta)
+    return h_vals, 2.0 * _k_of_h(params, h_vals)
 
 
 def _frozen(grid, alpha, r, g) -> FrozenCoefficients:
@@ -194,29 +198,35 @@ def westervelt_linear_step(
     return state.advanced(NodeField(grid, p + dt * v_new), NodeField(grid, v_new), state.t + dt)
 
 
-def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out=None):
-    """(diag, lower, upper, rhs) of the step's tridiagonal system for v', built by the
-    ufuncs' third argument in out (rows scratch, diag, off, rhs) or in fresh arrays (None)."""
+def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out=None, bands=None):
+    """(diag, lower, upper, rhs) of the step's system for v', built by the ufuncs' third argument
+    in out (rows scratch, diag, off, rhs) or fresh arrays (None); bands: r's _westervelt_bands."""
     tmp, d, up, b = out or (None,) * 4
-    # off = -s to the bit (IEEE division is sign-symmetric), diag = a + 2 s to the bit
-    off = np.divide(np.add(np.multiply(dt, r, up), params.b, up), -(dx * dx), up)
-    diag = np.subtract(np.divide(alpha, dt, d), np.multiply(2.0, off, tmp), d)
+    off, two_off, *_ = bands or _westervelt_bands(r, dt, params, dx, up, tmp)
+    diag = np.subtract(np.divide(alpha, dt, d), two_off, d)
     rhs = np.add(np.add(np.divide(np.multiply(alpha, v, b), dt, b), np.multiply(r, lap_p, tmp), b),
                  g, b)
     return diag, off[1:], off[:-1], rhs
 
 
+def _westervelt_bands(r, dt, params, dx, up=None, tmp=None):
+    """(off, 2 off, s_min, s_max) of the system, with off = -s to the bit (IEEE division is
+    sign-symmetric), so diag = a - 2 off = a + 2 s to the bit; argmax stops at a nan."""
+    off = np.divide(np.add(np.multiply(dt, r, up), params.b, up), -(dx * dx), up)
+    return off, np.multiply(2.0, off, tmp), -off.item(off.argmax()), -off.item(off.argmin())
+
+
 def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None,
-                      out=None):
+                      out=None, bands=None):
     """v' of a step on raw arrays; alpha_min is alpha's minimum and lap_p the
     divergence of grad_p.  If the system is not finite, the inputs are checked
     in the order fields would be built, so NonFinite names field and index.
-    work (a _LapackBuffer) and out (rows for _westervelt_system) save allocations."""
-    diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out)
-    if not math.isfinite(np.dot(diag, rhs)):
+    work (a _LapackBuffer), out (rows for _westervelt_system) and bands (of r) save work."""
+    tmp, _, up, _ = out or (None,) * 4
+    *_, s_min, s_max = bands = bands or _westervelt_bands(r, dt, params, dx, up, tmp)
+    diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out, bands)
+    if not math.isfinite(diag.dot(rhs)):
         _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g),
                        ("FaceField", grad_p), ("NodeField", lap_p)))
-    last = float(lower[-1])  # -s_{n-1}; upper holds -s_0 .. -s_{n-2}; argmax stops at a nan
-    s_min, s_max = -max(upper.item(upper.argmax()), last), -min(upper.item(upper.argmin()), last)
     dominant = 0.0 <= s_min and alpha_min / dt > s_max - s_min + 2.0**-48 * s_max
     return _thomas(diag, lower, upper, rhs, work, dominant)

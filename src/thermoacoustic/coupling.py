@@ -41,6 +41,8 @@ from .acoustics import (
     _degeneracy_threshold,
     _frozen,
     _guard_alpha,
+    _h_and_k2,
+    _westervelt_bands,
     _westervelt_solve,
     assemble_coefficients,
     check_nondegeneracy,
@@ -185,9 +187,12 @@ class _Workspace:
     force_cattaneo; both read _cattaneo_weights), the dgtsv buffer, the heat operator of
     _heat_matrix, factored once, and the scratch rows each iterate builds its systems in:
     rows for _westervelt_system and heat_rhs for the thermal update.  The solves copy them
-    into LAPACK's rows, so a fallback reads them untouched.  simulate builds one per run."""
+    into LAPACK's rows, so a fallback reads them untouched.  simulate builds one per run.
+    If model's h is a constant c >= h_floor > 0, 0 theta + c = c to the bit for finite theta:
+    run = (r, 2 k) and bands, r's _westervelt_bands, are then read-only run constants."""
 
-    def __init__(self, grid: Grid1D, dt, params, tol, max_iter, gamma_bar, force_cattaneo=False):
+    def __init__(self, grid: Grid1D, dt, params, tol, max_iter, gamma_bar, force_cattaneo=False,
+                 model=None):
         _require("dt", _step_problem(dt))
         _require("picard_tol", _tolerance_problem(tol))
         _require("max_iter", _count_problem(max_iter, 1))
@@ -198,6 +203,12 @@ class _Workspace:
         self.w, self.eta = _cattaneo_weights(params, dt)
         self.threshold = _degeneracy_threshold(gamma_bar)
         self.solve_heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta)).solve
+        self.run = self.bands = None
+        if model and len(model.coeffs) == 1 and 0.0 < model.h_floor <= model.coeffs[0]:
+            self.run = _h_and_k2(np.zeros(grid.N), model, params)
+            self.bands = _westervelt_bands(self.run[0], dt, params, grid.dx)
+            for constant in (*self.run, *self.bands[:2]):
+                constant.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -207,7 +218,8 @@ class CoupledState:
     coeffs_last are the frozen coefficients assembled from this state's
     fields (None for a state built by initial()).  coupled_step reuses them
     as the first iterate's coefficients of the next step, so it must be
-    called with the params and speed model that produced them.
+    called with the params and speed model that produced them.  With a
+    constant h, coeffs_last.r is the read-only run constant of every step.
     picard_distances_last are the successive Picard distances of the step
     that produced this state (empty for initial()).
     """
@@ -271,9 +283,10 @@ def coupled_step(
     fields and locates every error at the step.  p, v and theta skip the
     fields' finiteness check: _picard proved them finite by a finite scale
     or by _check_arrays.  q, alpha, r and g, which can overflow, keep it.
+    With a constant h, r is the workspace's read-only run constant.
     """
     grid = state.grid
-    ws = workspace or _Workspace(grid, dt, params, picard_tol, max_iter, gamma_bar)
+    ws = workspace or _Workspace(grid, dt, params, picard_tol, max_iter, gamma_bar, model=model)
     step_index, step_time = state.n + 1, state.t + ws.dt
     ac, th = state.acoustic, state.thermal
     try:
@@ -286,7 +299,7 @@ def coupled_step(
         p, v, theta, q = accepted
         acoustic = ac.advanced(NodeField._proven(grid, p), NodeField._proven(grid, v), step_time)
         thermal = th.advanced(NodeField._proven(grid, theta), FaceField(grid, q), th.t + ws.dt)
-        coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params))
+        coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params, ws.run))
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
 
@@ -302,7 +315,8 @@ def _picard(level, first, params, model, ws):
     guards run inside: the alpha_min threshold, and finiteness of the acoustic
     system (through one dot product) and of the Picard distance and scale.
     When one trips, the arrays are checked in the order in which validated
-    fields would have been built, so the error raised names the same field and index."""
+    fields would have been built, so the error raised names the same field and index.
+    A constant h's iterates take ws.run (from the 2nd) and ws.bands (if r is ws.run's)."""
     (p_n, v_n, theta_n, q_n), dx, dt = level, ws.dx, ws.dt
     # per time level: Lap_h p^n, (m/dt) theta^n and w div q^n
     grad_p_n = _dirichlet_gradient(p_n, dx)
@@ -318,10 +332,11 @@ def _picard(level, first, params, model, ws):
     distances: list[float] = []
     for i in range(ws.max_iter):
         if i:
-            alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params)
+            alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params, ws.run)
         alpha_min = _guard_alpha(alpha, ws.threshold, ("NodeField", r), ("NodeField", g))
         v_new = _westervelt_solve(
-            alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv, ws.rows
+            alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv, ws.rows,
+            ws.bands if ws.run and r is ws.run[0] else None,
         )
         p_new = p_n + dt * v_new
         f_next = _absorbed_power(params, v_new)
@@ -411,7 +426,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
     picard = config.picard
     workspace = _Workspace(grid, dt, params, picard.tol, picard.max_iter, picard.gamma_bar,
-                           force_cattaneo)
+                           force_cattaneo, model)
 
     xacc = XNormAccumulator(dt)
     reports, theta_series, p_series, v_series, snapshots = [], [], [], [], []

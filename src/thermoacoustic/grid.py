@@ -287,13 +287,13 @@ def interior_gradient(u: NodeField) -> np.ndarray:
 
 
 def _l2(values: np.ndarray, dx: float) -> float:
-    return math.sqrt(dx * float(np.dot(values, values)))
+    return math.sqrt(dx * float(values.dot(values)))
 
 
 def l2_inner(u: _Field, v: _Field) -> float:
     """dx-weighted Euclidean inner product of two same-kind, same-grid fields."""
     u._check_compatible(v)
-    return u.grid.dx * float(np.dot(u.values, v.values))
+    return u.grid.dx * float(u.values.dot(v.values))
 
 
 def l2_norm(u: _Field) -> float:

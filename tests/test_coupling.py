@@ -11,6 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from thermoacoustic import acoustics as acoustics_mod
 from thermoacoustic import coupling as coupling_mod
 from thermoacoustic import energy as energy_mod
 from thermoacoustic import grid as grid_mod
@@ -727,6 +728,132 @@ def test_accepted_p_v_theta_skip_the_field_check(monkeypatch):
     assert all(type(f) is NodeField and f.grid is run.grid
                for f in (state.acoustic.p, state.acoustic.v, state.thermal.theta))
 
+
+
+def _whole_run(run) -> dict:
+    """Everything a run returns, as bytes or exact reprs, for == comparisons."""
+    final = run.final_state
+    fields = (final.acoustic.p, final.acoustic.v, final.thermal.theta, final.thermal.q,
+              final.coeffs_last.alpha, final.coeffs_last.r, final.coeffs_last.g)
+    return {
+        "reports": repr(run.reports),
+        "timeseries_csv": timeseries_csv(run),
+        "series": [a.tobytes() for s in (run.theta_series, run.p_series, run.v_series) for a in s],
+        "snapshots": [(t, *(a.tobytes() for a in arrays)) for t, *arrays in run.snapshots],
+        "alpha_min_per_step": repr(run.alpha_min_per_step),
+        "picard_distances_per_step": repr(run.picard_distances_per_step),
+        "x_norms": repr(run.x_norms),
+        "final_fields": [f.values.tobytes() for f in fields],
+    }
+
+
+def _speed(c, *more):
+    return SpeedOfSoundModel(coeffs=(c, *more), h_floor=1.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+@pytest.mark.parametrize("tau, force_cattaneo", [(0.05, False), (0.0, False), (0.0, True)])
+def test_constant_h_run_constants_give_the_general_paths_bits(c, tau, force_cattaneo):
+    # coeffs (c,) takes r, 2 k and the Westervelt bands from the workspace;
+    # (c, 0.0) evaluates h = 0 theta + c on every iterate, which equals c to
+    # the bit for finite theta.  Every output must be the same, byte for byte.
+    config = replace(canonical_config(tau=tau, T=0.1), time=TimeConfig(
+        T=0.1, dt=1e-3, output_stride=10, snapshot_times=(0.05, 0.1)))
+    constant = simulate(replace(config, speed_model=_speed(c)), force_cattaneo=force_cattaneo)
+    general = simulate(replace(config, speed_model=_speed(c, 0.0)), force_cattaneo=force_cattaneo)
+    assert len(constant.snapshots) == 2
+    assert _whole_run(constant) == _whole_run(general)
+    assert not constant.final_state.coeffs_last.r.values.flags.writeable  # the run constant
+    assert general.final_state.coeffs_last.r.values.flags.writeable
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_constant_h_sweep_gives_the_general_paths_bits(c):
+    config = canonical_config(T=0.05)
+    constant = tau_sweep(replace(config, speed_model=_speed(c)), (0.1, 0.05))
+    general = tau_sweep(replace(config, speed_model=_speed(c, 0.0)), (0.1, 0.05))
+    for a, b in zip((constant.reference, *constant.members), (general.reference, *general.members)):
+        assert _whole_run(a) == _whole_run(b)
+    assert (constant.e_theta, constant.e_p, constant.e_pt) == (
+        general.e_theta, general.e_p, general.e_pt)
+    assert not constant.reference.final_state.coeffs_last.r.values.flags.writeable
+
+
+
+def test_hand_built_coefficients_keep_their_own_bands():
+    # The first iterate takes the Westervelt bands of the r it is handed;
+    # only the workspace's own run constant r may use the precomputed ones.
+    config = canonical_config(T=0.002)
+    picard, state = config.picard, simulate(config).final_state
+    c = state.coeffs_last
+    hand = replace(c, r=NodeField(c.r.grid, 2.0 * c.r.values))
+    models = (_speed(1.0), _speed(1.0, 0.0))
+    steps = [coupled_step(replace(state, coeffs_last=hand), 1e-3, picard.tol, picard.max_iter,
+                          picard.gamma_bar, config.params, model) for model in models]
+    fields = [[f.values.tobytes() for f in (s.acoustic.p, s.acoustic.v, s.thermal.theta)]
+              for s in steps]
+    assert fields[0] == fields[1]
+    assert steps[0].picard_distances_last == steps[1].picard_distances_last
+    assert not steps[0].coeffs_last.r.values.flags.writeable
+
+def _raw_sine(p0, p1, n=128):
+    mode = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    return InitialData(preset="raw", p0=tuple(p0 * mode), p1=tuple(p1 * mode),
+                       theta0=tuple(0.5 * mode), q0=(0.0,) * (n + 1))
+
+
+def _error(call):
+    try:
+        call()
+    except (Degenerate, FloorViolated) as exc:
+        return type(exc), str(exc), exc.step, exc.time
+    raise AssertionError("no error raised")
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+@pytest.mark.parametrize("p0, p1, step", [(0.75, 0.0, 0), (0.2, 10.0, None)])
+def test_constant_h_run_constants_keep_degenerate_where_it_was(c, p0, p1, step):
+    # amplitude 0.75 c fails the set-up check; a large initial velocity
+    # drives alpha below the margin inside a later step's Picard kernel.
+    config = replace(canonical_config(T=0.05), initial_data=_raw_sine(p0 * c, p1 * c))
+    constant = _error(lambda: simulate(replace(config, speed_model=_speed(c))))
+    assert constant == _error(lambda: simulate(replace(config, speed_model=_speed(c, 0.0))))
+    assert constant[0] is Degenerate
+    assert constant[2] == 0 if step == 0 else constant[2] > 1
+
+
+def test_constant_h_below_its_floor_keeps_its_located_floor_violation():
+    # A constant below h_floor takes the general path, so the first iterate
+    # that evaluates h raises, located at the step and the node as before.
+    config = canonical_config(T=0.002)
+    picard = config.picard
+    state = simulate(config).final_state
+    error = _error(lambda: coupled_step(state, 1e-3, picard.tol, picard.max_iter,
+                                        picard.gamma_bar, config.params,
+                                        SpeedOfSoundModel(coeffs=(0.5,), h_floor=1.0)))
+    assert error == (FloorViolated, "h(theta)=0.5 < h_floor=1 at step 3, t=0.003 for "
+                     "theta=0.0117795 at node index 0", 3, 0.003)
+
+
+def test_constant_h_is_evaluated_once_per_run(monkeypatch):
+    calls = []
+    h_eval = acoustics_mod.h_eval
+
+    def spy(model, theta):
+        calls.append(model.coeffs)
+        return h_eval(model, theta)
+
+    monkeypatch.setattr(acoustics_mod, "h_eval", spy)
+    for T in (0.1, 0.2):  # the set-up coefficients and the workspace's run constants
+        calls.clear()
+        run = simulate(canonical_config(T=T))
+        assert len(calls) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        run.final_state.coeffs_last.r.values[0] = 2.0
+    calls.clear()
+    lensing = simulate(replace(lensing_config(), time=TimeConfig(T=0.1, dt=1e-3)))
+    # the set-up, every iterate after the first and each accepted state
+    assert len(calls) == 1 + sum(lensing.picard_iters_per_step) > 100
 
 def _dense_lensing(T=0.05):
     return replace(lensing_config(), time=TimeConfig(T=T, dt=1e-3, output_stride=1))
