@@ -24,6 +24,7 @@ from thermoacoustic.grid import (
 )
 from thermoacoustic.heat import InsufficientHistory
 from thermoacoustic.model import FloorViolated, PhysicalParams, SpeedOfSoundModel
+from thermoacoustic.verification import manufactured_error
 
 
 def unit_params(b=1.0):
@@ -307,6 +308,30 @@ class TestWesterveltStep:
             for a in (float(alpha.values.min()), 1e300)
         ]
         assert steps[0] == steps[1]
+
+
+# The manufactured-solution errors as (N, dt, T, b, repr of the error): the
+# spatial studies at b = 1 and 2 and the temporal study, recorded before the
+# one-shot solve's buffer and the study's forcing were made cheaper.  Each
+# error is the end of thousands of public steps, so one changed bit anywhere
+# in the step shows here.
+_MANUFACTURED_ERRORS = [
+    (32, 1e-5, 0.1, 1.0, "3.194634445194347e-07"),
+    (64, 1e-5, 0.1, 1.0, "3.194634883794533e-07"),
+    (128, 1e-5, 0.1, 1.0, "3.1946347066071356e-07"),
+    (32, 1e-5, 0.1, 2.0, "1.4071117202697879e-05"),
+    (64, 1e-5, 0.1, 2.0, "3.3868443065673057e-06"),
+    (128, 1e-5, 0.1, 2.0, "6.187949299321545e-07"),
+    (256, 4e-3, 1.0, 1.0, "0.0004943659631200266"),
+    (256, 2e-3, 1.0, 1.0, "0.00024739091714810144"),
+    (256, 1e-3, 1.0, 1.0, "0.00012374752270023195"),
+]
+
+
+@pytest.mark.parametrize("N, dt, T, b, recorded", _MANUFACTURED_ERRORS)
+def test_manufactured_errors_keep_their_recorded_bits(N, dt, T, b, recorded):
+    assert repr(manufactured_error(N, dt, T, b)) == recorded
+
 
 class TestIdentityResidual:
     def test_zero_run(self):
