@@ -133,10 +133,11 @@ def _h_and_k2(theta, model, params):
     return h_vals, 2.0 * _k_of_h(params, h_vals)
 
 
-def _frozen(grid, alpha, r, g) -> FrozenCoefficients:
+def _frozen(grid, alpha, r, g, run=None) -> FrozenCoefficients:
+    """The fields of (alpha, r, g); r skips the check when it is the proven run[0] of a run."""
     return FrozenCoefficients(
         alpha=NodeField(grid, alpha),
-        r=NodeField(grid, r),
+        r=(NodeField._proven if run and r is run[0] else NodeField)(grid, r),
         g=NodeField(grid, g),
         alpha_min=float(np.minimum.reduce(alpha)),
     )
@@ -192,7 +193,7 @@ def westervelt_linear_step(
             state.p._check_compatible(field)
     grad_p = _dirichlet_gradient(p, grid.dx)
     v_new = _westervelt_solve(  # alpha's own minimum: a caller may build coeffs by hand
-        alpha, float(alpha.min()), coeffs.r.values, coeffs.g.values,
+        alpha, float(np.minimum.reduce(alpha)), coeffs.r.values, coeffs.g.values,
         state.v.values, grad_p, _difference_quotient(grad_p, grid.dx), dt, params, grid.dx,
     )
     return state.advanced(NodeField(grid, p + dt * v_new), NodeField(grid, v_new), state.t + dt)

@@ -187,9 +187,10 @@ class _Workspace:
     force_cattaneo; both read _cattaneo_weights), the dgtsv buffer, the heat operator of
     _heat_matrix, factored once, and the scratch rows each iterate builds its systems in:
     rows for _westervelt_system and heat_rhs for the thermal update.  The solves copy them
-    into LAPACK's rows, so a fallback reads them untouched.  simulate builds one per run.
-    If model's h is a constant c >= h_floor > 0, 0 theta + c = c to the bit for finite theta:
-    run = (r, 2 k) and bands, r's _westervelt_bands, are then read-only run constants."""
+    into LAPACK's rows, so a fallback reads them untouched.  simulate builds one per run, for
+    its params and model, which coupled_step then requires.  If model's h is a finite constant
+    c >= h_floor > 0, 0 theta + c = c to the bit for finite theta: run = (r, 2 k) and bands,
+    r's _westervelt_bands, are then read-only run constants, r proven finite."""
 
     def __init__(self, grid: Grid1D, dt, params, tol, max_iter, gamma_bar, force_cattaneo=False,
                  model=None):
@@ -197,6 +198,7 @@ class _Workspace:
         _require("picard_tol", _tolerance_problem(tol))
         _require("max_iter", _count_problem(max_iter, 1))
         self.dt, self.tol, self.max_iter = dt, tol, max_iter
+        self.params, self.model = params, model
         self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
         self.gtsv = _LapackBuffer(4, grid.N)
         *self.rows, self.heat_rhs = np.empty((5, grid.N))
@@ -204,7 +206,7 @@ class _Workspace:
         self.threshold = _degeneracy_threshold(gamma_bar)
         self.solve_heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta)).solve
         self.run = self.bands = None
-        if model and len(model.coeffs) == 1 and 0.0 < model.h_floor <= model.coeffs[0]:
+        if model and len(model.coeffs) == 1 and 0.0 < model.h_floor <= model.coeffs[0] < math.inf:
             self.run = _h_and_k2(np.zeros(grid.N), model, params)
             self.bands = _westervelt_bands(self.run[0], dt, params, grid.dx)
             for constant in (*self.run, *self.bands[:2]):
@@ -231,7 +233,7 @@ class CoupledState:
     picard_distances_last: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.acoustic.grid != self.thermal.grid:
+        if self.acoustic.grid is not self.thermal.grid and self.acoustic.grid != self.thermal.grid:
             raise ValueError("acoustic and thermal states must share the grid")
 
     @property
@@ -277,16 +279,21 @@ def coupled_step(
     workspace is the _Workspace that simulate builds once for a run, and the
     step reads dt and the Picard settings from it; without it the step builds
     its own, which checks those arguments and picks the path for params.tau.
+    A workspace built for other params or another model raises ValueError.
 
     The field boundary of the step: _picard iterates on raw arrays, and this
     picks the first iterate's coefficients, builds the accepted state's
     fields and locates every error at the step.  p, v and theta skip the
     fields' finiteness check: _picard proved them finite by a finite scale
-    or by _check_arrays.  q, alpha, r and g, which can overflow, keep it.
-    With a constant h, r is the workspace's read-only run constant.
+    or by _check_arrays.  q, alpha, r and g, which can overflow, keep it, except
+    a constant h's r: the workspace's read-only run constant, finite by construction.
     """
     grid = state.grid
     ws = workspace or _Workspace(grid, dt, params, picard_tol, max_iter, gamma_bar, model=model)
+    if params is not ws.params and params != ws.params:  # identity first: simulate's case
+        raise ValueError("coupled_step: the workspace was built for other params")
+    if model is not ws.model and model != ws.model:
+        raise ValueError("coupled_step: the workspace was built for another speed model")
     step_index, step_time = state.n + 1, state.t + ws.dt
     ac, th = state.acoustic, state.thermal
     try:
@@ -299,7 +306,7 @@ def coupled_step(
         p, v, theta, q = accepted
         acoustic = ac.advanced(NodeField._proven(grid, p), NodeField._proven(grid, v), step_time)
         thermal = th.advanced(NodeField._proven(grid, theta), FaceField(grid, q), th.t + ws.dt)
-        coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params, ws.run))
+        coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params, ws.run), ws.run)
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
 

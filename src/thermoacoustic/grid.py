@@ -369,19 +369,25 @@ _GTTRS = _lapack(
 _ONE = ctypes.c_int64(1)  # NRHS; read, never written, by LAPACK
 
 
+def _address(array: np.ndarray) -> int:
+    """The address of a C-contiguous array's first byte (numpy's ndarray.ctypes costs 1 us)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
 class _LapackBuffer:
     """A (rows, n) LAPACK buffer: bands lower, diag, upper in its first rows (the
     last entry of lower and upper stays 0), rhs B in its last, kept as views dl,
-    d, du, b, with int64 N and INFO and a prebuilt c_void_p to each row, so a
-    call converts no Python int; reused across solves of one size."""
+    d, du, b, with int64 N and INFO and a c_void_p to each row, 8 n bytes apart from
+    the buffer's _address, so a call converts no Python int and a one-shot buffer
+    costs little more than its allocation; reused across solves of one size."""
 
     __slots__ = ("buf", "dl", "d", "du", "b", "rows", "size", "info")
 
     def __init__(self, rows: int, n: int) -> None:
         buf = self.buf = np.zeros((rows, n))
         self.dl, self.d, self.du, self.b = buf[0, :-1], buf[1], buf[2, :-1], buf[-1]
-        at = buf.ctypes.data
-        self.rows = tuple(ctypes.c_void_p(at + 8 * n * k) for k in range(rows))
+        at = _address(buf)
+        self.rows = tuple(map(ctypes.c_void_p, range(at, at + 8 * n * rows, 8 * n)))
         self.size = ctypes.c_int64(n)
         self.info = ctypes.c_int64(0)
 
@@ -475,7 +481,7 @@ class _FactoredTridiagonal:
         self.lu = _LapackBuffer(5, n)  # rows: DL, D, DU, DU2, B
         self.ipiv = np.zeros(n, dtype=np.int64)
         # DL, D, DU, DU2, IPIV, B
-        self.ptrs = (*self.lu.rows[:4], ctypes.c_void_p(self.ipiv.ctypes.data), self.lu.rows[4])
+        self.ptrs = (*self.lu.rows[:4], ctypes.c_void_p(_address(self.ipiv)), self.lu.rows[4])
         self.lu.load_bands(diag, lower, upper)
         self.factored = _GTTRF is not None and _GTTRS is not None
         if self.factored:

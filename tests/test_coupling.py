@@ -707,7 +707,8 @@ def test_zero_run_solves_every_system_with_the_loop_on_its_own_bytes(monkeypatch
 def test_accepted_p_v_theta_skip_the_field_check(monkeypatch):
     # _picard has proven the accepted p, v and theta finite, so coupled_step
     # builds them unchecked; each accepted step builds and checks only q
-    # (a FaceField) and the frozen alpha, r and g (NodeFields).
+    # (a FaceField) and the frozen alpha and g (NodeFields): with a constant
+    # h the frozen r is the workspace's run constant, finite by construction.
     calls = Counter()
     init = grid_mod._Field.__init__
 
@@ -723,11 +724,61 @@ def test_accepted_p_v_theta_skip_the_field_check(monkeypatch):
     calls.clear()
     run = simulate(config)
     assert len(run.picard_iters_per_step) == 10
-    assert calls == setup + Counter(NodeField=3 * 10, FaceField=10)
+    assert calls == setup + Counter(NodeField=2 * 10, FaceField=10)
     state = run.final_state
     assert all(type(f) is NodeField and f.grid is run.grid
                for f in (state.acoustic.p, state.acoustic.v, state.thermal.theta))
 
+
+
+def test_constant_h_run_constant_is_not_checked_again(monkeypatch):
+    # The read-only r of a constant h's workspace is finite by construction,
+    # so the accepted states' frozen coefficients take it unchecked; every
+    # other field and array keeps its check.
+    checked = Counter()
+    require = grid_mod._require_finite
+
+    def spy(what, values):
+        checked[values.flags.writeable] += 1
+        require(what, values)
+
+    monkeypatch.setattr(grid_mod, "_require_finite", spy)
+    run = simulate(canonical_config(T=0.01))
+    assert not run.final_state.coeffs_last.r.values.flags.writeable
+    assert checked[False] == 0 and checked[True] > 0
+
+
+def test_frozen_r_is_checked_unless_it_is_the_run_constant():
+    # A polynomial h can overflow, so an r that is not the run's constant
+    # array keeps the fields' finiteness check, even one that holds its values.
+    grid, ones, bad = Grid1D(1.0, 4), np.ones(4), np.full(4, np.inf)
+    for run in (None, (bad.copy(), ones)):
+        with pytest.raises(NonFinite):
+            acoustics_mod._frozen(grid, ones, bad, ones, run)
+
+
+@pytest.mark.parametrize("other, named", [
+    ({"params": replace(canonical_config().params, b=2.0)}, "other params"),
+    ({"model": SpeedOfSoundModel((2.0,), 1.0)}, "another speed model"),
+], ids=["params", "model"])
+def test_a_workspace_built_for_another_medium_is_refused(other, named):
+    # The step reads the heat operator, the Cattaneo weights and a constant
+    # h's r from its workspace, so params and model must be those it was
+    # built for; equal copies are the same medium and step to the same bits.
+    config = canonical_config(T=0.01)
+    p0, p1, theta0, q0 = initial_fields(config, make_grid(config))
+    picard, medium = config.picard, {"params": config.params, "model": config.speed_model}
+    ws = coupling_mod._Workspace(make_grid(config), 1e-3, config.params, picard.tol,
+                                 picard.max_iter, picard.gamma_bar, model=config.speed_model)
+
+    def step(params, model):
+        return coupled_step(CoupledState.initial(p0, p1, theta0, q0), 1e-3, picard.tol,
+                            picard.max_iter, picard.gamma_bar, params, model, workspace=ws)
+
+    copies = {key: replace(value) for key, value in medium.items()}
+    assert _state_bytes(step(**copies)) == _state_bytes(step(**medium))
+    with pytest.raises(ValueError, match=f"^coupled_step: the workspace was built for {named}$"):
+        step(**{**medium, **other})
 
 
 def _whole_run(run) -> dict:

@@ -99,6 +99,23 @@ def test_no_import_inside_a_function(path):
     assert sorted(inner) == []
 
 
+def test_array_addresses_are_taken_in_one_helper():
+    # Reading numpy's ndarray.ctypes costs about 1 us, as much as the rest of
+    # a one-shot solve's set-up, so the package takes an array's address in
+    # grid._address alone, which does without it: no other code reads an
+    # attribute named ctypes or calls ctypes.addressof.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef) and function.name == "_address"
+                  for node in ast.walk(function)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("ctypes", "addressof")
+                  and id(node) not in helper]
+    assert found == []
+
+
 MAX_LINE = 100
 TESTS = Path(__file__).parent
 

@@ -447,6 +447,24 @@ class TestLapackPath:
             assert calls == [6]
 
 
+@pytest.mark.parametrize("rows", [4, 5])
+@pytest.mark.parametrize("n", [2, 128, 256])
+def test_lapack_buffer_rows_point_at_its_rows(rows, n):
+    # dgtsv and dgttrs read and write each row through its prebuilt pointer
+    work = grid_mod._LapackBuffer(rows, n)
+    assert [row.value for row in work.rows] == [
+        work.buf.ctypes.data + 8 * n * k for k in range(rows)
+    ]
+
+
+def test_factored_pivot_pointer_points_at_its_pivots():
+    lu = grid_mod._FactoredTridiagonal(np.full(8, 4.0), np.ones(7), np.ones(7))
+    # DL, D, DU, DU2, IPIV, B
+    assert [ptr.value for ptr in lu.ptrs] == [
+        *(row.value for row in lu.lu.rows[:4]), lu.ipiv.ctypes.data, lu.lu.rows[4].value
+    ]
+
+
 def _factored_solve(diag, lower, upper, rhs):
     """A solve as the heat stepper makes it: factored once when possible."""
     lu = grid_mod._FactoredTridiagonal(diag, lower, upper)
