@@ -222,7 +222,7 @@ def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, 
     """v' of a step on raw arrays; alpha_min is alpha's minimum and lap_p the
     divergence of grad_p.  If the system is not finite, the inputs are checked
     in the order fields would be built, so NonFinite names field and index.
-    work (a _LapackBuffer), out (rows for _westervelt_system) and bands (of r) save work."""
+    work (a _Tridiagonal), out (rows for _westervelt_system) and bands (of r) save work."""
     tmp, _, up, _ = out or (None,) * 4
     *_, s_min, s_max = bands = bands or _westervelt_bands(r, dt, params, dx, up, tmp)
     diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out, bands)

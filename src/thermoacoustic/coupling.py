@@ -57,13 +57,12 @@ from .grid import (
     _check_arrays,
     _difference_quotient,
     _dirichlet_gradient,
-    _FactoredTridiagonal,
-    _LapackBuffer,
     _l2,
     _count_problem,
     _require,
     _step_problem,
     _tolerance_problem,
+    _Tridiagonal,
     gradient_to_faces,
     l2_norm,  # not called here; perfbench/probes.py wraps it
     laplacian_dirichlet,
@@ -184,8 +183,8 @@ def compatibility_data(
 class _Workspace:
     """What the steps of one run share: the step settings dt, tol, max_iter and threshold
     (of gamma_bar), checked here once, dx, the thermal path (Fourier at tau = 0 unless
-    force_cattaneo; both read _cattaneo_weights), the dgtsv buffer, the heat operator of
-    _heat_matrix, factored once, and the scratch rows each iterate builds its systems in:
+    force_cattaneo; both read _cattaneo_weights), the _Tridiagonal gtsv, solve_heat of one
+    that factors _heat_matrix's operator once, and the rows each iterate builds its systems in:
     rows for _westervelt_system and heat_rhs for the thermal update.  The solves copy them
     into LAPACK's rows, so a fallback reads them untouched.  simulate builds one per run, for
     its params and model, which coupled_step then requires.  If model's h is a finite constant
@@ -200,11 +199,12 @@ class _Workspace:
         self.dt, self.tol, self.max_iter = dt, tol, max_iter
         self.params, self.model = params, model
         self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
-        self.gtsv = _LapackBuffer(4, grid.N)
+        self.gtsv = _Tridiagonal(grid.N)
         *self.rows, self.heat_rhs = np.empty((5, grid.N))
         self.w, self.eta = _cattaneo_weights(params, dt)
         self.threshold = _degeneracy_threshold(gamma_bar)
-        self.solve_heat = _FactoredTridiagonal(*_heat_matrix(grid, params, dt, self.eta)).solve
+        heat = _Tridiagonal(grid.N).factor(*_heat_matrix(grid, params, dt, self.eta))
+        self.solve_heat = heat.solve
         self.run = self.bands = None
         if model and len(model.coeffs) == 1 and 0.0 < model.h_floor <= model.coeffs[0] < math.inf:
             self.run = _h_and_k2(np.zeros(grid.N), model, params)

@@ -374,29 +374,6 @@ def _address(array: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
-class _LapackBuffer:
-    """A (rows, n) LAPACK buffer: bands lower, diag, upper in its first rows (the
-    last entry of lower and upper stays 0), rhs B in its last, kept as views dl,
-    d, du, b, with int64 N and INFO and a c_void_p to each row, 8 n bytes apart from
-    the buffer's _address, so a call converts no Python int and a one-shot buffer
-    costs little more than its allocation; reused across solves of one size."""
-
-    __slots__ = ("buf", "dl", "d", "du", "b", "rows", "size", "info")
-
-    def __init__(self, rows: int, n: int) -> None:
-        buf = self.buf = np.zeros((rows, n))
-        self.dl, self.d, self.du, self.b = buf[0, :-1], buf[1], buf[2, :-1], buf[-1]
-        at = _address(buf)
-        self.rows = tuple(map(ctypes.c_void_p, range(at, at + 8 * n * rows, 8 * n)))
-        self.size = ctypes.c_int64(n)
-        self.info = ctypes.c_int64(0)
-
-    def load_bands(self, diag, lower, upper) -> None:
-        self.dl[...] = lower  # kept views: indexing buf for each copy costs more than the copy
-        self.d[...] = diag
-        self.du[...] = upper
-
-
 def _eliminated_like_loop(u_diag: np.ndarray, diag, lower, upper) -> bool:
     """Whether an LU elimination of the matrix with these bands interchanged
     no row and left a U diagonal u_diag that passes the loop's _PIVOT_RTOL
@@ -422,83 +399,85 @@ def _loop(diag, lower, upper, rhs) -> np.ndarray:
     return np.array(_thomas_loop(diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist()))
 
 
-def _thomas(
-    diag: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    rhs: np.ndarray,
-    work: _LapackBuffer | None = None,
-    dominant: bool = False,
-) -> np.ndarray:
-    """Solve the tridiagonal system (lower[i] on row i+1) into a fresh array.
+class _Tridiagonal:
+    """A tridiagonal system of size n in one LAPACK buffer, with two drivers: solve_once
+    (dgtsv) for a matrix solved once, factor (dgttrf, once) and solve (dgttrs) for one kept.
 
-    Without a row interchange dgtsv performs the IEEE operations of
-    _thomas_loop, except that its back substitution also subtracts
-    0.0 * x[i+2], which can flip the sign of a zero entry or turn 0 * inf
-    into nan.  So its result is returned only when info is 0, no row was
-    interchanged, every pivot passes the loop's _PIVOT_RTOL row test and
-    every entry is finite and nonzero; it then equals the loop's bit for
-    bit.  dominant=True, from the Westervelt certificate of acoustics, skips
-    checking the middle two.  Otherwise, and without the library, the loop
-    runs and returns its result or raises SingularSystem.  work, a
-    _LapackBuffer(4, n), saves the allocations of a call.  The bands and rhs
-    are copied into its rows, which dgtsv overwrites, so the check and the
-    loop read the caller's arrays untouched, wherever they were built.
-    """
-    if _GTSV is not None:
-        n = diag.shape[0]
-        fresh = work is None
-        if fresh:
-            work = _LapackBuffer(4, n)
-        work.load_bands(diag, lower, upper)
-        work.b[...] = rhs  # -> solution
-        _GTSV(work.size, _ONE, *work.rows, work.size, work.info)
-        x = work.b
-        if (
-            work.info.value == 0
-            and (dominant or _eliminated_like_loop(work.d, diag, lower, upper))
-            and _finite_nonzero(x)
-        ):
-            return x if fresh else x.copy()
-    return _loop(diag, lower, upper, rhs)
-
-
-class _FactoredTridiagonal:
-    """A tridiagonal matrix factored once by dgttrf, for repeated dgttrs solves.
-
-    Without row interchange dgttrf and dgttrs perform the IEEE operations
-    of _thomas_loop (w = l/d, d - w*u, b - w*y, (y - u*x)/d), plus dgtsv's
-    0.0 * x[i+2] term.  ``factored`` says whether the routines exist and the
-    factorization interchanged no row and passes the loop's pivot test,
-    checked once here.  The loop is the one fallback: it solves every rhs
-    when ``factored`` is false (dgtsv would make the pivot decisions just
-    rejected), and each dgttrs solution that is not finite and nonzero.
+    The (6, n) buffer has rows DL, D, DU, DU2, IPIV (dgttrf's int64 pivots, never read
+    here) and B, views dl, d, du (last entries stay 0) and b, int64 N and INFO, and a
+    c_void_p to each row, 8 n bytes apart from its _address, so a call converts no
+    Python int.  The bands and rhs are copied into the rows, which LAPACK overwrites,
+    so the checks and the loop read the caller's arrays untouched.  Without a row
+    interchange LAPACK performs the IEEE operations of _thomas_loop (w = l/d, d - w*u,
+    b - w*y, (y - u*x)/d), except that its back substitution also subtracts
+    0.0 * x[i+2], which can flip the sign of a zero entry or turn 0 * inf into nan.  So
+    its result is returned only when info is 0, no row was interchanged, every pivot
+    passes the loop's _PIVOT_RTOL row test and every entry is finite and nonzero; it
+    then equals the loop's bit for bit.  Otherwise, and without the library, the loop
+    runs on the caller's bands and returns its result or raises SingularSystem.
     """
 
-    def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-        n = diag.shape[0]
+    __slots__ = ("buf", "dl", "d", "du", "b", "rows", "size", "info", "bands", "factored")
+
+    def __init__(self, n: int) -> None:
+        buf = self.buf = np.zeros((6, n))
+        self.dl, self.d, self.du, self.b = buf[0, :-1], buf[1], buf[2, :-1], buf[5]
+        at = _address(buf)
+        self.rows = tuple(map(ctypes.c_void_p, range(at, at + 48 * n, 8 * n)))
+        self.size = ctypes.c_int64(n)
+        self.info = ctypes.c_int64(0)
+
+    def _load(self, diag, lower, upper) -> None:
+        self.dl[...] = lower  # kept views: indexing buf for each copy costs more than the copy
+        self.d[...] = diag
+        self.du[...] = upper
+
+    def solve_once(self, diag, lower, upper, rhs, dominant=False) -> np.ndarray:
+        """The solution by dgtsv, as a view of b, or the loop's.  dominant=True,
+        from the Westervelt certificate of acoustics, skips the pivot checks.
+        dgtsv overwrites the factors, so a later solve runs the loop."""
+        self.factored = False
+        if _GTSV is not None:
+            self._load(diag, lower, upper)
+            self.b[...] = rhs  # -> solution
+            dl, d, du, _, _, b = self.rows
+            _GTSV(self.size, _ONE, dl, d, du, b, self.size, self.info)
+            if self.info.value == 0 and (
+                dominant or _eliminated_like_loop(self.d, diag, lower, upper)
+            ) and _finite_nonzero(self.b):
+                return self.b
+        return _loop(diag, lower, upper, rhs)
+
+    def factor(self, diag, lower, upper) -> "_Tridiagonal":
+        """Factor the matrix once by dgttrf; ``factored`` says whether the
+        routines exist and the factors passed the checks, made once here."""
         self.bands = (diag, lower, upper)
-        self.lu = _LapackBuffer(5, n)  # rows: DL, D, DU, DU2, B
-        self.ipiv = np.zeros(n, dtype=np.int64)
-        # DL, D, DU, DU2, IPIV, B
-        self.ptrs = (*self.lu.rows[:4], ctypes.c_void_p(_address(self.ipiv)), self.lu.rows[4])
-        self.lu.load_bands(diag, lower, upper)
+        self._load(diag, lower, upper)
         self.factored = _GTTRF is not None and _GTTRS is not None
         if self.factored:
-            _GTTRF(self.lu.size, *self.ptrs[:5], self.lu.info)
-            self.factored = self.lu.info.value == 0 and _eliminated_like_loop(
-                self.lu.d, *self.bands
-            )
+            _GTTRF(self.size, *self.rows[:5], self.info)
+            self.factored = self.info.value == 0 and _eliminated_like_loop(self.d, *self.bands)
+        return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for rhs as a fresh array."""
+        """The solution by dgttrs as a fresh array, or the loop's, which solves every
+        rhs while ``factored`` is false (dgtsv would repeat the pivots factor refused)."""
         if self.factored:
-            lu = self.lu
-            lu.b[...] = rhs
-            _GTTRS(b"N", lu.size, _ONE, *self.ptrs, lu.size, lu.info, 1)
-            if lu.info.value == 0 and _finite_nonzero(lu.b):
-                return lu.b.copy()
+            self.b[...] = rhs
+            _GTTRS(b"N", self.size, _ONE, *self.rows, self.size, self.info, 1)
+            if self.info.value == 0 and _finite_nonzero(self.b):
+                return self.b.copy()
         return _loop(*self.bands, rhs)
+
+
+def _thomas(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
+            work: _Tridiagonal | None = None, dominant: bool = False) -> np.ndarray:
+    """Solve the tridiagonal system (lower[i] on row i+1) into a fresh array by
+    _Tridiagonal.solve_once; work, a _Tridiagonal(n) reused across calls, saves
+    the allocations of a call."""
+    if work is None:
+        return _Tridiagonal(diag.shape[0]).solve_once(diag, lower, upper, rhs, dominant)
+    return work.solve_once(diag, lower, upper, rhs, dominant).copy()
 
 
 def solve_tridiagonal(diag, lower, upper, rhs: NodeField) -> NodeField:

@@ -78,7 +78,8 @@ class InvalidMode(ValueError):
 class _TimeLevels:
     """History ring of the state classes: up to _HISTORY_DEPTH levels
     (t, a, b) at uniform spacing, newest last.  The newest level is the
-    current state; subclasses name its fields a and b.
+    current state; subclasses name its fields a and b.  Spacings of stamps
+    t + dt may differ by one ulp of the newest stamp, which rounding makes.
     """
 
     history: tuple[tuple[float, _Field, _Field], ...]
@@ -88,7 +89,7 @@ class _TimeLevels:
         if len(h) > 1 and not (last := h[-1][0] - h[-2][0]) > 0.0:
             raise ValueError("history time stamps must be strictly increasing")
         for i in range(len(h) - 2):  # the steps before the last one
-            if abs(h[i + 1][0] - h[i][0] - last) > 1e-9 * abs(last):
+            if abs(h[i + 1][0] - h[i][0] - last) > 1e-9 * abs(last) + math.ulp(h[-1][0]):
                 raise ValueError("history time stamps must have constant spacing")
 
     @classmethod

@@ -116,6 +116,29 @@ def test_array_addresses_are_taken_in_one_helper():
     assert found == []
 
 
+def test_lapack_is_called_in_one_class():
+    # grid._Tridiagonal states once the buffer layout, the pointers and the
+    # checks that make LAPACK's result the loop's, so a new solver reuses it:
+    # no code outside its methods calls _GTSV, _GTTRF or _GTTRS.
+    routines = {"_GTSV", "_GTTRF", "_GTTRS"}
+    inside, outside = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "_Tridiagonal"
+                   for method in cls.body if isinstance(method, ast.FunctionDef)
+                   for node in ast.walk(method)}
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None))
+            if name in routines and id(node) in methods:
+                inside.add(name)
+            elif name in routines:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert inside == routines
+    assert outside == []
+
+
 MAX_LINE = 100
 TESTS = Path(__file__).parent
 

@@ -450,24 +450,18 @@ class TestLapackPath:
 @pytest.mark.parametrize("rows", [4, 5])
 @pytest.mark.parametrize("n", [2, 128, 256])
 def test_lapack_buffer_rows_point_at_its_rows(rows, n):
-    # dgtsv and dgttrs read and write each row through its prebuilt pointer
-    work = grid_mod._LapackBuffer(rows, n)
-    assert [row.value for row in work.rows] == [
-        work.buf.ctypes.data + 8 * n * k for k in range(rows)
-    ]
-
-
-def test_factored_pivot_pointer_points_at_its_pivots():
-    lu = grid_mod._FactoredTridiagonal(np.full(8, 4.0), np.ones(7), np.ones(7))
-    # DL, D, DU, DU2, IPIV, B
-    assert [ptr.value for ptr in lu.ptrs] == [
-        *(row.value for row in lu.lu.rows[:4]), lu.ipiv.ctypes.data, lu.lu.rows[4].value
-    ]
+    # LAPACK reads and writes each row through its prebuilt pointer: dgtsv 4
+    # rows of a fresh object (DL, D, DU, B), dgttrs 5 and IPIV of a factored
+    # one; all six pointers are checked either way
+    work = grid_mod._Tridiagonal(n)
+    if rows == 5:
+        assert work.factor(np.full(n, 4.0), np.ones(n - 1), np.ones(n - 1)) is work
+    assert [row.value for row in work.rows] == [work.buf.ctypes.data + 8 * n * k for k in range(6)]
 
 
 def _factored_solve(diag, lower, upper, rhs):
     """A solve as the heat stepper makes it: factored once when possible."""
-    lu = grid_mod._FactoredTridiagonal(diag, lower, upper)
+    lu = grid_mod._Tridiagonal(len(diag)).factor(diag, lower, upper)
     return lu.solve(rhs) if lu.factored else _thomas(diag, lower, upper, rhs)
 
 
@@ -490,7 +484,7 @@ def test_factored_solve_bytes_equal_loop_on_dominant_systems(system):
 
 
 class TestFactoredPath:
-    """_FactoredTridiagonal (dgttrf once, dgttrs per solve) against the loop."""
+    """_Tridiagonal.factor (dgttrf once) and solve (dgttrs per rhs) against the loop."""
 
     def _factors(self):
         return grid_mod._GTTRF is not None and grid_mod._GTTRS is not None
@@ -500,7 +494,7 @@ class TestFactoredPath:
         systems = [_dominant_system(rng, int(n), 100, 0.0) for n in rng.integers(2, 301, 50)]
         calls = _count_fallbacks(monkeypatch)
         for diag, lower, upper, _ in systems:
-            lu = grid_mod._FactoredTridiagonal(diag, lower, upper)
+            lu = grid_mod._Tridiagonal(len(diag)).factor(diag, lower, upper)
             assert lu.factored == self._factors()
             for _ in range(4):
                 rhs = rng.uniform(1.0, 2.0, diag.shape[0]) * rng.choice([-1.0, 1.0], diag.shape[0])
@@ -528,7 +522,7 @@ class TestFactoredPath:
         lower = np.array([3.0, 1.0, 1.0])
         upper = np.array([1.0, 1.0, 1.0])
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        assert not grid_mod._FactoredTridiagonal(diag, lower, upper).factored
+        assert not grid_mod._Tridiagonal(len(diag)).factor(diag, lower, upper).factored
         ref = _loop_reference(diag, lower, upper, rhs)
         assert _factored_solve(diag, lower, upper, rhs).tobytes() == ref.tobytes()
 
@@ -538,20 +532,20 @@ class TestFactoredPath:
         lower = np.array([3.0, 1.0, 1.0])
         upper = np.array([1.0, 1.0, 1.0])
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
-        lu = grid_mod._FactoredTridiagonal(diag, lower, upper)
+        lu = grid_mod._Tridiagonal(len(diag)).factor(diag, lower, upper)
         assert not lu.factored
         assert lu.solve(rhs).tobytes() == _loop_reference(diag, lower, upper, rhs).tobytes()
 
     def test_tiny_pivot_is_not_factored_and_stays_singular(self):
         diag = np.array([2.0, 0.5 + 2.0**-52])
-        assert not grid_mod._FactoredTridiagonal(diag, np.ones(1), np.ones(1)).factored
+        assert not grid_mod._Tridiagonal(len(diag)).factor(diag, np.ones(1), np.ones(1)).factored
         with pytest.raises(SingularSystem):
             _factored_solve(diag, np.ones(1), np.ones(1), np.ones(2))
 
 
 class TestFactoredPathWithoutGttrs(TestFactoredPath):
     """The same cases with dgttrf/dgttrs missing: no matrix is factored, so
-    every _FactoredTridiagonal solve goes through the loop."""
+    every _Tridiagonal.solve goes through the loop."""
 
     @pytest.fixture(autouse=True)
     def _no_gttrs(self, monkeypatch):
@@ -559,9 +553,19 @@ class TestFactoredPathWithoutGttrs(TestFactoredPath):
         monkeypatch.setattr(grid_mod, "_GTTRS", None)
 
 
+def test_one_shot_solve_leaves_no_stale_factors():
+    # solve_once overwrites the rows that dgttrf factored, so a later solve of
+    # the factored matrix must not run dgttrs on them
+    rng = np.random.default_rng(29)
+    kept, once = (_dominant_system(rng, 32, 10, 0.0) for _ in range(2))
+    lu = grid_mod._Tridiagonal(32).factor(*kept[:3])
+    assert lu.solve_once(*once).tobytes() == _loop_reference(*once).tobytes()
+    assert lu.solve(kept[3]).tobytes() == _loop_reference(*kept).tobytes()
+
+
 def test_reused_gtsv_buffer_gives_the_loop_bytes():
     rng = np.random.default_rng(23)
-    work = grid_mod._LapackBuffer(4, 64)
+    work = grid_mod._Tridiagonal(64)
     solutions = []
     for _ in range(20):
         system = _dominant_system(rng, 64, 30, 0.2, rhs_zero_share=0.1)
@@ -605,7 +609,7 @@ def test_run_matrices_never_meet_a_vanishing_pivot(systems):
     westervelt, heat = systems
     for system in (westervelt, heat):
         assert _thomas(*system).tobytes() == _loop_reference(*system).tobytes()
-    factored = grid_mod._FactoredTridiagonal(*heat[:3]).solve(heat[3])
+    factored = grid_mod._Tridiagonal(len(heat[0])).factor(*heat[:3]).solve(heat[3])
     assert factored.tobytes() == _loop_reference(*heat).tobytes()
 
 
@@ -631,7 +635,8 @@ def test_bands_near_the_float_maximum_meet_no_vanishing_pivot(system):
     # so a row sum above the float maximum is no vanishing pivot.
     ref = _loop_reference(*system).tobytes()
     assert _thomas(*system).tobytes() == ref
-    assert grid_mod._FactoredTridiagonal(*system[:3]).solve(system[3]).tobytes() == ref
+    factored = grid_mod._Tridiagonal(len(system[0])).factor(*system[:3])
+    assert factored.solve(system[3]).tobytes() == ref
 
 
 def _with_full_check(solve, *args):
@@ -822,7 +827,7 @@ def test_heat_rhs_built_in_a_reused_row_solves_like_a_fresh_one(case):
     # solve of a fresh rhs, and a fallback gets that rhs untouched.
     ws, bands, pair = case
     for f, m_theta, w_div_q in pair:
-        fresh = grid_mod._FactoredTridiagonal(*bands).solve
+        fresh = grid_mod._Tridiagonal(len(bands[0])).factor(*bands).solve
         if w_div_q is None:
             reused = _fourier_update(f, m_theta, ws.solve_heat, ws.heat_rhs)
             expected = fresh(f + m_theta)

@@ -269,6 +269,25 @@ class TestTimeDerivatives:
             state.advanced(a, b, 0.3)
 
     @RING_CLASSES
+    @pytest.mark.parametrize("start", [8191.9995, 16383.9995])
+    def test_stamps_by_t_plus_dt_across_a_power_of_two_accepted(self, cls, start):
+        # Past 8192 one ulp of t exceeds 1e-9 dt at dt = 1e-3, so t + dt can
+        # round two spacings further apart than the relative tolerance allows.
+        a, b = zero_level(cls, Grid1D(1.0, 16))
+        state = cls.initial(a, b, t=start)
+        for _ in range(4):
+            state = state.advanced(a, b, state.t + 1e-3)
+        assert state.t > start + 3e-3
+
+    @RING_CLASSES
+    def test_spacing_off_by_a_millionth_rejected_past_a_power_of_two(self, cls):
+        a, b = zero_level(cls, Grid1D(1.0, 16))
+        state = cls.initial(a, b, t=16383.9995)
+        state = state.advanced(a, b, state.t + 1e-3)
+        with pytest.raises(ValueError, match="constant spacing"):
+            state.advanced(a, b, state.t + 1e-3 * (1.0 + 1e-6))
+
+    @RING_CLASSES
     def test_nonincreasing_stamps_rejected(self, cls):
         a, b = zero_level(cls, Grid1D(1.0, 16))
         state = cls.initial(a, b, t=0.1)
