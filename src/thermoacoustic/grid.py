@@ -390,31 +390,38 @@ def _eliminated_like_loop(u_diag: np.ndarray, diag, lower, upper) -> bool:
     return np.count_nonzero(piv >= scale) == n
 
 
-def _finite_nonzero(x: np.ndarray) -> bool:
-    size = np.abs(x)  # argmin and argmax find its extremes, or its first nan
-    return 0.0 < size.item(size.argmin()) and size.item(size.argmax()) < math.inf
-
-
 def _loop(diag, lower, upper, rhs) -> np.ndarray:
     return np.array(_thomas_loop(diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist()))
 
 
-class _Tridiagonal:
-    """A tridiagonal system of size n in one LAPACK buffer, with two drivers: solve_once
-    (dgtsv) for a matrix solved once, factor (dgttrf, once) and solve (dgttrs) for one kept.
+def _lapack_or_loop(info, d, x, diag, lower, upper, rhs, checked) -> np.ndarray:
+    """A copy of x, LAPACK's solution with U diagonal d, if it stands for the loop's: info
+    is 0, the pivots were checked before (checked) or pass _eliminated_like_loop, and every
+    entry is finite and nonzero; else the loop's solution."""
+    if info.value == 0 and (checked or _eliminated_like_loop(d, diag, lower, upper)):
+        size = np.abs(x)  # argmin and argmax find its extremes, or its first nan
+        if 0.0 < size.item(size.argmin()) and size.item(size.argmax()) < math.inf:
+            return x.copy()
+    return _loop(diag, lower, upper, rhs)
 
-    The (6, n) buffer has rows DL, D, DU, DU2, IPIV (dgttrf's int64 pivots, never read
-    here) and B, views dl, d, du (last entries stay 0) and b, int64 N and INFO, and a
-    c_void_p to each row, 8 n bytes apart from its _address, so a call converts no
-    Python int.  The bands and rhs are copied into the rows, which LAPACK overwrites,
-    so the checks and the loop read the caller's arrays untouched.  Without a row
-    interchange LAPACK performs the IEEE operations of _thomas_loop (w = l/d, d - w*u,
-    b - w*y, (y - u*x)/d), except that its back substitution also subtracts
-    0.0 * x[i+2], which can flip the sign of a zero entry or turn 0 * inf into nan.  So
-    its result is returned only when info is 0, no row was interchanged, every pivot
-    passes the loop's _PIVOT_RTOL row test and every entry is finite and nonzero; it
-    then equals the loop's bit for bit.  Otherwise, and without the library, the loop
-    runs on the caller's bands and returns its result or raises SingularSystem.
+
+class _Tridiagonal:
+    """A tridiagonal system of size n in one LAPACK buffer, with two drivers: dgtsv for a
+    matrix solved once (solve_once, or solve_fresh without an object), and factor (dgttrf,
+    once) and solve (dgttrs) for one kept.
+
+    The (6, n) buffer has rows DL, D, DU, DU2, IPIV (dgttrf's int64 pivots, never read here)
+    and B, views dl, d, du (last entries stay 0) and b, int64 N and INFO, and a c_void_p to
+    each row, 8 n bytes apart from its _address, so a kept object's calls convert no Python
+    int.  solve_fresh packs DL, D, DU and B into 4 n - 2 floats and passes their addresses
+    as ints: for one call, that costs less than building pointers.  The bands and rhs are
+    copied into the rows, which LAPACK overwrites, so the checks and the loop read the
+    caller's arrays untouched.  Without a row interchange LAPACK performs the IEEE
+    operations of _thomas_loop (w = l/d, d - w*u, b - w*y, (y - u*x)/d), except that its
+    back substitution also subtracts 0.0 * x[i+2], which can flip the sign of a zero entry
+    or turn 0 * inf into nan, so _lapack_or_loop returns its result only where its checks
+    prove it the loop's, bit for bit.  Otherwise, and without the library, the loop runs on
+    the caller's bands and returns its result or raises SingularSystem.
     """
 
     __slots__ = ("buf", "dl", "d", "du", "b", "rows", "size", "info", "bands", "factored")
@@ -433,20 +440,29 @@ class _Tridiagonal:
         self.du[...] = upper
 
     def solve_once(self, diag, lower, upper, rhs, dominant=False) -> np.ndarray:
-        """The solution by dgtsv, as a view of b, or the loop's.  dominant=True,
+        """The solution by dgtsv, or the loop's, as an array of its own.  dominant=True,
         from the Westervelt certificate of acoustics, skips the pivot checks.
         dgtsv overwrites the factors, so a later solve runs the loop."""
         self.factored = False
-        if _GTSV is not None:
-            self._load(diag, lower, upper)
-            self.b[...] = rhs  # -> solution
-            dl, d, du, _, _, b = self.rows
-            _GTSV(self.size, _ONE, dl, d, du, b, self.size, self.info)
-            if self.info.value == 0 and (
-                dominant or _eliminated_like_loop(self.d, diag, lower, upper)
-            ) and _finite_nonzero(self.b):
-                return self.b
-        return _loop(diag, lower, upper, rhs)
+        if _GTSV is None:
+            return _loop(diag, lower, upper, rhs)
+        self._load(diag, lower, upper)
+        self.b[...] = rhs  # -> solution
+        dl, d, du, _, _, b = self.rows
+        _GTSV(self.size, _ONE, dl, d, du, b, self.size, self.info)
+        return _lapack_or_loop(self.info, self.d, self.b, diag, lower, upper, rhs, dominant)
+
+    @staticmethod
+    def solve_fresh(diag, lower, upper, rhs, dominant=False) -> np.ndarray:
+        """solve_once without an object."""
+        if _GTSV is None:
+            return _loop(diag, lower, upper, rhs)
+        n = diag.shape[0]
+        buf = np.concatenate((lower, diag, upper, rhs), dtype=float)  # B -> solution
+        at, size, info = _address(buf), ctypes.c_int64(n), ctypes.c_int64(0)
+        _GTSV(size, _ONE, at, at + 8 * n - 8, at + 16 * n - 8, at + 24 * n - 16, size, info)
+        return _lapack_or_loop(info, buf[n - 1:2 * n - 1], buf[3 * n - 2:],
+                               diag, lower, upper, rhs, dominant)
 
     def factor(self, diag, lower, upper) -> "_Tridiagonal":
         """Factor the matrix once by dgttrf; ``factored`` says whether the
@@ -460,24 +476,23 @@ class _Tridiagonal:
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution by dgttrs as a fresh array, or the loop's, which solves every
+        """The solution by dgttrs, or the loop's, which solves every
         rhs while ``factored`` is false (dgtsv would repeat the pivots factor refused)."""
-        if self.factored:
-            self.b[...] = rhs
-            _GTTRS(b"N", self.size, _ONE, *self.rows, self.size, self.info, 1)
-            if self.info.value == 0 and _finite_nonzero(self.b):
-                return self.b.copy()
-        return _loop(*self.bands, rhs)
+        if not self.factored:
+            return _loop(*self.bands, rhs)
+        self.b[...] = rhs
+        _GTTRS(b"N", self.size, _ONE, *self.rows, self.size, self.info, 1)
+        return _lapack_or_loop(self.info, self.d, self.b, *self.bands, rhs, True)
 
 
 def _thomas(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
             work: _Tridiagonal | None = None, dominant: bool = False) -> np.ndarray:
-    """Solve the tridiagonal system (lower[i] on row i+1) into a fresh array by
-    _Tridiagonal.solve_once; work, a _Tridiagonal(n) reused across calls, saves
-    the allocations of a call."""
+    """Solve the tridiagonal system (lower[i] on row i+1) into an array of its own: by
+    work.solve_once when the caller keeps work, a _Tridiagonal(n) reused across calls,
+    else by _Tridiagonal.solve_fresh."""
     if work is None:
-        return _Tridiagonal(diag.shape[0]).solve_once(diag, lower, upper, rhs, dominant)
-    return work.solve_once(diag, lower, upper, rhs, dominant).copy()
+        return _Tridiagonal.solve_fresh(diag, lower, upper, rhs, dominant)
+    return work.solve_once(diag, lower, upper, rhs, dominant)
 
 
 def solve_tridiagonal(diag, lower, upper, rhs: NodeField) -> NodeField:

@@ -267,6 +267,15 @@ def test_parseval_identities_on_random_grids(grid, data):
     assert abs(l2_norm(gradient_to_faces(u)) ** 2 - lam * l2_norm(u) ** 2) <= tol * top * L
 
 
+def _kept(diag, lower, upper, rhs, work=None, dominant=False):
+    """_thomas through a _Tridiagonal its caller keeps, as the coupled kernel solves;
+    _thomas without one makes a one-shot solve."""
+    return _thomas(diag, lower, upper, rhs, work or grid_mod._Tridiagonal(len(diag)), dominant)
+
+
+both_paths = pytest.mark.parametrize("solve", [_thomas, _kept], ids=["fresh", "kept"])
+
+
 class TestTridiagonal:
     def test_identity(self, grid64):
         rng = np.random.default_rng(1)
@@ -316,12 +325,13 @@ class TestTridiagonal:
             solve_tridiagonal(diag, np.ones(1), np.ones(1), rhs)
 
     @pytest.mark.parametrize("n", [1, 3])
-    def test_zero_first_pivot_is_singular(self, n):
+    @both_paths
+    def test_zero_first_pivot_is_singular(self, n, solve):
         # dgtsv interchanges rows (n = 3) or reports the zero pivot (n = 1), and
         # the loop that _thomas falls back to rejects row 0
         off = np.ones(n - 1)
         with pytest.raises(SingularSystem, match="row 0"):
-            _thomas(np.array([0.0] + [4.0] * (n - 1)), off, off, np.ones(n))
+            solve(np.array([0.0] + [4.0] * (n - 1)), off, off, np.ones(n))
 
 
 @pytest.mark.parametrize(
@@ -403,24 +413,25 @@ def test_missing_lapack_symbol_is_none():
     assert grid_mod._lapack("no_such_routine_64_", []) is None
 
 
+@both_paths
 class TestLapackPath:
     @given(dominant_systems())
     @settings(max_examples=150, deadline=None)
-    def test_bytes_equal_loop_on_dominant_systems(self, system):
-        assert _thomas(*system).tobytes() == _loop_reference(*system).tobytes()
+    def test_bytes_equal_loop_on_dominant_systems(self, solve, system):
+        assert solve(*system).tobytes() == _loop_reference(*system).tobytes()
 
     @needs_lapack
-    def test_dominant_systems_take_the_fast_path(self, monkeypatch):
+    def test_dominant_systems_take_the_fast_path(self, monkeypatch, solve):
         rng = np.random.default_rng(17)
         sizes = rng.integers(2, 301, 200)
         systems = [_dominant_system(rng, int(n), 100, 0.0) for n in sizes]
         expected = [_loop_reference(*sys_) for sys_ in systems]
         calls = _count_fallbacks(monkeypatch)
         for sys_, ref in zip(systems, expected):
-            assert _thomas(*sys_).tobytes() == ref.tobytes()
+            assert solve(*sys_).tobytes() == ref.tobytes()
         assert calls == []
 
-    def test_row_interchange_falls_back_to_loop(self, monkeypatch):
+    def test_row_interchange_falls_back_to_loop(self, monkeypatch, solve):
         # |diag[0]| < |lower[0]|: partial pivoting swaps rows 0 and 1, so
         # dgtsv's operations differ from the loop's.
         diag = np.array([1.0, 4.0, 4.0, 4.0])
@@ -429,11 +440,11 @@ class TestLapackPath:
         rhs = np.array([1.0, 2.0, 3.0, 4.0])
         ref = _loop_reference(diag, lower, upper, rhs)
         calls = _count_fallbacks(monkeypatch)
-        assert _thomas(diag, lower, upper, rhs).tobytes() == ref.tobytes()
+        assert solve(diag, lower, upper, rhs).tobytes() == ref.tobytes()
         if grid_mod._GTSV is not None:
             assert calls == [4]
 
-    def test_negative_zero_solution_falls_back_to_loop(self, monkeypatch):
+    def test_negative_zero_solution_falls_back_to_loop(self, monkeypatch, solve):
         # dgtsv's back substitution subtracts 0.0 * x[i+2], which turns the
         # loop's -0.0 entries into +0.0 here.
         diag = np.full(6, 4.0)
@@ -442,7 +453,7 @@ class TestLapackPath:
         ref = _loop_reference(diag, off, off, rhs)
         assert np.all(np.signbit(ref))
         calls = _count_fallbacks(monkeypatch)
-        assert _thomas(diag, off, off, rhs).tobytes() == ref.tobytes()
+        assert solve(diag, off, off, rhs).tobytes() == ref.tobytes()
         if grid_mod._GTSV is not None:
             assert calls == [6]
 
@@ -451,12 +462,47 @@ class TestLapackPath:
 @pytest.mark.parametrize("n", [2, 128, 256])
 def test_lapack_buffer_rows_point_at_its_rows(rows, n):
     # LAPACK reads and writes each row through its prebuilt pointer: dgtsv 4
-    # rows of a fresh object (DL, D, DU, B), dgttrs 5 and IPIV of a factored
+    # rows of a kept object (DL, D, DU, B), dgttrs 5 and IPIV of a factored
     # one; all six pointers are checked either way
     work = grid_mod._Tridiagonal(n)
     if rows == 5:
         assert work.factor(np.full(n, 4.0), np.ones(n - 1), np.ones(n - 1)) is work
     assert [row.value for row in work.rows] == [work.buf.ctypes.data + 8 * n * k for k in range(6)]
+
+
+@needs_lapack
+def test_one_shot_solve_builds_no_row_pointers(monkeypatch):
+    # A one-shot solve passes its row addresses to dgtsv as ints: for one call,
+    # converting them costs less than building a c_void_p per row, which only
+    # an object kept for many calls does.
+    built = []
+    pointer = grid_mod.ctypes.c_void_p
+
+    def spy(*args):
+        built.append(args)
+        return pointer(*args)
+
+    system = _dominant_system(np.random.default_rng(30), 64, 10, 0.0)
+    calls = _count_fallbacks(monkeypatch)
+    monkeypatch.setattr(grid_mod.ctypes, "c_void_p", spy)
+    assert _thomas(*system).tobytes() == _loop_reference(*system).tobytes()
+    assert (built, calls) == ([], [])
+    grid_mod._Tridiagonal(64)
+    assert len(built) == 6
+
+
+@pytest.mark.parametrize("path", ["fresh", "kept", "loop", "factored"])
+def test_solution_owns_its_floats(path):
+    # A solution kept for later, such as v in a stepper's history ring, holds
+    # its own n floats, not a view that keeps a LAPACK buffer alive.
+    diag, off = np.full(6, 4.0), np.full(5, -1.0)
+    rhs = np.full(6, -0.0) if path == "loop" else np.arange(1.0, 7.0)
+    if path == "factored":
+        x = grid_mod._Tridiagonal(6).factor(diag, off, off).solve(rhs)
+    else:
+        x = (_kept if path == "kept" else _thomas)(diag, off, off, rhs)
+    assert x.base is None and x.shape == (6,)
+    assert x.tobytes() == _loop_reference(diag, off, off, rhs).tobytes()
 
 
 def _factored_solve(diag, lower, upper, rhs):
@@ -478,6 +524,8 @@ def dominant_systems_with_zero_rhs(draw):
 @settings(max_examples=150, deadline=None)
 def test_factored_solve_bytes_equal_loop_on_dominant_systems(system):
     ref = _loop_reference(*system).tobytes()
+    for solve in (_thomas, _kept):
+        assert solve(*system).tobytes() == ref
     assert _factored_solve(*system).tobytes() == ref
     with mock.patch.object(grid_mod, "_GTTRF", None), mock.patch.object(grid_mod, "_GTTRS", None):
         assert _factored_solve(*system).tobytes() == ref
@@ -701,9 +749,10 @@ def westervelt_inputs(draw, n=None):
 
 
 @needs_lapack
+@both_paths
 @given(westervelt_inputs())
 @settings(max_examples=300, deadline=None)
-def test_certified_westervelt_systems_are_eliminated_like_the_loop(inputs):
+def test_certified_westervelt_systems_are_eliminated_like_the_loop(solve, inputs):
     # Whenever the certificate holds, dgtsv swaps no row and every pivot
     # passes the loop's test (the full check agrees), so a finite nonzero
     # dgtsv result is the loop's to the byte and the loop meets no
@@ -711,9 +760,9 @@ def test_certified_westervelt_systems_are_eliminated_like_the_loop(inputs):
     with np.errstate(all="ignore"):
         system, dominant = _certified_system(*inputs)
         if dominant:
-            x, verdicts = _with_full_check(_thomas, *system, None, True)
+            x, verdicts = _with_full_check(solve, *system, None, True)
             assert verdicts == []
-            assert _with_full_check(_thomas, *system)[1] == [True]
+            assert _with_full_check(solve, *system)[1] == [True]
             assert x.tobytes() == _loop_reference(*system).tobytes()
 
 
