@@ -134,11 +134,15 @@ def _h_and_k2(theta, model, params):
 
 
 def _frozen(grid, alpha, r, g, run=None) -> FrozenCoefficients:
-    """The fields of (alpha, r, g); r skips the check when it is the proven run[0] of a run."""
+    """The fields of (alpha, r, g) under one guard each: a non-finite entry of alpha or g
+    makes alpha.dot(g) non-finite, and one of r makes r.dot(r), which is skipped when r is
+    the proven run[0] of a run.  A tripped guard checks the three in field order."""
+    if not (math.isfinite(alpha.dot(g)) and (run and r is run[0] or math.isfinite(r.dot(r)))):
+        _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g)))
     return FrozenCoefficients(
-        alpha=NodeField(grid, alpha),
-        r=(NodeField._proven if run and r is run[0] else NodeField)(grid, r),
-        g=NodeField(grid, g),
+        alpha=NodeField._proven(grid, alpha),
+        r=NodeField._proven(grid, r),
+        g=NodeField._proven(grid, g),
         alpha_min=float(np.minimum.reduce(alpha)),
     )
 
@@ -184,6 +188,9 @@ def westervelt_linear_step(
     Plugging the returned pair back into the scheme equations leaves a
     residual at the 1e-9 * field-scale level (rounding of the tridiagonal
     solve; there is no consistency defect in the plugged-back equations).
+    One guard covers both returned fields: p' = p + dt v' with p finite and
+    dt positive and finite is finite only if v' is, so a finite p'.dot(p')
+    proves both; a tripped guard checks p', then v'.
     """
     if problem := _step_problem(dt):
         raise ValueError(f"dt {problem}")
@@ -196,7 +203,11 @@ def westervelt_linear_step(
         alpha, float(np.minimum.reduce(alpha)), coeffs.r.values, coeffs.g.values,
         state.v.values, grad_p, _difference_quotient(grad_p, grid.dx), dt, params, grid.dx,
     )
-    return state.advanced(NodeField(grid, p + dt * v_new), NodeField(grid, v_new), state.t + dt)
+    p_new = p + dt * v_new
+    if not math.isfinite(p_new.dot(p_new)):
+        _check_arrays((("NodeField", p_new), ("NodeField", v_new)))
+    return state.advanced(NodeField._proven(grid, p_new), NodeField._proven(grid, v_new),
+                          state.t + dt)
 
 
 def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out=None, bands=None):

@@ -181,11 +181,11 @@ def compatibility_data(
 
 
 class _Workspace:
-    """What the steps of one run share: the step settings dt, tol, max_iter and threshold
-    (of gamma_bar), checked here once, dx, the thermal path (Fourier at tau = 0 unless
-    force_cattaneo; both read _cattaneo_weights), the _Tridiagonal gtsv, solve_heat of one
-    that factors _heat_matrix's operator once, and the rows each iterate builds its systems in:
-    rows for _westervelt_system and heat_rhs for the thermal update.  The solves copy them
+    """What the steps of one run share: its grid, dx and the step settings dt, tol, max_iter
+    and gamma_bar with its threshold, checked here once, the thermal path (Fourier at tau = 0
+    unless force_cattaneo; both read _cattaneo_weights), the _Tridiagonal gtsv, solve_heat of
+    one that factors _heat_matrix's operator once, and the rows each iterate builds its systems
+    in: rows for _westervelt_system and heat_rhs for the thermal update.  The solves copy them
     into LAPACK's rows, so a fallback reads them untouched.  simulate builds one per run, for
     its params and model, which coupled_step then requires.  If model's h is a finite constant
     c >= h_floor > 0, 0 theta + c = c to the bit for finite theta: run = (r, 2 k) and bands,
@@ -196,8 +196,8 @@ class _Workspace:
         _require("dt", _step_problem(dt))
         _require("picard_tol", _tolerance_problem(tol))
         _require("max_iter", _count_problem(max_iter, 1))
-        self.dt, self.tol, self.max_iter = dt, tol, max_iter
-        self.params, self.model = params, model
+        self.dt, self.tol, self.max_iter, self.gamma_bar = dt, tol, max_iter, gamma_bar
+        self.grid, self.params, self.model = grid, params, model
         self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
         self.gtsv = _Tridiagonal(grid.N)
         *self.rows, self.heat_rhs = np.empty((5, grid.N))
@@ -279,14 +279,16 @@ def coupled_step(
     workspace is the _Workspace that simulate builds once for a run, and the
     step reads dt and the Picard settings from it; without it the step builds
     its own, which checks those arguments and picks the path for params.tau.
-    A workspace built for other params or another model raises ValueError.
+    A workspace built for other params, another model, another grid than the
+    state's or another dt, picard_tol, max_iter or gamma_bar raises ValueError.
 
     The field boundary of the step: _picard iterates on raw arrays, and this
     picks the first iterate's coefficients, builds the accepted state's
     fields and locates every error at the step.  p, v and theta skip the
     fields' finiteness check: _picard proved them finite by a finite scale
-    or by _check_arrays.  q, alpha, r and g, which can overflow, keep it, except
-    a constant h's r: the workspace's read-only run constant, finite by construction.
+    or by _check_arrays.  q, alpha, r and g, which can overflow, take one guard
+    each (q.dot(q) here, the rest in _frozen) and no field check; a constant
+    h's r, the workspace's read-only run constant, is finite by construction.
     """
     grid = state.grid
     ws = workspace or _Workspace(grid, dt, params, picard_tol, max_iter, gamma_bar, model=model)
@@ -294,6 +296,13 @@ def coupled_step(
         raise ValueError("coupled_step: the workspace was built for other params")
     if model is not ws.model and model != ws.model:
         raise ValueError("coupled_step: the workspace was built for another speed model")
+    for name, given, kept in (("dt", dt, ws.dt), ("picard_tol", picard_tol, ws.tol),
+                              ("max_iter", max_iter, ws.max_iter),
+                              ("gamma_bar", gamma_bar, ws.gamma_bar),
+                              ("state.grid", grid, ws.grid)):
+        if given is not kept and given != kept:
+            raise ValueError(f"coupled_step: the workspace was built for {name}={kept!r}, "
+                             f"got {given!r}")
     step_index, step_time = state.n + 1, state.t + ws.dt
     ac, th = state.acoustic, state.thermal
     try:
@@ -305,7 +314,10 @@ def coupled_step(
             raise PicardDiverged(step_index, step_time, len(distances), distances)
         p, v, theta, q = accepted
         acoustic = ac.advanced(NodeField._proven(grid, p), NodeField._proven(grid, v), step_time)
-        thermal = th.advanced(NodeField._proven(grid, theta), FaceField(grid, q), th.t + ws.dt)
+        if not math.isfinite(q.dot(q)):
+            _check_arrays((("FaceField", q),))
+        thermal = th.advanced(NodeField._proven(grid, theta), FaceField._proven(grid, q),
+                              th.t + ws.dt)
         coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params, ws.run), ws.run)
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None

@@ -485,6 +485,38 @@ class _Tridiagonal:
         return _lapack_or_loop(self.info, self.d, self.b, *self.bands, rhs, True)
 
 
+class _Blocks:
+    """Systems of sizes n_1..n_B joined into one block-diagonal tridiagonal system of size
+    n = sum(n_k) + B - 1, with a separator row between neighbouring blocks: diagonal 1, no
+    couplings and rhs 1, so it solves to 1 and each block's rows to their own solution, bit
+    for bit (the zero couplings subtract exact zeros).  A separator that solved to exactly 0
+    would send every solve to the loop, which _lapack_or_loop runs for any zero entry.
+
+    A node vector of the joined system holds block k at starts[k]:starts[k] + n_k, and its
+    n + 1 faces hold block k's n_k + 1 faces from starts[k] on, so the stencils of the grid
+    run on it with a separator node standing in for each block's boundary zero."""
+
+    __slots__ = ("sizes", "starts", "n", "separators")
+
+    def __init__(self, sizes) -> None:
+        self.sizes = tuple(sizes)
+        self.starts = np.cumsum((0, *(size + 1 for size in self.sizes[:-1])))
+        self.n = sum(self.sizes) + len(self.sizes) - 1
+        self.separators = self.starts[1:] - 1
+
+    def join(self, parts, fill: float = 0.0, extra: int = 0) -> np.ndarray:
+        """One array of the per-block arrays parts, each of its block's size plus extra
+        (-1 for a band, 1 for faces), and fill where no block lies."""
+        out = np.full(self.n + extra, fill)
+        for start, part in zip(self.starts, parts):
+            out[start:start + len(part)] = part
+        return out
+
+    def split(self, values: np.ndarray) -> list:
+        """The blocks of a joined node vector, as views."""
+        return [values[start:start + size] for start, size in zip(self.starts, self.sizes)]
+
+
 def _thomas(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
             work: _Tridiagonal | None = None, dominant: bool = False) -> np.ndarray:
     """Solve the tridiagonal system (lower[i] on row i+1) into an array of its own: by

@@ -3,6 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from thermoacoustic import acoustics as acoustics_mod
+from thermoacoustic import grid as grid_mod
+from thermoacoustic import verification as verification_mod
 from thermoacoustic.acoustics import (
     AcousticState,
     Degenerate,
@@ -331,6 +334,83 @@ _MANUFACTURED_ERRORS = [
 @pytest.mark.parametrize("N, dt, T, b, recorded", _MANUFACTURED_ERRORS)
 def test_manufactured_errors_keep_their_recorded_bits(N, dt, T, b, recorded):
     assert repr(manufactured_error(N, dt, T, b)) == recorded
+
+
+def test_spatial_batch_keeps_the_recorded_bits(monkeypatch):
+    # manufactured_spatial_orders reads the six spatial studies from one run
+    # of their blocks joined into one system, factored once: each error must
+    # equal the recorded repr of its own run of public steps, and no solve may
+    # fall back to the loop.  Another b runs as a batch of its own.
+    loops = []
+    loop = grid_mod._thomas_loop
+    monkeypatch.setattr(grid_mod, "_thomas_loop", lambda *bands: loops.append(1) or loop(*bands))
+    errors = verification_mod._spatial_errors.__wrapped__((1.0, 2.0))  # past the cache
+    recorded = {(N, b): error for N, dt, T, b, error in _MANUFACTURED_ERRORS if T == 0.1}
+    assert {case: repr(error) for case, error in errors.items()} == recorded
+    assert loops == []
+    other = verification_mod._spatial_errors.__wrapped__((3.0,))
+    assert sorted(other) == [(32, 3.0), (64, 3.0), (128, 3.0)]
+    assert repr(other[32, 3.0]) == repr(manufactured_error.__wrapped__(32, 1e-5, 0.1, 3.0))
+
+
+def _guarded_step(p, alpha, g):
+    """A public step on N = 4, L = 100 at dt = 1 with v = 0, r = 0 and b = 0,
+    so that v' solves diag(alpha) v' = g and p' = p + v'."""
+    grid = Grid1D(100.0, 4)
+    field = lambda values: NodeField(grid, np.array(values, dtype=float))  # noqa: E731
+    coeffs = FrozenCoefficients(field(alpha), field([0.0] * 4), field(g), min(alpha))
+    state = AcousticState.initial(field(p), grid.zero_node_field())
+    return westervelt_linear_step(state, coeffs, 1.0, unit_params(b=0.0))
+
+
+@pytest.mark.parametrize("p, alpha, g, index, loops", [
+    # v' is finite, p' = p + v' overflows
+    ([0.0, 1e308, 1e308, 0.0], [1.0] * 4, [1.0, 1.0, 1e308, 1.0], 2, 0),
+    # v' = g/alpha overflows: LAPACK's solution is refused and the loop's
+    # comes back non-finite, nan from its first entry on
+    ([0.0] * 4, [1.0, 1e-300, 1e-300, 1.0], [0.0, 1e300, -1e300, 0.0], 0, 1),
+], ids=["p_overflows", "loop_solution"])
+def test_one_guard_on_p_names_what_the_field_checks_named(monkeypatch, p, alpha, g, index, loops):
+    # One guard on p' covers both fields a public step returns; when it trips,
+    # p' and then v' are checked in the order their checked fields were built,
+    # so the error names the same field, first index and message.
+    calls = []
+    loop = grid_mod._thomas_loop
+    monkeypatch.setattr(grid_mod, "_thomas_loop", lambda *bands: calls.append(1) or loop(*bands))
+    with np.errstate(all="ignore"), pytest.raises(NonFinite) as err:
+        _guarded_step(p, alpha, g)
+    assert (err.value.what, err.value.index) == ("NodeField", index)
+    assert str(err.value) == f"NodeField contains non-finite entries (first at index {index})"
+    assert len(calls) == loops
+
+
+@pytest.mark.parametrize("bad, index", [("alpha", 1), ("r", 2), ("g", 3), ("all", 1)])
+def test_frozen_names_the_first_non_finite_coefficient(bad, index):
+    # alpha.dot(g) and r.dot(r) guard the three coefficients; a tripped guard
+    # checks alpha, r and g in field order, as their checked fields did.
+    grid = Grid1D(1.0, 4)
+    arrays = {name: np.ones(4) for name in ("alpha", "r", "g")}
+    for i, (name, value) in enumerate(zip(arrays, (np.nan, np.inf, -np.inf))):
+        if bad in (name, "all"):
+            arrays[name][i + 1] = value
+    with pytest.raises(NonFinite) as err:
+        acoustics_mod._frozen(grid, *arrays.values())
+    assert (err.value.what, err.value.index) == ("NodeField", index)
+    assert str(err.value) == f"NodeField contains non-finite entries (first at index {index})"
+
+
+def test_a_guard_tripped_by_the_overflow_of_its_dot_alone_lets_the_step_go_on():
+    # Entries near 1e200 are finite, but their dot product overflows: the
+    # check behind the guard finds no bad entry and the step returns.  numpy
+    # warns of the dot's overflow, which simulate's errstate silences.
+    with np.errstate(over="ignore"):
+        state = _guarded_step([1e200] * 4, [1.0] * 4, [0.0] * 4)
+        frozen = acoustics_mod._frozen(Grid1D(1.0, 4), np.full(4, 1e200), np.ones(4),
+                                       np.full(4, 1e200))
+        assert state.p.values.dot(state.p.values) == np.inf
+    assert np.isfinite(state.p.values).all() and np.isfinite(state.v.values).all()
+    assert state.p.values.tolist() == [1e200] * 4 and state.v.values.tolist() == [0.0] * 4
+    assert frozen.alpha_min == 1e200 and frozen.g.values.tolist() == [1e200] * 4
 
 
 class TestIdentityResidual:

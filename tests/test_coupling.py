@@ -706,9 +706,10 @@ def test_zero_run_solves_every_system_with_the_loop_on_its_own_bytes(monkeypatch
 
 def test_accepted_p_v_theta_skip_the_field_check(monkeypatch):
     # _picard has proven the accepted p, v and theta finite, so coupled_step
-    # builds them unchecked; each accepted step builds and checks only q
-    # (a FaceField) and the frozen alpha and g (NodeFields): with a constant
-    # h the frozen r is the workspace's run constant, finite by construction.
+    # builds them unchecked; q and the frozen alpha and g pass one scalar
+    # guard each and are built unchecked too: with a constant h the frozen r
+    # is the workspace's run constant, finite by construction.  So an
+    # accepted step builds no checked field at all.
     calls = Counter()
     init = grid_mod._Field.__init__
 
@@ -724,7 +725,7 @@ def test_accepted_p_v_theta_skip_the_field_check(monkeypatch):
     calls.clear()
     run = simulate(config)
     assert len(run.picard_iters_per_step) == 10
-    assert calls == setup + Counter(NodeField=2 * 10, FaceField=10)
+    assert calls == setup
     state = run.final_state
     assert all(type(f) is NodeField and f.grid is run.grid
                for f in (state.acoustic.p, state.acoustic.v, state.thermal.theta))
@@ -779,6 +780,92 @@ def test_a_workspace_built_for_another_medium_is_refused(other, named):
     assert _state_bytes(step(**copies)) == _state_bytes(step(**medium))
     with pytest.raises(ValueError, match=f"^coupled_step: the workspace was built for {named}$"):
         step(**{**medium, **other})
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("dt", 5e-3), ("picard_tol", 1e-8), ("max_iter", 3), ("gamma_bar", 0.25),
+    ("state.grid", Grid1D(1.0, 64)),
+], ids=["dt", "picard_tol", "max_iter", "gamma_bar", "grid"])
+def test_a_step_refuses_settings_its_workspace_was_not_built_for(argument, value):
+    # The step reads dt, the Picard settings and the grid's dx, rows and
+    # operators from its workspace, so the arguments must be the ones it was
+    # built for: another dt would step by the workspace's, and another grid
+    # would die in numpy's unnamed broadcast.  Equal copies are accepted and
+    # step to the same bits.
+    config = canonical_config(T=0.01)
+    grid, picard = make_grid(config), config.picard
+    state = CoupledState.initial(*initial_fields(config, grid))
+    ws = coupling_mod._Workspace(grid, 1e-3, config.params, picard.tol, picard.max_iter,
+                                 picard.gamma_bar, model=config.speed_model)
+    settings = {"dt": 1e-3, "picard_tol": picard.tol, "max_iter": picard.max_iter,
+                "gamma_bar": picard.gamma_bar}
+
+    def step(state, dt, picard_tol, max_iter, gamma_bar):
+        return coupled_step(state, dt, picard_tol, max_iter, gamma_bar, config.params,
+                            config.speed_model, workspace=ws)
+
+    copies = {key: float(repr(v)) if isinstance(v, float) else v for key, v in settings.items()}
+    assert _state_bytes(step(state, **copies)) == _state_bytes(step(state, **settings))
+    kept = {**settings, "state.grid": grid}[argument]
+    if argument == "state.grid":
+        other = replace(config, grid=replace(config.grid, N=value.N))
+        state = CoupledState.initial(*initial_fields(other, value))
+    else:
+        settings[argument] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"coupled_step: the workspace was built for {argument}={kept!r}, got {value!r}")):
+        step(state, **settings)
+
+
+def test_a_non_finite_flux_is_named_before_the_floor_of_h(monkeypatch):
+    # coupled_step guards q where it built q's checked field: after the
+    # acoustic ring's advance and before the accepted state's coefficients,
+    # whose h falls below its floor here.  So the NonFinite of q wins, with
+    # the field, index, step and message it had.
+    config = replace(lensing_config(), time=TimeConfig(T=0.01, dt=1e-3, output_stride=10))
+    grid = make_grid(config)
+    state = CoupledState.initial(*initial_fields(config, grid))
+    theta = np.full(grid.N, -5.0)  # h = 1 + 0.2 theta = 0 < h_floor = 0.5
+    q = np.zeros(grid.N + 1)
+    q[5] = np.inf
+    picard = config.picard
+
+    def step(flux):
+        monkeypatch.setattr(coupling_mod, "_picard", lambda *args: (
+            (state.acoustic.p.values, state.acoustic.v.values, theta, flux), [0.0]))
+        return coupled_step(state, 1e-3, picard.tol, picard.max_iter, picard.gamma_bar,
+                            config.params, config.speed_model)
+
+    with pytest.raises(FloorViolated):
+        step(np.zeros(grid.N + 1))
+    with pytest.raises(NonFinite) as err:
+        step(q)
+    assert (err.value.what, err.value.index, err.value.step) == ("FaceField", 5, 1)
+    assert str(err.value) == (
+        "FaceField contains non-finite entries (first at index 5) at step 1, t=0.001"
+    )
+
+
+@pytest.mark.parametrize("run, checked", [
+    (lambda: verification_mod.manufactured_error.__wrapped__(32, 1e-5, 0.1, 2.0), 3),
+    (lambda: simulate(canonical_config()), 5),
+    (lambda: simulate(lensing_config()), 5),
+], ids=["manufactured", "canonical", "lensing"])
+def test_a_run_checks_only_the_fields_it_sets_up(monkeypatch, run, checked):
+    # Every step proves what it returns finite by one scalar guard, so the
+    # fields' own check runs only on the fields a run sets up: the study's
+    # initial p, v and unit coefficient, and simulate's initial fields (its
+    # first coefficients pass _frozen's guard).
+    calls = []
+    init = grid_mod._Field.__init__
+
+    def counting_init(self, grid, values):
+        calls.append(1)
+        init(self, grid, values)
+
+    monkeypatch.setattr(grid_mod._Field, "__init__", counting_init)
+    run()
+    assert len(calls) == checked
 
 
 def _whole_run(run) -> dict:

@@ -505,6 +505,32 @@ def test_solution_owns_its_floats(path):
     assert x.tobytes() == _loop_reference(diag, off, off, rhs).tobytes()
 
 
+def test_joined_blocks_solve_each_block_to_its_own_bits(monkeypatch):
+    # Blocks joined with separator rows (diagonal 1, no couplings, rhs 1) and
+    # factored once solve each block to the bits of its own loop solve, and
+    # each separator to 1, so no solve falls back to the loop.  The faces of
+    # a joined node vector are the blocks' faces in order.
+    rng = np.random.default_rng(31)
+    blocks = grid_mod._Blocks((5, 2, 8))
+    assert (blocks.n, blocks.separators.tolist()) == (17, [5, 8])
+    faces = [np.full(n + 1, float(n)) for n in blocks.sizes]
+    assert blocks.join(faces, np.nan, extra=1).tolist() == np.concatenate(faces).tolist()
+    systems = [_dominant_system(rng, n, 10, 0.2) for n in blocks.sizes]
+    bands = (blocks.join([system[0] for system in systems], 1.0),
+             *(blocks.join([system[k] for system in systems], extra=-1) for k in (1, 2)))
+    assert bands[0][blocks.separators].tolist() == [1.0, 1.0]
+    calls = _count_fallbacks(monkeypatch)
+    lu = grid_mod._Tridiagonal(blocks.n).factor(*bands)
+    for _ in range(3):
+        rhs = [rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n) for n in blocks.sizes]
+        x = lu.solve(blocks.join(rhs, 1.0))
+        assert x[blocks.separators].tolist() == [1.0, 1.0]
+        for part, system, b in zip(blocks.split(x), systems, rhs):
+            assert part.tobytes() == _loop_reference(*system[:3], b).tobytes()
+    if grid_mod._GTTRF is not None:
+        assert lu.factored and calls == []
+
+
 def _factored_solve(diag, lower, upper, rhs):
     """A solve as the heat stepper makes it: factored once when possible."""
     lu = grid_mod._Tridiagonal(len(diag)).factor(diag, lower, upper)
