@@ -48,7 +48,7 @@ from .acoustics import (
     check_nondegeneracy,
     westervelt_linear_step,  # not called here; perfbench/probes.py wraps it
 )
-from .energy import _CHUNK_ENTRIES, EnergyReport, XNormAccumulator, _make_report, _Row, _Rows
+from .energy import EnergyReport, XNormAccumulator, _chunk_rows, _make_report, _Row, _Rows
 from .grid import (
     FaceField,
     Grid1D,
@@ -93,6 +93,7 @@ __all__ = [
     "CompatibilityData",
     "CoupledState",
     "SimulationResult",
+    "Stepper",
     "SweepResult",
     "compatibility_data",
     "coupled_step",
@@ -180,23 +181,24 @@ def compatibility_data(
     return CompatibilityData(p2=p2, theta1=theta1, q1=q1)
 
 
-class _Workspace:
-    """What the steps of one run share: its grid, dx and the step settings dt, tol, max_iter
-    and gamma_bar with its threshold, checked here once, the thermal path (Fourier at tau = 0
-    unless force_cattaneo; both read _cattaneo_weights), the _Tridiagonal gtsv, solve_heat of
-    one that factors _heat_matrix's operator once, and the rows each iterate builds its systems
-    in: rows for _westervelt_system and heat_rhs for the thermal update.  The solves copy them
-    into LAPACK's rows, so a fallback reads them untouched.  simulate builds one per run, for
-    its params and model, which coupled_step then requires.  If model's h is a finite constant
+class Stepper:
+    """What the steps of one run share, and the one holder of its settings: the grid, dx, params,
+    model and the step settings dt, tol, max_iter and gamma_bar's threshold, checked here once
+    (dt, picard_tol, max_iter, tau, then gamma_bar), the thermal path (Fourier at tau = 0 unless
+    force_cattaneo; both read _cattaneo_weights), the _Tridiagonal gtsv, solve_heat of one that
+    factors _heat_matrix's operator once, and the rows each iterate builds its systems in: rows
+    for _westervelt_system and heat_rhs for the thermal update.  The solves copy them into
+    LAPACK's rows, so a fallback reads them untouched, and a stepper serves any number of
+    coupled_step calls.  simulate builds one per run.  If model's h is a finite constant
     c >= h_floor > 0, 0 theta + c = c to the bit for finite theta: run = (r, 2 k) and bands,
     r's _westervelt_bands, are then read-only run constants, r proven finite."""
 
-    def __init__(self, grid: Grid1D, dt, params, tol, max_iter, gamma_bar, force_cattaneo=False,
-                 model=None):
+    def __init__(self, grid: Grid1D, dt, params, model, picard_tol, max_iter, gamma_bar,
+                 force_cattaneo=False):
         _require("dt", _step_problem(dt))
-        _require("picard_tol", _tolerance_problem(tol))
+        _require("picard_tol", _tolerance_problem(picard_tol))
         _require("max_iter", _count_problem(max_iter, 1))
-        self.dt, self.tol, self.max_iter, self.gamma_bar = dt, tol, max_iter, gamma_bar
+        self.dt, self.tol, self.max_iter = dt, picard_tol, max_iter
         self.grid, self.params, self.model = grid, params, model
         self.fourier, self.dx = params.tau == 0.0 and not force_cattaneo, grid.dx
         self.gtsv = _Tridiagonal(grid.N)
@@ -206,7 +208,7 @@ class _Workspace:
         heat = _Tridiagonal(grid.N).factor(*_heat_matrix(grid, params, dt, self.eta))
         self.solve_heat = heat.solve
         self.run = self.bands = None
-        if model and len(model.coeffs) == 1 and 0.0 < model.h_floor <= model.coeffs[0] < math.inf:
+        if len(model.coeffs) == 1 and 0.0 < model.h_floor <= model.coeffs[0] < math.inf:
             self.run = _h_and_k2(np.zeros(grid.N), model, params)
             self.bands = _westervelt_bands(self.run[0], dt, params, grid.dx)
             for constant in (*self.run, *self.bands[:2]):
@@ -219,9 +221,9 @@ class CoupledState:
 
     coeffs_last are the frozen coefficients assembled from this state's
     fields (None for a state built by initial()).  coupled_step reuses them
-    as the first iterate's coefficients of the next step, so it must be
-    called with the params and speed model that produced them.  With a
-    constant h, coeffs_last.r is the read-only run constant of every step.
+    as the first iterate's coefficients of the next step, so the Stepper it
+    is called with must hold the params and speed model that produced them.
+    With a constant h, coeffs_last.r is the Stepper's read-only run constant.
     picard_distances_last are the successive Picard distances of the step
     that produced this state (empty for initial()).
     """
@@ -264,23 +266,12 @@ class CoupledState:
         )
 
 
-def coupled_step(
-    state: CoupledState,
-    dt: float,
-    picard_tol: float,
-    max_iter: int,
-    gamma_bar: float,
-    params: PhysicalParams,
-    model: SpeedOfSoundModel,
-    workspace: _Workspace | None = None,
-) -> CoupledState:
+def coupled_step(state: CoupledState, stepper: Stepper) -> CoupledState:
     """Advance the coupled system one step by frozen-coefficient iteration.
 
-    workspace is the _Workspace that simulate builds once for a run, and the
-    step reads dt and the Picard settings from it; without it the step builds
-    its own, which checks those arguments and picks the path for params.tau.
-    A workspace built for other params, another model, another grid than the
-    state's or another dt, picard_tol, max_iter or gamma_bar raises ValueError.
+    stepper holds the run's settings, params and model, and its scratch rows;
+    simulate builds one per run, and a stepper serves any number of calls.  A
+    state on another grid than the stepper's raises ValueError.
 
     The field boundary of the step: _picard iterates on raw arrays, and this
     picks the first iterate's coefficients, builds the accepted state's
@@ -288,28 +279,18 @@ def coupled_step(
     fields' finiteness check: _picard proved them finite by a finite scale
     or by _check_arrays.  q, alpha, r and g, which can overflow, take one guard
     each (q.dot(q) here, the rest in _frozen) and no field check; a constant
-    h's r, the workspace's read-only run constant, is finite by construction.
+    h's r, the stepper's read-only run constant, is finite by construction.
     """
-    grid = state.grid
-    ws = workspace or _Workspace(grid, dt, params, picard_tol, max_iter, gamma_bar, model=model)
-    if params is not ws.params and params != ws.params:  # identity first: simulate's case
-        raise ValueError("coupled_step: the workspace was built for other params")
-    if model is not ws.model and model != ws.model:
-        raise ValueError("coupled_step: the workspace was built for another speed model")
-    for name, given, kept in (("dt", dt, ws.dt), ("picard_tol", picard_tol, ws.tol),
-                              ("max_iter", max_iter, ws.max_iter),
-                              ("gamma_bar", gamma_bar, ws.gamma_bar),
-                              ("state.grid", grid, ws.grid)):
-        if given is not kept and given != kept:
-            raise ValueError(f"coupled_step: the workspace was built for {name}={kept!r}, "
-                             f"got {given!r}")
-    step_index, step_time = state.n + 1, state.t + ws.dt
+    grid, params, model, run = state.grid, stepper.params, stepper.model, stepper.run
+    if grid is not stepper.grid and grid != stepper.grid:  # identity first: simulate's case
+        raise ValueError(f"coupled_step: the stepper was built for {stepper.grid!r}, "
+                         f"got a state on {grid!r}")
+    step_index, step_time = state.n + 1, state.t + stepper.dt
     ac, th = state.acoustic, state.thermal
     try:
         c = state.coeffs_last or assemble_coefficients(th.theta, ac.p, ac.v, model, params)
         level = ac.p.values, ac.v.values, th.theta.values, th.q.values
-        accepted, distances = _picard(level, (c.alpha.values, c.r.values, c.g.values),
-                                      params, model, ws)
+        accepted, distances = _picard(level, (c.alpha.values, c.r.values, c.g.values), stepper)
         if accepted is None:
             raise PicardDiverged(step_index, step_time, len(distances), distances)
         p, v, theta, q = accepted
@@ -317,8 +298,8 @@ def coupled_step(
         if not math.isfinite(q.dot(q)):
             _check_arrays((("FaceField", q),))
         thermal = th.advanced(NodeField._proven(grid, theta), FaceField._proven(grid, q),
-                              th.t + ws.dt)
-        coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params, ws.run), ws.run)
+                              th.t + stepper.dt)
+        coeffs = _frozen(grid, *_coefficients(theta, p, v, model, params, run), run)
     except (Degenerate, FloorViolated, NonFinite) as exc:
         raise exc.located(step_index, step_time) from None
 
@@ -326,43 +307,45 @@ def coupled_step(
                         picard_distances_last=tuple(distances))
 
 
-def _picard(level, first, params, model, ws):
+def _picard(level, first, stepper):
     """The Picard iterates of one step on raw arrays, from the time-n arrays
-    level = (p, v, theta, q), the first iterate's (alpha, r, g) and the step
-    settings of ws.  Returns the accepted (p, v, theta, q), or None when
-    ws.max_iter iterates did not converge, and the distances.  Only scalar
-    guards run inside: the alpha_min threshold, and finiteness of the acoustic
-    system (through one dot product) and of the Picard distance and scale.
-    When one trips, the arrays are checked in the order in which validated
-    fields would have been built, so the error raised names the same field and index.
-    A constant h's iterates take ws.run (from the 2nd) and ws.bands (if r is ws.run's)."""
-    (p_n, v_n, theta_n, q_n), dx, dt = level, ws.dx, ws.dt
+    level = (p, v, theta, q), the first iterate's (alpha, r, g) and the
+    stepper, whose params, model and settings it reads.  Returns the accepted
+    (p, v, theta, q), or None when stepper.max_iter iterates did not converge,
+    and the distances.  Only scalar guards run inside: the alpha_min threshold,
+    and finiteness of the acoustic system (through one dot product) and of the
+    Picard distance and scale.  When one trips, the arrays are checked in the
+    order in which validated fields would have been built, so the error raised
+    names the same field and index.  A constant h's iterates take stepper.run
+    (from the 2nd) and stepper.bands (if r is stepper.run's)."""
+    (p_n, v_n, theta_n, q_n), dx, dt, params = level, stepper.dx, stepper.dt, stepper.params
+    run, solve_heat, heat_rhs = stepper.run, stepper.solve_heat, stepper.heat_rhs
     # per time level: Lap_h p^n, (m/dt) theta^n and w div q^n
     grad_p_n = _dirichlet_gradient(p_n, dx)
     lap_p_n = _difference_quotient(grad_p_n, dx)
     m_theta = (params.m / dt) * theta_n
-    w_div_q = ws.w * _difference_quotient(q_n, dx) if ws.w != 0.0 else None
+    w_div_q = stepper.w * _difference_quotient(q_n, dx) if stepper.w != 0.0 else None
 
     def flux(theta_new):
-        return (_fourier_flux(theta_new, params, dx) if ws.fourier
-                else _cattaneo_flux(theta_new, q_n, ws.w, ws.eta, dx))
+        return (_fourier_flux(theta_new, params, dx) if stepper.fourier
+                else _cattaneo_flux(theta_new, q_n, stepper.w, stepper.eta, dx))
     p_star, v_star, theta_star = p_n, v_n, theta_n
     alpha, r, g = first
     distances: list[float] = []
-    for i in range(ws.max_iter):
+    for i in range(stepper.max_iter):
         if i:
-            alpha, r, g = _coefficients(theta_star, p_star, v_star, model, params, ws.run)
-        alpha_min = _guard_alpha(alpha, ws.threshold, ("NodeField", r), ("NodeField", g))
+            alpha, r, g = _coefficients(theta_star, p_star, v_star, stepper.model, params, run)
+        alpha_min = _guard_alpha(alpha, stepper.threshold, ("NodeField", r), ("NodeField", g))
         v_new = _westervelt_solve(
-            alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, ws.gtsv, ws.rows,
-            ws.bands if ws.run and r is ws.run[0] else None,
+            alpha, alpha_min, r, g, v_n, grad_p_n, lap_p_n, dt, params, dx, stepper.gtsv,
+            stepper.rows, stepper.bands if run and r is run[0] else None,
         )
         p_new = p_n + dt * v_new
         f_next = _absorbed_power(params, v_new)
-        if ws.fourier:
-            theta_new = _fourier_update(f_next, m_theta, ws.solve_heat, ws.heat_rhs)
+        if stepper.fourier:
+            theta_new = _fourier_update(f_next, m_theta, solve_heat, heat_rhs)
         else:
-            theta_new = _cattaneo_update(f_next, m_theta, w_div_q, ws.solve_heat, ws.heat_rhs)
+            theta_new = _cattaneo_update(f_next, m_theta, w_div_q, solve_heat, heat_rhs)
 
         diffs = (p_new - p_star, v_new - v_star, theta_new - theta_star)
         d = _l2(diffs[0], dx) + _l2(diffs[1], dx) + _l2(diffs[2], dx)
@@ -375,7 +358,7 @@ def _picard(level, first, params, model, ws):
             ))
         distances.append(d)
         p_star, v_star, theta_star = p_new, v_new, theta_new
-        if d <= ws.tol * (1.0 + scale):
+        if d <= stepper.tol * (1.0 + scale):
             return (p_new, v_new, theta_new, flux(theta_new)), distances
     return None, distances
 
@@ -444,8 +427,8 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
         raise exc.located(0, 0.0) from None
     state = replace(CoupledState.initial(p0, p1, theta0, q0), coeffs_last=coeffs)
     picard = config.picard
-    workspace = _Workspace(grid, dt, params, picard.tol, picard.max_iter, picard.gamma_bar,
-                           force_cattaneo, model)
+    stepper = Stepper(grid, dt, params, model, picard.tol, picard.max_iter, picard.gamma_bar,
+                      force_cattaneo)
 
     xacc = XNormAccumulator(dt)
     reports, theta_series, p_series, v_series, snapshots = [], [], [], [], []
@@ -474,7 +457,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
                     xacc.accumulate_step(s.acoustic, s.thermal, rows, i)
                 if i in outs:
                     row = xacc.sample_output(s.acoustic, s.thermal, _Row(rows, i))
-                    reports.append(_make_report(s, coeffs_prev, row.f, params, row))
+                    reports.append(_make_report(s, coeffs_prev, params, row))
                     theta_series.append(s.thermal.theta.values.copy())
                     p_series.append(s.acoustic.p.values.copy())
                     v_series.append(s.acoustic.v.values.copy())
@@ -485,12 +468,11 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
                 snapshots.append(_snapshot(s, grid))
         chunk.clear()
 
-    chunk_rows = max(1, _CHUNK_ENTRIES // grid.N)
+    chunk_rows = _chunk_rows(grid)
     for n in range(n_steps + 1):
         if n >= 1:
             try:
-                state = coupled_step(state, dt, picard.tol, picard.max_iter, picard.gamma_bar,
-                                     params, model, workspace=workspace)
+                state = coupled_step(state, stepper)
             except Exception:
                 if chunk:  # an error in an earlier step's diagnostics wins
                     flush()

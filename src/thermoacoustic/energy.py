@@ -95,7 +95,12 @@ __all__ = [
 ]
 
 _SPATIAL_DIM = 1  # fixes the 4/(4-d) exponent below
-_CHUNK_ENTRIES = 4096  # a chunk pass stacks max(1, _CHUNK_ENTRIES // N) rows
+_CHUNK_ENTRIES = 4096  # the entries a chunk pass stacks, at most (one row at least)
+
+
+def _chunk_rows(grid) -> int:
+    """How many steps one chunk pass of the diagnostics stacks on grid."""
+    return max(1, _CHUNK_ENTRIES // grid.N)
 
 
 def _stencils(u: np.ndarray, dx: float, order: int):
@@ -320,11 +325,11 @@ class _Row:
         return abs(lhs - rhs)
 
 
-def _make_report(state, coeffs_prev: FrozenCoefficients | None, f_next: np.ndarray | None,
-                 params: PhysicalParams, row: _Row) -> EnergyReport:
+def _make_report(state, coeffs_prev: FrozenCoefficients | None, params: PhysicalParams,
+                 row: _Row) -> EnergyReport:
     """The report of the output row of a coupling.CoupledState, read from
     its _Row of the chunk pass, which holds the inner products with
-    coeffs_prev and f_next; a non-finite column re-checks the row's arrays."""
+    coeffs_prev and its source row.f; a non-finite column re-checks the row's arrays."""
     th, ac, coeffs = state.thermal, state.acoustic, state.coeffs_last
     e, d = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
     for k in range(min(th.depth, 3)):  # order k needs k + 1 stored levels
@@ -333,9 +338,9 @@ def _make_report(state, coeffs_prev: FrozenCoefficients | None, f_next: np.ndarr
     ac_e1, ac_e2, ac_e3, ac_total = row.acoustic(params)
     lam = frak_f = heat_res = ac_res = 0.0
     built = ()
-    if coeffs_prev is not None:  # every row but step 0's, which has no f_next either
+    if coeffs_prev is not None:  # every row but step 0's, which has no row.f either
         # the fields the report's own functions built: Q(v), grad g, grad p_prev
-        built = ((f_next, 0, None), (coeffs.g.values, 1, None), (ac.history[-2][1].values, 1, None))
+        built = ((row.f, 0, None), (coeffs.g.values, 1, None), (ac.history[-2][1].values, 1, None))
         lam, frak_f = row.coefficients()
         ac_res = row.identity_residual(params, ac_e1)
         heat_res = row.heat_residual(params, e[0], d[0])

@@ -184,7 +184,7 @@ def _cattaneo_weights(params: PhysicalParams, dt: float) -> tuple[float, float]:
 # The raw updates below serve both the public steppers and the coupled
 # kernel.  m_theta = (m/dt) theta^n and w_div_q = w div q^n depend on the
 # time level only, so the kernel computes them once per step; it also gives
-# out, a scratch row of its workspace, which the rhs is built in.
+# out, a scratch row of its coupling.Stepper, which the rhs is built in.
 
 
 def _fourier_update(f: np.ndarray, m_theta: np.ndarray, solve, out=None) -> np.ndarray:

@@ -43,7 +43,7 @@ from .config import (
     TimeConfig,
 )
 from .coupling import SimulationResult, SweepResult, simulate, tau_sweep
-from .energy import _CHUNK_ENTRIES, _Row, _Rows, gronwall_bound
+from .energy import _chunk_rows, _Row, _Rows, gronwall_bound
 from .grid import (
     FaceField,
     Grid1D,
@@ -267,7 +267,7 @@ def mode_study(dt: float) -> ModeStudy:
     grid = Grid1D(1.0, 128)
     sin_field = NodeField(grid, np.sin(np.pi * grid.nodes()))
     cos_field = FaceField(grid, np.cos(np.pi * grid.faces()))
-    n_steps, size = int(round(T / dt)), max(1, _CHUNK_ENTRIES // grid.N)
+    n_steps, size = int(round(T / dt)), _chunk_rows(grid)
 
     def rows():
         """(n, numeric, oracle, _Row) of each step; one _Rows pass with zero

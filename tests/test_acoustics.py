@@ -14,7 +14,7 @@ from thermoacoustic.acoustics import (
     check_nondegeneracy,
     westervelt_linear_step,
 )
-from thermoacoustic.coupling import CoupledState, coupled_step
+from thermoacoustic.coupling import CoupledState, Stepper, coupled_step
 from thermoacoustic.energy import acoustic_identity_residual
 from thermoacoustic.grid import (
     Grid1D,
@@ -156,7 +156,8 @@ class TestNondegeneracyGuard:
         state = replace(CoupledState.initial(z, z, z, grid.zero_face_field()), coeffs_last=coeffs)
 
         def step():
-            return coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(), UNIT_MODEL)
+            return coupled_step(state, Stepper(grid, 1e-3, unit_params(), UNIT_MODEL,
+                                               1e-10, 25, 0.5))
 
         if not degenerate:
             check_nondegeneracy(coeffs, 0.5)

@@ -30,7 +30,7 @@ from thermoacoustic.config import (
     load_config,
     make_grid,
 )
-from thermoacoustic.coupling import CoupledState, PicardDiverged, coupled_step
+from thermoacoustic.coupling import CoupledState, PicardDiverged, Stepper, coupled_step
 from thermoacoustic.energy import TIMESERIES_COLUMNS
 from thermoacoustic.grid import Grid1D
 from thermoacoustic.heat import ThermalState, cattaneo_step, fourier_thermal_step
@@ -351,6 +351,9 @@ def _run_setting_paths():
     thermal = ThermalState.initial(z, grid.zero_face_field())
     coeffs = assemble_coefficients(z, z, z, model, params)
 
+    def step(picard_tol=1e-10, max_iter=25):
+        return coupled_step(state, Stepper(grid, 1e-3, params, model, picard_tol, max_iter, 0.5))
+
     def medium(tau):
         problems = validate_params(replace(params, tau=tau), model)
         if problems:
@@ -360,10 +363,10 @@ def _run_setting_paths():
         "grid.N": (lambda v: GridConfig(1.0, v), lambda v: Grid1D(1.0, v), "N"),
         "grid.L": (lambda v: GridConfig(v, 16), lambda v: Grid1D(v, 16), "L"),
         "picard.tol": (lambda v: PicardConfig(tol=v),
-                       lambda v: coupled_step(state, 1e-3, v, 25, 0.5, params, model),
+                       lambda v: step(picard_tol=v),
                        "picard_tol"),
         "picard.max_iter": (lambda v: PicardConfig(max_iter=v),
-                            lambda v: coupled_step(state, 1e-3, 1e-10, v, 0.5, params, model),
+                            lambda v: step(max_iter=v),
                             "max_iter"),
         "picard.gamma_bar": (lambda v: PicardConfig(gamma_bar=v),
                              lambda v: check_nondegeneracy(coeffs, v), "gamma_bar"),
@@ -680,10 +683,10 @@ class TestCli:
             }
         stepped = coupling_mod.coupled_step
 
-        def diverging(state, dt, *args, **kwargs):
+        def diverging(state, stepper):
             if state.n + 1 == kernel_step:
-                raise PicardDiverged(kernel_step, state.t + dt, 1, (1.0,))
-            return stepped(state, dt, *args, **kwargs)
+                raise PicardDiverged(kernel_step, state.t + stepper.dt, 1, (1.0,))
+            return stepped(state, stepper)
 
         monkeypatch.setattr(coupling_mod, "coupled_step", diverging)
         cfg = write_config(tmp_path, doc)

@@ -39,6 +39,7 @@ from thermoacoustic.energy import (
 from thermoacoustic.coupling import (
     CoupledState,
     PicardDiverged,
+    Stepper,
     compatibility_data,
     coupled_step,
     simulate,
@@ -129,8 +130,8 @@ class TestCoupledStep:
         grid = Grid1D(1.0, 16)
         z = grid.zero_node_field()
         state = CoupledState.initial(z, z, z, grid.zero_face_field())
-        new = coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(tau=0.05),
-                           UNIT_MODEL)
+        new = coupled_step(state, Stepper(grid, 1e-3, unit_params(tau=0.05), UNIT_MODEL,
+                                          1e-10, 25, 0.5))
         assert new.picard_iterations_last == 1
         assert np.all(new.acoustic.p.values == 0.0)
         assert np.all(new.thermal.theta.values == 0.0)
@@ -154,7 +155,7 @@ class TestCoupledStep:
         args = {"dt": 1e-3, "picard_tol": 1e-10, "max_iter": 25, "gamma_bar": 0.5,
                 "params": unit_params(tau=0.05), "model": UNIT_MODEL}
         with pytest.raises(ValueError, match=message):
-            coupled_step(state, **(args | change))
+            coupled_step(state, Stepper(grid, **(args | change)))
 
     def test_state_on_two_grids_rejected(self):
         a, b = Grid1D(1.0, 16), Grid1D(2.0, 16)
@@ -168,8 +169,8 @@ class TestCoupledStep:
         z = grid.zero_node_field()
         state = CoupledState.initial(p0, z, z, grid.zero_face_field())
         with pytest.raises(Degenerate) as err:
-            coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(tau=0.05),
-                         UNIT_MODEL)
+            coupled_step(state, Stepper(grid, 1e-3, unit_params(tau=0.05), UNIT_MODEL,
+                                        1e-10, 25, 0.5))
         assert err.value.step == 1
         assert err.value.node_index is not None
 
@@ -180,7 +181,7 @@ class TestCoupledStep:
         state = CoupledState.initial(z, z, theta0, grid.zero_face_field())
         model = SpeedOfSoundModel(coeffs=(1.0, -1.2), h_floor=0.5)
         with pytest.raises(FloorViolated) as err:
-            coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(tau=0.05), model)
+            coupled_step(state, Stepper(grid, 1e-3, unit_params(tau=0.05), model, 1e-10, 25, 0.5))
         assert err.value.step == 1
         assert err.value.time == pytest.approx(1e-3)
         assert "step 1" in str(err.value)
@@ -191,7 +192,8 @@ class TestCoupledStep:
         v0 = NodeField(grid, np.full(grid.N, 1e200))  # g = 2 k v^2 overflows
         state = CoupledState.initial(z, v0, z, grid.zero_face_field())
         with pytest.raises(NonFinite) as err, np.errstate(over="ignore"):
-            coupled_step(state, 1e-3, 1e-10, 25, 0.5, unit_params(tau=0.05), UNIT_MODEL)
+            coupled_step(state, Stepper(grid, 1e-3, unit_params(tau=0.05), UNIT_MODEL,
+                                        1e-10, 25, 0.5))
         assert (err.value.what, err.value.index) == ("NodeField", 0)
         assert err.value.step == 1
         assert err.value.time == pytest.approx(1e-3)
@@ -224,7 +226,7 @@ class TestCoupledStep:
             params = replace(unit_params(tau=0.05), beta_acous=1e-310)  # alpha stays near 1
             model = UNIT_MODEL
         with pytest.raises(NonFinite) as err, np.errstate(all="ignore"):
-            coupled_step(state, 1e-3, 1e-10, 25, 0.5, params, model)
+            coupled_step(state, Stepper(grid, 1e-3, params, model, 1e-10, 25, 0.5))
         assert (err.value.what, err.value.index, err.value.step) == (*where, 1)
 
     def test_overflowing_norms_alone_do_not_stop_a_step(self):
@@ -237,9 +239,10 @@ class TestCoupledStep:
         state = CoupledState.initial(
             z, NodeField(grid, np.full(grid.N, 1.2e154)), z, grid.zero_face_field()
         )
+        stepper = Stepper(grid, 1e-3, params, UNIT_MODEL, 1e-10, 25, 0.5)
         with np.errstate(all="ignore"):
             for _ in range(3):
-                state = coupled_step(state, 1e-3, 1e-10, 25, 0.5, params, UNIT_MODEL)
+                state = coupled_step(state, stepper)
                 assert state.picard_distances_last == (np.inf,)
         assert np.all(np.isfinite(state.acoustic.v.values))
 
@@ -249,8 +252,8 @@ class TestCoupledStep:
         p0, p1, th0, q0 = initial_fields(config, grid)
         state = CoupledState.initial(p0, p1, th0, q0)
         with pytest.raises(PicardDiverged) as err:
-            coupled_step(state, config.time.dt, 1e-16, 1, 0.5, config.params,
-                         config.speed_model)
+            coupled_step(state, Stepper(grid, config.time.dt, config.params,
+                                        config.speed_model, 1e-16, 1, 0.5))
         assert err.value.step == 1
         assert err.value.iterations == 1
 
@@ -273,9 +276,10 @@ class TestCoupledStep:
         state = CoupledState.initial(p0, p1, th0, q0)
         params, model = config.params, config.speed_model
         dt, tol = config.time.dt, config.picard.tol
+        stepper = Stepper(grid, dt, params, model, tol, 25, 0.5)
         for _ in range(3):
             prev = state
-            state = coupled_step(state, dt, tol, 25, 0.5, params, model)
+            state = coupled_step(state, stepper)
         ac, th = state.acoustic, state.thermal
         coeffs = assemble_coefficients(th.theta, ac.p, ac.v, model, params)
         f = q_source(params, ac.v)
@@ -438,8 +442,8 @@ def _bad_calls():
     nan = float("nan")
     dt_message, tau_message = "dt must be positive", "tau must be nonnegative"
 
-    def step(dt, tol, state=coupled):
-        return coupled_step(state, dt, tol, 25, 0.5, params, UNIT_MODEL)
+    def step(dt, tol, state=coupled, max_iter=25):
+        return coupled_step(state, Stepper(grid, dt, params, UNIT_MODEL, tol, max_iter, 0.5))
 
     calls = {
         "fourier_step_dt_zero": (lambda: fourier_step(z, z, 0.0, params), dt_message),
@@ -486,7 +490,7 @@ def _bad_calls():
     }
     for label, max_iter in (("2.5", 2.5), ("25.0", 25.0), ("True", True)):
         calls[f"coupled_step_max_iter_{label}"] = (
-            partial(coupled_step, coupled, 1e-3, 1e-10, max_iter, 0.5, params, UNIT_MODEL),
+            partial(step, 1e-3, 1e-10, max_iter=max_iter),
             "max_iter must be an integer")
     for name, call in by_dt.items():
         for label, dt, message in (("inf", float("inf"), large), ("1e300", 1e300, large),
@@ -528,26 +532,32 @@ def test_public_steppers_reject_a_field_on_another_grid(case):
 
 
 def test_copied_or_hand_stepped_state_matches_simulate():
-    # A state carries no solver workspace, only fields: a pickled or
-    # deep-copied final state steps to the bytes of the original, and public
-    # coupled_step calls from CoupledState.initial, each building its own
-    # workspace, reproduce the run that shares one, on both thermal paths.
+    # A state carries no Stepper, only fields: a pickled or deep-copied final
+    # state steps to the bytes of the original, and 5 public coupled_step
+    # calls from CoupledState.initial reproduce the run, each with a Stepper
+    # of its own or all sharing one, whose scratch rows leak nothing from one
+    # call into the next, on both thermal paths.
     for tau in (0.05, 0.0):
         config = canonical_config(tau=tau, T=0.005)
-        run = simulate(config)
-        args = (config.time.dt, config.picard.tol, config.picard.max_iter,
-                config.picard.gamma_bar, config.params, config.speed_model)
-        stepped = _state_bytes(coupled_step(run.final_state, *args))
+        run, grid, picard = simulate(config), make_grid(config), config.picard
+
+        def stepper():
+            return Stepper(grid, config.time.dt, config.params, config.speed_model, picard.tol,
+                           picard.max_iter, picard.gamma_bar)
+
+        stepped = _state_bytes(coupled_step(run.final_state, stepper()))
         for twin in (pickle.loads(pickle.dumps(run.final_state)), copy.deepcopy(run.final_state)):
-            assert _state_bytes(coupled_step(twin, *args)) == stepped
-        state = CoupledState.initial(*initial_fields(config, make_grid(config)))
-        distances = []
-        for _ in range(5):
-            state = coupled_step(state, *args)
-            distances.append(state.picard_distances_last)
-        assert (state.n, state.t) == (run.final_state.n, run.final_state.t)
-        assert _state_bytes(state) == _state_bytes(run.final_state)
-        assert tuple(distances) == run.picard_distances_per_step
+            assert _state_bytes(coupled_step(twin, stepper())) == stepped
+        shared = stepper()
+        for steppers in (stepper, lambda: shared):
+            state = CoupledState.initial(*initial_fields(config, grid))
+            distances = []
+            for _ in range(5):
+                state = coupled_step(state, steppers())
+                distances.append(state.picard_distances_last)
+            assert (state.n, state.t) == (run.final_state.n, run.final_state.t)
+            assert _state_bytes(state) == _state_bytes(run.final_state)
+            assert tuple(distances) == run.picard_distances_per_step
 
 
 def test_one_module_global_coupled_step_call_per_step(monkeypatch):
@@ -708,7 +718,7 @@ def test_accepted_p_v_theta_skip_the_field_check(monkeypatch):
     # _picard has proven the accepted p, v and theta finite, so coupled_step
     # builds them unchecked; q and the frozen alpha and g pass one scalar
     # guard each and are built unchecked too: with a constant h the frozen r
-    # is the workspace's run constant, finite by construction.  So an
+    # is the stepper's run constant, finite by construction.  So an
     # accepted step builds no checked field at all.
     calls = Counter()
     init = grid_mod._Field.__init__
@@ -733,7 +743,7 @@ def test_accepted_p_v_theta_skip_the_field_check(monkeypatch):
 
 
 def test_constant_h_run_constant_is_not_checked_again(monkeypatch):
-    # The read-only r of a constant h's workspace is finite by construction,
+    # The read-only r of a constant h's stepper is finite by construction,
     # so the accepted states' frozen coefficients take it unchecked; every
     # other field and array keeps its check.
     checked = Counter()
@@ -758,63 +768,25 @@ def test_frozen_r_is_checked_unless_it_is_the_run_constant():
             acoustics_mod._frozen(grid, ones, bad, ones, run)
 
 
-@pytest.mark.parametrize("other, named", [
-    ({"params": replace(canonical_config().params, b=2.0)}, "other params"),
-    ({"model": SpeedOfSoundModel((2.0,), 1.0)}, "another speed model"),
-], ids=["params", "model"])
-def test_a_workspace_built_for_another_medium_is_refused(other, named):
-    # The step reads the heat operator, the Cattaneo weights and a constant
-    # h's r from its workspace, so params and model must be those it was
-    # built for; equal copies are the same medium and step to the same bits.
-    config = canonical_config(T=0.01)
-    p0, p1, theta0, q0 = initial_fields(config, make_grid(config))
-    picard, medium = config.picard, {"params": config.params, "model": config.speed_model}
-    ws = coupling_mod._Workspace(make_grid(config), 1e-3, config.params, picard.tol,
-                                 picard.max_iter, picard.gamma_bar, model=config.speed_model)
-
-    def step(params, model):
-        return coupled_step(CoupledState.initial(p0, p1, theta0, q0), 1e-3, picard.tol,
-                            picard.max_iter, picard.gamma_bar, params, model, workspace=ws)
-
-    copies = {key: replace(value) for key, value in medium.items()}
-    assert _state_bytes(step(**copies)) == _state_bytes(step(**medium))
-    with pytest.raises(ValueError, match=f"^coupled_step: the workspace was built for {named}$"):
-        step(**{**medium, **other})
-
-
-@pytest.mark.parametrize("argument, value", [
-    ("dt", 5e-3), ("picard_tol", 1e-8), ("max_iter", 3), ("gamma_bar", 0.25),
-    ("state.grid", Grid1D(1.0, 64)),
-], ids=["dt", "picard_tol", "max_iter", "gamma_bar", "grid"])
-def test_a_step_refuses_settings_its_workspace_was_not_built_for(argument, value):
-    # The step reads dt, the Picard settings and the grid's dx, rows and
-    # operators from its workspace, so the arguments must be the ones it was
-    # built for: another dt would step by the workspace's, and another grid
-    # would die in numpy's unnamed broadcast.  Equal copies are accepted and
-    # step to the same bits.
+@pytest.mark.parametrize("other", [Grid1D(1.0, 64), Grid1D(2.0, 128)],
+                         ids=["grid", "grid_length"])
+def test_a_step_refuses_settings_its_workspace_was_not_built_for(other):
+    # The step reads the grid's dx, rows and operators from its stepper, so
+    # the state must live on the grid the stepper was built for: another N
+    # would die in numpy's unnamed broadcast, and another L would step with
+    # the wrong dx.  An equal grid built apart is the same grid.
     config = canonical_config(T=0.01)
     grid, picard = make_grid(config), config.picard
+    stepper = Stepper(grid, 1e-3, config.params, config.speed_model, picard.tol,
+                      picard.max_iter, picard.gamma_bar)
     state = CoupledState.initial(*initial_fields(config, grid))
-    ws = coupling_mod._Workspace(grid, 1e-3, config.params, picard.tol, picard.max_iter,
-                                 picard.gamma_bar, model=config.speed_model)
-    settings = {"dt": 1e-3, "picard_tol": picard.tol, "max_iter": picard.max_iter,
-                "gamma_bar": picard.gamma_bar}
-
-    def step(state, dt, picard_tol, max_iter, gamma_bar):
-        return coupled_step(state, dt, picard_tol, max_iter, gamma_bar, config.params,
-                            config.speed_model, workspace=ws)
-
-    copies = {key: float(repr(v)) if isinstance(v, float) else v for key, v in settings.items()}
-    assert _state_bytes(step(state, **copies)) == _state_bytes(step(state, **settings))
-    kept = {**settings, "state.grid": grid}[argument]
-    if argument == "state.grid":
-        other = replace(config, grid=replace(config.grid, N=value.N))
-        state = CoupledState.initial(*initial_fields(other, value))
-    else:
-        settings[argument] = value
+    twin = CoupledState.initial(*initial_fields(config, Grid1D(grid.L, grid.N)))
+    assert _state_bytes(coupled_step(twin, stepper)) == _state_bytes(coupled_step(state, stepper))
+    other_config = replace(config, grid=replace(config.grid, L=other.L, N=other.N))
+    state = CoupledState.initial(*initial_fields(other_config, other))
     with pytest.raises(ValueError, match=re.escape(
-            f"coupled_step: the workspace was built for {argument}={kept!r}, got {value!r}")):
-        step(state, **settings)
+            f"coupled_step: the stepper was built for {grid!r}, got a state on {other!r}")):
+        coupled_step(state, stepper)
 
 
 def test_a_non_finite_flux_is_named_before_the_floor_of_h(monkeypatch):
@@ -833,8 +805,8 @@ def test_a_non_finite_flux_is_named_before_the_floor_of_h(monkeypatch):
     def step(flux):
         monkeypatch.setattr(coupling_mod, "_picard", lambda *args: (
             (state.acoustic.p.values, state.acoustic.v.values, theta, flux), [0.0]))
-        return coupled_step(state, 1e-3, picard.tol, picard.max_iter, picard.gamma_bar,
-                            config.params, config.speed_model)
+        return coupled_step(state, Stepper(grid, 1e-3, config.params, config.speed_model,
+                                           picard.tol, picard.max_iter, picard.gamma_bar))
 
     with pytest.raises(FloorViolated):
         step(np.zeros(grid.N + 1))
@@ -888,7 +860,7 @@ def _speed(c, *more):
 @pytest.mark.parametrize("c", [1.0, 2.5])
 @pytest.mark.parametrize("tau, force_cattaneo", [(0.05, False), (0.0, False), (0.0, True)])
 def test_constant_h_run_constants_give_the_general_paths_bits(c, tau, force_cattaneo):
-    # coeffs (c,) takes r, 2 k and the Westervelt bands from the workspace;
+    # coeffs (c,) takes r, 2 k and the Westervelt bands from the stepper;
     # (c, 0.0) evaluates h = 0 theta + c on every iterate, which equals c to
     # the bit for finite theta.  Every output must be the same, byte for byte.
     config = replace(canonical_config(tau=tau, T=0.1), time=TimeConfig(
@@ -915,14 +887,16 @@ def test_constant_h_sweep_gives_the_general_paths_bits(c):
 
 def test_hand_built_coefficients_keep_their_own_bands():
     # The first iterate takes the Westervelt bands of the r it is handed;
-    # only the workspace's own run constant r may use the precomputed ones.
+    # only the stepper's own run constant r may use the precomputed ones.
     config = canonical_config(T=0.002)
     picard, state = config.picard, simulate(config).final_state
     c = state.coeffs_last
     hand = replace(c, r=NodeField(c.r.grid, 2.0 * c.r.values))
     models = (_speed(1.0), _speed(1.0, 0.0))
-    steps = [coupled_step(replace(state, coeffs_last=hand), 1e-3, picard.tol, picard.max_iter,
-                          picard.gamma_bar, config.params, model) for model in models]
+    steps = [coupled_step(replace(state, coeffs_last=hand),
+                          Stepper(state.grid, 1e-3, config.params, model, picard.tol,
+                                  picard.max_iter, picard.gamma_bar))
+             for model in models]
     fields = [[f.values.tobytes() for f in (s.acoustic.p, s.acoustic.v, s.thermal.theta)]
               for s in steps]
     assert fields[0] == fields[1]
@@ -953,7 +927,7 @@ def test_constant_h_run_constants_keep_degenerate_where_it_was(c, p0, p1, in_ker
     constant = _error(lambda: simulate(replace(config, speed_model=_speed(c))))
     assert constant == _error(lambda: simulate(replace(config, speed_model=_speed(c, 0.0))))
     assert constant[0] is Degenerate
-    assert constant[2] > 1 if in_kernel else constant[2] == 0  # every iterate r is ws.run[0]
+    assert constant[2] > 1 if in_kernel else constant[2] == 0  # every iterate r is stepper.run[0]
 
 
 def test_constant_h_below_its_floor_keeps_its_located_floor_violation():
@@ -962,9 +936,9 @@ def test_constant_h_below_its_floor_keeps_its_located_floor_violation():
     config = canonical_config(T=0.002)
     picard = config.picard
     state = simulate(config).final_state
-    error = _error(lambda: coupled_step(state, 1e-3, picard.tol, picard.max_iter,
-                                        picard.gamma_bar, config.params,
-                                        SpeedOfSoundModel(coeffs=(0.5,), h_floor=1.0)))
+    error = _error(lambda: coupled_step(state, Stepper(
+        state.grid, 1e-3, config.params, SpeedOfSoundModel(coeffs=(0.5,), h_floor=1.0),
+        picard.tol, picard.max_iter, picard.gamma_bar)))
     assert error == (FloorViolated, "h(theta)=0.5 < h_floor=1 at step 3, t=0.003 for "
                      "theta=0.0117795 at node index 0", 3, 0.003)
 
@@ -978,7 +952,7 @@ def test_constant_h_is_evaluated_once_per_run(monkeypatch):
         return h_eval(model, theta)
 
     monkeypatch.setattr(acoustics_mod, "h_eval", spy)
-    for T in (0.1, 0.2):  # the set-up coefficients and the workspace's run constants
+    for T in (0.1, 0.2):  # the set-up coefficients and the stepper's run constants
         calls.clear()
         run = simulate(canonical_config(T=T))
         assert len(calls) == 2
@@ -1102,9 +1076,9 @@ def test_public_diagnostics_equal_report_columns(monkeypatch):
     rows = []
     original = coupling_mod._make_report
 
-    def capture(state, coeffs_prev, f_next, params, row):
-        report = original(state, coeffs_prev, f_next, params, row)
-        rows.append((state, coeffs_prev, f_next, report))
+    def capture(state, coeffs_prev, params, row):
+        report = original(state, coeffs_prev, params, row)
+        rows.append((state, coeffs_prev, row.f, report))
         return report
 
     monkeypatch.setattr(coupling_mod, "_make_report", capture)

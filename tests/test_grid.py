@@ -1,17 +1,18 @@
 import math
+import struct
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from thermoacoustic import acoustics as acoustics_mod
 from thermoacoustic import grid as grid_mod
 from thermoacoustic.acoustics import _westervelt_solve, _westervelt_system
-from thermoacoustic.coupling import _Workspace
+from thermoacoustic.coupling import Stepper
 from thermoacoustic.grid import (
     FaceField,
     Grid1D,
@@ -32,7 +33,7 @@ from thermoacoustic.grid import (
     solve_tridiagonal,
 )
 from thermoacoustic.heat import _cattaneo_update, _fourier_update, _heat_matrix
-from thermoacoustic.verification import unit_params
+from thermoacoustic.verification import unit_params, unit_speed_model
 
 
 @pytest.fixture
@@ -738,6 +739,34 @@ def _certified_system(alpha, r, g, v, lap_p, dt, dx, b):
     return system, dominant
 
 
+def _rank(x: float) -> int:
+    """x's place in the order of the floats; 0.0 and -0.0 share 0."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return bits if bits < 2**63 else 2**63 - bits
+
+
+def _unrank(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else 2**63 - k))[0]
+
+
+_EXPONENTS = st.floats(-320.0, 308.0)
+
+
+def _power(draw, ok=lambda x: True, inside=-320.0):
+    """10.0**e for a drawn e in [-320, 308], moved, when its power fails ok, to
+    the nearest e towards inside (where ok holds) whose power passes: a
+    bisection on the order of the floats, for an ok that changes at most once
+    on that way.  Every e whose power passes ok is drawn as itself."""
+    e = draw(_EXPONENTS)
+    if not ok(10.0**e):
+        good, bad = _rank(inside), _rank(e)
+        while abs(bad - good) > 1:
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if ok(10.0 ** _unrank(mid)) else (good, mid)
+        e = _unrank(good)
+    return 10.0**e
+
+
 @st.composite
 def westervelt_inputs(draw, n=None):
     """Raw inputs of a Westervelt solve over the whole float range.  dt, dx,
@@ -746,31 +775,49 @@ def westervelt_inputs(draw, n=None):
     on a block, so s jumps, and is negative in half of the draws.  alpha's
     minimum sits on a node before the largest rise of s or anywhere, and
     a/dt lies within 64 ulps of the certificate's threshold or anywhere.
-    n, when given, is the number of nodes."""
+    n, when given, is the number of nodes.  s, alpha, g, v and lap_p are
+    finite and alpha positive by construction: a factor drawn after r that
+    would break this moves to the nearest value that keeps it (_power, and a
+    clamp of the ulps near the threshold), and every other draw stands, so
+    each input that a rejection of the broken draws let through stays
+    reachable (the rng's calls keep their order)."""
     with np.errstate(all="ignore"):
-        magnitude = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
         n = draw(st.integers(2, 64)) if n is None else n
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        dt, dx = draw(magnitude), draw(magnitude)
-        b = draw(st.one_of(st.just(0.0), magnitude))
-        scale = draw(magnitude) * draw(st.sampled_from([1.0, -1.0]))
+        scale = _power(draw) * draw(st.sampled_from([1.0, -1.0]))
         r = scale * 10.0 ** rng.uniform(-draw(st.integers(0, 16)), 0.0, n)
         if draw(st.booleans()):
             lo, hi = sorted(rng.integers(0, n + 1, 2))
             r[lo:hi] *= draw(st.sampled_from([0.0, 2.0**-60, 1e-300]))
+        r_max = float(np.abs(r).max())
+        dt = _power(draw, lambda dt: math.isfinite(dt * r_max))
+        top = float((dt * r).max())
+        b = 0.0 if draw(st.booleans()) else _power(draw, lambda b: math.isfinite(top + b))
+        num_max = float(np.abs(dt * r + b).max())
+        dx = _power(draw, lambda dx: dx * dx > 0.0 and math.isfinite(num_max / (dx * dx)), 308.0)
         s = (dt * r + b) / (dx * dx)
-        assume(np.isfinite(s).all())
-        if draw(st.booleans()):
-            threshold = s.max() - s.min() + 2.0**-48 * s.max()
-            a_min = threshold * (1.0 + draw(st.integers(-64, 64)) * 2.0**-52)
-        else:
-            a_min = draw(magnitude)
-        alpha = a_min * dt * 10.0 ** rng.uniform(0.0, draw(st.integers(0, 8)), n)
+        rise = 10.0 ** rng.uniform(0.0, draw(st.integers(0, 8)), n)
         node = int(np.argmax(np.diff(s))) if draw(st.booleans()) else int(rng.integers(n))
+        rise_max = float(np.delete(rise, node).max())  # alpha[node] is a_min * dt
+
+        def ok(a_min):  # alpha finite and positive
+            return a_min * dt > 0.0 and math.isfinite(a_min * dt * rise_max)
+
+        threshold = s.max() - s.min() + 2.0**-48 * s.max()
+        near = [i for i in range(-64, 65) if ok(threshold * (1.0 + i * 2.0**-52))]
+        if near and draw(st.booleans()):
+            i = min(max(draw(st.integers(-64, 64)), near[0]), near[-1])
+            a_min = threshold * (1.0 + i * 2.0**-52)
+        else:
+            a_min = _power(draw, ok, min(308.0, -math.log10(dt)))
+        alpha = a_min * dt * rise
         alpha[node] = a_min * dt
-        assume(np.isfinite(alpha).all() and alpha.min() > 0.0)
-        g, v, lap_p = (rng.standard_normal(n) * draw(magnitude) for _ in range(3))
-        assume(np.isfinite(np.concatenate((g, v, lap_p))).all())
+
+        def scaled(z):
+            z_max = float(np.abs(z).max())
+            return z * _power(draw, lambda m: math.isfinite(z_max * m))
+
+        g, v, lap_p = (scaled(rng.standard_normal(n)) for _ in range(3))
     return alpha, r, g, v, lap_p, dt, dx, b
 
 
@@ -845,14 +892,14 @@ def _outcome(solve, *args):
 @given(westervelt_pairs())
 @settings(max_examples=300, deadline=None)
 def test_system_built_in_reused_rows_solves_like_a_fresh_one(pair):
-    # The kernel builds each system in the scratch rows of its workspace and
-    # solves it through the workspace's dgtsv buffer, both reused by every
+    # The kernel builds each system in the scratch rows of its stepper and
+    # solves it through the stepper's dgtsv buffer, both reused by every
     # iterate; certified or not, and whether the loop takes over or not, each
     # solve gives the bytes (or the SingularSystem) of _thomas on freshly
     # built arrays, so nothing of a solve leaks into the next one and every
     # fallback gets the untouched bands and rhs.
     n = len(pair[0][0])
-    ws = _Workspace(Grid1D(1.0, n), 1e-3, unit_params(), 1e-10, 25, 0.5)
+    ws = Stepper(Grid1D(1.0, n), 1e-3, unit_params(), unit_speed_model(), 1e-10, 25, 0.5)
     with np.errstate(all="ignore"):
         for alpha, r, g, v, lap_p, dt, dx, b in pair:
             _, dominant = _certified_system(alpha, r, g, v, lap_p, dt, dx, b)
@@ -865,7 +912,7 @@ def test_system_built_in_reused_rows_solves_like_a_fresh_one(pair):
 
 @st.composite
 def heat_rhs_pairs(draw):
-    """A kernel workspace, the bands of its heat operator and two (f, m_theta,
+    """A kernel stepper, the bands of its heat operator and two (f, m_theta,
     w_div_q) of its size, solved in a row; w_div_q is None (the Fourier
     update) in about half the draws, and about half the right-hand sides are
     signed zeros, which the loop solves; half of those get one spike in f,
@@ -875,7 +922,7 @@ def heat_rhs_pairs(draw):
     magnitude = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
     params = replace(unit_params(tau=draw(magnitude)), rho_a=draw(magnitude), W=draw(magnitude))
     grid, dt = Grid1D(draw(magnitude) * (n + 1), n), draw(magnitude)
-    ws = _Workspace(grid, dt, params, 1e-10, 25, 0.5)
+    ws = Stepper(grid, dt, params, unit_speed_model(), 1e-10, 25, 0.5)
     bands = _heat_matrix(grid, params, dt, ws.eta)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pair = []
@@ -897,7 +944,7 @@ def heat_rhs_pairs(draw):
 @settings(max_examples=200, deadline=None)
 def test_heat_rhs_built_in_a_reused_row_solves_like_a_fresh_one(case):
     # The kernel's thermal update builds its rhs in one scratch row of the
-    # workspace, reused by every iterate, and solves it with the workspace's
+    # stepper, reused by every iterate, and solves it with the stepper's
     # factored operator; each solve gives the bytes of a fresh operator's
     # solve of a fresh rhs, and a fallback gets that rhs untouched.
     ws, bands, pair = case
