@@ -191,7 +191,8 @@ class Stepper:
     LAPACK's rows, so a fallback reads them untouched, and a stepper serves any number of
     coupled_step calls.  simulate builds one per run.  If model's h is a finite constant
     c >= h_floor > 0, 0 theta + c = c to the bit for finite theta: run = (r, 2 k) and bands,
-    r's _westervelt_bands, are then read-only run constants, r proven finite."""
+    r's _westervelt_bands, are then read-only run constants, r proven finite.  A built stepper
+    refuses to have any attribute set: its derived parts could not follow a new setting."""
 
     def __init__(self, grid: Grid1D, dt, params, model, picard_tol, max_iter, gamma_bar,
                  force_cattaneo=False):
@@ -213,6 +214,15 @@ class Stepper:
             self.bands = _westervelt_bands(self.run[0], dt, params, grid.dx)
             for constant in (*self.run, *self.bands[:2]):
                 constant.flags.writeable = False
+        self.__dict__["_built"] = True
+
+    def __setattr__(self, name, value):
+        # The heat factor, the Cattaneo weights, the threshold and a constant h's run constants
+        # were made from the settings, so a built stepper takes no new value for any of them.
+        if "_built" in self.__dict__:
+            raise AttributeError(
+                f"a Stepper's settings are fixed when it is built: cannot set {name}")
+        object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

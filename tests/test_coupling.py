@@ -768,25 +768,68 @@ def test_frozen_r_is_checked_unless_it_is_the_run_constant():
             acoustics_mod._frozen(grid, ones, bad, ones, run)
 
 
-@pytest.mark.parametrize("other", [Grid1D(1.0, 64), Grid1D(2.0, 128)],
-                         ids=["grid", "grid_length"])
-def test_a_step_refuses_settings_its_workspace_was_not_built_for(other):
-    # The step reads the grid's dx, rows and operators from its stepper, so
-    # the state must live on the grid the stepper was built for: another N
-    # would die in numpy's unnamed broadcast, and another L would step with
-    # the wrong dx.  An equal grid built apart is the same grid.
+def _fixed(name):
+    message = f"a Stepper's settings are fixed when it is built: cannot set {name}"
+    return "^" + re.escape(message) + "$"
+
+
+@pytest.mark.parametrize("name, other", [
+    ("params", replace(canonical_config().params, b=2.0)),
+    ("model", SpeedOfSoundModel((2.0,), 1.0)),
+], ids=["params", "model"])
+def test_a_workspace_built_for_another_medium_is_refused(name, other):
+    # The step reads the heat operator, the Cattaneo weights and a constant
+    # h's r from its stepper, all made from the params and model it was built
+    # with, so a built stepper refuses another medium and keeps stepping with
+    # its own; equal copies are the same medium and step to the same bits.
+    config = canonical_config(T=0.01)
+    grid, picard = make_grid(config), config.picard
+    state = CoupledState.initial(*initial_fields(config, grid))
+    medium = {"params": config.params, "model": config.speed_model}
+
+    def stepper(params, model):
+        return Stepper(grid, 1e-3, params, model, picard.tol, picard.max_iter, picard.gamma_bar)
+
+    built = stepper(**medium)
+    stepped = _state_bytes(coupled_step(state, built))
+    copies = {key: replace(value) for key, value in medium.items()}
+    assert _state_bytes(coupled_step(state, stepper(**copies))) == stepped
+    with pytest.raises(AttributeError, match=_fixed(name)):
+        setattr(built, name, other)
+    assert getattr(built, name) is medium[name]
+    assert _state_bytes(coupled_step(state, built)) == stepped
+
+
+@pytest.mark.parametrize("name, other", [
+    ("dt", 5e-3), ("tol", 1e-8), ("max_iter", 3), ("threshold", 0.25),
+    ("grid", Grid1D(1.0, 64)), ("grid", Grid1D(2.0, 128)),
+], ids=["dt", "picard_tol", "max_iter", "gamma_bar", "grid", "grid_length"])
+def test_a_step_refuses_settings_its_workspace_was_not_built_for(name, other):
+    # The step reads dt, the Picard settings, gamma_bar's threshold and the
+    # grid's dx, rows and operators from its stepper, whose heat factor and
+    # Cattaneo weights were made from dt and the grid, so a built stepper
+    # refuses a new setting, and the state must live on the grid the stepper
+    # was built for: another N would die in numpy's unnamed broadcast, and
+    # another L would step with the wrong dx.  An equal grid built apart is
+    # the same grid.
     config = canonical_config(T=0.01)
     grid, picard = make_grid(config), config.picard
     stepper = Stepper(grid, 1e-3, config.params, config.speed_model, picard.tol,
                       picard.max_iter, picard.gamma_bar)
     state = CoupledState.initial(*initial_fields(config, grid))
+    stepped = _state_bytes(coupled_step(state, stepper))
     twin = CoupledState.initial(*initial_fields(config, Grid1D(grid.L, grid.N)))
-    assert _state_bytes(coupled_step(twin, stepper)) == _state_bytes(coupled_step(state, stepper))
-    other_config = replace(config, grid=replace(config.grid, L=other.L, N=other.N))
-    state = CoupledState.initial(*initial_fields(other_config, other))
-    with pytest.raises(ValueError, match=re.escape(
-            f"coupled_step: the stepper was built for {grid!r}, got a state on {other!r}")):
-        coupled_step(state, stepper)
+    assert _state_bytes(coupled_step(twin, stepper)) == stepped
+    kept = getattr(stepper, name)
+    with pytest.raises(AttributeError, match=_fixed(name)):
+        setattr(stepper, name, other)
+    assert getattr(stepper, name) is kept
+    if name == "grid":
+        other_config = replace(config, grid=replace(config.grid, L=other.L, N=other.N))
+        with pytest.raises(ValueError, match=re.escape(
+                f"coupled_step: the stepper was built for {grid!r}, got a state on {other!r}")):
+            coupled_step(CoupledState.initial(*initial_fields(other_config, other)), stepper)
+    assert _state_bytes(coupled_step(state, stepper)) == stepped
 
 
 def test_a_non_finite_flux_is_named_before_the_floor_of_h(monkeypatch):
