@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .acoustics import (
     check_nondegeneracy,
     westervelt_linear_step,  # not called here; perfbench/probes.py wraps it
 )
-from .energy import EnergyReport, XNormAccumulator, _chunk_rows, _make_report, _Row, _Rows
+from .energy import EnergyReport, XNormAccumulator, _make_report, _passes, _Row, _Rows
 from .grid import (
     FaceField,
     Grid1D,
@@ -442,16 +444,14 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
 
     xacc = XNormAccumulator(dt)
     reports, theta_series, p_series, v_series, snapshots = [], [], [], [], []
-    alpha_mins: list[float] = [coeffs.alpha_min]
+    alpha_mins: list[float] = []
     dists: list[tuple[float, ...]] = []
     coeffs_prev = None
-    chunk: list[CoupledState] = []  # accepted states whose diagnostics are pending
-
-    def flush() -> None:
-        """The diagnostics of the chunk's rows, in step order: one _Rows
-        pass, then per row the x-norm sums, sample and report; an error is
-        located at its own row."""
-        nonlocal coeffs_prev
+    # the initial state, then one call of the module-global coupled_step per step
+    states = accumulate(range(n_steps), lambda s, _: coupled_step(s, stepper), initial=state)
+    for chunk in _passes(states, attrgetter("acoustic"), grid):
+        # one _Rows pass, then per row the x-norm sums, sample and report, in
+        # step order; an error is located at its own row
         outs = [i for i, s in enumerate(chunk) if s.n % stride == 0 or s.n == n_steps]
         coeffs = [chunk[i].coeffs_last for i in outs]
         later = outs and coeffs_prev is not None  # rows after step 0's: prevs and sources
@@ -462,8 +462,10 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
             f=_absorbed_power(params, sources) if later else None,
         )
         for i, s in enumerate(chunk):
+            alpha_mins.append(s.alpha_min_last)
             try:
                 if s.n >= 1:
+                    dists.append(s.picard_distances_last)
                     xacc.accumulate_step(s.acoustic, s.thermal, rows, i)
                 if i in outs:
                     row = xacc.sample_output(s.acoustic, s.thermal, _Row(rows, i))
@@ -476,23 +478,8 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
                 raise exc.located(s.n, s.t) from None
             if s.n in snapshot_steps:
                 snapshots.append(_snapshot(s, grid))
-        chunk.clear()
-
-    chunk_rows = _chunk_rows(grid)
-    for n in range(n_steps + 1):
-        if n >= 1:
-            try:
-                state = coupled_step(state, stepper)
-            except Exception:
-                if chunk:  # an error in an earlier step's diagnostics wins
-                    flush()
-                raise
-            alpha_mins.append(state.alpha_min_last)
-            dists.append(state.picard_distances_last)
-        chunk.append(state)
-        # the rows of a pass share their ring depth, so steps 0 and 1 go alone
-        if len(chunk) == chunk_rows or n < 2 or n == n_steps:
-            flush()
+        rows = row = None  # free the pass's arrays and states before the next pass's steps
+        del chunk[:-1]
 
     return SimulationResult(
         grid=grid,
@@ -501,7 +488,7 @@ def simulate(config, force_cattaneo: bool = False) -> SimulationResult:
         p_series=tuple(p_series),
         v_series=tuple(v_series),
         snapshots=tuple(snapshots),
-        final_state=state,
+        final_state=chunk[-1],
         alpha_min_per_step=tuple(alpha_mins),
         picard_distances_per_step=tuple(dists),
         x_norms=xacc.norms(),

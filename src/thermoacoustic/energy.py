@@ -41,17 +41,18 @@ composite stencil Lap_h then grad_h and are first-order accurate only;
 Lambda and E3 are reported as diagnostics, never asserted against a priori
 bounds, whose hidden constants are not computable.
 
-simulate defers the diagnostics of up to K = max(1, 4096 // N) accepted
-steps and runs them as one chunk pass (_Rows).  Each ring level is stacked
-once per pass (heat._Stacked), each time difference and stencil is one
-array of rows, and each L2 norm or inner product is one np.vecdot, which
-sums each row in np.dot's order, so a row's bits do not depend on the other
-rows of its array.  The five arrays the per-step x-norm sums read (v, p_tt,
-v_tt, q_t, q_tt) are formed on all K rows; the arrays only the report reads
-are formed on the report rows alone (every row at output stride 1).  Then,
-row by row in step order, the x-norm sums, sample_output and the report
-read the row's Python floats (_Row), and the scalar formulas and Python
-powers run per row; the public functions are one-row passes.  No
+simulate and verification.mode_study run the diagnostics of their steps in
+chunk passes (_Rows), one per list of _passes, the one batching rule: up to
+K = max(1, 4096 // N) consecutive steps of one ring depth.  Each ring level
+is stacked once per pass (heat._Stacked), each time difference and stencil
+is one array of rows, and each L2 norm or inner product is one np.vecdot,
+which sums each row in np.dot's order, so a row's bits do not depend on the
+other rows of its array.  The five arrays the per-step x-norm sums read (v,
+p_tt, v_tt, q_t, q_tt) are formed on all K rows; the arrays only the report
+reads are formed on the report rows alone (every row at output
+stride 1).  Then, row by row in step order, the x-norm sums, sample_output
+and the report read the row's Python floats (_Row), and the scalar formulas
+and Python powers run per row; the public functions are one-row passes.  No
 field is validated on the way: a non-finite norm or report column re-checks
 the row's arrays in the order the field-based diagnostics built them
 (x-norm samples, Q(v), grad g, grad p of the previous level), so the same
@@ -98,9 +99,25 @@ _SPATIAL_DIM = 1  # fixes the 4/(4-d) exponent below
 _CHUNK_ENTRIES = 4096  # the entries a chunk pass stacks, at most (one row at least)
 
 
-def _chunk_rows(grid) -> int:
-    """How many steps one chunk pass of the diagnostics stacks on grid."""
-    return max(1, _CHUNK_ENTRIES // grid.N)
+def _passes(states, ring, grid):
+    """The items of ``states`` in lists, one _Rows pass each: consecutive,
+    at most max(1, _CHUNK_ENTRIES // grid.N) long, and each of one depth of
+    ``ring(item)``, since a pass reads the ring depth of its first row.  If
+    iterating ``states`` raises, the pending list comes first, so an error
+    in an earlier step's diagnostics wins."""
+    size, chunk = max(1, _CHUNK_ENTRIES // grid.N), []
+    try:
+        for item in states:
+            if chunk and (len(chunk) == size or ring(item).depth != ring(chunk[0]).depth):
+                yield chunk
+                chunk = []
+            chunk.append(item)
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
 
 
 def _stencils(u: np.ndarray, dx: float, order: int):
@@ -156,15 +173,16 @@ def _roots(sq: dict, dx: float) -> dict:
 
 
 class _Rows:
-    """K rows (time levels) in one pass: each ring level is stacked once,
-    each time difference or stencil is one array of rows, each norm one
-    np.vecdot, which sums a row in np.dot's order.  acs and ths are the
-    rows' rings (either may be empty; those of a list have one depth, >=
-    ``levels``).  _ON_ALL_ROWS and their ``norms`` span all K rows; the
-    other arrays span the report rows ``sel`` (all by default) alone, which
-    get inner products with their coefficients, with the time differences
-    from the level ``prev`` on (over the rings' spacing or ``dts``) and with
-    the sources ``f``; ``cells[i]`` holds report row i's (f, norms, products)."""
+    """K rows (time levels) in one pass, one list of _passes: each ring
+    level is stacked once, each time difference or stencil is one array of
+    rows, each norm one np.vecdot, which sums a row in np.dot's order.  acs
+    and ths are the rows' rings (either may be empty; those of a list have
+    one depth, >= ``levels``).  _ON_ALL_ROWS and their ``norms`` span all K
+    rows; the other arrays span the report rows ``sel`` (all by default)
+    alone, which get inner products with their coefficients, with the time
+    differences from the level ``prev`` on (over the rings' spacing or
+    ``dts``) and with the sources ``f``; ``cells[i]`` holds report row i's
+    (f, norms, products)."""
 
     def __init__(self, acs=(), ths=(), levels=1, sel=None, coeffs=(), prev=None, f=None, dts=()):
         rings = acs or ths

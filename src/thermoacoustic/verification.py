@@ -43,7 +43,7 @@ from .config import (
     TimeConfig,
 )
 from .coupling import SimulationResult, SweepResult, simulate, tau_sweep
-from .energy import _chunk_rows, _Row, _Rows, gronwall_bound
+from .energy import _passes, _Row, _Rows, gronwall_bound
 from .grid import (
     FaceField,
     Grid1D,
@@ -267,20 +267,15 @@ def mode_study(dt: float) -> ModeStudy:
     grid = Grid1D(1.0, 128)
     sin_field = NodeField(grid, np.sin(np.pi * grid.nodes()))
     cos_field = FaceField(grid, np.cos(np.pi * grid.faces()))
-    n_steps, size = int(round(T / dt)), _chunk_rows(grid)
 
     def rows():
-        """(n, numeric, oracle, _Row) of each step; one _Rows pass with zero
-        sources reads up to ``size`` steps, step 1 (one level shallower) alone."""
-        chunk = []
-        for n, (state, numeric, oracle) in enumerate(
-                mode_run(params, sin_field, 1.0, 1, dt, n_steps), start=1):
-            chunk.append((n, state, numeric, oracle))
-            if n == 1 or len(chunk) == size or n == n_steps:
-                batch = _Rows(ths=[c[1] for c in chunk], levels=2, f=np.zeros((len(chunk), grid.N)))
-                for i, (k, _, numeric, oracle) in enumerate(chunk):
-                    yield k, numeric, oracle, _Row(batch, i)
-                chunk = []
+        """(n, numeric, oracle, _Row) of each step (n, (state, numeric,
+        oracle)); one _Rows pass with zero sources per list of _passes."""
+        steps = enumerate(mode_run(params, sin_field, 1.0, 1, dt, int(round(T / dt))), start=1)
+        for chunk in _passes(steps, lambda step: step[1][0], grid):
+            batch = _Rows(ths=[c[1][0] for c in chunk], levels=2, f=np.zeros((len(chunk), grid.N)))
+            for i, (n, (_, numeric, oracle)) in enumerate(chunk):
+                yield n, numeric, oracle, _Row(batch, i)
 
     lam = grid.laplacian_eigenvalue(1)
     mu = math.sqrt(lam)

@@ -62,6 +62,7 @@ from thermoacoustic.verification import (
     degeneracy_semantics,
     lensing_config,
     lensing_sweep,
+    mode_study,
     unit_params,
     unit_speed_model,
 )
@@ -1111,6 +1112,46 @@ def test_chunk_pass_forms_report_arrays_on_report_rows_only(monkeypatch, stride)
     for pass_no, name, n_rows in formed:
         k, n_sel = passes[pass_no - 1]
         assert n_rows == (k if name in _SUM_ARRAYS else n_sel), (pass_no, name)
+
+
+@pytest.mark.parametrize("run, passes", [
+    (partial(simulate, canonical_config()), 34),
+    (partial(simulate, _dense_lensing(T=1.0)), 34),
+    (partial(mode_study.__wrapped__, 1e-3), 33),
+    (partial(mode_study.__wrapped__, 5e-4), 64),
+], ids=["canonical", "lensing_stride_1", "mode_study_1e-3", "mode_study_5e-4"])
+def test_chunk_pass_count(monkeypatch, run, passes):
+    # Each pass of energy._passes is one _Rows: steps 0 and 1 (ring depths
+    # 1 and 2) alone, then 32 steps of N = 128 per pass; mode_study starts
+    # at step 1.  No output bit shows what a pass costs, so its count does.
+    built, init = [], energy_mod._Rows.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(energy_mod._Rows, "__init__", counting)
+    run()
+    assert len(built) == passes
+
+
+# the report row of t = 0 of the canonical run
+_STEP_ZERO_ROW = (0.0, 0.09334098941897126, 0.0, 0.0, 0.09334098941897126, 1.35863957675885,
+                  0.0, 0.0, 0.0, 0.0, 0.00616819788379425, 0.0, 0.0, 0.00616819788379425,
+                  0.0, 0.0, 0.9000074135286735, 0, 0.0, 0.0)
+
+
+def test_a_run_of_zero_steps_reports_its_initial_state():
+    # T = 0 takes no step: the one pass holds step 0 alone, and it gives the
+    # final state, the one report row and the per-step series.
+    run = simulate(canonical_config(T=0.0))
+    assert run.final_state.n == 0
+    assert [report.t for report in run.reports] == [0.0]
+    assert (np.array(run.reports[0].row(), dtype=float).tobytes()
+            == np.array(_STEP_ZERO_ROW, dtype=float).tobytes())
+    assert run.alpha_min_per_step == (0.9000074135286735,)
+    assert run.picard_distances_per_step == ()
+    assert run.x_norms == (1.1562413433763012, 3.67880040495878, 3.6617717596164954)
 
 
 def test_public_diagnostics_equal_report_columns(monkeypatch):

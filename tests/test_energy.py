@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from thermoacoustic.energy import (
     TIMESERIES_COLUMNS,
     EnergyReport,
     XNormAccumulator,
+    _passes,
     acoustic_energy,
     coefficient_diagnostics,
     gronwall_bound,
@@ -376,3 +378,39 @@ def test_row_axis_reduce_equals_each_row_reduced_alone(rows, n, seed):
         sums = np.add.reduce(a, axis=-1)
         for i in range(rows):
             assert sums[i].tobytes() == np.add.reduce(a[i]).tobytes()
+
+
+def _steps(*depths):
+    """(n, stand-in ring of that depth) for each depth, n from 0."""
+    return [(n, SimpleNamespace(depth=d)) for n, d in enumerate(depths)]
+
+
+def _ring(step):
+    return step[1]
+
+
+def test_passes_end_a_list_when_full_or_at_a_new_ring_depth():
+    # _passes is the one batching rule of the chunk passes: on N = 128 a
+    # list holds 4096 // 128 = 32 consecutive items of one ring depth.
+    grid = Grid1D(1.0, 128)
+    steps = _steps(1, 2, *[3] * 70)
+    lists = list(_passes(iter(steps), _ring, grid))
+    assert [len(chunk) for chunk in lists] == [1, 1, 32, 32, 6]
+    assert [n for chunk in lists for n, _ in chunk] == list(range(72))
+    assert list(_passes(iter(()), _ring, grid)) == []
+
+
+def test_passes_yield_the_pending_list_before_the_stream_error():
+    # An error in stepping comes after the diagnostics of the steps before
+    # it, so the error of an earlier step's diagnostics wins.
+    steps, error = _steps(*[3] * 5), RuntimeError("step 5 failed")
+
+    def stream():
+        yield from steps
+        raise error
+
+    lists = _passes(stream(), _ring, Grid1D(1.0, 128))
+    assert next(lists) == steps
+    with pytest.raises(RuntimeError) as raised:
+        next(lists)
+    assert raised.value is error

@@ -1,11 +1,12 @@
 """Every exported name resolves, so ``import *`` cannot break on a pruned
 name, each library module's ``__all__`` is its public API and the package
-re-publishes exactly those, every imported name is used, no function imports
-a module, and no line of the package or its tests is longer than 100
-characters."""
+re-publishes exactly those, every imported and every private name is used,
+no function imports a module, and no line of the package or its tests is
+longer than 100 characters."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
@@ -29,17 +30,22 @@ def test_exported_names_resolve(module_name):
     assert [name for name in exported if name not in namespace] == []
 
 
+def _definitions(tree):
+    """(name, node) of each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
 def _public_definitions(module) -> set:
     """Names of the module's top-level functions, classes and assignments
     that do not start with an underscore."""
-    names = set()
-    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {name for name, _ in _definitions(tree) if not name.startswith("_")}
 
 
 def test_package_republishes_each_library_all():
@@ -82,6 +88,27 @@ def test_every_import_is_used_or_exported(module_name):
     if module_name == "thermoacoustic":  # it has no __all__: every public name is exported
         used.update(n for n in imported if not n.startswith("_"))
     dead = [name for name, line in imported.items() if name not in used and _PROBED not in line]
+    assert dead == []
+
+
+def _references(node) -> Counter:
+    """How often each name is read in node, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if (isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+                   or isinstance(n, ast.Attribute))
+
+
+def test_every_private_name_is_used():
+    # A module-level private function, class or constant that nothing in the
+    # package reads, besides its own definition, is dead code left by a
+    # refactor.  Names are matched by spelling, attributes included.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name, node in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__")
+            and reads[name] == _references(node)[name]]
     assert dead == []
 
 
