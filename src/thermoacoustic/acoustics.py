@@ -27,7 +27,7 @@ with r frozen per node row.  The strong damping -b Lap p_t makes the
 equation parabolic in character, which is exactly what the L-stable
 one-step method exploits.  Row i of the matrix reads -s_i, a_i + 2 s_i,
 -s_i with a = alpha/dt and s = (dt r + b)/dx^2.  alpha > 0 makes each row
-strictly dominant, yet dgtsv still swaps rows i and i+1 where a steep s
+strictly dominant, yet LAPACK still swaps rows i and i+1 where a steep s
 lifts s_{i+1} above the pivot.  With s >= 0 every exact pivot exceeds
 a_i + s_i, so the certificate a_min > (s_max - s_min) + eps s_max, tested
 on the float bands, proves that no row is swapped and that every pivot
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (NodeField, _check_arrays, _difference_quotient, _dirichlet_gradient,
-                   _require, _step_problem, _thomas)
+                   _require, _step_problem, _thomas, _Tridiagonal)
 from .heat import _Stacked, _TimeLevels
 from .model import PhysicalParams, SpeedOfSoundModel, _k_of_h, h_eval
 
@@ -55,6 +55,7 @@ __all__ = [
     "check_nondegeneracy",
     "westervelt_linear_step",
 ]
+_kept = (None,) * 6  # westervelt_linear_step's (alpha, r, dt, b, dx, factors) of a constant matrix
 
 
 class Degenerate(ArithmeticError):
@@ -191,18 +192,29 @@ def westervelt_linear_step(
     One guard covers both returned fields: p' = p + dt v' with p finite and
     dt positive and finite is finite only if v' is, so a finite p'.dot(p')
     proves both; a tripped guard checks p', then v'.
+
+    The factors of the last matrix with read-only alpha and r serve the calls with the same two
+    arrays, still read-only, and equal dt, b and dx, so no two threads may step at once.
     """
+    global _kept
     if problem := _step_problem(dt):
         raise ValueError(f"dt {problem}")
-    grid, p, alpha = state.grid, state.p.values, coeffs.alpha.values
+    grid, p, v, dx = state.grid, state.p.values, state.v.values, state.grid.dx
+    alpha, r, g = coeffs.alpha.values, coeffs.r.values, coeffs.g.values
     if not coeffs.alpha.grid is coeffs.r.grid is coeffs.g.grid is grid:  # one grid: no comparison
         for field in (coeffs.alpha, coeffs.r, coeffs.g):
             state.p._check_compatible(field)
-    grad_p = _dirichlet_gradient(p, grid.dx)
-    v_new = _westervelt_solve(  # alpha's own minimum: a caller may build coeffs by hand
-        alpha, float(np.minimum.reduce(alpha)), coeffs.r.values, coeffs.g.values,
-        state.v.values, grad_p, _difference_quotient(grad_p, grid.dx), dt, params, grid.dx,
-    )
+    lap_p = _difference_quotient(grad_p := _dirichlet_gradient(p, dx), dx)
+    constant = not (alpha.flags.writeable or r.flags.writeable)
+    if constant and _kept[0] is alpha and _kept[1] is r and _kept[2:5] == (dt, params.b, dx):
+        solver, rhs = _kept[5], _westervelt_rhs(alpha, r, g, v, lap_p, dt)
+    else:  # alpha's own minimum: a caller may build coeffs by hand
+        *_, s_min, s_max = bands = _westervelt_bands(r, dt, params, dx)
+        *system, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, bands=bands)
+        solver = _Tridiagonal(grid.N).factor(*system, _certified(alpha.min(), dt, s_min, s_max))
+        _kept = (alpha, r, dt, params.b, dx, solver) if constant else _kept
+    _guard_system(solver.bands[0], rhs, alpha, r, g, grad_p, lap_p)
+    v_new = solver.solve(rhs)
     p_new = p + dt * v_new
     if not math.isfinite(p_new.dot(p_new)):
         _check_arrays((("NodeField", p_new), ("NodeField", v_new)))
@@ -216,9 +228,13 @@ def _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out=None, bands=No
     tmp, d, up, b = out or (None,) * 4
     off, two_off, *_ = bands or _westervelt_bands(r, dt, params, dx, up, tmp)
     diag = np.subtract(np.divide(alpha, dt, d), two_off, d)
-    rhs = np.add(np.add(np.divide(np.multiply(alpha, v, b), dt, b), np.multiply(r, lap_p, tmp), b),
-                 g, b)
-    return diag, off[1:], off[:-1], rhs
+    return diag, off[1:], off[:-1], _westervelt_rhs(alpha, r, g, v, lap_p, dt, (b, tmp))
+
+
+def _westervelt_rhs(alpha, r, g, v, lap_p, dt, out=(None, None)):
+    """(alpha v/dt + r Lap p) + g, in out's (rhs, scratch) rows or fresh arrays (None)."""
+    b = np.multiply(alpha, v, out[0])
+    return np.add(np.add(np.divide(b, dt, b), np.multiply(r, lap_p, out[1]), b), g, b)
 
 
 def _westervelt_bands(r, dt, params, dx, up=None, tmp=None):
@@ -228,17 +244,24 @@ def _westervelt_bands(r, dt, params, dx, up=None, tmp=None):
     return off, np.multiply(2.0, off, tmp), -off.item(off.argmax()), -off.item(off.argmin())
 
 
-def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None,
-                      out=None, bands=None):
-    """v' of a step on raw arrays; alpha_min is alpha's minimum and lap_p the
-    divergence of grad_p.  If the system is not finite, the inputs are checked
-    in the order fields would be built, so NonFinite names field and index.
-    work (a _Tridiagonal), out (rows for _westervelt_system) and bands (of r) save work."""
-    tmp, _, up, _ = out or (None,) * 4
-    *_, s_min, s_max = bands = bands or _westervelt_bands(r, dt, params, dx, up, tmp)
-    diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out, bands)
+def _certified(alpha_min, dt, s_min, s_max) -> bool:
+    """The certificate of the module docstring: no row swap, every pivot passes the loop."""
+    return 0.0 <= s_min and alpha_min / dt > s_max - s_min + 2.0**-48 * s_max
+
+
+def _guard_system(diag, rhs, alpha, r, g, grad_p, lap_p) -> None:
+    """Unless the system is finite, check its inputs in field order, naming field and index."""
     if not math.isfinite(diag.dot(rhs)):
         _check_arrays((("NodeField", alpha), ("NodeField", r), ("NodeField", g),
                        ("FaceField", grad_p), ("NodeField", lap_p)))
-    dominant = 0.0 <= s_min and alpha_min / dt > s_max - s_min + 2.0**-48 * s_max
-    return _thomas(diag, lower, upper, rhs, work, dominant)
+
+
+def _westervelt_solve(alpha, alpha_min, r, g, v, grad_p, lap_p, dt, params, dx, work=None,
+                      out=None, bands=None):
+    """v' of a step on raw arrays by a one-shot driver: alpha_min is alpha's minimum, lap_p the
+    divergence of grad_p, and work (a _Tridiagonal), out (rows) and bands (of r) save work."""
+    tmp, _, up, _ = out or (None,) * 4
+    *_, s_min, s_max = bands = bands or _westervelt_bands(r, dt, params, dx, up, tmp)
+    diag, lower, upper, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, out, bands)
+    _guard_system(diag, rhs, alpha, r, g, grad_p, lap_p)
+    return _thomas(diag, lower, upper, rhs, work, _certified(alpha_min, dt, s_min, s_max))

@@ -464,15 +464,16 @@ class _Tridiagonal:
         return _lapack_or_loop(info, buf[n - 1:2 * n - 1], buf[3 * n - 2:],
                                diag, lower, upper, rhs, dominant)
 
-    def factor(self, diag, lower, upper) -> "_Tridiagonal":
-        """Factor the matrix once by dgttrf; ``factored`` says whether the
-        routines exist and the factors passed the checks, made once here."""
+    def factor(self, diag, lower, upper, dominant=False) -> "_Tridiagonal":
+        """Factor the matrix once by dgttrf; ``factored`` says whether the routines exist and
+        the factors passed the checks, made once here unless dominant (as in solve_once)."""
         self.bands = (diag, lower, upper)
         self._load(diag, lower, upper)
         self.factored = _GTTRF is not None and _GTTRS is not None
         if self.factored:
             _GTTRF(self.size, *self.rows[:5], self.info)
-            self.factored = self.info.value == 0 and _eliminated_like_loop(self.d, *self.bands)
+            self.factored = self.info.value == 0 and (
+                dominant or _eliminated_like_loop(self.d, *self.bands))
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

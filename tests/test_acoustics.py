@@ -414,6 +414,121 @@ def test_a_guard_tripped_by_the_overflow_of_its_dot_alone_lets_the_step_go_on():
     assert frozen.alpha_min == 1e200 and frozen.g.values.tolist() == [1e200] * 4
 
 
+def test_the_manufactured_study_factors_its_matrix_once(monkeypatch):
+    # alpha = r = ones, read-only, at one dt, b and dx: the public step
+    # factors the study's matrix on its first step and solves each of the
+    # 1,000 steps with those factors, with no one-shot solve.
+    calls = []
+    factor, fresh = grid_mod._Tridiagonal.factor, grid_mod._Tridiagonal.solve_fresh
+    monkeypatch.setattr(grid_mod._Tridiagonal, "factor",
+                        lambda *args: calls.append("factor") or factor(*args))
+    monkeypatch.setattr(grid_mod._Tridiagonal, "solve_fresh",
+                        staticmethod(lambda *args: calls.append("fresh") or fresh(*args)))
+    verification_mod.manufactured_error.__wrapped__(32, 1e-5, 0.01, 2.0)  # past the cache
+    assert calls == ["factor"]
+
+
+def _locked(values):
+    """A read-only float copy of values."""
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
+
+
+def _one_shot_step(p, v, alpha, r, g, dt, params, dx):
+    """(p', v') by _westervelt_solve, the one-shot dgtsv driver of coupled_step."""
+    grad_p = grid_mod._dirichlet_gradient(p, dx)
+    v_new = acoustics_mod._westervelt_solve(alpha, float(alpha.min()), r, g, v, grad_p,
+                                            grid_mod._difference_quotient(grad_p, dx), dt,
+                                            params, dx)
+    return p + dt * v_new, v_new
+
+
+_N = 16
+
+
+# (r, b, dt, L, whether the factors pass, whether every solve runs the
+# loop), with alpha = 1 + sin/2: a certified matrix; a steep fall of r,
+# which fails the certificate but swaps no row, so factor's full check
+# accepts it; a steep rise of r, which makes LAPACK swap rows 0 and 1; and
+# r = b = 0 on node 3, which decouples it, so v' keeps an exact zero there
+# that LAPACK's result may not stand for.
+@pytest.mark.parametrize("r, b, dt, L, factored, loops", [
+    (1.0, 0.5, 1e-2, 1.0, True, False),
+    (10.0 ** np.linspace(6.0, 0.0, _N), 0.0, 1.0, _N + 1.0, True, False),
+    ([1.0, 1e6] + [1.0] * (_N - 2), 0.0, 1.0, _N + 1.0, False, True),
+    ([1.0] * 3 + [0.0] + [1.0] * (_N - 4), 0.0, 1e-2, 1.0, True, True),
+], ids=["certified", "uncertified", "row_interchange", "exact_zero"])
+def test_kept_factors_step_like_fresh_ones(monkeypatch, r, b, dt, L, factored, loops):
+    # A chain of public steps on read-only alpha and r, which keeps one
+    # factorization, equals byte for byte the chain given fresh writeable
+    # copies at each step, which factors every matrix, and the chain of the
+    # one-shot dgtsv driver of coupled_step.
+    grid, params, steps = Grid1D(L, _N), unit_params(b=b), 24
+    x = grid.nodes() / L
+    alpha = _locked(1.0 + 0.5 * np.sin(np.pi * x))
+    r = _locked(np.broadcast_to(r, _N))
+    decoupled = r == 0.0
+    p0, v0 = (np.where(decoupled, 0.0, f(np.pi * x)) for f in (np.sin, np.cos))
+    gs = [np.where(decoupled, 0.0, np.sin(n * x)) for n in range(steps)]
+    loop_calls, factor_calls = [], []
+    loop, factor = grid_mod._thomas_loop, grid_mod._Tridiagonal.factor
+    monkeypatch.setattr(grid_mod, "_thomas_loop", lambda *a: loop_calls.append(1) or loop(*a))
+    monkeypatch.setattr(grid_mod._Tridiagonal, "factor",
+                        lambda *a: factor_calls.append(1) or factor(*a))
+    chains = []
+    for copies in (False, True):
+        state = AcousticState.initial(NodeField(grid, p0), NodeField(grid, v0))
+        chain = []
+        for g in gs:
+            a_n, r_n = (alpha.copy(), r.copy()) if copies else (alpha, r)
+            coeffs = FrozenCoefficients(NodeField(grid, a_n), NodeField(grid, r_n),
+                                        NodeField(grid, g), 1.0)
+            state = westervelt_linear_step(state, coeffs, dt, params)
+            chain.append(state.p.values.tobytes() + state.v.values.tobytes())
+        chains.append(chain)
+        if not copies:
+            assert len(factor_calls) == 1
+            assert (acoustics_mod._kept[5].factored, len(loop_calls)) == (
+                (factored, steps * loops) if grid_mod._GTTRF else (False, steps))
+    p, v, chain = p0, v0, []
+    for g in gs:
+        p, v = _one_shot_step(p, v, alpha, r, g, dt, params, grid.dx)
+        chain.append(p.tobytes() + v.tobytes())
+    assert chains[0] == chains[1] == chain
+    assert len(factor_calls) == 1 + steps
+
+
+@pytest.mark.parametrize("case", ["two_sets", "dt", "b", "L", "writeable_alpha", "writeable_r"])
+def test_kept_factors_serve_only_their_own_matrix(case):
+    # The public step keeps the factors of a matrix whose alpha and r are
+    # read-only for the next calls with the same two arrays, still
+    # read-only, at equal dt, b and dx.  Every call of each case must equal
+    # a one-off step by the dgtsv driver, which never meets the kept factors.
+    rng = np.random.default_rng(7)
+    a1, r1, a2, r2 = (_locked(1.0 + rng.random(_N)) for _ in range(4))
+    p0, v0, g = rng.standard_normal((3, _N))
+    changed = {"writeable_alpha": a1, "writeable_r": r1}.get(case)
+    if changed is not None:
+        changed.flags.writeable = True
+    calls = {  # (alpha, r, dt, b, L) of each call in turn
+        "two_sets": [(a1, r1, 1e-2, 0.5, 1.0), (a2, r2, 1e-2, 0.5, 1.0)] * 2,
+        "dt": [(a1, r1, 1e-2, 0.5, 1.0), (a1, r1, 2e-2, 0.5, 1.0)],
+        "b": [(a1, r1, 1e-2, 0.5, 1.0), (a1, r1, 1e-2, 1.0, 1.0)],
+        "L": [(a1, r1, 1e-2, 0.5, 1.0), (a1, r1, 1e-2, 0.5, 2.0)],
+    }.get(case, [(a1, r1, 1e-2, 0.5, 1.0)] * 2)
+    for alpha, r, dt, b, L in calls:
+        grid = Grid1D(L, _N)
+        state = AcousticState.initial(NodeField(grid, p0), NodeField(grid, v0))
+        coeffs = FrozenCoefficients(NodeField(grid, alpha), NodeField(grid, r),
+                                    NodeField(grid, g), 1.0)
+        new = westervelt_linear_step(state, coeffs, dt, unit_params(b=b))
+        p, v = _one_shot_step(p0, v0, alpha, r, g, dt, unit_params(b=b), grid.dx)
+        assert new.p.values.tobytes() + new.v.values.tobytes() == p.tobytes() + v.tobytes()
+        if changed is not None:
+            changed *= 1.5
+
+
 class TestIdentityResidual:
     def test_zero_run(self):
         grid = Grid1D(1.0, 16)
