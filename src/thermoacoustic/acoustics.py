@@ -38,6 +38,8 @@ s_max that the pivot recursion and the test itself can lose.
 from __future__ import annotations
 
 import math
+import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,7 @@ __all__ = [
     "check_nondegeneracy",
     "westervelt_linear_step",
 ]
-_kept = (None,) * 6  # westervelt_linear_step's (alpha, r, dt, b, dx, factors) of a constant matrix
+_kept = threading.local()  # .slot: westervelt_linear_step's (key, factors) in this thread
 
 
 class Degenerate(ArithmeticError):
@@ -193,10 +195,9 @@ def westervelt_linear_step(
     dt positive and finite is finite only if v' is, so a finite p'.dot(p')
     proves both; a tripped guard checks p', then v'.
 
-    The factors of the last matrix with read-only alpha and r serve the calls with the same two
-    arrays, still read-only, and equal dt, b and dx, so no two threads may step at once.
+    Each thread keeps the factors of its last matrix, keyed on the bytes of alpha, r, dt, b and
+    dx, and reuses them only for a call with an equal key: a constant matrix is factored once.
     """
-    global _kept
     if problem := _step_problem(dt):
         raise ValueError(f"dt {problem}")
     grid, p, v, dx = state.grid, state.p.values, state.v.values, state.grid.dx
@@ -205,14 +206,14 @@ def westervelt_linear_step(
         for field in (coeffs.alpha, coeffs.r, coeffs.g):
             state.p._check_compatible(field)
     lap_p = _difference_quotient(grad_p := _dirichlet_gradient(p, dx), dx)
-    constant = not (alpha.flags.writeable or r.flags.writeable)
-    if constant and _kept[0] is alpha and _kept[1] is r and _kept[2:5] == (dt, params.b, dx):
-        solver, rhs = _kept[5], _westervelt_rhs(alpha, r, g, v, lap_p, dt)
-    else:  # alpha's own minimum: a caller may build coeffs by hand
+    key = (alpha.tobytes(), r.tobytes(), struct.pack("3d", dt, params.b, dx))
+    kept_key, solver = getattr(_kept, "slot", (None, None))
+    if kept_key != key:  # alpha's own minimum: a caller may build coeffs by hand
         *_, s_min, s_max = bands = _westervelt_bands(r, dt, params, dx)
-        *system, rhs = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, bands=bands)
+        *system, _ = _westervelt_system(alpha, r, g, v, lap_p, dt, params, dx, bands=bands)
         solver = _Tridiagonal(grid.N).factor(*system, _certified(alpha.min(), dt, s_min, s_max))
-        _kept = (alpha, r, dt, params.b, dx, solver) if constant else _kept
+        _kept.slot = (key, solver)
+    rhs = _westervelt_rhs(alpha, r, g, v, lap_p, dt)
     _guard_system(solver.bands[0], rhs, alpha, r, g, grad_p, lap_p)
     v_new = solver.solve(rhs)
     p_new = p + dt * v_new

@@ -344,14 +344,13 @@ def manufactured_error(N: int, dt: float, T: float, b: float = 1.0) -> float:
     purely temporal; a b != 1 run exposes the O(dx^2) spatial truncation.
 
     Each step is a public westervelt_linear_step call, which perfbench's wave_manufactured
-    workload times (so this keeps its own loop), on one read-only alpha = r: the step factors
-    the constant matrix once.  manufactured_spatial_orders reads these errors from _spatial_errors.
+    workload times (so this keeps its own loop), on one alpha = r: the step factors the
+    constant matrix once.  manufactured_spatial_orders reads these errors from _spatial_errors.
     """
     params = unit_params(b=b)
     grid = Grid1D(1.0, N)
     s = np.sin(np.pi * grid.nodes())
     ones = NodeField(grid, np.ones(N))
-    ones.values.flags.writeable = False
     state = AcousticState.initial(NodeField(grid, s), NodeField(grid, -s))
     amplitude = 1.0 + math.pi**2 - b * math.pi**2
     n_steps = int(round(T / dt))

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -415,9 +416,9 @@ def test_a_guard_tripped_by_the_overflow_of_its_dot_alone_lets_the_step_go_on():
 
 
 def test_the_manufactured_study_factors_its_matrix_once(monkeypatch):
-    # alpha = r = ones, read-only, at one dt, b and dx: the public step
-    # factors the study's matrix on its first step and solves each of the
-    # 1,000 steps with those factors, with no one-shot solve.
+    # alpha = r = ones at one dt, b and dx: the public step factors the
+    # study's matrix on its first step and solves each of the 1,000 steps
+    # with those factors, with no one-shot solve.
     calls = []
     factor, fresh = grid_mod._Tridiagonal.factor, grid_mod._Tridiagonal.solve_fresh
     monkeypatch.setattr(grid_mod._Tridiagonal, "factor",
@@ -460,10 +461,10 @@ _N = 16
     ([1.0] * 3 + [0.0] + [1.0] * (_N - 4), 0.0, 1e-2, 1.0, True, True),
 ], ids=["certified", "uncertified", "row_interchange", "exact_zero"])
 def test_kept_factors_step_like_fresh_ones(monkeypatch, r, b, dt, L, factored, loops):
-    # A chain of public steps on read-only alpha and r, which keeps one
-    # factorization, equals byte for byte the chain given fresh writeable
-    # copies at each step, which factors every matrix, and the chain of the
-    # one-shot dgtsv driver of coupled_step.
+    # A chain of public steps given equal fresh copies of alpha and r at
+    # each step, which keeps one factorization, equals byte for byte the
+    # chain that drops the kept factors before each step, which factors
+    # every matrix, and the chain of the one-shot dgtsv driver of coupled_step.
     grid, params, steps = Grid1D(L, _N), unit_params(b=b), 24
     x = grid.nodes() / L
     alpha = _locked(1.0 + 0.5 * np.sin(np.pi * x))
@@ -476,20 +477,22 @@ def test_kept_factors_step_like_fresh_ones(monkeypatch, r, b, dt, L, factored, l
     monkeypatch.setattr(grid_mod, "_thomas_loop", lambda *a: loop_calls.append(1) or loop(*a))
     monkeypatch.setattr(grid_mod._Tridiagonal, "factor",
                         lambda *a: factor_calls.append(1) or factor(*a))
+    vars(acoustics_mod._kept).clear()
     chains = []
-    for copies in (False, True):
+    for drop in (False, True):
         state = AcousticState.initial(NodeField(grid, p0), NodeField(grid, v0))
         chain = []
         for g in gs:
-            a_n, r_n = (alpha.copy(), r.copy()) if copies else (alpha, r)
-            coeffs = FrozenCoefficients(NodeField(grid, a_n), NodeField(grid, r_n),
+            if drop:
+                vars(acoustics_mod._kept).clear()
+            coeffs = FrozenCoefficients(NodeField(grid, alpha.copy()), NodeField(grid, r.copy()),
                                         NodeField(grid, g), 1.0)
             state = westervelt_linear_step(state, coeffs, dt, params)
             chain.append(state.p.values.tobytes() + state.v.values.tobytes())
         chains.append(chain)
-        if not copies:
+        if not drop:
             assert len(factor_calls) == 1
-            assert (acoustics_mod._kept[5].factored, len(loop_calls)) == (
+            assert (acoustics_mod._kept.slot[1].factored, len(loop_calls)) == (
                 (factored, steps * loops) if grid_mod._GTTRF else (False, steps))
     p, v, chain = p0, v0, []
     for g in gs:
@@ -499,24 +502,36 @@ def test_kept_factors_step_like_fresh_ones(monkeypatch, r, b, dt, L, factored, l
     assert len(factor_calls) == 1 + steps
 
 
-@pytest.mark.parametrize("case", ["two_sets", "dt", "b", "L", "writeable_alpha", "writeable_r"])
+def _flip(values, locked):
+    """Scale values in place by 1.5, writeable for the change and locked after it."""
+    values.flags.writeable = True
+    values *= 1.5
+    values.flags.writeable = not locked
+
+
+# (alpha, r, dt, b, L) of each call in turn, and the array its owner
+# changes in place between calls: a read-only view of a writeable buffer,
+# or a read-only array set writeable for the change and locked again.
+@pytest.mark.parametrize("case", ["two_sets", "dt", "b", "L", "writeable_alpha", "writeable_r",
+                                  "read_only_view", "relocked_alpha"])
 def test_kept_factors_serve_only_their_own_matrix(case):
-    # The public step keeps the factors of a matrix whose alpha and r are
-    # read-only for the next calls with the same two arrays, still
-    # read-only, at equal dt, b and dx.  Every call of each case must equal
-    # a one-off step by the dgtsv driver, which never meets the kept factors.
+    # The public step keeps the factors of its last matrix for calls whose
+    # alpha, r, dt, b and dx are equal to the bit.  Every call of each case
+    # must equal a one-off step by the dgtsv driver, which never meets them.
     rng = np.random.default_rng(7)
     a1, r1, a2, r2 = (_locked(1.0 + rng.random(_N)) for _ in range(4))
     p0, v0, g = rng.standard_normal((3, _N))
-    changed = {"writeable_alpha": a1, "writeable_r": r1}.get(case)
-    if changed is not None:
-        changed.flags.writeable = True
-    calls = {  # (alpha, r, dt, b, L) of each call in turn
+    owner = {"writeable_alpha": a1, "writeable_r": r1, "relocked_alpha": a1}.get(case)
+    if case == "read_only_view":  # owner changes a1 through its own writeable array
+        owner = np.array(a1)
+        a1 = owner.view()
+        a1.flags.writeable = False
+    calls = {
         "two_sets": [(a1, r1, 1e-2, 0.5, 1.0), (a2, r2, 1e-2, 0.5, 1.0)] * 2,
         "dt": [(a1, r1, 1e-2, 0.5, 1.0), (a1, r1, 2e-2, 0.5, 1.0)],
         "b": [(a1, r1, 1e-2, 0.5, 1.0), (a1, r1, 1e-2, 1.0, 1.0)],
         "L": [(a1, r1, 1e-2, 0.5, 1.0), (a1, r1, 1e-2, 0.5, 2.0)],
-    }.get(case, [(a1, r1, 1e-2, 0.5, 1.0)] * 2)
+    }.get(case, [(a1, r1, 1e-2, 0.5, 1.0)] * 3)
     for alpha, r, dt, b, L in calls:
         grid = Grid1D(L, _N)
         state = AcousticState.initial(NodeField(grid, p0), NodeField(grid, v0))
@@ -525,8 +540,33 @@ def test_kept_factors_serve_only_their_own_matrix(case):
         new = westervelt_linear_step(state, coeffs, dt, unit_params(b=b))
         p, v = _one_shot_step(p0, v0, alpha, r, g, dt, unit_params(b=b), grid.dx)
         assert new.p.values.tobytes() + new.v.values.tobytes() == p.tobytes() + v.tobytes()
-        if changed is not None:
-            changed *= 1.5
+        if owner is not None:
+            _flip(owner, locked=case == "relocked_alpha")
+
+
+def test_each_thread_keeps_its_own_factors(monkeypatch):
+    # The kept factors live in one slot per thread: another thread factors
+    # the same matrix afresh, and its step leaves this thread's slot as it was.
+    factor_calls = []
+    factor = grid_mod._Tridiagonal.factor
+    monkeypatch.setattr(grid_mod._Tridiagonal, "factor",
+                        lambda *a: factor_calls.append(1) or factor(*a))
+    vars(acoustics_mod._kept).clear()
+    grid = Grid1D(1.0, _N)
+    rng = np.random.default_rng(3)
+    alpha, r, p0, v0, g = (NodeField(grid, 1.0 + rng.random(_N)) for _ in range(5))
+    coeffs, params = FrozenCoefficients(alpha, r, g, 1.0), unit_params(b=0.5)
+    state = AcousticState.initial(p0, v0)
+    steps = []
+    step = lambda: steps.append(westervelt_linear_step(state, coeffs, 1e-2, params))  # noqa: E731
+    step()
+    mine = acoustics_mod._kept.slot
+    other = threading.Thread(target=step)
+    other.start()
+    other.join()
+    step()
+    assert acoustics_mod._kept.slot is mine and len(factor_calls) == 2
+    assert len({s.p.values.tobytes() + s.v.values.tobytes() for s in steps}) == 1
 
 
 class TestIdentityResidual:
